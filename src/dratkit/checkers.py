@@ -12,7 +12,8 @@ delete such clauses.
 
 check_lrat replays an id-addressed document with hints: additions are
 verified by guided propagation over the stated chains only, and RAT steps
-must list chains for exactly the live clauses containing the negated pivot.
+must list chains for exactly the live clauses containing the negated pivot
+(none at all when no live clause contains it).
 
 check_er verifies extension steps (a fresh definition variable with its
 clause family) and resolution chains folded left with a unique clashing
@@ -301,7 +302,11 @@ def check_lrat(f: Formula, steps) -> CheckReport:
                     # hints continue past a finished propagation proof
                     return report(False, i, BAD_HINT, detail=consumed, checked=i)
                 per_step.append((hints.rup_chain, None, ()))
-            elif status == "stuck" or not groups or c.is_empty:
+            elif status == "stuck" or c.is_empty:
+                return report(False, i, BAD_HINT, detail=consumed, checked=i)
+            elif not groups and working.occurrence(-c.lits[0]):
+                # a RAT step with no groups holds only when no live clause
+                # contains the negated pivot
                 return report(False, i, BAD_HINT, detail=consumed, checked=i)
             else:
                 pivot = c.lits[0]

@@ -39,7 +39,6 @@ from dratkit.pipeline import (
     emit_trimmed,
     to_er,
 )
-from dratkit.testkit import cdcl_solve, gen_php, gen_random
 
 
 def _read(path: str) -> bytes:
@@ -137,6 +136,8 @@ def _cmd_to_er(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from dratkit.testkit import cdcl_solve  # numpy; only solve and gen need it
+
     f = _load_cnf(args.cnf)
     res = cdcl_solve(f, seed=args.seed)
     if res.status == "unsat":
@@ -158,10 +159,14 @@ def _emit_cnf(f, out) -> int:
 
 
 def _cmd_gen_php(args) -> int:
+    from dratkit.testkit import gen_php
+
     return _emit_cnf(gen_php(args.n), args.out)
 
 
 def _cmd_gen_random(args) -> int:
+    from dratkit.testkit import gen_random
+
     return _emit_cnf(gen_random(args.vars, args.clauses, args.width, args.seed),
                      args.out)
 

@@ -33,15 +33,13 @@ class ProofStep:
 
     kind 'add' carries clause (and hints in LRAT documents); kind 'delete'
     carries clause for DRAT (content-addressed) or ids for LRAT
-    (id-addressed); kind 'extend' never appears in these two formats but
-    keeps the step type uniform for pipeline internals.
+    (id-addressed).
     """
 
     kind: str
     clause: Clause | None = None
     hints: HintBlock | None = None
     ids: tuple | None = None
-    extension: tuple | None = None
 
 
 def add_step(lits, hints=None) -> ProofStep:

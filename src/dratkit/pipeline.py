@@ -9,17 +9,21 @@ formula becomes core_formula_ids.
 
 emit_trimmed keeps only core steps, rotates RAT clauses pivot-first, mirrors
 the applied deletions of core clauses, and inserts synthetic deletions of
-added core clauses right after their last use.  emit_lrat replays the
-trimmed proof in the trimmed world (original ids, non-core originals removed
-by a leading deletion line) and emits the re-derived hints; ids continue
-from the original clause count.  to_er translates the trimmed proof into an
+added core clauses right after their last use.  emit_lrat and to_er both
+read one replay of the trimmed proof in the trimmed world (original ids,
+non-core originals removed); emit_lrat writes its re-derived hints, with a
+leading deletion line for the non-core originals and ids continuing from
+the original clause count.  to_er translates the same replay into an
 extended-resolution document: RUP additions become resolution chains (fold
 order is the reverse of propagation order), and each RAT addition becomes a
 fresh definition variable with its clause family, derived images of the
 live clauses mentioning the pivot, and a variable substitution applied to
-everything after it.  All emitted documents are re-checked; a failed
-re-check raises TranslationInvariantViolation rather than returning a bad
-document.
+everything after it.  Its bookkeeping stays linear in the proof: the live
+clauses mentioning the pivot come from the formula's occurrence lists, a
+table of each clause's last citation decides which of them need an image,
+and the substitution is resolved lazily.  All emitted documents are
+re-checked; a failed re-check raises TranslationInvariantViolation rather
+than returning a bad document.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dratkit.checkers import (
     CheckMode,
     _drat_forward,
     check_er,
+    check_lrat,
 )
 from dratkit.core import Clause, Formula
 from dratkit.formats import (
@@ -236,28 +241,17 @@ def _trimmed_world(cp: CheckedProof) -> Formula:
     return world
 
 
-# ------------------------------------------------------------------- LRAT
+# ------------------------------------------------------------------ replay
 
-def emit_lrat(cp: CheckedProof):
-    """LRAT document for the trimmed proof, over the original formula's ids.
+def _replay_records(cp: CheckedProof, trimmed):
+    """Forward events of the trimmed proof, replayed in the trimmed world.
 
-    A leading deletion line removes the non-core originals; addition ids
-    continue from the original clause count; hints are re-derived by
-    replaying the trimmed proof in the trimmed world.
+    Returns ("delete", target) and ("add", cid, clause, antecedents, pivot,
+    groups) tuples in proof order.
     """
-    m = cp.formula.next_id - 1
-    if cp.empty_in_formula:
-        eid = min(cp.formula.empty_ids())
-        return [(m + 1, add_step(Clause([]), hints=HintBlock(rup_chain=(eid,))))]
-
-    trimmed, _ = emit_trimmed(cp)
     world = _trimmed_world(cp)
-    noncore = sorted(set(cp.formula.clauses) - set(cp.core_formula_ids))
-    out = []
-    if noncore:
-        out.append((m, delete_ids_step(tuple(noncore))))
     engine = Engine(world)
-    last_sid = m
+    records = []
     for ev in _drat_forward(world, engine, trimmed, CheckMode(SPECIFIED, "first")):
         tag = ev[0]
         if tag == "delete":
@@ -265,50 +259,96 @@ def emit_lrat(cp: CheckedProof):
             if target is None or not applied:
                 raise TranslationInvariantViolation(
                     "trimmed step %d: deletion did not apply in the trimmed world" % i)
-            out.append((last_sid, delete_ids_step((target,))))
+            records.append(("delete", target))
         elif tag == "add":
             _, i, cid, ants, pivot, groups = ev
-            if pivot is None:
-                hints = HintBlock(rup_chain=tuple(ants))
-            else:
-                gs = tuple(
-                    (g.candidate, tuple(g.chain_local) if g.kind == "chain" else ())
-                    for g in groups)
-                hints = HintBlock(rup_chain=tuple(ants), rat_groups=gs)
-            out.append((cid, add_step(world.clauses[cid], hints=hints)))
-            last_sid = cid
+            records.append(("add", cid, world.clauses[cid], tuple(ants), pivot,
+                            tuple(groups)))
         elif tag == "reject":
             raise TranslationInvariantViolation(
                 "trimmed step %d rejected in replay: %s" % (ev[1], ev[2]))
         elif tag == "no_bottom":
             raise TranslationInvariantViolation(
                 "trimmed proof lost its empty clause")
+    return records
+
+
+def _require_verified(report, what: str) -> None:
+    if not report.verified:
+        raise TranslationInvariantViolation(
+            "emitted %s document rejected at step %s: %s (%r)"
+            % (what, report.step_index, report.reason, report.detail))
+
+
+# ------------------------------------------------------------------- LRAT
+
+def emit_lrat(cp: CheckedProof):
+    """LRAT document for the trimmed proof, over the original formula's ids.
+
+    A leading deletion line removes the non-core originals; addition ids
+    continue from the original clause count; hints are re-derived by
+    replaying the trimmed proof in the trimmed world.  The finished document
+    is re-checked before being returned.
+    """
+    m = cp.formula.next_id - 1
+    if cp.empty_in_formula:
+        eid = min(cp.formula.empty_ids())
+        return [(m + 1, add_step(Clause([]), hints=HintBlock(rup_chain=(eid,))))]
+
+    trimmed, _ = emit_trimmed(cp)
+    noncore = sorted(set(cp.formula.clauses) - set(cp.core_formula_ids))
+    out = []
+    if noncore:
+        out.append((m, delete_ids_step(tuple(noncore))))
+    last_sid = m
+    for rec in _replay_records(cp, trimmed):
+        if rec[0] == "delete":
+            out.append((last_sid, delete_ids_step((rec[1],))))
+            continue
+        _, cid, clause, ants, pivot, groups = rec
+        if pivot is None:
+            hints = HintBlock(rup_chain=ants)
+        else:
+            gs = tuple(
+                (g.candidate, tuple(g.chain_local) if g.kind == "chain" else ())
+                for g in groups)
+            hints = HintBlock(rup_chain=ants, rat_groups=gs)
+        out.append((cid, add_step(clause, hints=hints)))
+        last_sid = cid
+    _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out
 
 
 # --------------------------------------------------------------------- ER
 
 def _apply_lit(sub: dict, l: int) -> int:
+    """Image of l under the substitution, resolving chains of renames.
+
+    sub maps a variable to the literal it was renamed to, which may itself
+    have been renamed later; the chain ends at a variable that is not a key.
+    Every variable on a chain longer than one step is pointed straight at
+    its end, so the next lookup takes one step.
+    """
     t = sub.get(abs(l))
     if t is None:
         return l
-    return t if l > 0 else -t
+    root = t
+    while abs(root) in sub:
+        s = sub[abs(root)]
+        root = s if root > 0 else -s
+    if root != t:
+        cur = abs(l)  # a literal whose image is root
+        while cur != root:
+            nxt = sub[abs(cur)]
+            sub[abs(cur)] = root if cur > 0 else -root
+            cur = nxt if cur > 0 else -nxt
+    return root if l > 0 else -root
 
 
 def _apply_clause(sub: dict, c: Clause) -> Clause:
     if not sub:
         return c
     return Clause([_apply_lit(sub, l) for l in c.lits])
-
-
-def _compose(sub: dict, p_lit: int, x: int) -> None:
-    """Extend the substitution with p_lit -> x (and its negation)."""
-    v = abs(p_lit)
-    t = x if p_lit > 0 else -x
-    for w, s in list(sub.items()):
-        if abs(s) == v:
-            sub[w] = t if s > 0 else -t
-    sub[v] = t
 
 
 def _fold(er_clauses: dict, ids) -> tuple:
@@ -344,41 +384,22 @@ def _fold(er_clauses: dict, ids) -> tuple:
     return kept, acc
 
 
-def _replay_records(cp: CheckedProof, trimmed):
-    """Materialized forward events of the trimmed proof in the trimmed world."""
-    world = _trimmed_world(cp)
-    live0 = {cid: cl for cid, cl in world.clauses.items()}
-    engine = Engine(world)
-    records = []
-    for ev in _drat_forward(world, engine, trimmed, CheckMode(SPECIFIED, "first")):
-        tag = ev[0]
-        if tag == "delete":
-            _, i, target, applied = ev
-            if target is None or not applied:
-                raise TranslationInvariantViolation(
-                    "trimmed step %d: deletion did not apply in the trimmed world" % i)
-            records.append(("delete", target, None, (), None, ()))
-        elif tag == "add":
-            _, i, cid, ants, pivot, groups = ev
-            records.append(("add", cid, world.clauses[cid], tuple(ants), pivot,
-                            tuple(groups)))
-        elif tag == "reject":
-            raise TranslationInvariantViolation(
-                "trimmed step %d rejected in replay: %s" % (ev[1], ev[2]))
-        elif tag == "no_bottom":
-            raise TranslationInvariantViolation(
-                "trimmed proof lost its empty clause")
-    return live0, records
-
-
 def to_er(f: Formula, cp: CheckedProof):
     """Extended-resolution document for the checked proof, over f's ids.
 
     RUP additions fold their recorded chains in reverse propagation order.
     A RAT addition on pivot p introduces a fresh variable x defined as
     (p or the conjunction of the negated remaining literals), derives an
-    image of every later-referenced live clause mentioning p, and rewrites
-    everything after it through the composed substitution p -> x.  The
+    image of every live clause mentioning p that a later step cites, and
+    renames p to x in everything after it.
+
+    The live clauses mentioning p come from the live formula's occurrence
+    lists, in ascending id order; last_ref[tid], the index of the last
+    record citing tid, tells whether a later step still cites a clause.
+    The images' folds cite the ids from before the step, read through a log
+    of the id-map entries the step overwrites.  The rename is stored as
+    sub[|p|] = +-x and resolved lazily by _apply_lit: x is fresh, so it is
+    never already a key and the renames form chains without cycles.  The
     finished document is re-checked before being returned.
     """
     m = f.next_id - 1
@@ -387,19 +408,17 @@ def to_er(f: Formula, cp: CheckedProof):
         return [(m + 1, Chain(Clause([]), (eid,)))]
 
     trimmed, _ = emit_trimmed(cp)
-    live, records = _replay_records(cp, trimmed)
+    live = _trimmed_world(cp)
+    records = _replay_records(cp, trimmed)
 
-    # suffix_refs[i]: clause ids cited by any record after index i, so a RAT
-    # step only images clauses that some later step will actually cite
-    suffix_refs = [frozenset()] * len(records)
-    acc_refs: set = set()
-    for i in range(len(records) - 1, -1, -1):
-        suffix_refs[i] = frozenset(acc_refs)
-        if records[i][0] == "add":
-            acc_refs.update(_cited_ids(records[i][3], records[i][5]))
+    last_ref = {}
+    for ri, rec in enumerate(records):
+        if rec[0] == "add":
+            for tid in _cited_ids(rec[3], rec[5]):
+                last_ref[tid] = ri
 
     er_clauses = {cid: cl for cid, cl in f.clauses.items()}
-    id_map = {tid: tid for tid in live}
+    id_map = {tid: tid for tid in live.clauses}
     sub: dict[int, int] = {}
     fresh = f.max_var
     for rec in records:
@@ -438,17 +457,17 @@ def to_er(f: Formula, cp: CheckedProof):
             target = rec[1]
             if target in id_map:
                 emit(Delete((id_map[target],)))
-            live.pop(target)
+            live.remove_by_id(target)
             continue
         _, cid, clause, ants, pivot, groups = rec
         if pivot is None:
             if clause.is_tautology:
-                live[cid] = clause
+                live.add_clause(clause, cid=cid)
                 continue
             claimed = _apply_clause(sub, clause)
             fold_ids = [er_id(a) for a in reversed(ants)]
             id_map[cid] = emit_chain(claimed, fold_ids)
-            live[cid] = clause
+            live.add_clause(clause, cid=cid)
             if clause.is_empty:
                 break
             continue
@@ -467,37 +486,37 @@ def to_er(f: Formula, cp: CheckedProof):
         for j, clx in enumerate(family):
             er_clauses[fam_ids[j]] = clx
         next_sid = ext_sid + len(family)
-        _compose(sub, pivot_er, x)
+        sub[abs(pivot_er)] = x if pivot_er > 0 else -x
+
+        with_pivot = live.occurrence(pivot)
+        with_neg = live.occurrence(-pivot)
         # recorded chains predate the rename: image folds must cite the
-        # pre-substitution ids, so freeze the map before rewriting it
-        old_map = dict(id_map)
+        # pre-substitution ids, so log the entries this step overwrites
+        # (cid has no image before it)
+        before = {tid: id_map.get(tid) for tid in with_pivot + with_neg}
+        before[cid] = None
 
         def er_old(tid):
-            eid = old_map.get(tid)
+            eid = before[tid] if tid in before else id_map.get(tid)
             if eid is None:
                 raise TranslationInvariantViolation(
                     "clause %d cited but has no translated image" % tid)
             return eid
 
         id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x
-        live[cid] = clause
+        live.add_clause(clause, cid=cid)
         group_of = {g.candidate: g for g in groups}
-        refs = suffix_refs[ri]
 
-        for tid in sorted(live):
-            cl = live[tid]
-            if tid == cid or pivot not in cl:
-                continue
-            if cl.is_tautology or tid not in refs or tid not in id_map:
+        for tid in with_pivot:
+            cl = live.clauses[tid]
+            if cl.is_tautology or last_ref.get(tid, -1) <= ri or tid not in id_map:
                 id_map.pop(tid, None)
                 continue
             claimed = _apply_clause(sub, cl)
             id_map[tid] = emit_chain(claimed, [er_old(tid), fam_ids[0]])
-        for tid in sorted(live):
-            cl = live[tid]
-            if tid == cid or -pivot not in cl:
-                continue
-            if cl.is_tautology or tid not in refs or tid not in id_map:
+        for tid in with_neg:
+            cl = live.clauses[tid]
+            if cl.is_tautology or last_ref.get(tid, -1) <= ri or tid not in id_map:
                 id_map.pop(tid, None)
                 continue
             g = group_of.get(tid)
@@ -521,9 +540,5 @@ def to_er(f: Formula, cp: CheckedProof):
                 fold_ids = [fam_ids[2 + j], er_old(tid)]
             id_map[tid] = emit_chain(claimed, fold_ids)
 
-    report = check_er(f, out)
-    if not report.verified:
-        raise TranslationInvariantViolation(
-            "emitted document rejected at step %s: %s (%r)"
-            % (report.step_index, report.reason, report.detail))
+    _require_verified(check_er(f, out), "ER")
     return out

@@ -305,9 +305,10 @@ def naive_check_lrat(cnf, text):
             if not lits:
                 return True
             continue
-        if status == "stuck" or not groups or not lits:
+        if status == "stuck" or not lits:
             return False
         pivot = lits[0]
+        # an empty group list is right exactly when no clause holds -pivot
         want = sorted(i for i, c in clauses.items() if -pivot in c)
         if sorted(c for c, _ in groups) != want:
             return False

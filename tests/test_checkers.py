@@ -265,6 +265,35 @@ def test_lrat_missing_candidate_rejected():
     assert not naive_check_lrat(RAT4, doc.decode())
 
 
+# FULL2 plus a clause that lets a step's unit chain assign something
+# without reaching a conflict
+FULL2_IMP = FULL2 + [[-3, 4]]
+VACUOUS = b"6 5 -3 0 5 0\n"  # RAT on 5, and no clause holds -5
+
+
+def test_lrat_rat_step_without_candidates_is_vacuous():
+    doc = VACUOUS + b"7 1 0 1 3 0\n8 0 7 2 4 0\n"
+    report = check_lrat(formula_from_clauses(FULL2_IMP), parse_lrat(doc))
+    assert report.verified
+    assert report.rat_steps == 1
+    assert report.per_step[0] == ((5,), 5, ())
+    assert naive_check_lrat(FULL2_IMP, doc.decode())
+
+
+@pytest.mark.parametrize("step", [
+    b"7 -5 4 0 5 0\n",  # clause 6 holds 5, so the step must list its group
+    b"7 5 -3 0 1 0\n",  # the unit chain is stuck: clause 1 has two free literals
+    b"7 0 0\n",         # an empty clause must propagate to a conflict
+])
+def test_lrat_groupless_step_rejected(step):
+    doc = VACUOUS + step + b"8 1 0 1 3 0\n9 0 8 2 4 0\n"
+    report = check_lrat(formula_from_clauses(FULL2_IMP), parse_lrat(doc))
+    assert not report.verified
+    assert report.step_index == 1
+    assert report.reason == BAD_HINT
+    assert not naive_check_lrat(FULL2_IMP, doc.decode())
+
+
 def test_lrat_unknown_candidate_rejected():
     doc = b"5 1 0 1 4 -2 -3 0\n6 d 3 0\n7 1 3 0 1 -2 -3 0\n"
     # candidate 3 was deleted before step 7 cites it

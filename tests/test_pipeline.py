@@ -8,15 +8,19 @@ truth-table oracle.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
+from dratkit import pipeline
 from dratkit.checkers import (
+    BAD_HINT,
     NO_BOTTOM,
     NOT_RAT,
     OPERATIONAL,
     SPECIFIED,
     CheckMode,
+    CheckReport,
     check_drat,
     check_er,
     check_lrat,
@@ -39,12 +43,15 @@ from dratkit.formats import (
 )
 from dratkit.pipeline import (
     ForwardRejected,
+    TranslationInvariantViolation,
     backward_check,
     emit_lrat,
     emit_trimmed,
     to_er,
 )
-from dratkit.testkit import brute_force, cdcl_solve, gen_random
+from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
+
+from _oracles import naive_check_er, naive_check_lrat
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 FULL2_PROOF = [add_step([1, 2]), add_step([1]), add_step([])]
@@ -347,6 +354,89 @@ def test_permuted_rat_instances_run_end_to_end():
         er = to_er(f, cp)
         assert check_er(f, er).verified
         _substitution_respected(er)
+
+
+def _hop_proof(f, hops):
+    """DRAT refutation of f that first moves variable 1 through the fresh
+    variables in hops and back to 1, then appends the solver's refutation.
+
+    Each hop old -> new adds the definition new <-> old as two RAT steps
+    (pivots new and -new), rewrites every clause on old to new, and deletes
+    the clauses on old, so a later hop may reuse new's name.
+    """
+    live = [list(c.lits) for _, c in f.items()]
+    proof = []
+    old = 1
+    for new in hops:
+        defs = [[new, -old], [-new, old]]
+        moved = [c for c in live if old in c or -old in c]
+        renamed = [[new if l == old else -new if l == -old else l for l in c]
+                   for c in moved]
+        proof += [add_step(c) for c in defs + renamed]
+        proof += [delete_step(c) for c in moved + defs]
+        live = [c for c in live if c not in moved] + renamed
+        old = new
+    assert old == 1
+    return proof + list(cdcl_solve(f, seed=0).proof)
+
+
+def test_rat_steps_on_recurring_variables_translate_deterministically():
+    # twelve RAT steps, two per hop, on x, y and 1 twice each: the ER
+    # substitution renames each pivot again and again, so its images chain
+    f = gen_php(3)
+    x, y = f.max_var + 1, f.max_var + 2
+    proof = _hop_proof(f, [x, y, 1, x, y, 1])
+    cp = backward_check(f, proof)
+    assert sum(1 for r in cp.records if r.pivot is not None and r.core) == 12
+    er = to_er(f, cp)
+    assert sum(1 for _, s in er if isinstance(s, Extend)) == 12
+    _substitution_respected(er)
+    cnf = [list(c.lits) for _, c in f.items()]
+    assert naive_check_er(cnf, write_er(er).decode())
+    again = to_er(f, backward_check(f, proof))
+    assert write_er(again) == write_er(er)
+
+
+def test_lrat_of_definitions_verifies_with_groupless_rat_steps():
+    # the first clause on each fresh variable is a RAT step whose negated
+    # pivot occurs in no live clause, so it carries no candidate groups
+    f = gen_php(3)
+    x, y = f.max_var + 1, f.max_var + 2
+    lrat = emit_lrat(backward_check(f, _hop_proof(f, [x, y, 1])))
+    report = check_lrat(f, lrat)
+    assert report.verified
+    assert any(ps and ps[1] is not None and not ps[2] for ps in report.per_step)
+    cnf = [list(c.lits) for _, c in f.items()]
+    assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+
+
+def test_emit_lrat_raises_when_its_document_fails_the_recheck(monkeypatch):
+    f = formula_from_clauses(FULL2)
+    cp = backward_check(f, FULL2_PROOF)
+    monkeypatch.setattr(pipeline, "check_lrat",
+                        lambda f, steps: CheckReport(False, 0, BAD_HINT, 0))
+    with pytest.raises(TranslationInvariantViolation):
+        emit_lrat(cp)
+
+
+def test_to_er_memory_stays_near_the_backward_check():
+    # to_er keeps one entry per live clause and per cited id, not one set
+    # of later-cited ids per record; the bound is about 3x the backward
+    # check's own peak, where a per-record table costs 7x on this proof
+    f = gen_php(5)
+    proof = cdcl_solve(f, seed=0).proof
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cp = backward_check(f, proof)
+        check_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        to_er(f, cp)
+        er_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert er_peak <= 3 * check_peak
 
 
 # ------------------------------------------------------------ property loops
