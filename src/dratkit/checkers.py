@@ -7,8 +7,11 @@ formula.  Deletions follow one of two semantics: "specified" applies them
 literally, while "operational" mirrors the behavior of production checkers,
 which keep any clause that currently shapes the top-level trail (exactly one
 non-falsified literal under the top-level closure: a unit, or the reason
-clause of a derived unit).  The two flavors genuinely diverge on proofs that
-delete such clauses.
+clause of a derived unit).  That closure is the engine's top-level
+propagation fixpoint, which is unique when it has no conflict; only when the
+top level conflicts does the id-order fixpoint of toplevel_closure decide,
+since the closure then depends on the order clauses are visited in.  The two
+flavors genuinely diverge on proofs that delete such clauses.
 
 check_lrat replays an id-addressed document with hints: additions are
 verified by guided propagation over the stated chains only, and RAT steps
@@ -76,7 +79,8 @@ class CheckReport:
     verified: bool
     step_index: int | None = None   # rejection site (index into the steps)
     reason: str | None = None       # rejection tag, one of the constants above
-    detail: object = None           # tag payload: hint position, id, fold index
+    detail: object = None           # tag payload: hint position, id, fold
+                                    # index, failing RAT candidate id
     steps_checked: int = 0
     rat_steps: int = 0
     visited_clauses_total: int = 0
@@ -90,8 +94,10 @@ def toplevel_closure(f: Formula) -> dict:
     """Unit-propagation closure of the formula with no assumptions.
 
     Iterates clauses in id order until stable; falsified clauses are skipped
-    (the closure continues past conflicts), so the result is independent of
-    visitation order.  Returns {var: bool}.
+    (the closure continues past conflicts).  Without a conflict the result
+    is the unique fixpoint that Engine.toplevel also returns; with one it
+    depends on the id order, which is why operational mode falls back to it
+    only then.  Returns {var: bool}.
     """
     assign: dict[int, bool] = {}
     changed = True
@@ -143,7 +149,9 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                                                 tautologies, set for RAT (groups then hold
                                                 the per-candidate obligation records)
       ("verified", i)                           the empty clause entered at step i
-      ("reject", i, reason, detail)             proof invalid at step i
+      ("reject", i, reason, detail)             proof invalid at step i; a failed
+                                                RAT addition's detail is the failing
+                                                candidate id of its first pivot
       ("no_bottom",)                            proof exhausted without the empty clause
 
     The stream ends right after init_verified/verified/reject/no_bottom.  The
@@ -167,7 +175,9 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             target = ids[0]
             if mode.flavor == OPERATIONAL:
                 if closure is None:
-                    closure = toplevel_closure(working)
+                    closure = engine.toplevel()
+                    if closure is None:
+                        closure = toplevel_closure(working)
                 if _shapes_trail(working.clauses[target], closure):
                     yield ("delete", i, target, False)
                     continue
@@ -197,13 +207,16 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                 record = (out.antecedents, None, ())
             else:
                 pivots = c.lits[:1] if mode.policy == "first" else c.lits
+                failed = None  # failing candidate of the first pivot tried
                 for pivot in pivots:
                     r = engine.rat(c, pivot)
                     if r.rat:
                         record = (r.leading, pivot, r.groups)
                         break
+                    if failed is None:
+                        failed = r.witness_candidate
                 else:
-                    yield ("reject", i, NOT_RAT, None)
+                    yield ("reject", i, NOT_RAT, failed)
                     return
         cid = working.add_clause(c)
         engine.attach(cid)

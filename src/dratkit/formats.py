@@ -95,10 +95,20 @@ def extension_clauses(x: int, p: int, ls) -> list:
 
 # ------------------------------------------------------------------ tokenizing
 
+def _text(data) -> str:
+    """Decode a text document; a non-ASCII byte is a ParseError."""
+    if not isinstance(data, bytes):
+        return data
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ParseError("byte %d: non-ASCII byte 0x%02x"
+                         % (e.start, data[e.start])) from None
+
+
 def _tokens(data):
     """Yield (token, line_no) over text bytes, 1-based lines."""
-    if isinstance(data, bytes):
-        data = data.decode("ascii")
+    data = _text(data)
     for ln, line in enumerate(data.splitlines(), start=1):
         for tok in line.split():
             yield tok, ln
@@ -120,8 +130,7 @@ def parse_dimacs(data, strict: bool = False):
     strict=True, literals beyond the declared variable count and a clause
     count mismatch are errors; by default they are tolerated.
     """
-    if isinstance(data, bytes):
-        data = data.decode("ascii")
+    data = _text(data)
     declared_vars = declared_clauses = None
     f = Formula()
     lits: list = []
@@ -296,8 +305,9 @@ def parse_lrat(data) -> list:
 
     Addition hints split at the first negative hint into the unit chain and
     candidate groups.  Hints and candidates must reference ids below the
-    step's own id; addition ids must be strictly increasing; a non-empty
-    clause must carry at least one hint.
+    step's own id; addition ids must be strictly increasing.  A non-empty
+    clause may carry no hints at all (a RAT step whose negated pivot occurs
+    in no live clause); whether it holds is the checker's decision.
     """
     toks = list(_tokens(data))
     steps = []
@@ -347,8 +357,6 @@ def parse_lrat(data) -> list:
             if abs(n) >= sid:
                 raise ParseError("line %d: hint %d not below step id %d" % (ln, n, sid))
             hints.append(n)
-        if lits and not hints and not any(-l in lits for l in lits):
-            raise ParseError("line %d: addition of a non-empty clause with no hints" % ln)
         rup = []
         j = 0
         while j < len(hints) and hints[j] > 0:

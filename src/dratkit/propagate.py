@@ -244,6 +244,23 @@ class Engine:
             del wl[j:]
         return done("fixpoint", None, ())
 
+    def toplevel(self):
+        """The top-level unit-propagation fixpoint as {var: bool}, or None
+        when propagation with no assumptions reaches a conflict.
+
+        Runs inside a checkpoint and restores visited_total, so the trail,
+        the watch order and the counters are left exactly as they were.
+        """
+        cp = self.checkpoint()
+        visited = self.visited_total
+        try:
+            if self.propagate().result == "conflict":
+                return None
+            return {abs(l): l > 0 for l in self.trail}
+        finally:
+            self.rollback(cp)
+            self.visited_total = visited
+
     def antecedents_of(self, conflict_cid: int, from_index: int = 0) -> tuple:
         """Dependency-filtered reason chain for a falsified clause.
 

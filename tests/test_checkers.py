@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from dratkit import checkers
 from dratkit.core import Clause, formula_from_clauses
+from dratkit.propagate import Engine
 from dratkit.checkers import (
     BAD_HINT,
     ID_ORDER,
@@ -41,6 +43,8 @@ from _oracles import (
     naive_check_drat,
     naive_check_er,
     naive_check_lrat,
+    naive_closure,
+    naive_protected,
 )
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
@@ -112,6 +116,13 @@ def test_drat_rejects_bad_addition():
     assert not report.verified
     assert report.reason == NOT_RAT
     assert report.step_index == 0
+
+
+def test_drat_rat_rejection_names_failing_candidate():
+    # [-1] is not RUP, and the resolvent on -1 with clause 1 is [2]
+    report = check_drat(formula_from_clauses([[1, 2]]), [add_step([-1])])
+    assert report.reason == NOT_RAT
+    assert report.detail == 1
 
 
 def test_drat_deletion_semantics_diverge():
@@ -211,6 +222,91 @@ def test_drat_agrees_with_naive_on_solver_proofs_and_mutants():
                 verified += 1
                 assert brute_force(f) is None  # soundness
     assert verified >= 30
+
+
+def _deletion_case(rng):
+    """A small formula with unit clauses and a proof that deletes units and
+    reason clauses, often after the top level has reached a conflict.
+
+    Lemmas are resolvents (RUP), random clauses, and clauses on a fresh
+    variable (RAT); the clause set is tracked under specified semantics.
+    """
+    maxv = rng.randint(2, 5)
+    live = [_rand_clause(rng, maxv, 1, 3) for _ in range(rng.randint(2, 3 * maxv))]
+    live += [[rng.randint(1, maxv) * rng.choice((-1, 1))]
+             for _ in range(rng.randint(1, 3))]
+    cnf = [list(c) for c in live]
+    live = [list(dict.fromkeys(c)) for c in live]
+    proof = []
+    fresh = maxv
+    for _ in range(rng.randint(2, 10)):
+        r = rng.random()
+        assign, _ = naive_closure(live)
+        shaped = [c for c in live if naive_protected(c, assign)]
+        if r < 0.4 and shaped:
+            step = delete_step(rng.choice(shaped))
+        elif r < 0.55 and live:
+            step = delete_step(rng.choice(live))
+        elif r < 0.8 and len(live) > 1:
+            a, b = rng.sample(live, 2)
+            clash = [l for l in a if -l in b]
+            if clash:
+                lits = [l for l in a if l != clash[0]]
+                lits += [l for l in b if l != -clash[0] and l not in lits]
+            else:
+                lits = _rand_clause(rng, maxv, 1, 2)
+            step = add_step(lits)
+        elif r < 0.9:
+            fresh += 1
+            step = add_step([fresh] + _rand_clause(rng, maxv, 0, 2))
+        else:
+            step = add_step(_rand_clause(rng, maxv, 1, 2))
+        proof.append(step)
+        if step.kind == "add":
+            live.append(list(step.clause.lits))
+        else:
+            live.remove(next(c for c in live if set(c) == step.clause.litset))
+    if rng.random() < 0.8:
+        proof.append(add_step([]))
+    return cnf, proof
+
+
+def test_drat_deletion_corpus_agrees_with_naive(monkeypatch):
+    """Both flavors against the oracle on proofs that delete units and
+    reasons; operational mode falls back to toplevel_closure only when the
+    top level conflicts."""
+    tops, fallbacks = [], []
+    toplevel = Engine.toplevel
+
+    def engine_toplevel(engine):
+        tops.append(toplevel(engine))
+        return tops[-1]
+
+    def closure_on_conflict(f):
+        _, conflict = naive_closure({cid: c.lits for cid, c in f.items()})
+        fallbacks.append(conflict)
+        return toplevel_closure(f)
+
+    monkeypatch.setattr(Engine, "toplevel", engine_toplevel)
+    monkeypatch.setattr(checkers, "toplevel_closure", closure_on_conflict)
+    rng = random.Random(44)
+    skipped = diverged = verified = 0
+    for trial in range(200):
+        cnf, proof = _deletion_case(rng)
+        f = formula_from_clauses(cnf)
+        triples = []
+        for flavor in (SPECIFIED, OPERATIONAL):
+            report = check_drat(f, proof, CheckMode(flavor))
+            want = naive_check_drat(cnf, _steps_for_oracle(proof), mode=flavor)
+            assert _triple(report) == want, (trial, flavor)
+            triples.append(want)
+            if report.verified:
+                verified += 1
+        skipped += report.skipped_deletions > 0
+        diverged += triples[0] != triples[1]
+    assert all(fallbacks) and len(fallbacks) == tops.count(None) >= 50
+    assert sum(bool(t) for t in tops) >= 50  # shields read off the engine
+    assert skipped >= 40 and diverged >= 10 and verified >= 40
 
 
 def test_drat_modes_agree_without_deletions():

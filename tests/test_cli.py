@@ -72,6 +72,35 @@ def test_check_drat_counters_are_stable(tmp_path, capsys):
         int(l.split()[2])
 
 
+def _counter_runs(tmp_path, capsys, f, proof, modes=("specified", "operational")):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_bytes(write_dimacs(f))
+    path = _proof_file(tmp_path, proof)
+    return [_run(capsys, ["check", "drat", str(cnf), path, "--text", "--counters",
+                          "--mode", mode]) for mode in modes]
+
+
+def test_check_drat_operational_counters_equal_specified(tmp_path, capsys):
+    # php(5) is the smallest pigeonhole proof of the solver with deletions;
+    # the second formula has a top-level trail for the shield to read
+    f = gen_php(5)
+    cases = [(f, cdcl_solve(f, seed=0).proof),
+             (formula_from_clauses([[1], [-1, 2], [5, 6], [3, 4], [-3, 4], [3, -4], [-3, -4]]),
+              [delete_step([5, 6]), add_step([3]), delete_step([3, 4]), add_step([])])]
+    for f, proof in cases:
+        assert any(s.kind == "delete" for s in proof)
+        spec, op = _counter_runs(tmp_path, capsys, f, proof)
+        assert spec == op
+        assert spec[0] == 0 and "c skipped_deletions 0" in spec[1].splitlines()
+
+
+def test_check_drat_operational_counts_skipped_unit_deletion(tmp_path, capsys):
+    f = formula_from_clauses([[1], [-1]])
+    (rc, out, _), = _counter_runs(tmp_path, capsys, f, [delete_step([1]), add_step([])],
+                                  modes=("operational",))
+    assert rc == 0 and "c skipped_deletions 1" in out.splitlines()
+
+
 def test_check_drat_mode_flag_switches_deletion_semantics(tmp_path, capsys):
     cnf = _cnf_file(tmp_path, [[1], [-1]])
     proof = _proof_file(tmp_path, [delete_step([1]), add_step([])])

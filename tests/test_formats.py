@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dratkit.core import Clause
+from dratkit.checkers import BAD_HINT, check_lrat
+from dratkit.core import Clause, formula_from_clauses
 from dratkit.formats import (
     Chain,
     Delete,
@@ -27,6 +28,11 @@ from dratkit.formats import (
     write_er,
     write_lrat,
 )
+
+from _oracles import naive_check_lrat
+
+FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
+REFUTE_FULL2 = b"6 1 0 1 3 0\n7 0 6 2 4 0\n"
 
 
 class TestDimacs:
@@ -72,6 +78,11 @@ class TestDimacs:
         assert (nv, nc) == (3, 3)
 
 
+    def test_non_ascii_byte_is_parse_error(self):
+        with pytest.raises(ParseError, match="non-ASCII"):
+            parse_dimacs(b"p cnf 2 2\n1 2 0\n\xff 0\n")
+
+
 class TestDratText:
     def test_unit_then_empty(self):
         steps = parse_drat_text(b"1 0\n0\n")
@@ -100,6 +111,11 @@ class TestDratText:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_drat_text(b"1 x 0\n")
+
+
+    def test_non_ascii_byte_is_parse_error(self):
+        with pytest.raises(ParseError, match="non-ASCII"):
+            parse_drat(b"1 2 0\n\xff 0\n")
 
 
 class TestDratBinary:
@@ -194,9 +210,26 @@ class TestLrat:
         with pytest.raises(ParseError, match="not below"):
             parse_lrat(b"3 2 0 -4 1 0\n")
 
-    def test_hintless_nonempty_addition_rejected(self):
-        with pytest.raises(ParseError):
-            parse_lrat(b"3 2 0 0\n")
+    def test_hintless_rat_step_parses_and_verifies(self):
+        # a vacuous RAT step: no clause holds -5
+        doc = b"5 5 -3 0 0\n" + REFUTE_FULL2
+        steps = parse_lrat(doc)
+        assert steps[0] == (5, add_step([5, -3], hints=HintBlock()))
+        assert write_lrat(steps) == doc
+        assert check_lrat(formula_from_clauses(FULL2), steps).verified
+        assert naive_check_lrat(FULL2, doc.decode())
+
+    def test_hintless_rat_step_rejected_when_negated_pivot_live(self):
+        # step 5 is subsumed by clause 1 and puts -5 into the formula
+        doc = b"5 -5 1 2 0 1 0\n6 5 -3 0 0\n7 1 0 1 3 0\n8 0 7 2 4 0\n"
+        report = check_lrat(formula_from_clauses(FULL2), parse_lrat(doc))
+        assert not report.verified
+        assert (report.step_index, report.reason) == (1, BAD_HINT)
+        assert not naive_check_lrat(FULL2, doc.decode())
+
+    def test_non_ascii_byte_is_parse_error(self):
+        with pytest.raises(ParseError, match="non-ASCII"):
+            parse_lrat(b"5 1 0 1 3 0\n6 \xff 0 0\n")
 
     def test_hintless_empty_addition_parses(self):
         (sid, s), = parse_lrat(b"3 0 0\n")
@@ -246,6 +279,10 @@ class TestEr:
     def test_roundtrip_golden(self):
         text = b"4 e 3 1 2 0\n7 2 3 0 4 6 0\n7 d 1 2 0\n"
         assert write_er(parse_er(text)) == text
+
+    def test_non_ascii_byte_is_parse_error(self):
+        with pytest.raises(ParseError, match="non-ASCII"):
+            parse_er(b"4 e 3 1 2 0\n8 \xe9 0 4 0\n")
 
 
 def _random_clause(rng, maxvar=9, width=4):

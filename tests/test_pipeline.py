@@ -133,6 +133,14 @@ def test_forward_rejected_carries_step_and_reason():
     assert e.value.reason == NOT_RAT
 
 
+def test_forward_rejected_names_failing_rat_candidate():
+    f = formula_from_clauses([[1, 2]])
+    with pytest.raises(ForwardRejected) as e:
+        backward_check(f, [add_step([-1]), add_step([])])
+    assert (e.value.step, e.value.reason, e.value.detail) == (0, NOT_RAT, 1)
+    assert str(e.value) == "step 0 rejected: not_rat (1)"
+
+
 def test_forward_rejected_when_no_empty_clause():
     f = formula_from_clauses(FULL2)
     with pytest.raises(ForwardRejected) as e:

@@ -452,6 +452,36 @@ def test_checks_restore_state_across_attach_detach():
             assert _snapshot(e) == before
 
 
+def test_toplevel_equals_naive_closure():
+    rng = random.Random(21)
+    conflicts = units = 0
+    for _ in range(200):
+        maxv = rng.randint(2, 7)
+        clauses = _rand_formula(rng, maxv, rng.randint(1, 14))
+        clauses += [_rand_clause(rng, maxv, 1, 1) for _ in range(rng.randint(1, 3))]
+        top = Engine(formula_from_clauses(clauses)).toplevel()
+        assign, conflict = naive_closure(clauses)
+        assert (top is None) == conflict
+        if top is not None:
+            assert top == assign
+            units += len(top) > 1
+        conflicts += conflict
+    assert conflicts >= 20 and units >= 20
+
+
+def test_toplevel_restores_state_and_counters():
+    rng = random.Random(22)
+    for _ in range(60):
+        maxv = rng.randint(2, 6)
+        clauses = _rand_formula(rng, maxv, rng.randint(2, 14)) + [[rng.randint(1, maxv)]]
+        e = Engine(formula_from_clauses(clauses))
+        e.rup(Clause(_rand_clause(rng, maxv)))
+        before, visited = _snapshot(e), e.visited_total
+        e.toplevel()
+        assert _snapshot(e) == before
+        assert e.visited_total == visited
+
+
 def test_engine_runs_are_deterministic():
     rng = random.Random(20)
     for _ in range(40):
