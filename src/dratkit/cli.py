@@ -65,7 +65,7 @@ def _binary_choice(args):
         return True
     if args.text:
         return False
-    return None  # auto-detect on first byte
+    return None  # detect from the content
 
 
 def _load_drat(args):
@@ -115,7 +115,7 @@ def _cmd_trim(args) -> int:
     cp = backward_check(f, _load_drat(args), _mode(args))
     outputs = []
     trimmed, core = emit_trimmed(cp)
-    outputs.append((args.out_lrat, write_lrat(emit_lrat(cp))))
+    outputs.append((args.out_lrat, write_lrat(emit_lrat(cp, trimmed))))
     if args.out_drat:
         outputs.append((args.out_drat, write_drat_text(trimmed)))
     if args.out_core:

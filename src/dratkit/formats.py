@@ -10,6 +10,7 @@ folding a resolution chain, deletion lines drop clause ids.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from dratkit.core import Clause, Formula
@@ -287,14 +288,23 @@ def write_drat_binary(steps) -> bytes:
     return bytes(out)
 
 
-def parse_drat(data: bytes, binary: bool | None = None) -> list:
-    """Parse DRAT with auto-detection: first byte 'a'/'d' means binary.
+# any byte a text DRAT proof cannot hold
+_NOT_DRAT_TEXT = re.compile(rb"[^0-9+\-d \t\n\v\f\r]")
 
-    A text proof whose first step is a deletion also starts with 'd'; pass
-    binary=False (or True) to override the guess.
+
+def parse_drat(data: bytes, binary: bool | None = None) -> list:
+    """Parse DRAT, telling text from binary by content as DRAT-trim does.
+
+    A binary proof starts with a tag byte ('a' or 'd') and every complete
+    step ends in a NUL byte; a text proof holds nothing but digits, signs,
+    'd' and whitespace.  So a proof is binary when it starts with a tag and
+    holds some byte outside the text alphabet, and a text proof whose first
+    step is a deletion parses as text.  binary=True or False forces the
+    parser.
     """
     if binary is None:
-        binary = bool(data) and data[:1] in (b"\x61", b"\x64")
+        binary = (data[:1] in (b"a", b"d")
+                  and _NOT_DRAT_TEXT.search(data) is not None)
     return parse_drat_binary(data) if binary else parse_drat_text(data)
 
 

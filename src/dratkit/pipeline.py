@@ -282,20 +282,23 @@ def _require_verified(report, what: str) -> None:
 
 # ------------------------------------------------------------------- LRAT
 
-def emit_lrat(cp: CheckedProof):
+def emit_lrat(cp: CheckedProof, trimmed=None):
     """LRAT document for the trimmed proof, over the original formula's ids.
 
     A leading deletion line removes the non-core originals; addition ids
     continue from the original clause count; hints are re-derived by
     replaying the trimmed proof in the trimmed world.  The finished document
-    is re-checked before being returned.
+    is re-checked before being returned.  A caller that already holds the
+    steps of emit_trimmed(cp) passes them as trimmed, so they are not built
+    twice.
     """
     m = cp.formula.next_id - 1
     if cp.empty_in_formula:
         eid = min(cp.formula.empty_ids())
         return [(m + 1, add_step(Clause([]), hints=HintBlock(rup_chain=(eid,))))]
 
-    trimmed, _ = emit_trimmed(cp)
+    if trimmed is None:
+        trimmed, _ = emit_trimmed(cp)
     noncore = sorted(set(cp.formula.clauses) - set(cp.core_formula_ids))
     out = []
     if noncore:

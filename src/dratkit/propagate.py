@@ -7,6 +7,35 @@ watches).  Every check runs inside a checkpoint and restores the trail and
 the watch lists exactly, move for move, so repeated checks over the same
 formula perform identical work and report identical counters.
 
+Layout.  The state is flat and indexed by literal, as in DRAT-trim, so the
+watch loop reads lists and makes no method call per literal:
+
+  val[l]       1 true, -1 false, 0 free.  Literals run over -cap..cap and a
+               negative literal uses Python's negative indexing, so val has
+               2*cap + 1 slots: 1..cap positive, the top cap negative, 0 unused.
+  watches[l]   ids of the clauses watching l, indexed the same way.
+  reason[v]    the clause that set variable v, None for an assumption.  It
+               is read only for variables on the trail, so rollback leaves
+               it alone and zeroes just val[l] and val[-l].
+  wlits[cid]   [w0, w1, lits]: the two watches and the clause's literal
+               tuple, so the watch loop never looks the clause up.
+
+Capacity.  Variables beyond the original formula arrive with lemmas on
+fresh variables and with assumptions (LRAT additions are assumed before
+they are attached).  A literal beyond cap would alias another slot
+(val[-(cap+1)] is val[cap]), so the lists grow before any access: attach
+raises cap to the formula's max_var, which covers every attached clause,
+and assume and propagate raise it to each assumed literal.  Growth inserts
+the new slots between the positive and the negative half, in place, so
+lists bound to locals stay valid and every existing literal keeps its slot.
+
+Watch order.  Which conflict propagation meets first decides the antecedent
+chains, the visit counts and so the LRAT and ER bytes.  Three things fix
+that order and are kept as they are: a moved watch goes to the first
+non-false literal in clause order, a watch list is compacted in place while
+it is scanned, and rollback undoes each move exactly, putting the id back
+at its old index.
+
 Clause visits are counted per live-clause inspection (unit queue entries,
 watch list entries, the empty-clause short circuit).  On a conflict the
 engine reports the dependency-filtered antecedents: the reasons that
@@ -86,12 +115,13 @@ class Engine:
 
     def __init__(self, f: Formula):
         self.f = f
-        self.value: dict = {}      # var -> 1 (positive true) | -1
-        self.reason: dict = {}     # var -> clause id | None for assumptions
+        self.cap = 0               # highest variable with a slot
+        self.val: list = [0]       # literal -> 1 true | -1 false | 0 free
+        self.reason: list = [None]  # var -> clause id | None for assumptions
+        self.watches: list = [[]]  # literal -> clause ids watching it
+        self.wlits: dict = {}      # clause id -> [w0, w1, literal tuple]
         self.trail: list = []
         self.qhead = 0
-        self.watches: dict = {}    # literal -> clause ids watching it
-        self.wlits: dict = {}      # clause id -> [w0, w1]
         self.unit_ids: list = []   # ascending ids of size-1 clauses
         self.empty_ids: list = []
         self._moves: list = []     # (cid, slot, old_lit, old_index, new_lit)
@@ -99,18 +129,32 @@ class Engine:
         for cid in sorted(f.clauses):
             self.attach(cid)
 
+    def _grow(self, n: int) -> None:
+        """Give variables up to n their slots, in place: the new literals go
+        between the positive half and the negative half."""
+        d = n - self.cap
+        if d <= 0:
+            return
+        mid = self.cap + 1
+        self.val[mid:mid] = [0] * (2 * d)
+        self.watches[mid:mid] = [[] for _ in range(2 * d)]
+        self.reason.extend([None] * d)
+        self.cap = n
+
     # ------------------------------------------------------------- structure
 
     def attach(self, cid: int) -> None:
+        if self.f.max_var > self.cap:
+            self._grow(self.f.max_var)
         lits = self.f.clauses[cid].lits
         if not lits:
             insort(self.empty_ids, cid)
         elif len(lits) == 1:
             insort(self.unit_ids, cid)
         else:
-            self.wlits[cid] = [lits[0], lits[1]]
-            self.watches.setdefault(lits[0], []).append(cid)
-            self.watches.setdefault(lits[1], []).append(cid)
+            self.wlits[cid] = [lits[0], lits[1], lits]
+            self.watches[lits[0]].append(cid)
+            self.watches[lits[1]].append(cid)
 
     def detach(self, cid: int) -> None:
         w = self.wlits.pop(cid, None)
@@ -126,19 +170,19 @@ class Engine:
 
     def lit_value(self, l: int) -> int:
         """1 true, -1 false, 0 unassigned."""
-        v = self.value.get(abs(l))
-        if v is None:
-            return 0
-        return v if l > 0 else -v
+        return self.val[l] if -self.cap <= l <= self.cap else 0
 
     def _assign(self, l: int, why) -> None:
-        self.value[abs(l)] = 1 if l > 0 else -1
-        self.reason[abs(l)] = why
+        self.val[l] = 1
+        self.val[-l] = -1
+        self.reason[l if l > 0 else -l] = why
         self.trail.append(l)
 
     def assume(self, l: int) -> bool:
         """Assign an assumption literal; False when it contradicts the trail."""
-        v = self.lit_value(l)
+        if l > self.cap or -l > self.cap:
+            self._grow(abs(l))
+        v = self.val[l]
         if v == -1:
             return False
         if v == 0:
@@ -150,18 +194,31 @@ class Engine:
 
     def rollback(self, cp) -> None:
         tlen, mlen, qhead = cp
-        for l in self.trail[tlen:]:
-            del self.value[abs(l)]
-            del self.reason[abs(l)]
-        del self.trail[tlen:]
+        trail = self.trail
+        if len(trail) > tlen:
+            val = self.val
+            for l in trail[tlen:]:
+                val[l] = 0
+                val[-l] = 0
+            del trail[tlen:]
         self.qhead = qhead
-        while len(self._moves) > mlen:
-            cid, slot, old_lit, old_idx, new_lit = self._moves.pop()
-            self.watches[new_lit].pop()
-            self.watches[old_lit].insert(old_idx, cid)
-            self.wlits[cid][slot] = old_lit
+        moves = self._moves
+        if len(moves) > mlen:
+            watches, wlits = self.watches, self.wlits
+            for cid, slot, old_lit, old_idx, new_lit in reversed(moves[mlen:]):
+                watches[new_lit].pop()
+                watches[old_lit].insert(old_idx, cid)
+                wlits[cid][slot] = old_lit
+            del moves[mlen:]
 
     # ------------------------------------------------------------ propagation
+
+    def _outcome(self, result, cid, visited, from_index) -> PropagationOutcome:
+        """End a propagate call: count its visits, and for a conflict clause
+        collect the antecedents."""
+        self.visited_total += visited
+        ants = () if cid is None else self.antecedents_of(cid, from_index)
+        return PropagationOutcome(result, cid, visited, ants)
 
     def propagate(self, assumptions=(), antecedents_from=None) -> PropagationOutcome:
         """Assume the given literals, then propagate to fixpoint or conflict.
@@ -170,38 +227,43 @@ class Engine:
         are filtered from trail position antecedents_from (default: the
         trail length on entry).
         """
-        tstart = len(self.trail)
+        trail, val, reason = self.trail, self.val, self.reason
         if antecedents_from is None:
-            antecedents_from = tstart
+            antecedents_from = len(trail)
         visited = 0
 
-        def done(result, cid, ants):
-            self.visited_total += visited
-            return PropagationOutcome(result, cid, visited, ants)
-
         for l in assumptions:
-            v = self.lit_value(l)
+            if l > self.cap or -l > self.cap:
+                self._grow(abs(l))
+            v = val[l]
             if v == -1:
-                return done("conflict", None, ())
+                return self._outcome("conflict", None, visited, antecedents_from)
             if v == 0:
-                self._assign(l, None)
+                val[l] = 1
+                val[-l] = -1
+                reason[l if l > 0 else -l] = None
+                trail.append(l)
         if self.empty_ids:
-            cid = self.empty_ids[0]
-            visited += 1
-            return done("conflict", cid, self.antecedents_of(cid, antecedents_from))
+            return self._outcome("conflict", self.empty_ids[0], visited + 1,
+                                 antecedents_from)
+        clauses = self.f.clauses
         for cid in self.unit_ids:
             visited += 1
-            l = self.f.clauses[cid].lits[0]
-            v = self.lit_value(l)
+            l = clauses[cid].lits[0]
+            v = val[l]
             if v == -1:
-                return done("conflict", cid, self.antecedents_of(cid, antecedents_from))
+                return self._outcome("conflict", cid, visited, antecedents_from)
             if v == 0:
-                self._assign(l, cid)
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -lit
-            wl = self.watches.get(neg)
+                val[l] = 1
+                val[-l] = -1
+                reason[l if l > 0 else -l] = cid
+                trail.append(l)
+        watches, wlits, moves = self.watches, self.wlits, self._moves
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            wl = watches[neg]
             if not wl:
                 continue
             i = j = 0
@@ -209,40 +271,40 @@ class Engine:
             while i < n:
                 cid = wl[i]
                 i += 1
-                visited += 1
-                w = self.wlits[cid]
-                slot = 0 if w[0] == neg else 1
-                other = w[1 - slot]
-                ov = self.lit_value(other)
+                w = wlits[cid]
+                if w[0] == neg:
+                    slot = 0
+                    other = w[1]
+                else:
+                    slot = 1
+                    other = w[0]
+                ov = val[other]
                 if ov == 1:
                     wl[j] = cid
                     j += 1
                     continue
-                moved = False
-                for cand in self.f.clauses[cid].lits:
-                    if cand == other or cand == neg:
-                        continue
-                    if self.lit_value(cand) != -1:
-                        self._moves.append((cid, slot, neg, j, cand))
+                for cand in w[2]:
+                    if cand != other and cand != neg and val[cand] != -1:
+                        moves.append((cid, slot, neg, j, cand))
                         w[slot] = cand
-                        self.watches.setdefault(cand, []).append(cid)
-                        moved = True
+                        watches[cand].append(cid)
                         break
-                if moved:
-                    continue
-                wl[j] = cid
-                j += 1
-                if ov == -1:
-                    while i < n:
-                        wl[j] = wl[i]
-                        j += 1
-                        i += 1
-                    del wl[j:]
-                    return done("conflict", cid,
-                                self.antecedents_of(cid, antecedents_from))
-                self._assign(other, cid)
+                else:
+                    wl[j] = cid
+                    j += 1
+                    if ov == -1:
+                        del wl[j:i]
+                        self.qhead = qhead
+                        return self._outcome("conflict", cid, visited + i,
+                                             antecedents_from)
+                    val[other] = 1
+                    val[-other] = -1
+                    reason[other if other > 0 else -other] = cid
+                    trail.append(other)
             del wl[j:]
-        return done("fixpoint", None, ())
+            visited += n
+        self.qhead = qhead
+        return self._outcome("fixpoint", None, visited, antecedents_from)
 
     def toplevel(self):
         """The top-level unit-propagation fixpoint as {var: bool}, or None
@@ -268,16 +330,17 @@ class Engine:
         variable contributes (transitively) to falsifying the clause;
         returns them in propagation order with the conflict id appended.
         """
-        marked = {abs(l) for l in self.f.clauses[conflict_cid].lits}
+        clauses, trail, reason = self.f.clauses, self.trail, self.reason
+        marked = {abs(l) for l in clauses[conflict_cid].lits}
         out = []
-        i = len(self.trail) - 1
+        i = len(trail) - 1
         while i >= from_index:
-            v = abs(self.trail[i])
+            v = abs(trail[i])
             if v in marked:
-                r = self.reason.get(v)
+                r = reason[v]
                 if r is not None:
                     out.append(r)
-                    for x in self.f.clauses[r].lits:
+                    for x in clauses[r].lits:
                         marked.add(abs(x))
             i -= 1
         out.reverse()
@@ -287,7 +350,7 @@ class Engine:
     def derivation_of(self, lit: int) -> tuple:
         """Reason closure deriving a currently-true literal, its own reason
         last; empty for assumptions."""
-        r = self.reason.get(abs(lit))
+        r = self.reason[abs(lit)]
         if r is None:
             return ()
         marked = {abs(x) for x in self.f.clauses[r].lits}
@@ -296,7 +359,7 @@ class Engine:
         while i >= 0:
             v = abs(self.trail[i])
             if v in marked:
-                rr = self.reason.get(v)
+                rr = self.reason[v]
                 if rr is not None:
                     out.append(rr)
                     for x in self.f.clauses[rr].lits:
@@ -326,6 +389,7 @@ class Engine:
         satisfied or had two free literals), or 'open' (chain exhausted);
         consumed counts the hints assigned as units.
         """
+        clauses, trail, val, reason = self.f.clauses, self.trail, self.val, self.reason
         visited = 0
         consumed = 0
         status = "open"
@@ -334,8 +398,8 @@ class Engine:
             free = None
             nfree = 0
             satisfied = False
-            for l in self.f.clauses[hid].lits:
-                v = self.lit_value(l)
+            for l in clauses[hid].lits:
+                v = val[l]
                 if v == 1:
                     satisfied = True
                     break
@@ -350,7 +414,10 @@ class Engine:
             if nfree == 0:
                 status = "conflict"
                 break
-            self._assign(free, hid)
+            val[free] = 1
+            val[-free] = -1
+            reason[free if free > 0 else -free] = hid
+            trail.append(free)
             consumed += 1
         self.visited_total += visited
         return status, consumed, visited
@@ -409,7 +476,7 @@ class Engine:
                 for l in d.lits:
                     if l == -pivot:
                         continue
-                    v = self.lit_value(l)
+                    v = self.val[l]
                     if v == 1:
                         witness = l
                         break

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dratkit import cli, pipeline
 from dratkit.cli import main
 from dratkit.core import formula_from_clauses
 from dratkit.formats import (
@@ -119,12 +120,14 @@ def test_check_drat_binary_autodetect_and_override(tmp_path, capsys):
     assert (rc, out) == (0, "s VERIFIED\n")
     rc, out, _ = _run(capsys, ["check", "drat", cnf, bproof, "--binary"])
     assert (rc, out) == (0, "s VERIFIED\n")
-    # a text proof opening with a deletion line starts with 'd' and would
-    # auto-detect as binary; --text forces the right parser
+    # a text proof opening with a deletion line starts with 'd' like a
+    # binary one, but holds no byte outside the text alphabet, so it is
+    # detected as text; --text forces the same parser
     tproof = tmp_path / "d.drat"
     tproof.write_bytes(b"d 5 6 0\n1 0\n0\n")
-    rc, out, _ = _run(capsys, ["check", "drat", cnf, str(tproof), "--text"])
-    assert (rc, out) == (0, "s VERIFIED\n")
+    for flags in ([], ["--text"]):
+        rc, out, _ = _run(capsys, ["check", "drat", cnf, str(tproof)] + flags)
+        assert (rc, out) == (0, "s VERIFIED\n")
 
 
 def test_trim_writes_all_artifacts_that_reverify(tmp_path, capsys):
@@ -145,6 +148,25 @@ def test_trim_writes_all_artifacts_that_reverify(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["check", "drat", str(out_core), str(out_drat),
                                "--text"])
     assert (rc, out) == (0, "s VERIFIED\n")
+
+
+def test_trim_builds_the_trimmed_proof_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    build = pipeline.emit_trimmed
+
+    def counted(cp):
+        calls.append(cp)
+        return build(cp)
+
+    monkeypatch.setattr(pipeline, "emit_trimmed", counted)
+    monkeypatch.setattr(cli, "emit_trimmed", counted)
+    cnf = _cnf_file(tmp_path, FULL2)
+    proof = _proof_file(tmp_path, FULL2_PROOF)
+    out_lrat = tmp_path / "p.lrat"
+    rc, out, _ = _run(capsys, ["trim", cnf, proof, "--out-lrat", str(out_lrat)])
+    assert (rc, out) == (0, "s VERIFIED\n")
+    assert len(calls) == 1
+    assert out_lrat.read_bytes() == b"5 1 0 1 3 0\n6 0 5 2 4 0\n"
 
 
 def test_trim_refuses_output_on_rejected_proof(tmp_path, capsys):

@@ -166,12 +166,33 @@ class TestDratAutoDetect:
     def test_binary_detected(self):
         assert parse_drat(bytes([0x61, 0x02, 0x00]))[0].clause == Clause([1])
 
-    def test_leading_text_deletion_needs_override(self):
-        data = b"d 1 2 0\n"
+    def test_leading_text_deletion_detected_as_text(self):
+        steps = parse_drat(b"d 1 2 0\n1 0\n")
+        assert [s.kind for s in steps] == ["delete", "add"]
+        assert steps[0].clause == Clause([1, 2])
+        assert steps[1].clause == Clause([1])
+
+    def test_leading_binary_deletion_detected_as_binary(self):
+        steps = [delete_step([1, 2]), add_step([1])]
+        data = write_drat_binary(steps)
+        assert data[:1] == b"d"
+        assert parse_drat(data) == steps
+        # every byte of these varints lies in the text alphabet: only the
+        # NUL ending each step tells them apart
+        steps = [delete_step([25, -22, 16]), add_step([])]
+        data = write_drat_binary(steps)
+        assert data == b"d2- \x00a\x00"
+        assert parse_drat(data) == steps
+
+    def test_override_forces_the_parser(self):
+        text = b"d 1 2 0\n1 0\n"
+        assert parse_drat(text, binary=False) == parse_drat(text)
         with pytest.raises(ParseError):
-            parse_drat(data)
-        steps = parse_drat(data, binary=False)
-        assert steps[0].kind == "delete"
+            parse_drat(text, binary=True)
+        binary = write_drat_binary([delete_step([1, 2]), add_step([1])])
+        assert parse_drat(binary, binary=True) == parse_drat(binary)
+        with pytest.raises(ParseError):
+            parse_drat(binary, binary=False)
 
     def test_force_binary(self):
         data = write_drat_binary([add_step([1])])

@@ -7,12 +7,15 @@ validate every emitted document with the matching checker plus the
 truth-table oracle.
 """
 
+import contextlib
+import hashlib
+import io
 import random
 import tracemalloc
 
 import pytest
 
-from dratkit import pipeline
+from dratkit import cli, pipeline
 from dratkit.checkers import (
     BAD_HINT,
     NO_BOTTOM,
@@ -37,6 +40,7 @@ from dratkit.formats import (
     parse_drat_text,
     parse_er,
     parse_lrat,
+    write_dimacs,
     write_drat_text,
     write_er,
     write_lrat,
@@ -418,6 +422,13 @@ def test_lrat_of_definitions_verifies_with_groupless_rat_steps():
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
 
 
+def test_emit_lrat_reuses_a_given_trimmed_proof():
+    f = gen_php(4)
+    cp = backward_check(f, cdcl_solve(f, seed=0).proof)
+    trimmed, _ = emit_trimmed(cp)
+    assert emit_lrat(cp, trimmed) == emit_lrat(cp)
+
+
 def test_emit_lrat_raises_when_its_document_fails_the_recheck(monkeypatch):
     f = formula_from_clauses(FULL2)
     cp = backward_check(f, FULL2_PROOF)
@@ -510,3 +521,96 @@ def test_lrat_checking_visits_no_more_than_unguided():
         unguided = check_drat(core, trimmed)
         assert guided.verified and unguided.verified
         assert guided.visited_clauses_total <= unguided.visited_clauses_total
+
+
+# ---------------------------------------------------------------- golden bytes
+
+# sha256 of every output the command line prints or writes for two fixed
+# inputs, computed before the propagation engine moved to flat lists.  The
+# watch order decides which conflict propagation meets first, and so the
+# antecedent chains, the visit counters and the LRAT and ER bytes; a change
+# to the engine that reorders propagation fails here.
+GOLDEN = {
+    "php5": {
+        "check_specified":
+            "122f24b69d964336ec7637c1421a73b4fd60724b84a403b1c55992941f84cc33",
+        "check_operational":
+            "122f24b69d964336ec7637c1421a73b4fd60724b84a403b1c55992941f84cc33",
+        "lrat":
+            "f93bdfec075c05e1b16378235ba150185c8101099cb8d26e133b87f23807fef2",
+        "trimmed":
+            "1b55042dff3c10a0315a94dccd3167b85b234ab32d98fec1fa8c15d1c43aa176",
+        "core":
+            "7e5d017392eaa29f07649ef4d2383bd8472e0979a3c17c46e48c7f9442fe9610",
+        "er":
+            "4013e4bc019791a0eccfd916236479a7211ca1b38dc200e52bf979ffc6bf1e0c",
+        "check_lrat":
+            "84dd6c9525d89df5d26e0f585619ce4a36cf29b21e0a31f82dd75acd5c2341eb",
+        "check_er":
+            "84dd6c9525d89df5d26e0f585619ce4a36cf29b21e0a31f82dd75acd5c2341eb",
+    },
+    "hops": {
+        "check_specified":
+            "80b6afb2c79ad2818b3ddbdeb483caa73035945a2e69340b37949b40cb022e9f",
+        "check_operational":
+            "80b6afb2c79ad2818b3ddbdeb483caa73035945a2e69340b37949b40cb022e9f",
+        "lrat":
+            "515c4074419d34576ee57bdabeded87364af213053d96637ff5ad08c9611c97d",
+        "trimmed":
+            "2ed1aea00fe0aa0d511a2ee597c05220b139aeca1c04a3740874c0a8fdc0d18c",
+        "core":
+            "8500d387f53eb4e57f524c2cd18c838c712e8fe4ca6c45474074a157aa39a1e4",
+        "er":
+            "bf807634b3b03b6b3e5da9880e6e55980bb918793fbd6de208543a82c5f5fb01",
+        "check_lrat":
+            "a62765a2a0de045f56d4ef29c0044479a4fecfba16b1596ddb4f388c764c4825",
+        "check_er":
+            "81ae3b2025dcd521a11802303c91ee24efafabf381868fd3946bcba70ae3c5e8",
+    },
+}
+
+
+def _golden_inputs(name):
+    if name == "php5":
+        f = gen_php(5)
+        return f, cdcl_solve(f, seed=0).proof
+    f = gen_php(3)
+    x, y = f.max_var + 1, f.max_var + 2
+    return f, _hop_proof(f, [x, y, 1, x, y, 1])
+
+
+def _golden_digests(name, tmp_path):
+    f, proof = _golden_inputs(name)
+    paths = {k: str(tmp_path / k) for k in
+             ("cnf", "drat", "lrat", "trimmed", "core", "er")}
+    with open(paths["cnf"], "wb") as fh:
+        fh.write(write_dimacs(f))
+    with open(paths["drat"], "wb") as fh:
+        fh.write(write_drat_text(proof))
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(list(argv)) == 0
+        return out.getvalue().encode()
+
+    cnf, drat = paths["cnf"], paths["drat"]
+    got = {
+        "check_specified": run("check", "drat", cnf, drat, "--counters"),
+        "check_operational": run("check", "drat", cnf, drat, "--mode",
+                                 "operational", "--counters"),
+    }
+    run("trim", cnf, drat, "--out-lrat", paths["lrat"], "--out-drat",
+        paths["trimmed"], "--out-core", paths["core"])
+    run("to-er", cnf, drat, "--out", paths["er"])
+    for k in ("lrat", "trimmed", "core", "er"):
+        with open(paths[k], "rb") as fh:
+            got[k] = fh.read()
+    got["check_lrat"] = run("check", "lrat", cnf, paths["lrat"], "--counters")
+    got["check_er"] = run("check", "er", cnf, paths["er"], "--counters")
+    return {k: hashlib.sha256(v).hexdigest() for k, v in got.items()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_golden_digests(name, tmp_path):
+    assert _golden_digests(name, tmp_path) == GOLDEN[name]

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dratkit.core import TAUTOLOGY, Clause, normalize, formula_from_clauses
 from dratkit.propagate import (
@@ -35,13 +37,19 @@ def _rand_formula(rng, maxv, nclauses):
 
 
 def _snapshot(e):
-    """Full propagation state, with empty watch lists normalized away."""
+    """Full propagation state: every literal's value and watch list (free
+    literals and empty lists normalized away, so growth alone changes
+    nothing), the reasons of the trail's variables, and the watch records."""
+    assert len(e.val) == len(e.watches) == 2 * e.cap + 1
+    assert len(e.reason) == e.cap + 1
+    assert e.val[0] == 0 and e.watches[0] == []
+    lits = [l for l in range(-e.cap, e.cap + 1) if l]
     return (
         tuple(e.trail),
-        dict(e.value),
-        dict(e.reason),
+        {l: e.val[l] for l in lits if e.val[l]},
+        {abs(l): e.reason[abs(l)] for l in e.trail},
         e.qhead,
-        {l: tuple(ids) for l, ids in e.watches.items() if ids},
+        {l: tuple(e.watches[l]) for l in lits if e.watches[l]},
         {cid: tuple(w) for cid, w in e.wlits.items()},
         tuple(e.unit_ids),
         tuple(e.empty_ids),
@@ -505,3 +513,171 @@ def test_visited_counts_accumulate_on_engine():
     assert first > 0
     e.rup(Clause([2]))
     assert e.visited_total == 2 * first
+
+
+# ------------------------------------------------------------ capacity growth
+
+def test_fresh_variables_never_alias_existing_slots():
+    e = Engine(formula_from_clauses([[1, 2], [-1, 3]]))
+    cap = e.cap
+    cp = e.checkpoint()
+    assert e.assume(cap)
+    # before growth the slot of -(cap+1) is the slot of cap
+    assert e.lit_value(-(cap + 1)) == 0 and e.lit_value(cap + 1) == 0
+    assert e.assume(-(cap + 1))
+    assert e.cap >= cap + 1
+    assert (e.lit_value(cap), e.lit_value(-cap)) == (1, -1)
+    assert (e.lit_value(cap + 1), e.lit_value(-(cap + 1))) == (-1, 1)
+    out = e.propagate(assumptions=[cap + 3, -(cap + 2)])
+    assert out.result == "fixpoint"
+    assert [e.lit_value(l) for l in (cap, cap + 1, cap + 2, cap + 3)] == [1, -1, -1, 1]
+    e.rollback(cp)
+    assert not any(e.val)
+    assert e.lit_value(cap + 100) == 0 and e.lit_value(-(cap + 100)) == 0
+
+
+def test_checks_above_max_var_restore_state():
+    # lemmas, RAT checks and LRAT-style additions on variables the formula
+    # has never mentioned: each check grows the engine and restores it
+    rng = random.Random(23)
+    for _ in range(60):
+        maxv = rng.randint(2, 6)
+        clauses = _rand_formula(rng, maxv, rng.randint(2, 12))
+        f = formula_from_clauses(clauses)
+        e = Engine(f)
+        before = _snapshot(e)
+        for _ in range(6):
+            top = e.cap + rng.randint(1, 3)
+            lits = _rand_clause(rng, top)
+            lits.insert(rng.randint(0, len(lits)), rng.choice((top, -top)))
+            c = Clause(lits)
+            op = rng.randrange(4)
+            if op == 0:
+                assert e.rup(c).rup == naive_rup(clauses, list(c.lits))
+            elif op == 1:
+                assert e.rat(c, c.lits[0]).rat == naive_rat(clauses, list(c.lits),
+                                                           c.lits[0])
+            elif op == 2:
+                chain = [rng.randint(1, len(clauses)) for _ in range(rng.randint(0, 4))]
+                verdict, _ = naive_guided(clauses, list(c.lits), chain)
+                assert e.rup_guided(c, chain).rup == (verdict == "rup")
+            else:
+                # an LRAT addition: assume the negated clause, then walk hints
+                cp = e.checkpoint()
+                if all(e.assume(-l) for l in c.lits):
+                    e.consume_chain([rng.randint(1, len(clauses))])
+                e.rollback(cp)
+            assert _snapshot(e) == before
+        assert e.cap > f.max_var
+
+
+def test_attach_on_new_variables_mid_proof():
+    # clauses on fresh variables attached between checks leave the engine in
+    # the state of one built over the grown formula, and it checks like one
+    rng = random.Random(24)
+    for _ in range(40):
+        maxv = rng.randint(2, 5)
+        clauses = _rand_formula(rng, maxv, rng.randint(2, 10))
+        f = formula_from_clauses(clauses)
+        e = Engine(f)
+        for _ in range(6):
+            if rng.random() < 0.3 and len(f.clauses) > 1:
+                cid = rng.choice(sorted(f.clauses))
+                e.detach(cid)
+                f.remove_by_id(cid)
+            else:
+                cid = f.add_clause(_rand_clause(rng, f.max_var + rng.randint(0, 2)))
+                e.attach(cid)
+            fresh = Engine(f)
+            assert _snapshot(e) == _snapshot(fresh)
+            c = Clause(_rand_clause(rng, f.max_var + 1))
+            assert e.rup(c) == fresh.rup(c)
+            assert e.rat(c, c.lits[0]) == fresh.rat(c, c.lits[0])
+            current = {i: list(cl.lits) for i, cl in f.items()}
+            assert e.rup(c).rup == naive_rup(current, list(c.lits))
+
+
+# ------------------------------------------------------------ property tests
+#
+# Differential tests against the naive oracles over small generated formulas
+# that change between checks.  Each example is a formula and a script of
+# operations on one Engine: attach a clause (often on variables above the
+# formula's max_var), detach one, or run rup, rup_guided, rat or toplevel.
+# Every check must agree with its oracle and leave the engine's state as it
+# found it, and after every change the engine must match one built afresh
+# over the same formula.
+
+BASE_VARS = 5      # variables of the starting formula
+FRESH_VARS = 3     # variables above it that lemmas and attachments may use
+
+
+def _clauses(nvars, min_size=0):
+    lit = st.integers(1, nvars).flatmap(lambda v: st.sampled_from((v, -v)))
+    return st.lists(lit, min_size=min_size, max_size=4)
+
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("attach"), _clauses(BASE_VARS + FRESH_VARS)),
+    st.tuples(st.just("detach"), st.integers(0, 1000)),
+    st.tuples(st.just("rup"), _clauses(BASE_VARS + FRESH_VARS)),
+    st.tuples(st.just("guided"), _clauses(BASE_VARS + FRESH_VARS),
+              st.lists(st.integers(0, 1000), max_size=5)),
+    st.tuples(st.just("rat"), _clauses(BASE_VARS + FRESH_VARS, min_size=1)),
+    st.tuples(st.just("toplevel")),
+), min_size=1, max_size=12)
+
+
+def _check(e, f, op):
+    """Run one check on e and compare it with its oracle."""
+    current = {cid: list(c.lits) for cid, c in f.items()}
+    kind = op[0]
+    if kind == "rup":
+        c = Clause(op[1])
+        out = e.rup(c)
+        assert out.rup == naive_rup(current, list(c.lits))
+        if out.rup and out.antecedents:
+            # the reported chain replays as hints
+            assert naive_guided(current, list(c.lits), out.antecedents)[0] == "rup"
+    elif kind == "guided":
+        c = Clause(op[1])
+        ids = sorted(current)
+        chain = [ids[k % len(ids)] for k in op[2]] if ids else []
+        out = e.rup_guided(c, chain)
+        verdict, n = naive_guided(current, list(c.lits), chain)
+        assert out.rup == (verdict == "rup")
+        if not out.rup:
+            assert out.bad_position == n
+    elif kind == "rat":
+        c = Clause(op[1])
+        out = e.rat(c, c.lits[0])
+        assert out.rat == naive_rat(current, list(c.lits), c.lits[0])
+    else:
+        top = e.toplevel()
+        assign, conflict = naive_closure(current)
+        assert (top is None) == conflict
+        if top is not None:
+            assert top == assign
+
+
+@given(st.lists(_clauses(BASE_VARS, min_size=1), min_size=1, max_size=11), _ops)
+def test_engine_agrees_with_oracles_under_attach_and_detach(clauses, ops):
+    f = formula_from_clauses(clauses)
+    e = Engine(f)
+    for op in ops:
+        if op[0] == "attach":
+            e.attach(f.add_clause(op[1]))
+        elif op[0] == "detach":
+            if f.clauses:
+                ids = sorted(f.clauses)
+                cid = ids[op[1] % len(ids)]
+                e.detach(cid)
+                f.remove_by_id(cid)
+        else:
+            before, visited = _snapshot(e), e.visited_total
+            _check(e, f, op)
+            assert _snapshot(e) == before
+            if op[0] == "toplevel":
+                assert e.visited_total == visited
+            continue
+        assert _snapshot(e) == _snapshot(Engine(f))
+
