@@ -35,8 +35,7 @@ from dratkit.pipeline import (
     ForwardRejected,
     TranslationInvariantViolation,
     backward_check,
-    emit_lrat,
-    emit_trimmed,
+    emit_trim,
     to_er,
 )
 
@@ -114,8 +113,8 @@ def _cmd_trim(args) -> int:
     f = _load_cnf(args.cnf)
     cp = backward_check(f, _load_drat(args), _mode(args))
     outputs = []
-    trimmed, core = emit_trimmed(cp)
-    outputs.append((args.out_lrat, write_lrat(emit_lrat(cp, trimmed))))
+    lrat, trimmed, core = emit_trim(cp)
+    outputs.append((args.out_lrat, write_lrat(lrat)))
     if args.out_drat:
         outputs.append((args.out_drat, write_drat_text(trimmed)))
     if args.out_core:

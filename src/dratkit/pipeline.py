@@ -282,23 +282,27 @@ def _require_verified(report, what: str) -> None:
 
 # ------------------------------------------------------------------- LRAT
 
-def emit_lrat(cp: CheckedProof, trimmed=None):
+def emit_lrat(cp: CheckedProof):
     """LRAT document for the trimmed proof, over the original formula's ids.
 
     A leading deletion line removes the non-core originals; addition ids
     continue from the original clause count; hints are re-derived by
     replaying the trimmed proof in the trimmed world.  The finished document
-    is re-checked before being returned.  A caller that already holds the
-    steps of emit_trimmed(cp) passes them as trimmed, so they are not built
-    twice.
+    is re-checked before being returned.
     """
+    return emit_trim(cp)[0]
+
+
+def emit_trim(cp: CheckedProof):
+    """Everything trim writes, built from one trimmed proof: (emit_lrat's
+    document, then emit_trimmed's steps and core formula)."""
+    trimmed, core = emit_trimmed(cp)
     m = cp.formula.next_id - 1
     if cp.empty_in_formula:
         eid = min(cp.formula.empty_ids())
-        return [(m + 1, add_step(Clause([]), hints=HintBlock(rup_chain=(eid,))))]
+        return ([(m + 1, add_step(Clause([]), hints=HintBlock(rup_chain=(eid,))))],
+                trimmed, core)
 
-    if trimmed is None:
-        trimmed, _ = emit_trimmed(cp)
     noncore = sorted(set(cp.formula.clauses) - set(cp.core_formula_ids))
     out = []
     if noncore:
@@ -319,7 +323,7 @@ def emit_lrat(cp: CheckedProof, trimmed=None):
         out.append((cid, add_step(clause, hints=hints)))
         last_sid = cid
     _require_verified(check_lrat(cp.formula, out), "LRAT")
-    return out
+    return out, trimmed, core
 
 
 # --------------------------------------------------------------------- ER

@@ -17,17 +17,25 @@ watch loop reads lists and makes no method call per literal:
   reason[v]    the clause that set variable v, None for an assumption.  It
                is read only for variables on the trail, so rollback leaves
                it alone and zeroes just val[l] and val[-l].
-  wlits[cid]   [w0, w1, lits]: the two watches and the clause's literal
-               tuple, so the watch loop never looks the clause up.
+  wlits[cid]   [w0, w1, lits] for every attached clause: the two watches
+               (None for unit and empty clauses) and the literal tuple, so
+               no loop looks the clause up in the formula.
 
-Capacity.  Variables beyond the original formula arrive with lemmas on
-fresh variables and with assumptions (LRAT additions are assumed before
-they are attached).  A literal beyond cap would alias another slot
-(val[-(cap+1)] is val[cap]), so the lists grow before any access: attach
-raises cap to the formula's max_var, which covers every attached clause,
-and assume and propagate raise it to each assumed literal.  Growth inserts
-the new slots between the positive and the negative half, in place, so
-lists bound to locals stay valid and every existing literal keeps its slot.
+Variables and capacity.  The lists hold internal literals, and the slots
+follow the variables the engine has seen, not their numbers: neither an
+over-declared header nor a lemma on variable 10**9 costs more than one slot
+per variable.  Variables 1..n keep their number, where n is the highest
+variable of the clauses present at construction (0 when n exceeds their
+literal count: a sparse numbering), and n grows while fresh variables
+arrive in order, as an ER proof's definitions do; then each clause's tuple
+is shared with the formula.  Any other variable is renamed to the next free
+internal number when first seen.  Literals are translated on the way in
+(attach, assume, propagate's assumptions, lit_value, derivation_of) and
+out (toplevel, the module-level propagate); the trail and the watch records
+stay internal.  A new variable gets its slot before any access, capacity
+doubling.  Growth inserts the new slots between the positive and the
+negative half, in place, so lists bound to locals stay valid and every
+existing literal keeps its slot.
 
 Watch order.  Which conflict propagation meets first decides the antecedent
 chains, the visit counts and so the LRAT and ER bytes.  Three things fix
@@ -110,12 +118,27 @@ class RatOutcome:
     visited_clauses: int = 0
 
 
+def _identity_prefix(f: Formula) -> int:
+    """How many variables keep their own number in an Engine over f: all up
+    to the highest one its clauses use, unless that exceeds their literal
+    count, so a sparse numbering costs no more slots than literals.  The
+    header's declared count plays no part."""
+    top = size = 0
+    for c in f.clauses.values():
+        lits = c.lits
+        if lits:
+            size += len(lits)
+            top = max(top, max(lits), -min(lits))
+    return top if top <= size else 0
+
+
 class Engine:
     """Propagation state over a Formula; see the module docstring."""
 
     def __init__(self, f: Formula):
         self.f = f
-        self.cap = 0               # highest variable with a slot
+        self.cap = 0               # highest internal variable with a slot
+        self.nvars = 0             # internal variables in use, at most cap
         self.val: list = [0]       # literal -> 1 true | -1 false | 0 free
         self.reason: list = [None]  # var -> clause id | None for assumptions
         self.watches: list = [[]]  # literal -> clause ids watching it
@@ -126,12 +149,17 @@ class Engine:
         self.empty_ids: list = []
         self._moves: list = []     # (cid, slot, old_lit, old_index, new_lit)
         self.visited_total = 0
+        self._dense = _identity_prefix(f)  # variables 1.._dense keep their number
+        self._ix: dict = {}        # renamed variable -> internal variable
+        self._ex: dict = {}        # internal variable -> renamed variable
+        self._grow(self._dense)
+        self.nvars = self._dense
         for cid in sorted(f.clauses):
             self.attach(cid)
 
     def _grow(self, n: int) -> None:
-        """Give variables up to n their slots, in place: the new literals go
-        between the positive half and the negative half."""
+        """Give internal variables up to n their slots, in place: the new
+        literals go between the positive half and the negative half."""
         d = n - self.cap
         if d <= 0:
             return
@@ -141,15 +169,52 @@ class Engine:
         self.reason.extend([None] * d)
         self.cap = n
 
+    def _var(self, v: int) -> int:
+        """Internal variable of a variable above the identity prefix; a new
+        one takes the next free number, so slots follow the variables seen."""
+        iv = self._ix.get(v)
+        if iv is None:
+            if not self._ix and v == self._dense + 1:
+                self._dense = iv = v   # still numbered in order: no renaming
+            else:
+                iv = self.nvars + 1
+                self._ix[v] = iv
+                self._ex[iv] = v
+            self.nvars = iv
+            if iv > self.cap:
+                self._grow(max(iv, 2 * self.cap))
+        return iv
+
+    def _lit(self, l: int) -> int:
+        """Internal literal of literal l, allocating its variable."""
+        if l > 0:
+            return l if l <= self._dense else self._var(l)
+        return l if -l <= self._dense else -self._var(-l)
+
+    def _elit(self, l: int) -> int:
+        """The literal an internal literal stands for."""
+        v = l if l > 0 else -l
+        if v <= self._dense:
+            return l
+        v = self._ex[v]
+        return v if l > 0 else -v
+
     # ------------------------------------------------------------- structure
 
     def attach(self, cid: int) -> None:
-        if self.f.max_var > self.cap:
-            self._grow(self.f.max_var)
         lits = self.f.clauses[cid].lits
+        dense = self._dense
+        for l in lits:
+            if l > dense or -l > dense:
+                renamed = tuple(map(self._lit, lits))
+                if renamed != lits:
+                    lits = renamed
+                break
         if not lits:
+            self.wlits[cid] = [None, None, lits]
             insort(self.empty_ids, cid)
         elif len(lits) == 1:
+            self.wlits[cid] = [None, None, lits]
             insort(self.unit_ids, cid)
         else:
             self.wlits[cid] = [lits[0], lits[1], lits]
@@ -157,11 +222,12 @@ class Engine:
             self.watches[lits[1]].append(cid)
 
     def detach(self, cid: int) -> None:
-        w = self.wlits.pop(cid, None)
-        if w is not None:
+        w = self.wlits.pop(cid)
+        n = len(w[2])
+        if n > 1:
             self.watches[w[0]].remove(cid)
             self.watches[w[1]].remove(cid)
-        elif cid in self.unit_ids:
+        elif n == 1:
             self.unit_ids.remove(cid)
         else:
             self.empty_ids.remove(cid)
@@ -170,7 +236,13 @@ class Engine:
 
     def lit_value(self, l: int) -> int:
         """1 true, -1 false, 0 unassigned."""
-        return self.val[l] if -self.cap <= l <= self.cap else 0
+        v = l if l > 0 else -l
+        if v > self._dense:
+            v = self._ix.get(v)
+            if v is None:
+                return 0
+            l = v if l > 0 else -v
+        return self.val[l]
 
     def _assign(self, l: int, why) -> None:
         self.val[l] = 1
@@ -180,8 +252,8 @@ class Engine:
 
     def assume(self, l: int) -> bool:
         """Assign an assumption literal; False when it contradicts the trail."""
-        if l > self.cap or -l > self.cap:
-            self._grow(abs(l))
+        if l > self._dense or -l > self._dense:
+            l = self._lit(l)
         v = self.val[l]
         if v == -1:
             return False
@@ -231,10 +303,10 @@ class Engine:
         if antecedents_from is None:
             antecedents_from = len(trail)
         visited = 0
-
+        dense = self._dense
         for l in assumptions:
-            if l > self.cap or -l > self.cap:
-                self._grow(abs(l))
+            if l > dense or -l > dense:
+                l = self._lit(l)
             v = val[l]
             if v == -1:
                 return self._outcome("conflict", None, visited, antecedents_from)
@@ -246,10 +318,10 @@ class Engine:
         if self.empty_ids:
             return self._outcome("conflict", self.empty_ids[0], visited + 1,
                                  antecedents_from)
-        clauses = self.f.clauses
+        watches, wlits, moves = self.watches, self.wlits, self._moves
         for cid in self.unit_ids:
             visited += 1
-            l = clauses[cid].lits[0]
+            l = wlits[cid][2][0]
             v = val[l]
             if v == -1:
                 return self._outcome("conflict", cid, visited, antecedents_from)
@@ -258,7 +330,6 @@ class Engine:
                 val[-l] = -1
                 reason[l if l > 0 else -l] = cid
                 trail.append(l)
-        watches, wlits, moves = self.watches, self.wlits, self._moves
         qhead = self.qhead
         while qhead < len(trail):
             neg = -trail[qhead]
@@ -318,7 +389,12 @@ class Engine:
         try:
             if self.propagate().result == "conflict":
                 return None
-            return {abs(l): l > 0 for l in self.trail}
+            dense, ex = self._dense, self._ex
+            out = {}
+            for l in self.trail:
+                v = l if l > 0 else -l
+                out[v if v <= dense else ex[v]] = l > 0
+            return out
         finally:
             self.rollback(cp)
             self.visited_total = visited
@@ -330,8 +406,8 @@ class Engine:
         variable contributes (transitively) to falsifying the clause;
         returns them in propagation order with the conflict id appended.
         """
-        clauses, trail, reason = self.f.clauses, self.trail, self.reason
-        marked = {abs(l) for l in clauses[conflict_cid].lits}
+        wlits, trail, reason = self.wlits, self.trail, self.reason
+        marked = {abs(l) for l in wlits[conflict_cid][2]}
         out = []
         i = len(trail) - 1
         while i >= from_index:
@@ -340,7 +416,7 @@ class Engine:
                 r = reason[v]
                 if r is not None:
                     out.append(r)
-                    for x in clauses[r].lits:
+                    for x in wlits[r][2]:
                         marked.add(abs(x))
             i -= 1
         out.reverse()
@@ -350,10 +426,12 @@ class Engine:
     def derivation_of(self, lit: int) -> tuple:
         """Reason closure deriving a currently-true literal, its own reason
         last; empty for assumptions."""
+        lit = self._lit(lit)
         r = self.reason[abs(lit)]
         if r is None:
             return ()
-        marked = {abs(x) for x in self.f.clauses[r].lits}
+        wlits = self.wlits
+        marked = {abs(x) for x in wlits[r][2]}
         out = []
         i = self.trail.index(lit) - 1
         while i >= 0:
@@ -362,7 +440,7 @@ class Engine:
                 rr = self.reason[v]
                 if rr is not None:
                     out.append(rr)
-                    for x in self.f.clauses[rr].lits:
+                    for x in wlits[rr][2]:
                         marked.add(abs(x))
             i -= 1
         out.reverse()
@@ -389,7 +467,7 @@ class Engine:
         satisfied or had two free literals), or 'open' (chain exhausted);
         consumed counts the hints assigned as units.
         """
-        clauses, trail, val, reason = self.f.clauses, self.trail, self.val, self.reason
+        wlits, trail, val, reason = self.wlits, self.trail, self.val, self.reason
         visited = 0
         consumed = 0
         status = "open"
@@ -398,7 +476,7 @@ class Engine:
             free = None
             nfree = 0
             satisfied = False
-            for l in clauses[hid].lits:
+            for l in wlits[hid][2]:
                 v = val[l]
                 if v == 1:
                     satisfied = True
@@ -473,15 +551,15 @@ class Engine:
                     continue
                 cp2 = self.checkpoint()
                 witness = None
-                for l in d.lits:
+                for l, il in zip(d.lits, self.wlits[did][2]):
                     if l == -pivot:
                         continue
-                    v = self.val[l]
+                    v = self.val[il]
                     if v == 1:
                         witness = l
                         break
                     if v == 0:
-                        self._assign(-l, None)
+                        self._assign(-il, None)
                 if witness is not None:
                     groups.append(RatGroup(did, "assumed",
                                            chain_full=self.derivation_of(witness),
@@ -509,7 +587,7 @@ def propagate(f: Formula, assumptions=()):
     """One-shot propagation over a fresh engine: (outcome, trail literals)."""
     e = Engine(f)
     out = e.propagate(assumptions=assumptions)
-    return out, list(e.trail)
+    return out, [e._elit(l) for l in e.trail]
 
 
 def check_rup(f: Formula, c) -> RupOutcome:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dratkit import cli, pipeline
+from dratkit import pipeline
 from dratkit.cli import main
 from dratkit.core import formula_from_clauses
 from dratkit.formats import (
@@ -159,7 +159,6 @@ def test_trim_builds_the_trimmed_proof_once(tmp_path, capsys, monkeypatch):
         return build(cp)
 
     monkeypatch.setattr(pipeline, "emit_trimmed", counted)
-    monkeypatch.setattr(cli, "emit_trimmed", counted)
     cnf = _cnf_file(tmp_path, FULL2)
     proof = _proof_file(tmp_path, FULL2_PROOF)
     out_lrat = tmp_path / "p.lrat"

@@ -50,6 +50,7 @@ from dratkit.pipeline import (
     TranslationInvariantViolation,
     backward_check,
     emit_lrat,
+    emit_trim,
     emit_trimmed,
     to_er,
 )
@@ -422,11 +423,15 @@ def test_lrat_of_definitions_verifies_with_groupless_rat_steps():
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
 
 
-def test_emit_lrat_reuses_a_given_trimmed_proof():
-    f = gen_php(4)
-    cp = backward_check(f, cdcl_solve(f, seed=0).proof)
-    trimmed, _ = emit_trimmed(cp)
-    assert emit_lrat(cp, trimmed) == emit_lrat(cp)
+@pytest.mark.parametrize("clauses", [None, [[1], []]], ids=["php4", "empty"])
+def test_emit_trim_builds_what_emit_lrat_and_emit_trimmed_build(clauses):
+    f = gen_php(4) if clauses is None else formula_from_clauses(clauses)
+    cp = backward_check(f, cdcl_solve(f, seed=0).proof if clauses is None else [])
+    lrat, trimmed, core = emit_trim(cp)
+    again, core2 = emit_trimmed(cp)
+    assert lrat == emit_lrat(cp)
+    assert trimmed == again
+    assert write_dimacs(core) == write_dimacs(core2)
 
 
 def test_emit_lrat_raises_when_its_document_fails_the_recheck(monkeypatch):

@@ -1,12 +1,15 @@
 """Unit propagation, RUP, guided RUP, and RAT checks."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dratkit.checkers import NOT_RAT, check_drat
 from dratkit.core import TAUTOLOGY, Clause, normalize, formula_from_clauses
+from dratkit.formats import parse_dimacs, parse_drat
 from dratkit.propagate import (
     Engine,
     RatGroup,
@@ -37,20 +40,29 @@ def _rand_formula(rng, maxv, nclauses):
 
 
 def _snapshot(e):
-    """Full propagation state: every literal's value and watch list (free
-    literals and empty lists normalized away, so growth alone changes
-    nothing), the reasons of the trail's variables, and the watch records."""
+    """Full propagation state in the formula's own literals, so engines that
+    numbered their variables differently compare equal: every literal's value
+    and watch list (free literals and empty lists normalized away, so growth
+    alone changes nothing), the reasons of the trail's variables, and every
+    attached clause's record."""
     assert len(e.val) == len(e.watches) == 2 * e.cap + 1
     assert len(e.reason) == e.cap + 1
     assert e.val[0] == 0 and e.watches[0] == []
-    lits = [l for l in range(-e.cap, e.cap + 1) if l]
+    assert e.nvars <= e.cap
+    # reserved slots above nvars stay untouched
+    assert not any(e.val[l] or e.watches[l]
+                   for v in range(e.nvars + 1, e.cap + 1) for l in (v, -v))
+    x = e._elit
+    assert len({abs(x(v)) for v in range(1, e.nvars + 1)}) == e.nvars
+    lits = [l for l in range(-e.nvars, e.nvars + 1) if l]
     return (
-        tuple(e.trail),
-        {l: e.val[l] for l in lits if e.val[l]},
-        {abs(l): e.reason[abs(l)] for l in e.trail},
+        tuple(x(l) for l in e.trail),
+        {x(l): e.val[l] for l in lits if e.val[l]},
+        {abs(x(l)): e.reason[abs(l)] for l in e.trail},
         e.qhead,
-        {l: tuple(e.watches[l]) for l in lits if e.watches[l]},
-        {cid: tuple(w) for cid, w in e.wlits.items()},
+        {x(l): tuple(e.watches[l]) for l in lits if e.watches[l]},
+        {cid: (w[0] and x(w[0]), w[1] and x(w[1]), tuple(map(x, w[2])))
+         for cid, w in e.wlits.items()},
         tuple(e.unit_ids),
         tuple(e.empty_ids),
         len(e._moves),
@@ -515,86 +527,78 @@ def test_visited_counts_accumulate_on_engine():
     assert e.visited_total == 2 * first
 
 
-# ------------------------------------------------------------ capacity growth
+# ------------------------------------------------------------ variable slots
 
 def test_fresh_variables_never_alias_existing_slots():
     e = Engine(formula_from_clauses([[1, 2], [-1, 3]]))
-    cap = e.cap
+    top = e.cap
     cp = e.checkpoint()
-    assert e.assume(cap)
-    # before growth the slot of -(cap+1) is the slot of cap
-    assert e.lit_value(-(cap + 1)) == 0 and e.lit_value(cap + 1) == 0
-    assert e.assume(-(cap + 1))
-    assert e.cap >= cap + 1
-    assert (e.lit_value(cap), e.lit_value(-cap)) == (1, -1)
-    assert (e.lit_value(cap + 1), e.lit_value(-(cap + 1))) == (-1, 1)
-    out = e.propagate(assumptions=[cap + 3, -(cap + 2)])
+    assert e.assume(top)
+    # -(top+1) would index the slot of top if it were not given its own
+    assert e.lit_value(-(top + 1)) == 0 and e.lit_value(top + 1) == 0
+    assert e.assume(-(top + 1))
+    assert e.cap >= top + 1
+    assert (e.lit_value(top), e.lit_value(-top)) == (1, -1)
+    assert (e.lit_value(top + 1), e.lit_value(-(top + 1))) == (-1, 1)
+    out = e.propagate(assumptions=[top + 3, -(top + 2)])
     assert out.result == "fixpoint"
-    assert [e.lit_value(l) for l in (cap, cap + 1, cap + 2, cap + 3)] == [1, -1, -1, 1]
+    assert [e.lit_value(l) for l in (top, top + 1, top + 2, top + 3)] == [1, -1, -1, 1]
     e.rollback(cp)
     assert not any(e.val)
-    assert e.lit_value(cap + 100) == 0 and e.lit_value(-(cap + 100)) == 0
+    assert e.lit_value(top + 100) == 0 and e.lit_value(-(top + 100)) == 0
 
 
-def test_checks_above_max_var_restore_state():
-    # lemmas, RAT checks and LRAT-style additions on variables the formula
-    # has never mentioned: each check grows the engine and restores it
-    rng = random.Random(23)
-    for _ in range(60):
-        maxv = rng.randint(2, 6)
-        clauses = _rand_formula(rng, maxv, rng.randint(2, 12))
-        f = formula_from_clauses(clauses)
-        e = Engine(f)
-        before = _snapshot(e)
-        for _ in range(6):
-            top = e.cap + rng.randint(1, 3)
-            lits = _rand_clause(rng, top)
-            lits.insert(rng.randint(0, len(lits)), rng.choice((top, -top)))
-            c = Clause(lits)
-            op = rng.randrange(4)
-            if op == 0:
-                assert e.rup(c).rup == naive_rup(clauses, list(c.lits))
-            elif op == 1:
-                assert e.rat(c, c.lits[0]).rat == naive_rat(clauses, list(c.lits),
-                                                           c.lits[0])
-            elif op == 2:
-                chain = [rng.randint(1, len(clauses)) for _ in range(rng.randint(0, 4))]
-                verdict, _ = naive_guided(clauses, list(c.lits), chain)
-                assert e.rup_guided(c, chain).rup == (verdict == "rup")
-            else:
-                # an LRAT addition: assume the negated clause, then walk hints
-                cp = e.checkpoint()
-                if all(e.assume(-l) for l in c.lits):
-                    e.consume_chain([rng.randint(1, len(clauses))])
-                e.rollback(cp)
-            assert _snapshot(e) == before
-        assert e.cap > f.max_var
+def test_variables_numbered_in_order_keep_their_number():
+    # Cook-style fresh variables arrive as max_var+1, max_var+2, ...: their
+    # internal literals are their own, so no clause needs a renamed copy
+    f = formula_from_clauses([[1, 2], [-1, 3]])
+    e = Engine(f)
+    for lits in ([4, -1], [5, -4, 2], [-5, 3]):
+        cid = f.add_clause(lits)
+        e.attach(cid)
+        assert e.wlits[cid][2] is f.clauses[cid].lits
+    assert e._dense == e.nvars == 5 and not e._ix
 
 
-def test_attach_on_new_variables_mid_proof():
-    # clauses on fresh variables attached between checks leave the engine in
-    # the state of one built over the grown formula, and it checks like one
-    rng = random.Random(24)
-    for _ in range(40):
-        maxv = rng.randint(2, 5)
-        clauses = _rand_formula(rng, maxv, rng.randint(2, 10))
-        f = formula_from_clauses(clauses)
-        e = Engine(f)
-        for _ in range(6):
-            if rng.random() < 0.3 and len(f.clauses) > 1:
-                cid = rng.choice(sorted(f.clauses))
-                e.detach(cid)
-                f.remove_by_id(cid)
-            else:
-                cid = f.add_clause(_rand_clause(rng, f.max_var + rng.randint(0, 2)))
-                e.attach(cid)
-            fresh = Engine(f)
-            assert _snapshot(e) == _snapshot(fresh)
-            c = Clause(_rand_clause(rng, f.max_var + 1))
-            assert e.rup(c) == fresh.rup(c)
-            assert e.rat(c, c.lits[0]) == fresh.rat(c, c.lits[0])
-            current = {i: list(cl.lits) for i, cl in f.items()}
-            assert e.rup(c).rup == naive_rup(current, list(c.lits))
+def test_slots_follow_the_variables_seen_not_their_numbers():
+    # an over-declared header costs nothing, and a sparse numbering costs one
+    # slot per variable: lemmas, LRAT-style assumptions and attached clauses
+    # on huge variables all work in a few slots.  (big stays modest, so an
+    # engine that sizes itself by the numbers fails here in bounded memory.)
+    big = 10 ** 6
+    f, _, _ = parse_dimacs(b"p cnf %d 2\n1 0\n-1 0\n" % big)
+    assert f.max_var == big
+    assert Engine(f).cap == 1
+    assert check_drat(f, parse_drat(b"0\n")).verified
+
+    f = formula_from_clauses([[big, 1], [-big, 1], [big, -1], [-big, -2, -1]])
+    e = Engine(f)
+    assert e.cap <= 4 and e.lit_value(big) == 0
+    assert e.rup(Clause([1])).rup and not e.rup(Clause([big + 7])).rup
+    cp = e.checkpoint()
+    assert e.assume(-(big + 7)) and e.lit_value(big + 7) == -1
+    e.rollback(cp)
+    cid = f.add_clause([-(big + 7), 2 * big])
+    e.attach(cid)
+    assert e.rat(Clause([-(big + 7), 2 * big]), -(big + 7)).rat
+    assert e.nvars == 5 and e.cap <= 8
+    assert e.toplevel() == {}
+    assert e.propagate(assumptions=[big + 7]).result == "fixpoint"
+    assert {e._elit(l) for l in e.trail} == {big + 7, 2 * big}
+    assert e.lit_value(2 * big) == 1 and e.lit_value(-(2 * big)) == -1
+
+    # the same proofs through the checkers, each in bounded memory
+    proofs = (b"%d 0\n0\n" % big, b"-%d 0\n0\n" % big)
+    f, _, _ = parse_dimacs(b"p cnf %d 2\n1 2 0\n-1 2 0\n" % big)
+    tracemalloc.start()
+    try:
+        for text in proofs:
+            report = check_drat(f, parse_drat(text))
+            assert not report.verified and report.reason == NOT_RAT
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------ property tests
@@ -602,10 +606,11 @@ def test_attach_on_new_variables_mid_proof():
 # Differential tests against the naive oracles over small generated formulas
 # that change between checks.  Each example is a formula and a script of
 # operations on one Engine: attach a clause (often on variables above the
-# formula's max_var), detach one, or run rup, rup_guided, rat or toplevel.
-# Every check must agree with its oracle and leave the engine's state as it
-# found it, and after every change the engine must match one built afresh
-# over the same formula.
+# formula's max_var), detach one, or run rup, rup_guided, rat, toplevel or
+# an LRAT-style addition (assume the negated clause, walk hints, roll back).
+# Every check must agree with its oracle, report exactly what an engine built
+# afresh over the same formula reports, and leave the engine's state as it
+# found it; after every change the engine must match one built afresh.
 
 BASE_VARS = 5      # variables of the starting formula
 FRESH_VARS = 3     # variables above it that lemmas and attachments may use
@@ -616,20 +621,24 @@ def _clauses(nvars, min_size=0):
     return st.lists(lit, min_size=min_size, max_size=4)
 
 
+_hints = st.lists(st.integers(0, 1000), max_size=5)
+
 _ops = st.lists(st.one_of(
     st.tuples(st.just("attach"), _clauses(BASE_VARS + FRESH_VARS)),
     st.tuples(st.just("detach"), st.integers(0, 1000)),
     st.tuples(st.just("rup"), _clauses(BASE_VARS + FRESH_VARS)),
-    st.tuples(st.just("guided"), _clauses(BASE_VARS + FRESH_VARS),
-              st.lists(st.integers(0, 1000), max_size=5)),
+    st.tuples(st.just("guided"), _clauses(BASE_VARS + FRESH_VARS), _hints),
     st.tuples(st.just("rat"), _clauses(BASE_VARS + FRESH_VARS, min_size=1)),
     st.tuples(st.just("toplevel")),
+    st.tuples(st.just("lrat"), _clauses(BASE_VARS + FRESH_VARS), _hints),
 ), min_size=1, max_size=12)
 
 
 def _check(e, f, op):
-    """Run one check on e and compare it with its oracle."""
+    """Run one check on e, compare it with its oracle, and return what e
+    reported."""
     current = {cid: list(c.lits) for cid, c in f.items()}
+    ids = sorted(current)
     kind = op[0]
     if kind == "rup":
         c = Clause(op[1])
@@ -638,25 +647,38 @@ def _check(e, f, op):
         if out.rup and out.antecedents:
             # the reported chain replays as hints
             assert naive_guided(current, list(c.lits), out.antecedents)[0] == "rup"
-    elif kind == "guided":
+    elif kind in ("guided", "lrat"):
         c = Clause(op[1])
-        ids = sorted(current)
         chain = [ids[k % len(ids)] for k in op[2]] if ids else []
-        out = e.rup_guided(c, chain)
         verdict, n = naive_guided(current, list(c.lits), chain)
-        assert out.rup == (verdict == "rup")
-        if not out.rup:
-            assert out.bad_position == n
+        if kind == "guided":
+            out = e.rup_guided(c, chain)
+            assert out.rup == (verdict == "rup")
+            if not out.rup:
+                assert out.bad_position == n
+        else:
+            # the way check_lrat takes an addition
+            cp = e.checkpoint()
+            if all(e.assume(-l) for l in c.lits):
+                out = e.consume_chain(chain)
+                assert (out[0] == "conflict") == (verdict == "rup")
+                if verdict != "rup":
+                    assert out[1] == n
+            else:
+                out = None
+                assert verdict == "rup"
+            e.rollback(cp)
     elif kind == "rat":
         c = Clause(op[1])
         out = e.rat(c, c.lits[0])
         assert out.rat == naive_rat(current, list(c.lits), c.lits[0])
     else:
-        top = e.toplevel()
+        out = e.toplevel()
         assign, conflict = naive_closure(current)
-        assert (top is None) == conflict
-        if top is not None:
-            assert top == assign
+        assert (out is None) == conflict
+        if out is not None:
+            assert out == assign
+    return out
 
 
 @given(st.lists(_clauses(BASE_VARS, min_size=1), min_size=1, max_size=11), _ops)
@@ -674,10 +696,10 @@ def test_engine_agrees_with_oracles_under_attach_and_detach(clauses, ops):
                 f.remove_by_id(cid)
         else:
             before, visited = _snapshot(e), e.visited_total
-            _check(e, f, op)
+            out = _check(e, f, op)
             assert _snapshot(e) == before
             if op[0] == "toplevel":
                 assert e.visited_total == visited
+            assert out == _check(Engine(f), f, op)
             continue
         assert _snapshot(e) == _snapshot(Engine(f))
-
