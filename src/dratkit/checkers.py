@@ -55,23 +55,19 @@ class CheckMode:
     """Checking flavor and pivot policy for DRAT.
 
     flavor "specified" applies deletions literally; "operational" skips
-    deletions of trail-shaping clauses.  pivot_policy None defaults to
-    "first" (the first literal of the clause as written); "any" searches
-    all literals of the clause.
+    deletions of trail-shaping clauses.  pivot_policy "first" tries the
+    first literal of the clause as written; "any" searches all literals of
+    the clause.
     """
 
     flavor: str = SPECIFIED
-    pivot_policy: str | None = None
+    pivot_policy: str = "first"
 
     def __post_init__(self):
         if self.flavor not in (SPECIFIED, OPERATIONAL):
             raise ValueError("unknown flavor %r" % (self.flavor,))
-        if self.pivot_policy not in (None, "first", "any"):
+        if self.pivot_policy not in ("first", "any"):
             raise ValueError("unknown pivot policy %r" % (self.pivot_policy,))
-
-    @property
-    def policy(self) -> str:
-        return self.pivot_policy or "first"
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,6 @@ class CheckReport:
     visited_clauses_total: int = 0
     skipped_deletions: int = 0      # operational-mode deletions left in place
     missing_deletions: int = 0      # deletions of clauses not in the formula
-    per_step: tuple = ()            # (antecedents, pivot, rat_groups) per
-                                    # checked addition, None per other step
 
 
 def toplevel_closure(f: Formula) -> dict:
@@ -152,10 +146,10 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
       ("reject", i, reason, detail)             proof invalid at step i; a failed
                                                 RAT addition's detail is the failing
                                                 candidate id of its first pivot
-      ("no_bottom",)                            proof exhausted without the empty clause
 
-    The stream ends right after init_verified/verified/reject/no_bottom.  The
-    caller owns working and engine and reads counters off them afterwards.
+    The stream ends right after init_verified/verified/reject, or when the
+    proof runs out without the empty clause.  The caller owns working and
+    engine and reads counters off them afterwards.
     """
     closure = None  # operational-mode closure cache, dropped on any change
 
@@ -206,7 +200,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             if out.rup:
                 record = (out.antecedents, None, ())
             else:
-                pivots = c.lits[:1] if mode.policy == "first" else c.lits
+                pivots = c.lits[:1] if mode.pivot_policy == "first" else c.lits
                 failed = None  # failing candidate of the first pivot tried
                 for pivot in pivots:
                     r = engine.rat(c, pivot)
@@ -222,7 +216,6 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
         engine.attach(cid)
         closure = None
         yield ("add", i, cid, record[0], record[1], record[2])
-    yield ("no_bottom",)
 
 
 def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
@@ -231,26 +224,21 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
     engine = Engine(working)
     skipped = 0
     rat_steps = 0
-    per_step = []
 
     def report(verified, i=None, reason=None, detail=None, checked=0):
         return CheckReport(verified, i, reason, detail, checked, rat_steps,
                            engine.visited_total, skipped,
-                           working.missing_deletes, tuple(per_step))
+                           working.missing_deletes)
 
     for ev in _drat_forward(working, engine, proof, mode):
         tag = ev[0]
         if tag == "init_verified":
             return report(True, checked=0)
         if tag == "delete":
-            per_step.append(None)
             if ev[2] is not None and not ev[3]:
                 skipped += 1
-        elif tag == "add":
-            _, i, _, antecedents, pivot, groups = ev
-            if pivot is not None:
-                rat_steps += 1
-            per_step.append((antecedents, pivot, groups))
+        elif tag == "add" and ev[4] is not None:  # a pivot marks a RAT step
+            rat_steps += 1
         elif tag == "verified":
             return report(True, checked=ev[1] + 1)
         elif tag == "reject":
@@ -274,16 +262,14 @@ def check_lrat(f: Formula, steps) -> CheckReport:
     working = f.copy()
     engine = Engine(working)
     rat_steps = 0
-    per_step = []
     last = working.next_id - 1
 
     def report(verified, i=None, reason=None, detail=None, checked=0):
         return CheckReport(verified, i, reason, detail, checked, rat_steps,
-                           engine.visited_total, 0, 0, tuple(per_step))
+                           engine.visited_total)
 
     for i, (sid, step) in enumerate(steps):
         if step.kind == "delete":
-            per_step.append(None)
             for did in step.ids:
                 if did not in working.clauses:
                     return report(False, i, UNKNOWN_ID, detail=did, checked=i)
@@ -314,7 +300,6 @@ def check_lrat(f: Formula, steps) -> CheckReport:
                 if groups:
                     # hints continue past a finished propagation proof
                     return report(False, i, BAD_HINT, detail=consumed, checked=i)
-                per_step.append((hints.rup_chain, None, ()))
             elif status == "stuck" or c.is_empty:
                 return report(False, i, BAD_HINT, detail=consumed, checked=i)
             elif not groups and working.occurrence(-c.lits[0]):
@@ -347,7 +332,6 @@ def check_lrat(f: Formula, steps) -> CheckReport:
                     finally:
                         engine.rollback(cp2)
                 rat_steps += 1
-                per_step.append((hints.rup_chain, pivot, groups))
         finally:
             engine.rollback(cp)
         last = sid
@@ -363,16 +347,13 @@ def check_lrat(f: Formula, steps) -> CheckReport:
 def check_er(f: Formula, steps) -> CheckReport:
     working = f.copy()
     visited = 0
-    per_step = []
     last = working.next_id - 1
 
     def report(verified, i=None, reason=None, detail=None, checked=0):
-        return CheckReport(verified, i, reason, detail, checked, 0,
-                           visited, 0, 0, tuple(per_step))
+        return CheckReport(verified, i, reason, detail, checked, 0, visited)
 
     for i, (sid, step) in enumerate(steps):
         if isinstance(step, Delete):
-            per_step.append(None)
             for did in step.ids:
                 if did not in working.clauses:
                     return report(False, i, UNKNOWN_ID, detail=did, checked=i)
@@ -387,7 +368,6 @@ def check_er(f: Formula, steps) -> CheckReport:
             for j, cl in enumerate(family):
                 working.add_clause(cl, cid=sid + j)
             last = sid + len(family) - 1
-            per_step.append(((), None, ()))
             continue
         if not isinstance(step, Chain):
             raise ValueError("step %d: %r is not an ER step" % (i, step))
@@ -411,7 +391,6 @@ def check_er(f: Formula, steps) -> CheckReport:
                 return report(False, i, NO_PIVOT, detail=pos, checked=i)
         if not acc <= step.claimed.litset:
             return report(False, i, NOT_SUBSUMED, checked=i)
-        per_step.append((step.antecedents, None, ()))
         last = sid
         working.add_clause(step.claimed, cid=sid)
         if step.claimed.is_empty:

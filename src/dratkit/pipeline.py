@@ -10,10 +10,11 @@ formula becomes core_formula_ids.
 emit_trimmed keeps only core steps, rotates RAT clauses pivot-first, mirrors
 the applied deletions of core clauses, and inserts synthetic deletions of
 added core clauses right after their last use.  emit_lrat and to_er both
-read one replay of the trimmed proof in the trimmed world (original ids,
-non-core originals removed); emit_lrat writes its re-derived hints, with a
+read the trimmed proof with the forward pass's certificates renumbered into
+the trimmed world (original ids, non-core originals removed); no second
+DRAT search runs.  emit_lrat writes those certificates as hints, with a
 leading deletion line for the non-core originals and ids continuing from
-the original clause count.  to_er translates the same replay into an
+the original clause count.  to_er translates the same steps into an
 extended-resolution document: RUP additions become resolution chains (fold
 order is the reverse of propagation order), and each RAT addition becomes a
 fresh definition variable with its clause family, derived images of the
@@ -28,11 +29,10 @@ than returning a bad document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from dratkit.checkers import (
     NO_BOTTOM,
-    SPECIFIED,
     CheckMode,
     _drat_forward,
     check_er,
@@ -73,7 +73,7 @@ class TranslationInvariantViolation(Exception):
 class StepRecord:
     """One forward-pass step with its certificate and core flag.
 
-    For additions, wid is the clause id assigned in the replay world and
+    For additions, wid is the clause id assigned in the forward world and
     antecedents is the RUP chain (dependency-filtered, ending at the
     conflict) or, for RAT steps, the unfiltered reasons of the leading
     units; groups then hold one obligation record per negated-pivot
@@ -244,32 +244,52 @@ def _trimmed_world(cp: CheckedProof) -> Formula:
 # ------------------------------------------------------------------ replay
 
 def _replay_records(cp: CheckedProof, trimmed):
-    """Forward events of the trimmed proof, replayed in the trimmed world.
+    """The trimmed proof's steps with the forward pass's certificates,
+    renumbered into the trimmed world; runs no search.
 
-    Returns ("delete", target) and ("add", cid, clause, antecedents, pivot,
-    groups) tuples in proof order.
+    The k-th addition of trimmed is cp's k-th core addition.  Its chains hold
+    as they are: they cite only core clauses, a unit chain stays unit
+    whatever else is live, and every RAT candidate is cited, so the trimmed
+    world has the same candidates.  Returns ("delete", target) and ("add",
+    cid, clause, antecedents, pivot, groups) tuples in proof order.
     """
     world = _trimmed_world(cp)
-    engine = Engine(world)
+    image = {oid: oid for oid in world.clauses}
+    gone = {}  # content of each trimmed id a deletion removed
+    core_adds = (r for r in cp.records if r.kind == "add" and r.core)
+
+    def img(wid):
+        tid = image.get(wid)
+        if tid in gone:  # a deletion by content took it in its twin's place
+            tid = image[wid] = (world.ids_for(gone[tid]) or [None])[0]
+        if tid is None:
+            raise TranslationInvariantViolation(
+                "clause %d cited but has no image in the trimmed proof" % wid)
+        return tid
+
     records = []
-    for ev in _drat_forward(world, engine, trimmed, CheckMode(SPECIFIED, "first")):
-        tag = ev[0]
-        if tag == "delete":
-            _, i, target, applied = ev
-            if target is None or not applied:
+    for i, step in enumerate(trimmed):
+        if step.kind == "delete":
+            ids = world.ids_for(step.clause)
+            if not ids:
                 raise TranslationInvariantViolation(
                     "trimmed step %d: deletion did not apply in the trimmed world" % i)
-            records.append(("delete", target))
-        elif tag == "add":
-            _, i, cid, ants, pivot, groups = ev
-            records.append(("add", cid, world.clauses[cid], tuple(ants), pivot,
-                            tuple(groups)))
-        elif tag == "reject":
+            gone[ids[0]] = world.remove_by_id(ids[0])
+            records.append(("delete", ids[0]))
+            continue
+        r = next(core_adds, None)
+        if r is None:
             raise TranslationInvariantViolation(
-                "trimmed step %d rejected in replay: %s" % (ev[1], ev[2]))
-        elif tag == "no_bottom":
-            raise TranslationInvariantViolation(
-                "trimmed proof lost its empty clause")
+                "trimmed step %d: more additions than core additions" % i)
+        groups = tuple(
+            replace(g, candidate=img(g.candidate),
+                    chain_local=tuple(map(img, g.chain_local)),
+                    chain_full=tuple(map(img, g.chain_full)))
+            for g in r.groups)
+        ants = tuple(map(img, r.antecedents))
+        cid = world.add_clause(step.clause)
+        image[r.wid] = cid
+        records.append(("add", cid, step.clause, ants, r.pivot, groups))
     return records
 
 
@@ -286,16 +306,18 @@ def emit_lrat(cp: CheckedProof):
     """LRAT document for the trimmed proof, over the original formula's ids.
 
     A leading deletion line removes the non-core originals; addition ids
-    continue from the original clause count; hints are re-derived by
-    replaying the trimmed proof in the trimmed world.  The finished document
-    is re-checked before being returned.
+    continue from the original clause count; hints are the forward pass's
+    chains, renumbered into the trimmed world.  The finished document is
+    re-checked before being returned.
     """
     return emit_trim(cp)[0]
 
 
 def emit_trim(cp: CheckedProof):
     """Everything trim writes, built from one trimmed proof: (emit_lrat's
-    document, then emit_trimmed's steps and core formula)."""
+    document, then emit_trimmed's steps and core formula).  The LRAT document
+    adds and deletes the trimmed proof's clauses in its order, so its
+    re-check certifies the trimmed proof too, under specified deletions."""
     trimmed, core = emit_trimmed(cp)
     m = cp.formula.next_id - 1
     if cp.empty_in_formula:
@@ -312,15 +334,10 @@ def emit_trim(cp: CheckedProof):
         if rec[0] == "delete":
             out.append((last_sid, delete_ids_step((rec[1],))))
             continue
-        _, cid, clause, ants, pivot, groups = rec
-        if pivot is None:
-            hints = HintBlock(rup_chain=ants)
-        else:
-            gs = tuple(
-                (g.candidate, tuple(g.chain_local) if g.kind == "chain" else ())
-                for g in groups)
-            hints = HintBlock(rup_chain=ants, rat_groups=gs)
-        out.append((cid, add_step(clause, hints=hints)))
+        _, cid, clause, ants, _, groups = rec
+        # only a "chain" group has a local chain; the others discharge at once
+        gs = tuple((g.candidate, g.chain_local) for g in groups)
+        out.append((cid, add_step(clause, hints=HintBlock(ants, gs))))
         last_sid = cid
     _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out, trimmed, core

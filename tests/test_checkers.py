@@ -6,6 +6,7 @@ import pytest
 
 from dratkit import checkers
 from dratkit.core import Clause, formula_from_clauses
+from dratkit.pipeline import backward_check
 from dratkit.propagate import Engine
 from dratkit.checkers import (
     BAD_HINT,
@@ -70,13 +71,14 @@ def _rand_clause(rng, maxv, wmin=1, wmax=4):
 
 def test_mode_defaults_and_validation():
     assert CheckMode().flavor == SPECIFIED
-    assert CheckMode().policy == "first"
-    assert CheckMode(OPERATIONAL).policy == "first"
-    assert CheckMode(pivot_policy="any").policy == "any"
+    assert CheckMode().pivot_policy == "first"
+    assert CheckMode(OPERATIONAL).pivot_policy == "first"
+    assert CheckMode(pivot_policy="any").pivot_policy == "any"
     with pytest.raises(ValueError):
         CheckMode("fast")
-    with pytest.raises(ValueError):
-        CheckMode(pivot_policy="third")
+    for policy in ("third", None):
+        with pytest.raises(ValueError):
+            CheckMode(pivot_policy=policy)
 
 
 # ------------------------------------------------------------------- DRAT
@@ -87,7 +89,8 @@ def test_drat_full_cnf_proof_verifies():
     assert report.verified
     assert report.steps_checked == 2
     assert report.rat_steps == 0
-    assert len(report.per_step) == 2
+    cp = backward_check(formula_from_clauses(FULL2), proof)
+    assert [(r.kind, r.pivot) for r in cp.records] == [("add", None)] * 2
 
 
 def test_drat_valid_step_without_bottom():
@@ -160,7 +163,14 @@ def test_drat_pivot_policy_widens_acceptance():
     anyp = check_drat(f, proof, CheckMode(pivot_policy="any"))
     assert anyp.reason == NO_BOTTOM
     assert anyp.rat_steps == 1
-    assert anyp.per_step[0][1] == 2  # the working pivot
+    # the working pivot, read off a refutation that opens with the same
+    # step: -1 still blocks pivot 1, and no clause holds -2
+    g = formula_from_clauses([[-1, 3], [-3], [1, 4, 5], [1, 4, -5],
+                              [1, -4, 5], [1, -4, -5]])
+    refutation = proof + [add_step([1, 4]), add_step([1]), add_step([])]
+    assert check_drat(g, refutation).reason == NOT_RAT
+    cp = backward_check(g, refutation, CheckMode(pivot_policy="any"))
+    assert cp.records[0].pivot == 2
 
 
 def test_drat_rejects_foreign_step_kinds():
@@ -372,7 +382,9 @@ def test_lrat_rat_step_without_candidates_is_vacuous():
     report = check_lrat(formula_from_clauses(FULL2_IMP), parse_lrat(doc))
     assert report.verified
     assert report.rat_steps == 1
-    assert report.per_step[0] == ((5,), 5, ())
+    # the one RAT step is the first: alone it is checked and counted
+    head = check_lrat(formula_from_clauses(FULL2_IMP), parse_lrat(VACUOUS))
+    assert (head.reason, head.steps_checked, head.rat_steps) == (NO_BOTTOM, 1, 1)
     assert naive_check_lrat(FULL2_IMP, doc.decode())
 
 
@@ -404,7 +416,7 @@ def test_lrat_group_chain_must_close():
     good = b"4 1 0 -1 2 3 0\n"
     report = check_lrat(formula_from_clauses(f), parse_lrat(good))
     assert report.reason == NO_BOTTOM and report.rat_steps == 1
-    assert report.per_step[0][1] == 1  # pivot recorded
+    assert report.steps_checked == 1  # the step held as RAT on its pivot 1
     bad = b"4 1 0 -1 3 0\n"
     report = check_lrat(formula_from_clauses(f), parse_lrat(bad))
     assert not report.verified

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dratkit.checkers import BAD_HINT, check_lrat
 from dratkit.core import Clause, formula_from_clauses
@@ -376,3 +378,24 @@ class TestRoundTripProperties:
                     steps.append((sid, Chain(Clause(lits), ants)))
                     sid += 1
             assert parse_er(write_er(steps)) == steps
+
+
+# bytes drawn mostly from the formats' own tokens, so the parsers get past
+# their first token and into headers, hint lists and id checks
+_TOKENS = st.lists(st.sampled_from(
+    [b"0", b"1", b"7", b"-", b" ", b"\n", b"\r", b"\t", b"d", b"a", b"e",
+     b"c", b"p cnf ", b"\x00", b"\x01", b"\x80", b"\xff",
+     b"99999999999999999999"]), max_size=40).map(b"".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.binary(), _TOKENS))
+def test_parsers_return_or_raise_parse_error_on_any_bytes(data):
+    parsers = (parse_dimacs, lambda d: parse_dimacs(d, strict=True),
+               parse_drat, lambda d: parse_drat(d, binary=True),
+               lambda d: parse_drat(d, binary=False), parse_lrat, parse_er)
+    for parse in parsers:
+        try:
+            parse(data)
+        except ParseError:
+            pass

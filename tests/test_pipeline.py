@@ -54,6 +54,7 @@ from dratkit.pipeline import (
     emit_trimmed,
     to_er,
 )
+from dratkit.propagate import Engine
 from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
 
 from _oracles import naive_check_er, naive_check_lrat
@@ -324,6 +325,78 @@ def test_singleton_rat_translates_with_two_clause_family():
     assert brute_force(f) is None
 
 
+def test_rat_step_on_a_later_literal_is_rotated_and_renumbered():
+    # the first lemma is written [-2 1]: RAT on -2 fails, RAT on 1 holds
+    f = formula_from_clauses(SPLIT8)
+    cnf = [list(c.lits) for _, c in f.items()]
+    proof = [add_step([-2, 1]), delete_step([-2, 3]), add_step([3, -2]),
+             add_step([3]), add_step([-3, 4]), add_step([-3]), add_step([])]
+    first = check_drat(f, proof)
+    assert (first.verified, first.step_index, first.reason) == (False, 0, NOT_RAT)
+    cp = backward_check(f, proof, CheckMode(pivot_policy="any"))
+    assert cp.records[0].pivot == 1
+    lrat, trimmed, core = emit_trim(cp)
+    assert write_drat_text(trimmed).startswith(b"1 -2 0\n")
+    assert check_drat(core, trimmed, CheckMode(SPECIFIED)).verified
+    assert check_drat(core, trimmed, CheckMode(OPERATIONAL)).verified
+    assert check_lrat(f, lrat).verified
+    assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+    er = to_er(f, cp)
+    assert check_er(f, er).verified
+    assert naive_check_er(cnf, write_er(er).decode())
+
+
+# The proof adds {-5, -3, -8} twice (ids 21 and 22).  The second copy's last
+# use is the step that adds {-1}, so trimming deletes its content there; a
+# deletion by content removes the lower id, 21, which the step after cites.
+TWINS = [[-7, -8, 9], [-9, 2, 7], [8, -3, 1], [-8, -2, -5], [4, -2, -1],
+         [7, 2, 9], [2, 4, -7], [-8, 5, 6], [5, 1, 4], [6, 2, -7],
+         [-6, 2, -9], [-8, -6, 7], [8, 7, -4], [-4, -2, 3], [8, -4, -3],
+         [3, 6, 1], [9, -6, 8], [-2, 3, 8], [-3, -9, -6]]
+TWINS_PROOF = [add_step(c) for c in (
+    [3, -8, -4], [-5, -3, -8], [-5, -8, -3], [4, -1], [-4, -1, 8], [-1],
+    [-8], [])]
+
+
+def test_citation_of_a_twin_deleted_in_its_copys_place():
+    f = formula_from_clauses(TWINS)
+    cp = backward_check(f, TWINS_PROOF)
+    assert 21 in _cited(cp.records[6])
+    lrat, trimmed, core = emit_trim(cp)
+    assert (25, delete_ids_step((21,))) in lrat
+    hints = [s.hints for sid, s in lrat if sid == 26 and s.kind == "add"][0]
+    cited = set(hints.rup_chain).union(*(g[1] for g in hints.rat_groups))
+    assert 22 in cited and 21 not in cited
+    assert check_drat(core, trimmed).verified
+    assert naive_check_lrat(TWINS, write_lrat(lrat).decode())
+    er = to_er(f, cp)
+    assert check_er(f, er).verified
+    assert naive_check_er(TWINS, write_er(er).decode())
+
+
+def test_trim_and_to_er_run_no_drat_search(monkeypatch):
+    f = gen_php(5)
+    proof = cdcl_solve(f, seed=0).proof
+    cp = backward_check(f, proof)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Engine, "rup", counted("rup", Engine.rup))
+    monkeypatch.setattr(Engine, "rat", counted("rat", Engine.rat))
+    monkeypatch.setattr(pipeline, "_drat_forward",
+                        counted("_drat_forward", pipeline._drat_forward))
+    emit_trim(cp)
+    to_er(f, cp)
+    assert calls == []
+    backward_check(f, proof)  # the counters do see a search
+    assert {"rup", "_drat_forward"} <= set(calls)
+
+
 def _substitution_respected(er):
     # once a pivot variable is renamed away, nothing later may mention it
     renamed = set()
@@ -418,7 +491,8 @@ def test_lrat_of_definitions_verifies_with_groupless_rat_steps():
     lrat = emit_lrat(backward_check(f, _hop_proof(f, [x, y, 1])))
     report = check_lrat(f, lrat)
     assert report.verified
-    assert any(ps and ps[1] is not None and not ps[2] for ps in report.per_step)
+    grouped = sum(1 for _, s in lrat if s.kind == "add" and s.hints.rat_groups)
+    assert report.rat_steps > grouped  # some RAT steps held with no groups
     cnf = [list(c.lits) for _, c in f.items()]
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
 
