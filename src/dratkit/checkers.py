@@ -138,10 +138,9 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     Yields, in proof order:
       ("init_verified",)                        formula already holds the empty clause
       ("delete", i, target_id_or_None, applied) deletion step; target None = no such clause
-      ("add", i, cid, antecedents, pivot, groups)
-                                                accepted addition; pivot None for RUP and
-                                                tautologies, set for RAT (groups then hold
-                                                the per-candidate obligation records)
+      ("add", i, cid, hints, pivot)             accepted addition with its LRAT HintBlock
+                                                (empty for a tautology); pivot None for
+                                                RUP and tautologies, set for RAT
       ("verified", i)                           the empty clause entered at step i
       ("reject", i, reason, detail)             proof invalid at step i; a failed
                                                 RAT addition's detail is the failing
@@ -184,28 +183,29 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             raise ValueError("step %d: kind %r not allowed in a DRAT proof"
                              % (i, step.kind))
         c = step.clause
+        pivot = None
         if c.is_tautology:
-            record = ((), None, ())
+            hints = HintBlock()
         elif c.is_empty:
             out = engine.rup(c)
             if not out.rup:
                 yield ("reject", i, NOT_RAT, None)
                 return
             cid = working.add_clause(c)
-            yield ("add", i, cid, out.antecedents, None, ())
+            yield ("add", i, cid, HintBlock(out.antecedents), None)
             yield ("verified", i)
             return
         else:
             out = engine.rup(c)
             if out.rup:
-                record = (out.antecedents, None, ())
+                hints = HintBlock(out.antecedents)
             else:
                 pivots = c.lits[:1] if mode.pivot_policy == "first" else c.lits
                 failed = None  # failing candidate of the first pivot tried
                 for pivot in pivots:
                     r = engine.rat(c, pivot)
                     if r.rat:
-                        record = (r.leading, pivot, r.groups)
+                        hints = HintBlock(r.leading, r.groups)
                         break
                     if failed is None:
                         failed = r.witness_candidate
@@ -215,7 +215,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
         cid = working.add_clause(c)
         engine.attach(cid)
         closure = None
-        yield ("add", i, cid, record[0], record[1], record[2])
+        yield ("add", i, cid, hints, pivot)
 
 
 def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:

@@ -1,35 +1,35 @@
 """Proof transformation chain: backward check, trim, LRAT and ER emission.
 
 backward_check replays a DRAT proof forward, recording every addition's
-propagation certificate (RUP chains, or RAT leading units plus per-candidate
-obligation records), then walks backward from the empty clause marking the
-cited closure as core.  Additions outside that closure, and deletions of
+LRAT hint block (a RUP chain, or a RAT step's leading units plus one chain
+per candidate), then walks backward from the empty clause marking the cited
+closure as core.  Additions outside that closure, and deletions of
 non-core clauses, are flagged non-core; the used subset of the original
 formula becomes core_formula_ids.
 
 emit_trimmed keeps only core steps, rotates RAT clauses pivot-first, mirrors
 the applied deletions of core clauses, and inserts synthetic deletions of
 added core clauses right after their last use.  emit_lrat and to_er both
-read the trimmed proof with the forward pass's certificates renumbered into
+read the trimmed proof with the forward pass's hint blocks renumbered into
 the trimmed world (original ids, non-core originals removed); no second
-DRAT search runs.  emit_lrat writes those certificates as hints, with a
+DRAT search runs.  emit_lrat writes those hint blocks as they are, with a
 leading deletion line for the non-core originals and ids continuing from
 the original clause count.  to_er translates the same steps into an
 extended-resolution document: RUP additions become resolution chains (fold
-order is the reverse of propagation order), and each RAT addition becomes a
+order is the reverse of the hint order), and each RAT addition becomes a
 fresh definition variable with its clause family, derived images of the
 live clauses mentioning the pivot, and a variable substitution applied to
-everything after it.  Its bookkeeping stays linear in the proof: the live
-clauses mentioning the pivot come from the formula's occurrence lists, a
-table of each clause's last citation decides which of them need an image,
-and the substitution is resolved lazily.  All emitted documents are
-re-checked; a failed re-check raises TranslationInvariantViolation rather
-than returning a bad document.
+everything after it; the images' chains come from the LRAT hints alone.
+Its bookkeeping stays linear in the proof: the live clauses mentioning the
+pivot come from the formula's occurrence lists, a table of each clause's
+last citation decides which of them need an image, and the substitution is
+resolved lazily.  All emitted documents are re-checked; a failed re-check
+raises TranslationInvariantViolation rather than returning a bad document.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from dratkit.checkers import (
     NO_BOTTOM,
@@ -71,22 +71,22 @@ class TranslationInvariantViolation(Exception):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One forward-pass step with its certificate and core flag.
+    """One forward-pass step with its LRAT hint block and core flag.
 
     For additions, wid is the clause id assigned in the forward world and
-    antecedents is the RUP chain (dependency-filtered, ending at the
-    conflict) or, for RAT steps, the unfiltered reasons of the leading
-    units; groups then hold one obligation record per negated-pivot
-    candidate.  For deletions, wid is the targeted clause id (None when the
-    clause was absent) and applied tells whether the deletion took effect.
+    hints is the addition's LRAT hint block over forward-world ids: the RUP
+    chain (dependency-filtered, ending at the conflict), or for a RAT step
+    on pivot the unfiltered reasons of the leading units and one (candidate,
+    chain) pair per clause containing the negated pivot.  For deletions, wid
+    is the targeted clause id (None when the clause was absent) and applied
+    tells whether the deletion took effect.
     """
 
     kind: str
     clause: Clause | None
     wid: int | None
-    antecedents: tuple = ()
+    hints: HintBlock = HintBlock()
     pivot: int | None = None
-    groups: tuple = ()
     core: bool = False
     applied: bool = True
 
@@ -105,16 +105,15 @@ class CheckedProof:
     records: tuple
     core_formula_ids: frozenset
     formula: Formula
-    mode: CheckMode
     empty_in_formula: bool = False
 
 
-def _cited_ids(antecedents, groups):
-    """Every clause id a certificate relies on."""
-    out = list(antecedents)
-    for g in groups:
-        out.extend(g.chain_full)
-        out.append(g.candidate)
+def _cited_ids(hints: HintBlock):
+    """Every clause id a hint block relies on."""
+    out = list(hints.rup_chain)
+    for cand, chain in hints.rat_groups:
+        out.append(cand)
+        out.extend(chain)
     return out
 
 
@@ -124,7 +123,7 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
     base = f.copy()
     working = f.copy()
     engine = Engine(working)
-    raw = []  # [kind, clause, wid, antecedents, pivot, groups, applied]
+    raw = []  # (kind, clause, wid, hints, pivot, applied)
     init_empty = False
     verified = False
     for ev in _drat_forward(working, engine, proof, mode):
@@ -134,11 +133,11 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
             verified = True
         elif tag == "delete":
             _, i, target, applied = ev
-            raw.append(["delete", proof[i].clause, target, (), None, (), applied])
+            raw.append(("delete", proof[i].clause, target, HintBlock(), None,
+                        applied))
         elif tag == "add":
-            _, i, cid, ants, pivot, groups = ev
-            raw.append(["add", proof[i].clause, cid, tuple(ants), pivot,
-                        tuple(groups), True])
+            _, i, cid, hints, pivot = ev
+            raw.append(("add", proof[i].clause, cid, hints, pivot, True))
         elif tag == "verified":
             verified = True
         elif tag == "reject":
@@ -147,7 +146,7 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
         raise ForwardRejected(len(proof), NO_BOTTOM)
     if init_empty:
         eid = min(base.empty_ids())
-        return CheckedProof((), frozenset([eid]), base, mode, True)
+        return CheckedProof((), frozenset([eid]), base, True)
 
     original_ids = set(base.clauses)
     add_index = {r[2]: k for k, r in enumerate(raw) if r[0] == "add"}
@@ -163,18 +162,17 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
             continue
         core_adds.add(wid)
         r = raw[add_index[wid]]
-        stack.extend(_cited_ids(r[3], r[5]))
+        stack.extend(_cited_ids(r[3]))
 
     records = []
-    for r in raw:
-        kind, clause, wid, ants, pivot, groups, applied = r
+    for kind, clause, wid, hints, pivot, applied in raw:
         if kind == "add":
             core = wid in core_adds
         else:
             core = applied and (wid in core_adds or wid in core_orig)
-        records.append(StepRecord(kind, clause, wid, ants, pivot, groups,
-                                  core, applied))
-    return CheckedProof(tuple(records), frozenset(core_orig), base, mode)
+        records.append(StepRecord(kind, clause, wid, hints, pivot, core,
+                                  applied))
+    return CheckedProof(tuple(records), frozenset(core_orig), base)
 
 
 # ------------------------------------------------------------------ trimming
@@ -205,7 +203,7 @@ def emit_trimmed(cp: CheckedProof):
         if not r.core or r.kind != "add":
             continue
         final_k = k
-        for wid in _cited_ids(r.antecedents, r.groups):
+        for wid in _cited_ids(r.hints):
             last_use[wid] = k
     mirrored = {r.wid for r in cp.records if r.kind == "delete" and r.core}
     added_core = {r.wid for r in cp.records if r.kind == "add" and r.core}
@@ -244,14 +242,14 @@ def _trimmed_world(cp: CheckedProof) -> Formula:
 # ------------------------------------------------------------------ replay
 
 def _replay_records(cp: CheckedProof, trimmed):
-    """The trimmed proof's steps with the forward pass's certificates,
+    """The trimmed proof's steps with the forward pass's hint blocks,
     renumbered into the trimmed world; runs no search.
 
     The k-th addition of trimmed is cp's k-th core addition.  Its chains hold
     as they are: they cite only core clauses, a unit chain stays unit
     whatever else is live, and every RAT candidate is cited, so the trimmed
     world has the same candidates.  Returns ("delete", target) and ("add",
-    cid, clause, antecedents, pivot, groups) tuples in proof order.
+    cid, clause, hints, pivot) tuples in proof order.
     """
     world = _trimmed_world(cp)
     image = {oid: oid for oid in world.clauses}
@@ -281,15 +279,12 @@ def _replay_records(cp: CheckedProof, trimmed):
         if r is None:
             raise TranslationInvariantViolation(
                 "trimmed step %d: more additions than core additions" % i)
-        groups = tuple(
-            replace(g, candidate=img(g.candidate),
-                    chain_local=tuple(map(img, g.chain_local)),
-                    chain_full=tuple(map(img, g.chain_full)))
-            for g in r.groups)
-        ants = tuple(map(img, r.antecedents))
+        hints = HintBlock(tuple(map(img, r.hints.rup_chain)),
+                          tuple((img(cand), tuple(map(img, chain)))
+                                for cand, chain in r.hints.rat_groups))
         cid = world.add_clause(step.clause)
         image[r.wid] = cid
-        records.append(("add", cid, step.clause, ants, r.pivot, groups))
+        records.append(("add", cid, step.clause, hints, r.pivot))
     return records
 
 
@@ -334,10 +329,8 @@ def emit_trim(cp: CheckedProof):
         if rec[0] == "delete":
             out.append((last_sid, delete_ids_step((rec[1],))))
             continue
-        _, cid, clause, ants, _, groups = rec
-        # only a "chain" group has a local chain; the others discharge at once
-        gs = tuple((g.candidate, g.chain_local) for g in groups)
-        out.append((cid, add_step(clause, hints=HintBlock(ants, gs))))
+        _, cid, clause, hints, _ = rec
+        out.append((cid, add_step(clause, hints=hints)))
         last_sid = cid
     _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out, trimmed, core
@@ -408,14 +401,32 @@ def _fold(er_clauses: dict, ids) -> tuple:
     return kept, acc
 
 
+def _leading_units(live: Formula, clause: Clause, leading) -> dict:
+    """Walk a RAT step's leading chain over its negated clause: each literal
+    the walk makes true, mapped to the index in leading of its reason."""
+    true = {-l for l in clause.lits}
+    at = {}
+    for k, tid in enumerate(leading):
+        for l in live.clauses[tid].lits:
+            if -l not in true:  # the one literal a reason leaves unfalsified
+                true.add(l)
+                at[l] = k
+                break
+    return at
+
+
 def to_er(f: Formula, cp: CheckedProof):
     """Extended-resolution document for the checked proof, over f's ids.
 
-    RUP additions fold their recorded chains in reverse propagation order.
-    A RAT addition on pivot p introduces a fresh variable x defined as
-    (p or the conjunction of the negated remaining literals), derives an
-    image of every live clause mentioning p that a later step cites, and
-    renames p to x in everything after it.
+    RUP additions fold their hint chains in reverse.  A RAT addition on
+    pivot p introduces a fresh variable x defined as (p or the conjunction
+    of the negated remaining literals), derives an image of every live
+    clause mentioning p that a later step cites, and renames p to x in
+    everything after it.  The image of a candidate D folds, in reverse, the
+    step's leading chain and D's own chain; when D's chain is empty the
+    resolvent is tautological, and one family clause resolves it, or a
+    leading unit satisfies it, and the leading chain up to that unit's
+    reason derives it.
 
     The live clauses mentioning p come from the live formula's occurrence
     lists, in ascending id order; last_ref[tid], the index of the last
@@ -438,7 +449,7 @@ def to_er(f: Formula, cp: CheckedProof):
     last_ref = {}
     for ri, rec in enumerate(records):
         if rec[0] == "add":
-            for tid in _cited_ids(rec[3], rec[5]):
+            for tid in _cited_ids(rec[3]):
                 last_ref[tid] = ri
 
     er_clauses = {cid: cl for cid, cl in f.clauses.items()}
@@ -483,13 +494,13 @@ def to_er(f: Formula, cp: CheckedProof):
                 emit(Delete((id_map[target],)))
             live.remove_by_id(target)
             continue
-        _, cid, clause, ants, pivot, groups = rec
+        _, cid, clause, hints, pivot = rec
         if pivot is None:
             if clause.is_tautology:
                 live.add_clause(clause, cid=cid)
                 continue
             claimed = _apply_clause(sub, clause)
-            fold_ids = [er_id(a) for a in reversed(ants)]
+            fold_ids = [er_id(a) for a in reversed(hints.rup_chain)]
             id_map[cid] = emit_chain(claimed, fold_ids)
             live.add_clause(clause, cid=cid)
             if clause.is_empty:
@@ -529,7 +540,9 @@ def to_er(f: Formula, cp: CheckedProof):
 
         id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x
         live.add_clause(clause, cid=cid)
-        group_of = {g.candidate: g for g in groups}
+        leading = hints.rup_chain
+        chains = dict(hints.rat_groups)
+        true_at = None  # _leading_units, walked once when a candidate needs it
 
         for tid in with_pivot:
             cl = live.clauses[tid]
@@ -543,25 +556,34 @@ def to_er(f: Formula, cp: CheckedProof):
             if cl.is_tautology or last_ref.get(tid, -1) <= ri or tid not in id_map:
                 id_map.pop(tid, None)
                 continue
-            g = group_of.get(tid)
-            if g is None:
+            chain = chains.get(tid)
+            if chain is None:
                 raise TranslationInvariantViolation(
                     "live clause %d missing from the pivot's candidate records" % tid)
             dprime = [l for l in cl.lits if l != -pivot]
             claimed = Clause([-x] + [_apply_lit(sub, l) for l in dprime])
-            prefix = [er_old(a) for a in reversed(g.chain_full)]
-            if prefix:
-                fold_ids = prefix + [fam_ids[2 + j] for j in range(len(others))]
-                fold_ids.append(er_old(tid))
+            if chain:
+                # the fold drops every reason the conflict does not need
+                prefix = leading + chain
             else:
-                for j, l in enumerate(others):
-                    if -l in cl:
-                        break
-                else:
+                j = next((j for j, l in enumerate(others) if -l in cl), None)
+                if j is not None:
+                    # a tautological resolvent: one family clause resolves it
+                    id_map[tid] = emit_chain(claimed, [fam_ids[2 + j], er_old(tid)])
+                    continue
+                # a literal of the candidate is true under the leading units:
+                # its reason and the units before it derive it
+                if true_at is None:
+                    true_at = _leading_units(live, clause, leading)
+                w = next((l for l in dprime if l in true_at), None)
+                if w is None:
                     raise TranslationInvariantViolation(
-                        "candidate %d discharged with no recorded chain and no "
-                        "complementary literal" % tid)
-                fold_ids = [fam_ids[2 + j], er_old(tid)]
+                        "candidate %d has no chain, no complementary literal "
+                        "and no literal the leading units make true" % tid)
+                prefix = leading[:true_at[w] + 1]
+            fold_ids = [er_old(a) for a in reversed(prefix)]
+            fold_ids += [fam_ids[2 + j] for j in range(len(others))]
+            fold_ids.append(er_old(tid))
             id_map[tid] = emit_chain(claimed, fold_ids)
 
     _require_verified(check_er(f, out), "ER")

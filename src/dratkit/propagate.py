@@ -30,7 +30,7 @@ literal count: a sparse numbering), and n grows while fresh variables
 arrive in order, as an ER proof's definitions do; then each clause's tuple
 is shared with the formula.  Any other variable is renamed to the next free
 internal number when first seen.  Literals are translated on the way in
-(attach, assume, propagate's assumptions, lit_value, derivation_of) and
+(attach, assume, propagate's assumptions, lit_value) and
 out (toplevel, the module-level propagate); the trail and the watch records
 stay internal.  A new variable gets its slot before any access, capacity
 doubling.  Growth inserts the new slots between the positive and the
@@ -49,7 +49,9 @@ watch list entries, the empty-clause short circuit).  On a conflict the
 engine reports the dependency-filtered antecedents: the reasons that
 transitively contribute to falsifying the conflict clause, in propagation
 order, with the conflict clause last.  That list is exactly an LRAT hint
-chain.
+chain, and a RAT check reports exactly an LRAT hint block: the reasons of
+the units the negated clause propagates, then one (candidate, chain) pair
+per clause containing the negated pivot.
 
 Formula mutations (attach/detach) must not happen while a checkpoint is
 outstanding; checkers mutate only between checks.
@@ -87,34 +89,20 @@ class GuidedOutcome:
 
 
 @dataclass(frozen=True)
-class RatGroup:
-    """Obligation record for one clause containing the negated pivot.
-
-    kind "chain": the resolvent was refuted by propagation; chain_local
-    replays it on top of the shared negated-clause trail, chain_full also
-    re-derives that trail's units (for chain folding).  kind "taut": the
-    resolvent is tautological, nothing to check.  kind "assumed": some
-    literal of the candidate is already true under the shared trail, so
-    negating the resolvent is contradictory; witness is that literal and
-    chain_full its derivation.
-    """
-
-    candidate: int
-    kind: str                        # "chain" | "taut" | "assumed"
-    chain_local: tuple = ()
-    chain_full: tuple = ()
-    witness: int | None = None
-
-
-@dataclass(frozen=True)
 class RatOutcome:
+    """A RAT check's verdict; when it holds, (leading, groups) is the step's
+    LRAT hint block."""
+
     rat: bool
     witness_candidate: int | None = None   # failing candidate when not rat
-    groups: tuple = ()
+    groups: tuple = ()        # (candidate, chain) per clause containing the
+                              # negated pivot, in id order: the chain refutes
+                              # the resolvent over the leading units; () when
+                              # the resolvent is tautological or one of its
+                              # literals is already true
     leading: tuple = ()       # reasons of all units derived from the negated
-                              # clause, unfiltered, trail order
-    leading_conflict: tuple = ()  # antecedents when the negation already
-                                  # propagates to conflict (clause is RUP)
+                              # clause, unfiltered, trail order; the RUP chain
+                              # when that propagation already conflicts
     visited_clauses: int = 0
 
 
@@ -423,30 +411,6 @@ class Engine:
         out.append(conflict_cid)
         return tuple(out)
 
-    def derivation_of(self, lit: int) -> tuple:
-        """Reason closure deriving a currently-true literal, its own reason
-        last; empty for assumptions."""
-        lit = self._lit(lit)
-        r = self.reason[abs(lit)]
-        if r is None:
-            return ()
-        wlits = self.wlits
-        marked = {abs(x) for x in wlits[r][2]}
-        out = []
-        i = self.trail.index(lit) - 1
-        while i >= 0:
-            v = abs(self.trail[i])
-            if v in marked:
-                rr = self.reason[v]
-                if rr is not None:
-                    out.append(rr)
-                    for x in wlits[rr][2]:
-                        marked.add(abs(x))
-            i -= 1
-        out.reverse()
-        out.append(r)
-        return tuple(out)
-
     # ----------------------------------------------------------------- checks
 
     def rup(self, c: Clause) -> RupOutcome:
@@ -519,7 +483,9 @@ class Engine:
         The obligation for candidate D is the union of c and D minus the
         negated pivot; its negation is the negation of c plus the negation
         of D's remaining literals, so the shared trail from assuming the
-        negation of c is extended per candidate and rolled back.
+        negation of c is extended per candidate and rolled back.  The
+        shared trail's reasons and each candidate's chain make up the step's
+        LRAT hint block (see RatOutcome).
         """
         if pivot not in c:
             raise ValueError("pivot %d not in clause %r" % (pivot, c))
@@ -531,52 +497,30 @@ class Engine:
             lead = self.propagate(assumptions=[-l for l in c.lits])
             visited += lead.visited_clauses
             if lead.result == "conflict":
-                return RatOutcome(True, None, (), (), lead.antecedents, visited)
+                return RatOutcome(True, None, (), lead.antecedents, visited)
             tlead = len(self.trail)
-            leading = tuple(self.reason[abs(l)] for l in self.trail
-                            if self.reason[abs(l)] is not None)
+            val, reason, wlits = self.val, self.reason, self.wlits
+            leading = tuple(reason[abs(l)] for l in self.trail
+                            if reason[abs(l)] is not None)
+            neg_pivot = -self._lit(pivot)  # internal, like wlits
             for did in candidates:
-                d = self.f.clauses[did]
-                seen = set(c.lits)
-                taut = False
-                for l in d.lits:
-                    if l == -pivot:
-                        continue
-                    if -l in seen:
-                        taut = True
-                        break
-                    seen.add(l)
-                if taut:
-                    groups.append(RatGroup(did, "taut"))
-                    continue
                 cp2 = self.checkpoint()
-                witness = None
-                for l, il in zip(d.lits, self.wlits[did][2]):
-                    if l == -pivot:
-                        continue
-                    v = self.val[il]
-                    if v == 1:
-                        witness = l
-                        break
-                    if v == 0:
-                        self._assign(-il, None)
-                if witness is not None:
-                    groups.append(RatGroup(did, "assumed",
-                                           chain_full=self.derivation_of(witness),
-                                           witness=witness))
-                    self.rollback(cp2)
-                    continue
-                out = self.propagate(antecedents_from=tlead)
-                visited += out.visited_clauses
-                if out.result != "conflict":
-                    self.rollback(cp2)
-                    return RatOutcome(False, did, tuple(groups), leading,
-                                      (), visited)
-                chain_local = out.antecedents
-                chain_full = self.antecedents_of(out.conflict, 0)
+                chain = ()
+                for l in wlits[did][2]:
+                    if l != neg_pivot:
+                        if val[l] == 1:
+                            break  # the resolvent is tautological or satisfied
+                        if val[l] == 0:
+                            self._assign(-l, None)
+                else:
+                    out = self.propagate(antecedents_from=tlead)
+                    visited += out.visited_clauses
+                    if out.result != "conflict":
+                        return RatOutcome(False, did, tuple(groups), leading, visited)
+                    chain = out.antecedents
                 self.rollback(cp2)
-                groups.append(RatGroup(did, "chain", chain_local, chain_full))
-            return RatOutcome(True, None, tuple(groups), leading, (), visited)
+                groups.append((did, chain))
+            return RatOutcome(True, None, tuple(groups), leading, visited)
         finally:
             self.rollback(cp)
 
@@ -604,19 +548,3 @@ def check_rat(f: Formula, c, pivot: int) -> RatOutcome:
     c = c if isinstance(c, Clause) else Clause(c)
     return Engine(f).rat(c, pivot)
 
-
-def find_pivot(f: Formula, c, policy: str = "first"):
-    """Pivot choice for a RAT check: the clause's first literal, or under
-    policy "any" the first literal whose RAT check succeeds."""
-    c = c if isinstance(c, Clause) else Clause(c)
-    if not c.lits:
-        return None
-    if policy == "first":
-        return c.lits[0]
-    if policy != "any":
-        raise ValueError("unknown pivot policy %r" % (policy,))
-    e = Engine(f)
-    for l in c.lits:
-        if e.rat(c, l).rat:
-            return l
-    return None

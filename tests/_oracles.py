@@ -271,6 +271,45 @@ def _guided_inline(clauses, assign, chain):
     return "open"
 
 
+def naive_rat_groups(formula, clause, pivot, leading, groups):
+    """Why each (candidate, chain) of a RAT step's LRAT hint block holds.
+
+    The leading chain is walked as unit hints over the negated clause and
+    must end open.  Then per group, in order: 'tautological' or 'satisfied'
+    for an empty chain whose resolvent is tautological or holds a literal
+    the walk made true, and 'refuted' for a chain that reaches a conflict
+    after the rest of the negated candidate.  Returns that list, or None
+    when any group is none of these or the candidates are not exactly the
+    clauses containing the negated pivot.
+    """
+    clauses = _as_dict(formula)
+    clause = list(dict.fromkeys(clause))
+    assign = _assume_negation(clause)
+    if assign is None or _guided_inline(clauses, assign, leading) != "open":
+        return None
+    want = sorted(i for i, c in clauses.items() if -pivot in c)
+    if sorted(cand for cand, _ in groups) != want:
+        return None
+    out = []
+    for cand, chain in groups:
+        rest = [l for l in dict.fromkeys(clauses[cand]) if l != -pivot]
+        union = clause + rest
+        if any(-l in union for l in union):
+            why = "tautological"
+        elif any(lit_true(l, assign) for l in rest):
+            why = "satisfied"
+        else:
+            sub = dict(assign)
+            sub.update((abs(l), l < 0) for l in rest)
+            if _guided_inline(clauses, sub, chain) != "conflict":
+                return None
+            why = "refuted"
+        if (why == "refuted") != bool(chain):
+            return None
+        out.append(why)
+    return out
+
+
 def naive_check_lrat(cnf, text):
     """True iff the LRAT document verifies the CNF.  Definitional replay."""
     clauses = {}

@@ -12,6 +12,7 @@ import hashlib
 import io
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -57,7 +58,15 @@ from dratkit.pipeline import (
 from dratkit.propagate import Engine
 from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
 
-from _oracles import naive_check_er, naive_check_lrat
+from _oracles import (
+    naive_check_drat,
+    naive_check_er,
+    naive_check_lrat,
+    naive_rat,
+    naive_rat_groups,
+    naive_rup,
+    naive_satisfiable,
+)
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 FULL2_PROOF = [add_step([1, 2]), add_step([1]), add_step([])]
@@ -78,10 +87,10 @@ K0_PROOF = [add_step([1]), add_step([2]), add_step([])]
 
 
 def _cited(rec):
-    out = list(rec.antecedents)
-    for g in rec.groups:
-        out.extend(g.chain_full)
-        out.append(g.candidate)
+    out = list(rec.hints.rup_chain)
+    for cand, chain in rec.hints.rat_groups:
+        out.append(cand)
+        out.extend(chain)
     return out
 
 
@@ -107,8 +116,8 @@ def test_backward_marking_drops_redundant_addition():
     assert len(cp.records) == 3
     assert [r.wid for r in cp.records] == [5, 6, 7]
     assert [r.core for r in cp.records] == [False, True, True]
-    assert cp.records[1].antecedents == (1, 3)
-    assert cp.records[2].antecedents == (6, 2, 4)
+    assert cp.records[1].hints == HintBlock(rup_chain=(1, 3))
+    assert cp.records[2].hints == HintBlock(rup_chain=(6, 2, 4))
     assert cp.core_formula_ids == frozenset([1, 2, 3, 4])
     assert not cp.empty_in_formula
 
@@ -211,11 +220,12 @@ def test_rat_proof_forward_records():
     cp = backward_check(f, SPLIT8_PROOF)
     first = cp.records[0]
     assert first.pivot == 1
-    assert first.antecedents == (4,)
-    assert [g.candidate for g in first.groups] == [2, 3]
-    assert [g.kind for g in first.groups] == ["taut", "assumed"]
-    assert first.groups[1].witness == 3
-    assert first.groups[1].chain_full == (4,)
+    assert first.hints == HintBlock((4,), ((2, ()), (3, ())))
+    # {-1, 2} resolves to a tautology; {-1, -2, 3} holds 3, which the
+    # leading unit {-2, 3} makes true
+    h = first.hints
+    assert naive_rat_groups(SPLIT8, [1, -2], 1, h.rup_chain, h.rat_groups) == [
+        "tautological", "satisfied"]
     assert all(r.core for r in cp.records)
     dele = cp.records[1]
     assert dele.kind == "delete" and dele.applied and dele.wid == 4
@@ -307,9 +317,9 @@ def test_singleton_rat_translates_with_two_clause_family():
     cp = backward_check(f, K0_PROOF)
     first = cp.records[0]
     assert first.pivot == 1
-    assert first.antecedents == ()
-    assert [(g.candidate, g.kind) for g in first.groups] == [(2, "chain")]
-    assert first.groups[0].chain_full == (1, 3)
+    assert first.hints == HintBlock((), ((2, (1, 3)),))
+    h = first.hints
+    assert naive_rat_groups(K0, [1], 1, h.rup_chain, h.rat_groups) == ["refuted"]
     steps, core = emit_trimmed(cp)
     assert write_drat_text(steps) == b"1 0\n2 0\nd 1 0\n0\n"
     assert check_drat(core, steps).verified
@@ -323,6 +333,20 @@ def test_singleton_rat_translates_with_two_clause_family():
     ]
     assert check_er(f, er).verified
     assert brute_force(f) is None
+
+
+def test_to_er_refuses_an_empty_chain_that_nothing_discharges():
+    # K0's candidate {-1, 2} needs its chain: with it emptied, the resolvent
+    # {1, 2} is neither tautological nor satisfied by a leading unit
+    f = formula_from_clauses(K0)
+    cp = backward_check(f, K0_PROOF)
+    first = replace(cp.records[0], hints=HintBlock((), ((2, ()),)))
+    forged = replace(cp, records=(first,) + cp.records[1:])
+    assert naive_rat_groups(K0, [1], 1, (), ((2, ()),)) is None
+    with pytest.raises(TranslationInvariantViolation, match="no chain"):
+        to_er(f, forged)
+    with pytest.raises(TranslationInvariantViolation):
+        emit_trim(forged)
 
 
 def test_rat_step_on_a_later_literal_is_rotated_and_renumbered():
@@ -569,6 +593,84 @@ def test_pipeline_idempotent_on_solver_proofs():
     assert rat_translations == 0  # solver proofs are propagation-only
 
 
+def _rat_rich_refutation(rng, nvars=5):
+    """An unsatisfiable random CNF over nvars variables and a DRAT refutation
+    of it, or None when the proof's deletions leave it satisfiable.
+
+    The proof opens with thirty random moves: a deletion of a live clause,
+    or a lemma of up to three literals (two variables beyond the CNF's are
+    allowed) that the oracles accept by RAT on its first literal.  A lemma
+    that is already RUP is taken only now and then, since each one brings
+    the formula closer to a top level where every clause is RUP.  The
+    solver's refutation of the live clauses ends the proof.
+    """
+    while True:
+        cnf = [list(Clause([rng.randint(1, nvars) * rng.choice((-1, 1))
+                            for _ in range(rng.randint(2, 3))]).lits)
+               for _ in range(rng.randint(3 * nvars, 5 * nvars))]
+        if naive_satisfiable(cnf) is None:
+            break
+    live = [list(c) for c in cnf]
+    proof = []
+    for _ in range(30):
+        if rng.random() < 0.2:
+            proof.append(delete_step(live.pop(rng.randrange(len(live)))))
+            continue
+        c = list(Clause([rng.randint(1, nvars + 2) * rng.choice((-1, 1))
+                         for _ in range(rng.randint(1, 3))]).lits)
+        if (rng.random() < 0.1 if naive_rup(live, c)
+                else naive_rat(live, c, c[0])):
+            proof.append(add_step(c))
+            live.append(c)
+    res = cdcl_solve(formula_from_clauses(live), seed=0)
+    if res.status != "unsat":
+        return None
+    return cnf, proof + list(res.proof)
+
+
+def test_rat_rich_proofs_give_documents_the_oracles_accept():
+    # both deletion modes: check_drat agrees with the oracle, and whenever
+    # it verifies, trim's LRAT and to-er's ER pass the naive checkers; the
+    # core RAT steps include candidates refuted by a chain and candidates
+    # a leading unit already satisfies
+    rng = random.Random(47)
+    proofs = 0
+    cases = {"refuted": 0, "satisfied": 0}
+    while proofs < 100:
+        made = _rat_rich_refutation(rng)
+        if made is None:
+            continue
+        proofs += 1
+        cnf, proof = made
+        f = formula_from_clauses(cnf)
+        steps = [("a" if s.kind == "add" else "d", list(s.clause.lits))
+                 for s in proof]
+        for flavor in (SPECIFIED, OPERATIONAL):
+            verdict = naive_check_drat(cnf, steps, flavor)
+            verified = check_drat(f, proof, CheckMode(flavor)).verified
+            assert verified == (verdict[0] == "verified")
+            if not verified:
+                with pytest.raises(ForwardRejected):
+                    backward_check(f, proof, CheckMode(flavor))
+                continue
+            cp = backward_check(f, proof, CheckMode(flavor))
+            lrat, _, _ = emit_trim(cp)
+            assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+            assert naive_check_er(cnf, write_er(to_er(f, cp)).decode())
+            content = dict(f.items())
+            content.update((r.wid, r.clause) for r in cp.records
+                           if r.kind == "add")
+            for r in cp.records:
+                if r.core and r.pivot is not None:
+                    for cand, chain in r.hints.rat_groups:
+                        rest = [l for l in content[cand].lits if l != -r.pivot]
+                        if chain:
+                            cases["refuted"] += 1
+                        elif not any(-l in r.clause for l in rest):
+                            cases["satisfied"] += 1
+    assert min(cases.values()) >= 10
+
+
 def test_padding_is_trimmed_away():
     rng = random.Random(45)
     for f, proof in _unsat_corpus(rng, 10, maxv_hi=6):
@@ -604,9 +706,22 @@ def test_lrat_checking_visits_no_more_than_unguided():
 
 # ---------------------------------------------------------------- golden bytes
 
-# sha256 of every output the command line prints or writes for two fixed
-# inputs, computed before the propagation engine moved to flat lists.  The
-# watch order decides which conflict propagation meets first, and so the
+# A random CNF's refutation whose one core RAT step, {-3}, has five
+# candidates refuted by propagation (three of them only with the leading
+# units' help) and one, {-5, 3}, already satisfied: negating {-3} makes -5
+# true through {-5, -3}.  The RAT lemma on fresh variables before it, and
+# the deletions, fall outside the core.
+RATMIX = [[-1, 4], [-5, -3, 1], [-2, -4], [-1, 3], [1, 4, 3], [-1, -4],
+          [-3, -5, -1], [5, -2], [5, -4, 4], [1, 3], [2, -1], [-5, -1],
+          [-1, -2], [-4, 3, -3], [-5, 3], [1, -3, -4], [5, -2, -5], [-5, -3],
+          [3, 4], [2, 4, 1]]
+RATMIX_PROOF = [add_step([-6, -7]), delete_step([2, -1]),
+                delete_step([-6, -7]), add_step([-3]), add_step([])]
+
+# sha256 of every output the command line prints or writes for three fixed
+# inputs.  php5 and hops were computed before the propagation engine moved
+# to flat lists, ratmix before the forward pass recorded LRAT hint blocks.
+# The watch order decides which conflict propagation meets first, and so the
 # antecedent chains, the visit counters and the LRAT and ER bytes; a change
 # to the engine that reorders propagation fails here.
 GOLDEN = {
@@ -646,6 +761,24 @@ GOLDEN = {
         "check_er":
             "81ae3b2025dcd521a11802303c91ee24efafabf381868fd3946bcba70ae3c5e8",
     },
+    "ratmix": {
+        "check_specified":
+            "6b751173b420a9e34774d7b976a787af6a444fbe63801b3df6f34efb03bdba2f",
+        "check_operational":
+            "6b751173b420a9e34774d7b976a787af6a444fbe63801b3df6f34efb03bdba2f",
+        "lrat":
+            "6e07e9bff5ce6efe4daebcb5540edde7b210da9d6a8b87a46d6727788e674a44",
+        "trimmed":
+            "fd083d892bdbbef18bd924ec0657a4f1fd2a05dd8350096e7ad807c89bc1d634",
+        "core":
+            "aa26380eb307eeddfc12e2937a27deb123d48c4ad4916913aff4141759d557e4",
+        "er":
+            "d2fca3bc955c36116cab0bc40557b7eee3ce2f187c9e23697c592543f0f81afe",
+        "check_lrat":
+            "11685186d820e0f55809bf8abce728fc8ea6b0a0ff6df4e454f936a4d4d0a57a",
+        "check_er":
+            "0ce2d17ad5e714b2d3c7aeaa55cf75d9530cb02633d332687c42288384a93bed",
+    },
 }
 
 
@@ -653,6 +786,8 @@ def _golden_inputs(name):
     if name == "php5":
         f = gen_php(5)
         return f, cdcl_solve(f, seed=0).proof
+    if name == "ratmix":
+        return formula_from_clauses(RATMIX), RATMIX_PROOF
     f = gen_php(3)
     x, y = f.max_var + 1, f.max_var + 2
     return f, _hop_proof(f, [x, y, 1, x, y, 1])

@@ -12,20 +12,18 @@ from dratkit.core import TAUTOLOGY, Clause, normalize, formula_from_clauses
 from dratkit.formats import parse_dimacs, parse_drat
 from dratkit.propagate import (
     Engine,
-    RatGroup,
     check_rat,
     check_rup,
     check_rup_guided,
-    find_pivot,
     propagate,
 )
 
 from _oracles import (
-    lit_true,
     naive_closure,
     naive_entails,
     naive_guided,
     naive_rat,
+    naive_rat_groups,
     naive_rup,
 )
 
@@ -246,24 +244,27 @@ def test_guided_agrees_with_naive_on_arbitrary_chains():
 # ------------------------------------------------------------------ check_rat
 
 def test_rat_single_candidate_discharged_by_leading_units():
-    f = formula_from_clauses([[1, 2], [-1, 2]])
+    clauses = [[1, 2], [-1, 2]]
+    f = formula_from_clauses(clauses)
     out = check_rat(f, [1], [1][0])
     assert out.rat
     assert out.leading == (1,)
-    [g] = out.groups
-    assert g.candidate == 2
-    assert g.kind == "assumed"
-    assert g.witness == 2
-    assert g.chain_full == (1,)
+    assert out.groups == ((2, ()),)
+    # the leading unit makes 2 true, which satisfies the resolvent
+    assert naive_rat_groups(clauses, [1], 1, out.leading,
+                            out.groups) == ["satisfied"]
     # the obligation itself is a RUP with the one-clause chain
     assert check_rup(f, [1, 2]).antecedents == (1,)
 
 
 def test_rat_tautological_resolvent_vacuous():
-    f = formula_from_clauses([[1, 2], [-1, 2]])
+    clauses = [[1, 2], [-1, 2]]
+    f = formula_from_clauses(clauses)
     out = check_rat(f, [1, -2], 1)
     assert out.rat
-    assert out.groups == (RatGroup(2, "taut"),)
+    assert out.groups == ((2, ()),)
+    assert naive_rat_groups(clauses, [1, -2], 1, out.leading,
+                            out.groups) == ["tautological"]
 
 
 def test_rat_no_candidates():
@@ -274,11 +275,14 @@ def test_rat_no_candidates():
 
 
 def test_rat_propagated_group_chains():
-    f = formula_from_clauses([[-1, 2], [2, 3], [2, -3]])
+    clauses = [[-1, 2], [2, 3], [2, -3]]
+    f = formula_from_clauses(clauses)
     out = check_rat(f, [1], 1)
     assert out.rat
     assert out.leading == ()
-    assert out.groups == (RatGroup(1, "chain", (2, 3), (2, 3)),)
+    assert out.groups == ((1, (2, 3)),)
+    assert naive_rat_groups(clauses, [1], 1, out.leading,
+                            out.groups) == ["refuted"]
 
 
 def test_rat_failing_candidate_reported():
@@ -293,7 +297,9 @@ def test_rat_clause_already_rup():
     out = check_rat(f, [1], 1)
     assert out.rat
     assert out.groups == ()
-    assert out.leading_conflict == (1,)
+    # the hint block is then the RUP chain alone
+    assert out.leading == (1,)
+    assert naive_guided([[1]], [1], out.leading)[0] == "rup"
 
 
 def test_rat_pivot_must_be_in_clause():
@@ -315,22 +321,16 @@ def test_rat_agrees_with_naive():
 
 
 def _assert_groups_certify(f, clauses, c, pivot, out):
-    """Each reported group is a valid certificate for its resolvent."""
-    replayed = 0
-    seed = {abs(l): l < 0 for l in c.lits}
-    closure, _ = naive_closure(clauses, seed)
-    for g in out.groups:
-        d = f.clauses[g.candidate]
+    """The reported hint block certifies the RAT step in LRAT form; returns
+    why each group holds."""
+    whys = naive_rat_groups(clauses, list(c.lits), pivot, out.leading,
+                            out.groups)
+    assert whys is not None
+    for (cand, _), why in zip(out.groups, whys):
+        d = f.clauses[cand]
         resolvent = normalize(list(c.lits) + [l for l in d.lits if l != -pivot])
-        if g.kind == "taut":
-            assert resolvent is TAUTOLOGY
-        elif g.kind == "assumed":
-            # witness literal is forced by the negated-clause closure
-            assert lit_true(g.witness, closure)
-        else:
-            assert check_rup_guided(f, resolvent, g.chain_full).rup
-            replayed += 1
-    return replayed
+        assert (resolvent is TAUTOLOGY) == (why == "tautological")
+    return whys
 
 
 def test_rat_group_chains_replay_random():
@@ -343,11 +343,10 @@ def test_rat_group_chains_replay_random():
         pivot = c.lits[0]
         f = formula_from_clauses(clauses)
         out = check_rat(f, c, pivot)
-        if not out.rat or out.leading_conflict:
+        if not out.rat or naive_rup(clauses, list(c.lits)):
             continue
-        _assert_groups_certify(f, clauses, c, pivot, out)
-        kinds.update(g.kind for g in out.groups)
-    assert {"taut", "assumed"} <= kinds
+        kinds.update(_assert_groups_certify(f, clauses, c, pivot, out))
+    assert kinds == {"tautological", "satisfied", "refuted"}
 
 
 def test_rat_group_chains_replay_structured():
@@ -374,9 +373,10 @@ def test_rat_group_chains_replay_structured():
         f = formula_from_clauses(clauses)
         out = check_rat(f, [1], 1)
         assert out.rat
-        assert all(g.kind == "chain" for g in out.groups)
+        whys = _assert_groups_certify(f, clauses, Clause([1]), 1, out)
+        assert whys and set(whys) == {"refuted"}
         assert naive_rat(clauses, [1], 1)
-        replayed += _assert_groups_certify(f, clauses, Clause([1]), 1, out)
+        replayed += len(whys)
     assert replayed >= 60
 
 
@@ -391,7 +391,7 @@ def test_rat_leading_reasons_replay_as_units():
             continue
         f = formula_from_clauses(clauses)
         out = check_rat(f, c, c.lits[0])
-        if out.leading_conflict or not out.leading:
+        if naive_rup(clauses, list(c.lits)) or not out.leading:
             continue
         # every leading reason is consumable as a unit, in order, and the
         # replay ends open (the leading propagation found no conflict)
@@ -399,31 +399,6 @@ def test_rat_leading_reasons_replay_as_units():
         assert verdict == "badhint" and n == len(out.leading)
         seen += 1
     assert seen >= 30
-
-
-# ------------------------------------------------------------------ find_pivot
-
-def test_find_pivot_first_literal():
-    f = formula_from_clauses([[-1, 3]])
-    assert find_pivot(f, [1, 2], "first") == 1
-    assert find_pivot(f, [], "first") is None
-
-
-def test_find_pivot_search_falls_through_to_working_literal():
-    f = formula_from_clauses([[-1, 3]])
-    assert not check_rat(f, [1, 2], 1).rat
-    assert find_pivot(f, [1, 2], "any") == 2
-
-
-def test_find_pivot_search_exhausts():
-    f = formula_from_clauses([[-1], [-2]])
-    assert find_pivot(f, [1, 2], "any") is None
-
-
-def test_find_pivot_rejects_unknown_policy():
-    f = formula_from_clauses([[1]])
-    with pytest.raises(ValueError):
-        find_pivot(f, [1], "third")
 
 
 # ------------------------------------------------------------------ engine state
