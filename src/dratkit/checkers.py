@@ -13,15 +13,17 @@ top level conflicts does the id-order fixpoint of toplevel_closure decide,
 since the closure then depends on the order clauses are visited in.  The two
 flavors genuinely diverge on proofs that delete such clauses.
 
-check_lrat replays an id-addressed document with hints: additions are
-verified by guided propagation over the stated chains only, and RAT steps
-must list chains for exactly the live clauses containing the negated pivot
-(none at all when no live clause contains it).
+check_lrat replays an id-addressed document with hints and does no search:
+it builds no propagation engine, and propagate.walk replays each stated
+chain over a dict of true literals, seeded with the negated clause (a RAT
+candidate extends it and takes its own literals back off).  RAT steps must
+list chains for exactly the live clauses containing the negated pivot (none
+at all when no live clause contains it).
 
-check_er verifies extension steps (a fresh definition variable with its
-clause family) and resolution chains folded left with a unique clashing
-variable per fold, accepting a chain when the folded clause subsumes the
-claimed one.
+check_er verifies extension steps (a fresh definition variable, not
+mentioned by its own definition, with its clause family) and resolution
+chains folded left with a unique clashing variable per fold, accepting a
+chain when the folded clause subsumes the claimed one.
 
 All checkers work on a copy of the input formula and report a CheckReport;
 they raise only on contract violations (malformed step kinds), never on
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from dratkit.core import Clause, Formula
 from dratkit.formats import Chain, Delete, Extend, HintBlock, extension_clauses
-from dratkit.propagate import Engine
+from dratkit.propagate import Engine, walk
 
 SPECIFIED = "specified"
 OPERATIONAL = "operational"
@@ -249,31 +251,22 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
 
 # -------------------------------------------------------------------- LRAT
 
-def _known_prefix(chain, clauses):
-    """Truncate a hint chain at its first unknown id; the guided walk then
-    reports the same stuck position an inline unknown-id check would."""
-    for j, hid in enumerate(chain):
-        if hid not in clauses:
-            return chain[:j]
-    return chain
-
-
 def check_lrat(f: Formula, steps) -> CheckReport:
     working = f.copy()
-    engine = Engine(working)
+    clauses = working.clauses
     rat_steps = 0
+    visited = 0
     last = working.next_id - 1
 
     def report(verified, i=None, reason=None, detail=None, checked=0):
         return CheckReport(verified, i, reason, detail, checked, rat_steps,
-                           engine.visited_total)
+                           visited)
 
     for i, (sid, step) in enumerate(steps):
         if step.kind == "delete":
             for did in step.ids:
-                if did not in working.clauses:
+                if did not in clauses:
                     return report(False, i, UNKNOWN_ID, detail=did, checked=i)
-                engine.detach(did)
                 working.remove_by_id(did)
             continue
         if step.kind != "add":
@@ -284,59 +277,46 @@ def check_lrat(f: Formula, steps) -> CheckReport:
         c = step.clause
         hints = step.hints or HintBlock()
         groups = hints.rat_groups
-        cp = engine.checkpoint()
-        try:
-            taut = False
-            for l in c.lits:
-                if not engine.assume(-l):
-                    taut = True
-                    break
-            if taut:
-                status, consumed = "conflict", 0
-            else:
-                chain = _known_prefix(hints.rup_chain, working.clauses)
-                status, consumed, _ = engine.consume_chain(chain)
-            if status == "conflict":
-                if groups:
-                    # hints continue past a finished propagation proof
-                    return report(False, i, BAD_HINT, detail=consumed, checked=i)
-            elif status == "stuck" or c.is_empty:
+        true = dict.fromkeys(-l for l in c.lits)
+        if c.is_tautology:
+            status, consumed = "conflict", 0
+        else:
+            status, consumed = walk(clauses, true, hints.rup_chain)
+            visited += consumed + (status != "open")
+        if status == "conflict":
+            if groups:
+                # hints continue past a finished propagation proof
                 return report(False, i, BAD_HINT, detail=consumed, checked=i)
-            elif not groups and working.occurrence(-c.lits[0]):
-                # a RAT step with no groups holds only when no live clause
-                # contains the negated pivot
-                return report(False, i, BAD_HINT, detail=consumed, checked=i)
-            else:
-                pivot = c.lits[0]
-                for cand, _ in groups:
-                    if cand not in working.clauses:
-                        return report(False, i, UNKNOWN_ID, detail=cand, checked=i)
-                if sorted(cand for cand, _ in groups) != working.occurrence(-pivot):
-                    return report(False, i, MISSING_RAT_CANDIDATE, checked=i)
-                for cand, gchain in groups:
-                    cp2 = engine.checkpoint()
-                    try:
-                        witness = False
-                        for l in working.clauses[cand].lits:
-                            if l == -pivot:
-                                continue
-                            if not engine.assume(-l):
-                                witness = True
-                                break
-                        if witness:
-                            continue
-                        st2, con2, _ = engine.consume_chain(
-                            _known_prefix(gchain, working.clauses))
-                        if st2 != "conflict":
-                            return report(False, i, BAD_HINT, detail=con2, checked=i)
-                    finally:
-                        engine.rollback(cp2)
-                rat_steps += 1
-        finally:
-            engine.rollback(cp)
+        elif status == "stuck" or c.is_empty:
+            return report(False, i, BAD_HINT, detail=consumed, checked=i)
+        elif not groups and working.occurrence(-c.lits[0]):
+            # a RAT step with no groups holds only when no live clause
+            # contains the negated pivot
+            return report(False, i, BAD_HINT, detail=consumed, checked=i)
+        else:
+            pivot = c.lits[0]
+            for cand, _ in groups:
+                if cand not in clauses:
+                    return report(False, i, UNKNOWN_ID, detail=cand, checked=i)
+            if sorted(cand for cand, _ in groups) != working.occurrence(-pivot):
+                return report(False, i, MISSING_RAT_CANDIDATE, checked=i)
+            lead = len(true)
+            for cand, gchain in groups:
+                for l in clauses[cand].lits:
+                    if l != -pivot:
+                        if l in true:
+                            break  # the resolvent is tautological or satisfied
+                        true.setdefault(-l)
+                else:
+                    st2, con2 = walk(clauses, true, gchain)
+                    visited += con2 + (st2 != "open")
+                    if st2 != "conflict":
+                        return report(False, i, BAD_HINT, detail=con2, checked=i)
+                while len(true) > lead:
+                    true.popitem()
+            rat_steps += 1
         last = sid
         working.add_clause(c, cid=sid)
-        engine.attach(sid)
         if c.is_empty:
             return report(True, checked=i + 1)
     return report(False, len(steps), NO_BOTTOM, checked=len(steps))
@@ -362,9 +342,12 @@ def check_er(f: Formula, steps) -> CheckReport:
         if sid <= last:
             return report(False, i, ID_ORDER, detail=sid, checked=i)
         if isinstance(step, Extend):
-            if step.fresh <= working.max_var:
-                return report(False, i, NOT_FRESH, detail=step.fresh, checked=i)
-            family = extension_clauses(step.fresh, step.p, step.ls)
+            x = step.fresh
+            if x <= working.max_var or x in map(abs, (step.p, *step.ls)):
+                # x defined through itself is no definition: x <-> (-x or 1)
+                # derives x
+                return report(False, i, NOT_FRESH, detail=x, checked=i)
+            family = extension_clauses(x, step.p, step.ls)
             for j, cl in enumerate(family):
                 working.add_clause(cl, cid=sid + j)
             last = sid + len(family) - 1

@@ -49,7 +49,7 @@ from dratkit.formats import (
     delete_step,
     extension_clauses,
 )
-from dratkit.propagate import Engine
+from dratkit.propagate import Engine, walk
 
 
 class ForwardRejected(Exception):
@@ -401,20 +401,6 @@ def _fold(er_clauses: dict, ids) -> tuple:
     return kept, acc
 
 
-def _leading_units(live: Formula, clause: Clause, leading) -> dict:
-    """Walk a RAT step's leading chain over its negated clause: each literal
-    the walk makes true, mapped to the index in leading of its reason."""
-    true = {-l for l in clause.lits}
-    at = {}
-    for k, tid in enumerate(leading):
-        for l in live.clauses[tid].lits:
-            if -l not in true:  # the one literal a reason leaves unfalsified
-                true.add(l)
-                at[l] = k
-                break
-    return at
-
-
 def to_er(f: Formula, cp: CheckedProof):
     """Extended-resolution document for the checked proof, over f's ids.
 
@@ -542,7 +528,7 @@ def to_er(f: Formula, cp: CheckedProof):
         live.add_clause(clause, cid=cid)
         leading = hints.rup_chain
         chains = dict(hints.rat_groups)
-        true_at = None  # _leading_units, walked once when a candidate needs it
+        true = None  # the leading chain walked over the negated clause, once
 
         for tid in with_pivot:
             cl = live.clauses[tid]
@@ -573,14 +559,15 @@ def to_er(f: Formula, cp: CheckedProof):
                     continue
                 # a literal of the candidate is true under the leading units:
                 # its reason and the units before it derive it
-                if true_at is None:
-                    true_at = _leading_units(live, clause, leading)
-                w = next((l for l in dprime if l in true_at), None)
+                if true is None:
+                    true = dict.fromkeys(-l for l in clause.lits)
+                    walk(live.clauses, true, leading)
+                w = next((l for l in dprime if true.get(l) is not None), None)
                 if w is None:
                     raise TranslationInvariantViolation(
                         "candidate %d has no chain, no complementary literal "
                         "and no literal the leading units make true" % tid)
-                prefix = leading[:true_at[w] + 1]
+                prefix = leading[:leading.index(true[w]) + 1]
             fold_ids = [er_old(a) for a in reversed(prefix)]
             fold_ids += [fam_ids[2 + j] for j in range(len(others))]
             fold_ids.append(er_old(tid))

@@ -1,4 +1,10 @@
-"""Watched-literal unit propagation, RUP and RAT checking.
+"""Watched-literal unit propagation, RUP and RAT checking, and the LRAT hint
+walk.
+
+The Engine serves the DRAT search: it finds the propagation chains that a
+DRAT proof leaves out.  An LRAT check needs none of it, since the document
+states every chain; walk replays those hints over a dict of true literals,
+beside the engine, for check_lrat, check_rup_guided and to_er.
 
 The Engine owns the propagation state for one Formula: a trail of assigned
 literals with reasons, two watched literals per clause of size two or more,
@@ -30,12 +36,12 @@ literal count: a sparse numbering), and n grows while fresh variables
 arrive in order, as an ER proof's definitions do; then each clause's tuple
 is shared with the formula.  Any other variable is renamed to the next free
 internal number when first seen.  Literals are translated on the way in
-(attach, assume, propagate's assumptions, lit_value) and
-out (toplevel, the module-level propagate); the trail and the watch records
-stay internal.  A new variable gets its slot before any access, capacity
-doubling.  Growth inserts the new slots between the positive and the
-negative half, in place, so lists bound to locals stay valid and every
-existing literal keeps its slot.
+(attach, propagate's assumptions, lit_value) and out (toplevel, the
+module-level propagate); the trail and the watch records stay internal.  A
+new variable gets its slot before any access, capacity doubling.  Growth
+inserts the new slots between the positive and the negative half, in place,
+so lists bound to locals stay valid and every existing literal keeps its
+slot.
 
 Watch order.  Which conflict propagation meets first decides the antecedent
 chains, the visit counts and so the LRAT and ER bytes.  Three things fix
@@ -238,17 +244,6 @@ class Engine:
         self.reason[l if l > 0 else -l] = why
         self.trail.append(l)
 
-    def assume(self, l: int) -> bool:
-        """Assign an assumption literal; False when it contradicts the trail."""
-        if l > self._dense or -l > self._dense:
-            l = self._lit(l)
-        v = self.val[l]
-        if v == -1:
-            return False
-        if v == 0:
-            self._assign(l, None)
-        return True
-
     def checkpoint(self):
         return (len(self.trail), len(self._moves), self.qhead)
 
@@ -422,61 +417,6 @@ class Engine:
         return RupOutcome(out.result == "conflict", out.antecedents,
                           out.visited_clauses)
 
-    def consume_chain(self, chain):
-        """Walk hint ids over the current trail without rolling back.
-
-        Each hinted clause must be unit (its literal is assigned with the
-        hint as reason) or falsified.  Returns (status, consumed, visited)
-        with status 'conflict' (a hint was falsified), 'stuck' (a hint was
-        satisfied or had two free literals), or 'open' (chain exhausted);
-        consumed counts the hints assigned as units.
-        """
-        wlits, trail, val, reason = self.wlits, self.trail, self.val, self.reason
-        visited = 0
-        consumed = 0
-        status = "open"
-        for hid in chain:
-            visited += 1
-            free = None
-            nfree = 0
-            satisfied = False
-            for l in wlits[hid][2]:
-                v = val[l]
-                if v == 1:
-                    satisfied = True
-                    break
-                if v == 0:
-                    nfree += 1
-                    free = l
-                    if nfree > 1:
-                        break
-            if satisfied or nfree > 1:
-                status = "stuck"
-                break
-            if nfree == 0:
-                status = "conflict"
-                break
-            val[free] = 1
-            val[-free] = -1
-            reason[free if free > 0 else -free] = hid
-            trail.append(free)
-            consumed += 1
-        self.visited_total += visited
-        return status, consumed, visited
-
-    def rup_guided(self, c: Clause, chain) -> GuidedOutcome:
-        cp = self.checkpoint()
-        try:
-            for l in c.lits:
-                if not self.assume(-l):
-                    return GuidedOutcome(True, None, 0)
-            status, consumed, visited = self.consume_chain(chain)
-            if status == "conflict":
-                return GuidedOutcome(True, None, visited)
-            return GuidedOutcome(False, consumed, visited)
-        finally:
-            self.rollback(cp)
-
     def rat(self, c: Clause, pivot: int) -> RatOutcome:
         """Check every resolvent of c on pivot, reusing one shared trail.
 
@@ -525,6 +465,40 @@ class Engine:
             self.rollback(cp)
 
 
+# ------------------------------------------------------------- hint walk
+
+def walk(clauses, true: dict, chain):
+    """Walk LRAT hint ids over a set of true literals, with no search.
+
+    clauses maps ids to Clauses; true maps each true literal to the hint
+    that made it true (None for an assumption) and is extended in place,
+    in walk order.  Each hinted clause must be unit (its one non-false
+    literal becomes true, mapped to the hint) or falsified.  Returns
+    (status, consumed): "conflict" (a hint was falsified), "stuck" (a hint
+    was satisfied or had two non-false literals), or "open" (the chain ran
+    out, or reached an id not in clauses); consumed counts the hints that
+    made a literal true.  Each hint looked at is one clause visit: consumed,
+    plus one unless the walk ends open.
+    """
+    consumed = 0
+    for hid in chain:
+        c = clauses.get(hid)
+        if c is None:
+            break
+        free = None
+        for l in c.lits:
+            if -l in true:
+                continue
+            if free is not None or l in true:
+                return "stuck", consumed
+            free = l
+        if free is None:
+            return "conflict", consumed
+        true[free] = hid
+        consumed += 1
+    return "open", consumed
+
+
 # ------------------------------------------------------- module-level surface
 
 def propagate(f: Formula, assumptions=()):
@@ -541,7 +515,12 @@ def check_rup(f: Formula, c) -> RupOutcome:
 
 def check_rup_guided(f: Formula, c, chain) -> GuidedOutcome:
     c = c if isinstance(c, Clause) else Clause(c)
-    return Engine(f).rup_guided(c, chain)
+    if c.is_tautology:
+        return GuidedOutcome(True, None, 0)
+    status, consumed = walk(f.clauses, dict.fromkeys(-l for l in c.lits), chain)
+    if status == "conflict":
+        return GuidedOutcome(True, None, consumed + 1)
+    return GuidedOutcome(False, consumed, consumed + (status == "stuck"))
 
 
 def check_rat(f: Formula, c, pivot: int) -> RatOutcome:

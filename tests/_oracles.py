@@ -448,7 +448,7 @@ def naive_check_er(cnf, text):
             return False
         if step[0] == "e":
             _, x, p, ls = step
-            if x <= maxvar:
+            if x <= maxvar or x in [abs(l) for l in [p] + ls]:
                 return False
             fam = extension_family(x, p, ls)
             for j, c in enumerate(fam):

@@ -46,6 +46,7 @@ from _oracles import (
     naive_check_lrat,
     naive_closure,
     naive_protected,
+    naive_satisfiable,
 )
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
@@ -544,6 +545,26 @@ def test_er_not_fresh():
     assert not report.verified
     assert report.reason == NOT_FRESH
     assert report.detail == 2
+
+
+# Definitions that mention their own variable: x <-> (-x or 1) gives the
+# unit x, and x <-> (1 or (-x and 2)) gives x once 2 holds; either one then
+# refutes a satisfiable formula.
+SELF_DEFINED = (
+    ([[-1]], "2 e 2 -2 1 0\n5 1 0 4 2 0\n6 0 5 1 0\n"),
+    ([[-1], [2]], "3 e 3 1 -3 2 0\n7 3 0 4 2 0\n8 1 0 5 7 0\n9 0 8 1 0\n"),
+)
+
+
+@pytest.mark.parametrize("cnf, doc", SELF_DEFINED, ids=("in_p", "in_ls"))
+def test_er_extension_mentioning_its_own_variable_not_fresh(cnf, doc):
+    assert naive_satisfiable(cnf) is not None
+    steps = parse_er(doc.encode())
+    report = check_er(formula_from_clauses(cnf), steps)
+    assert not report.verified
+    assert (report.step_index, report.reason) == (0, NOT_FRESH)
+    assert report.detail == steps[0][1].fresh
+    assert not naive_check_er(cnf, doc)
 
 
 def test_er_freshness_tracks_added_extensions():

@@ -196,6 +196,21 @@ def test_to_er_output_reverifies(tmp_path, capsys):
     assert out.splitlines()[-1] == "s VERIFIED"
 
 
+def test_check_er_rejects_an_extension_mentioning_its_own_variable(tmp_path, capsys):
+    # the satisfiable {-1}, refuted through x <-> (-x or 1)
+    cnf = _cnf_file(tmp_path, [[-1]])
+    er = tmp_path / "p.er"
+    er.write_bytes(b"2 e 2 -2 1 0\n5 1 0 4 2 0\n6 0 5 1 0\n")
+    rc, out, _ = _run(capsys, ["check", "er", cnf, str(er)])
+    assert (rc, out) == (1, "s NOT VERIFIED\n")
+    # {-1}, {2}, refuted through x <-> (1 or (-x and 2))
+    cnf = _cnf_file(tmp_path, [[-1], [2]])
+    er.write_bytes(b"3 e 3 1 -3 2 0\n7 3 0 4 2 0\n8 1 0 5 7 0\n9 0 8 1 0\n")
+    rc, out, _ = _run(capsys, ["check", "er", cnf, str(er), "--counters"])
+    assert rc == 1
+    assert out.splitlines()[-2:] == ["c reject_step 0", "s NOT VERIFIED"]
+
+
 def test_solve_reports_status_and_writes_proof(tmp_path, capsys):
     sat_cnf = _cnf_file(tmp_path, [[1, 2]], name="sat.cnf")
     rc, out, _ = _run(capsys, ["solve", sat_cnf])

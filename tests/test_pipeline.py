@@ -671,6 +671,91 @@ def test_rat_rich_proofs_give_documents_the_oracles_accept():
     assert min(cases.values()) >= 10
 
 
+def _lrat_mutant(rng, kind, nclauses, steps):
+    """steps (trim's LRAT) with one mutation of the given kind at a random
+    addition it applies to, or None when none does.  Inserted and padded
+    hints are ids live at that step, so the naive checker can read them."""
+    adds = [i for i, (_, s) in enumerate(steps) if s.kind == "add"]
+    rng.shuffle(adds)
+    for i in adds:
+        sid, step = steps[i]
+        lits = list(step.clause.lits)
+        rup = list(step.hints.rup_chain)
+        groups = list(step.hints.rat_groups)
+        live = set(range(1, nclauses + 1))
+        for lid, s in steps[:i]:
+            if s.kind == "add":
+                live.add(lid)
+            else:
+                live.difference_update(s.ids)
+        live = sorted(live)
+        if kind == "drop_hint" and rup:
+            del rup[rng.randrange(len(rup))]
+        elif kind == "insert_hint":
+            rup.insert(rng.randint(0, len(rup)), rng.choice(live))
+        elif kind == "swap_hints" and len(set(rup)) > 1:
+            a, b = rng.sample(range(len(rup)), 2)
+            while rup[a] == rup[b]:
+                a, b = rng.sample(range(len(rup)), 2)
+            rup[a], rup[b] = rup[b], rup[a]
+        elif kind == "drop_group" and groups:
+            del groups[rng.randrange(len(groups))]
+        elif kind == "shorten_chain" and any(ch for _, ch in groups):
+            g = rng.choice([g for g, (_, ch) in enumerate(groups) if ch])
+            cand, ch = groups[g]
+            groups[g] = (cand, ch[:rng.randrange(len(ch))])
+        elif kind == "pad_chain" and any(not ch for _, ch in groups):
+            g = rng.choice([g for g, (_, ch) in enumerate(groups) if not ch])
+            groups[g] = (groups[g][0], (rng.choice(live),))
+        elif kind == "flip_literal" and lits:
+            j = rng.randrange(len(lits))
+            lits[j] = -lits[j]
+        else:
+            continue
+        mutant = list(steps)
+        mutant[i] = (sid, add_step(lits, HintBlock(tuple(rup), tuple(groups))))
+        return mutant
+    return None
+
+
+def test_lrat_mutants_get_the_oracles_verdict():
+    # trim's LRAT for the RAT-rich proofs above, mutated at its hints and
+    # literals: check_lrat must give naive_check_lrat's verdict either way
+    kinds = ("drop_hint", "insert_hint", "swap_hints", "drop_group",
+             "shorten_chain", "pad_chain", "flip_literal")
+    rng = random.Random(47)
+    mrng = random.Random(48)
+    proofs = 0
+    tried = dict.fromkeys(kinds, 0)
+    rejected = dict.fromkeys(kinds, 0)
+    while proofs < 100:
+        made = _rat_rich_refutation(rng)
+        if made is None:
+            continue
+        proofs += 1
+        cnf, proof = made
+        f = formula_from_clauses(cnf)
+        for flavor in (SPECIFIED, OPERATIONAL):
+            try:
+                cp = backward_check(f, proof, CheckMode(flavor))
+            except ForwardRejected:
+                continue
+            lrat, _, _ = emit_trim(cp)
+            for kind in kinds * 3:
+                mutant = _lrat_mutant(mrng, kind, len(cnf), lrat)
+                if mutant is None:
+                    continue
+                verified = check_lrat(f, mutant).verified
+                assert verified == naive_check_lrat(cnf, write_lrat(mutant).decode())
+                tried[kind] += 1
+                rejected[kind] += not verified
+    assert min(tried.values()) >= 20
+    # an empty chain belongs to a candidate the clause's negation already
+    # satisfies, and its hints are never read: padding it changes nothing
+    assert rejected.pop("pad_chain") == 0
+    assert min(rejected.values()) >= 1
+
+
 def test_padding_is_trimmed_away():
     rng = random.Random(45)
     for f, proof in _unsat_corpus(rng, 10, maxv_hi=6):
@@ -828,3 +913,58 @@ def _golden_digests(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_golden_digests(name, tmp_path):
     assert _golden_digests(name, tmp_path) == GOLDEN[name]
+
+
+def _cook_proof(n):
+    """Cook's extended-resolution refutation of gen_php(n) as DRAT steps
+    ('a' | 'd', literals): level m defines q[i][j] <-> p[i][j] or (p[i][m]
+    and p[m+1][j]) by four RAT clauses with the fresh variable first, derives
+    the clauses of PHP(m-1) over the q's, then deletes level m."""
+    cur = [None] + [[None] + [(i - 1) * n + j for j in range(1, n + 1)]
+                    for i in range(1, n + 2)]
+    level = [list(c.lits) for _, c in gen_php(n).items()]
+    fresh = n * (n + 1)
+    steps = []
+    for m in range(n, 1, -1):
+        nxt = [None]
+        scratch = []
+        for i in range(1, m + 1):
+            nxt.append([None])
+            for j in range(1, m):
+                fresh += 1
+                x, p, a, b = fresh, cur[i][j], cur[i][m], cur[m + 1][j]
+                scratch += [[x, -p], [x, -a, -b], [-x, p, a], [-x, p, b]]
+                steps += [("a", c) for c in scratch[-4:]]
+                nxt[i].append(x)
+        new_level = [nxt[i][1:] for i in range(1, m + 1)]
+        steps += [("a", c) for c in new_level]
+        for j in range(1, m):
+            for i in range(1, m + 1):
+                for k in range(i + 1, m + 1):
+                    scratch.append([-nxt[i][j], -nxt[k][j], cur[i][j]])
+                    new_level.append([-nxt[i][j], -nxt[k][j]])
+                    steps += [("a", scratch[-1]), ("a", new_level[-1])]
+        if m > 2:
+            steps += [("d", c) for c in level + scratch]
+        level, cur = new_level, nxt
+    return steps + [("a", [])]
+
+
+def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
+    # Cook's PHP(3) proof with shuffled literals, checked with
+    # pivot_policy="any": some core RAT candidates hold two literals the
+    # leading units make true, and the fold starts at the reason of the
+    # first of them (in the candidate's order); starting at another one
+    # gives a valid but different document
+    f = gen_php(3)
+    rng = random.Random(0)
+    proof = []
+    for kind, lits in _cook_proof(3):
+        rng.shuffle(lits)
+        proof.append(add_step(lits) if kind == "a" else delete_step(lits))
+    cp = backward_check(f, proof, CheckMode(pivot_policy="any"))
+    er = write_er(to_er(f, cp))
+    cnf = [list(c.lits) for _, c in f.items()]
+    assert naive_check_er(cnf, er.decode())
+    assert hashlib.sha256(er).hexdigest() == (
+        "8837201b5b1c909a68985b9685f0375266c447e508b22fa5adf42cba3d26e744")

@@ -16,6 +16,7 @@ from dratkit.propagate import (
     check_rup,
     check_rup_guided,
     propagate,
+    walk,
 )
 
 from _oracles import (
@@ -201,10 +202,13 @@ def test_guided_satisfied_hint_is_bad():
     assert out.bad_position == 0
 
 
-def test_guided_unknown_hint_is_a_contract_violation():
+def test_guided_unknown_hint_is_rejected():
+    # an id the formula does not hold ends the walk, as in check_lrat
     f = formula_from_clauses([[1]])
-    with pytest.raises(KeyError):
-        check_rup_guided(f, [1], [7])
+    out = check_rup_guided(f, [1], [7])
+    assert not out.rup
+    assert out.bad_position == 0
+    assert out.visited_clauses == 0
 
 
 def test_guided_accepts_every_reported_chain():
@@ -417,8 +421,7 @@ def test_checks_restore_trail_and_watches():
             if op == 0:
                 e.rup(c)
             elif op == 1:
-                chain = [rng.randint(1, len(clauses)) for _ in range(rng.randint(0, 4))]
-                e.rup_guided(c, chain)
+                e.toplevel()
             else:
                 e.rat(c, c.lits[0])
             assert _snapshot(e) == before
@@ -508,10 +511,10 @@ def test_fresh_variables_never_alias_existing_slots():
     e = Engine(formula_from_clauses([[1, 2], [-1, 3]]))
     top = e.cap
     cp = e.checkpoint()
-    assert e.assume(top)
+    assert e.propagate(assumptions=[top]).result == "fixpoint"
     # -(top+1) would index the slot of top if it were not given its own
     assert e.lit_value(-(top + 1)) == 0 and e.lit_value(top + 1) == 0
-    assert e.assume(-(top + 1))
+    assert e.propagate(assumptions=[-(top + 1)]).result == "fixpoint"
     assert e.cap >= top + 1
     assert (e.lit_value(top), e.lit_value(-top)) == (1, -1)
     assert (e.lit_value(top + 1), e.lit_value(-(top + 1))) == (-1, 1)
@@ -537,7 +540,7 @@ def test_variables_numbered_in_order_keep_their_number():
 
 def test_slots_follow_the_variables_seen_not_their_numbers():
     # an over-declared header costs nothing, and a sparse numbering costs one
-    # slot per variable: lemmas, LRAT-style assumptions and attached clauses
+    # slot per variable: lemmas, assumptions and attached clauses
     # on huge variables all work in a few slots.  (big stays modest, so an
     # engine that sizes itself by the numbers fails here in bounded memory.)
     big = 10 ** 6
@@ -551,7 +554,8 @@ def test_slots_follow_the_variables_seen_not_their_numbers():
     assert e.cap <= 4 and e.lit_value(big) == 0
     assert e.rup(Clause([1])).rup and not e.rup(Clause([big + 7])).rup
     cp = e.checkpoint()
-    assert e.assume(-(big + 7)) and e.lit_value(big + 7) == -1
+    assert e.propagate(assumptions=[-(big + 7)]).result == "fixpoint"
+    assert e.lit_value(big + 7) == -1
     e.rollback(cp)
     cid = f.add_clause([-(big + 7), 2 * big])
     e.attach(cid)
@@ -581,11 +585,12 @@ def test_slots_follow_the_variables_seen_not_their_numbers():
 # Differential tests against the naive oracles over small generated formulas
 # that change between checks.  Each example is a formula and a script of
 # operations on one Engine: attach a clause (often on variables above the
-# formula's max_var), detach one, or run rup, rup_guided, rat, toplevel or
-# an LRAT-style addition (assume the negated clause, walk hints, roll back).
-# Every check must agree with its oracle, report exactly what an engine built
-# afresh over the same formula reports, and leave the engine's state as it
-# found it; after every change the engine must match one built afresh.
+# formula's max_var), detach one, or run rup, rat or toplevel on the engine,
+# or replay hints over the same formula without it: check_rup_guided, or an
+# LRAT-style addition (walk the hints over the negated clause).  Every check
+# must agree with its oracle, report exactly what an engine built afresh over
+# the same formula reports, and leave the engine's state as it found it;
+# after every change the engine must match one built afresh.
 
 BASE_VARS = 5      # variables of the starting formula
 FRESH_VARS = 3     # variables above it that lemmas and attachments may use
@@ -627,22 +632,28 @@ def _check(e, f, op):
         chain = [ids[k % len(ids)] for k in op[2]] if ids else []
         verdict, n = naive_guided(current, list(c.lits), chain)
         if kind == "guided":
-            out = e.rup_guided(c, chain)
+            out = check_rup_guided(f, c, chain)
             assert out.rup == (verdict == "rup")
-            if not out.rup:
+            if out.rup:
+                assert out.visited_clauses == n
+            else:
                 assert out.bad_position == n
         else:
             # the way check_lrat takes an addition
-            cp = e.checkpoint()
-            if all(e.assume(-l) for l in c.lits):
-                out = e.consume_chain(chain)
+            true = dict.fromkeys(-l for l in c.lits)
+            if c.is_tautology:
+                out = None
+                assert verdict == "rup"
+            else:
+                out = walk(f.clauses, true, chain)
                 assert (out[0] == "conflict") == (verdict == "rup")
                 if verdict != "rup":
                     assert out[1] == n
-            else:
-                out = None
-                assert verdict == "rup"
-            e.rollback(cp)
+                # each literal the walk made true comes from its hint, in
+                # chain order
+                made = list(true.items())[len(c.lits):]
+                assert [h for _, h in made] == chain[:out[1]]
+                assert all(l in current[h] for l, h in made)
     elif kind == "rat":
         c = Clause(op[1])
         out = e.rat(c, c.lits[0])
