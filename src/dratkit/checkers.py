@@ -16,16 +16,23 @@ flavors genuinely diverge on proofs that delete such clauses.
 check_lrat replays an id-addressed document with hints and does no search:
 it builds no propagation engine, and propagate.walk replays each stated
 chain over a dict of true literals, seeded with the negated clause (a RAT
-candidate extends it and takes its own literals back off).  RAT steps must
-list chains for exactly the live clauses containing the negated pivot (none
-at all when no live clause contains it).
+candidate extends it and takes its own literals back off).  A hint the walk
+reaches that is not a live id rejects the step as unknown_id.  RAT steps
+must list chains for exactly the live clauses containing the negated pivot
+(none at all when no live clause contains it).
 
 check_er verifies extension steps (a fresh definition variable, not
 mentioned by its own definition, with its clause family) and resolution
 chains folded left with a unique clashing variable per fold, accepting a
-chain when the folded clause subsumes the claimed one.
+chain when the folded clause subsumes the claimed one.  It keeps a plain
+id -> Clause dict and the highest variable seen (the header's declared
+count included).  The fold, _fold_chain, is shared with pipeline.to_er and
+works from each antecedent's side: a fold step reads the clash set off the
+antecedent, drops the pivot's two literals from the accumulator and tests
+only the literals it adds for a complementary pair, so a chain costs the
+total width of its antecedents, not its length times the accumulator's.
 
-All checkers work on a copy of the input formula and report a CheckReport;
+All checkers work on a copy of the input clauses and report a CheckReport;
 they raise only on contract violations (malformed step kinds), never on
 invalid proofs.
 """
@@ -283,6 +290,10 @@ def check_lrat(f: Formula, steps) -> CheckReport:
         else:
             status, consumed = walk(clauses, true, hints.rup_chain)
             visited += consumed + (status != "open")
+            if status == "open" and consumed < len(hints.rup_chain):
+                # the walk reached a hint that is not a live id
+                return report(False, i, UNKNOWN_ID,
+                              detail=hints.rup_chain[consumed], checked=i)
         if status == "conflict":
             if groups:
                 # hints continue past a finished propagation proof
@@ -310,6 +321,9 @@ def check_lrat(f: Formula, steps) -> CheckReport:
                 else:
                     st2, con2 = walk(clauses, true, gchain)
                     visited += con2 + (st2 != "open")
+                    if st2 == "open" and con2 < len(gchain):
+                        return report(False, i, UNKNOWN_ID,
+                                      detail=gchain[con2], checked=i)
                     if st2 != "conflict":
                         return report(False, i, BAD_HINT, detail=con2, checked=i)
                 while len(true) > lead:
@@ -324,10 +338,55 @@ def check_lrat(f: Formula, steps) -> CheckReport:
 
 # ---------------------------------------------------------------------- ER
 
+def _fold_chain(clauses: dict, ids, dropped: list | None = None):
+    """Left fold of the resolution chain ids (non-empty) over clauses.
+
+    Each step resolves the accumulator with the next antecedent on their one
+    clashing variable v, working from the antecedent's side: the clash set
+    is read off the antecedent's literals, v and -v leave the accumulator,
+    and only the literals just added can form a complementary pair with it
+    (a pair across the two would be a second clash), so a step costs the
+    antecedent's width, not the accumulator's.  The accumulator is rescanned
+    only while it is already tautological, which only a tautological first
+    antecedent makes it.
+
+    Returns (acc, pos, clash): acc is the folded literal set (partly
+    updated when a step fails); pos is None when every step folds, else the
+    position of the failing step, and clash its clashing variables (one
+    variable when the step left the accumulator tautological).  A step that
+    clashes on no variable fails, unless dropped is a list: then the step
+    is left out and its position appended.
+    """
+    acc = set(clauses[ids[0]].lits)
+    taut = any(-l in acc for l in acc)
+    for pos in range(1, len(ids)):
+        nxt = clauses[ids[pos]].lits
+        clash = {abs(l) for l in nxt if -l in acc}
+        if len(clash) != 1:
+            if clash or dropped is None:
+                return acc, pos, clash
+            dropped.append(pos)
+            continue
+        v = clash.pop()
+        acc.discard(v)
+        acc.discard(-v)
+        for l in nxt:
+            if l != v and l != -v:
+                if -l in acc:
+                    return acc, pos, {v}
+                acc.add(l)
+        if taut:
+            if any(-l in acc for l in acc):
+                return acc, pos, {v}
+            taut = False
+    return acc, None, None
+
+
 def check_er(f: Formula, steps) -> CheckReport:
-    working = f.copy()
+    clauses = dict(f.clauses)
+    max_var = f.max_var  # variables the header declares count too
     visited = 0
-    last = working.next_id - 1
+    last = f.next_id - 1
 
     def report(verified, i=None, reason=None, detail=None, checked=0):
         return CheckReport(verified, i, reason, detail, checked, 0, visited)
@@ -335,47 +394,43 @@ def check_er(f: Formula, steps) -> CheckReport:
     for i, (sid, step) in enumerate(steps):
         if isinstance(step, Delete):
             for did in step.ids:
-                if did not in working.clauses:
+                if clauses.pop(did, None) is None:
                     return report(False, i, UNKNOWN_ID, detail=did, checked=i)
-                working.remove_by_id(did)
             continue
         if sid <= last:
             return report(False, i, ID_ORDER, detail=sid, checked=i)
         if isinstance(step, Extend):
             x = step.fresh
-            if x <= working.max_var or x in map(abs, (step.p, *step.ls)):
+            defining = [abs(l) for l in (step.p, *step.ls)]
+            if x <= max_var or x in defining:
                 # x defined through itself is no definition: x <-> (-x or 1)
                 # derives x
                 return report(False, i, NOT_FRESH, detail=x, checked=i)
             family = extension_clauses(x, step.p, step.ls)
             for j, cl in enumerate(family):
-                working.add_clause(cl, cid=sid + j)
+                clauses[sid + j] = cl
+            max_var = max(x, *defining)
             last = sid + len(family) - 1
             continue
         if not isinstance(step, Chain):
             raise ValueError("step %d: %r is not an ER step" % (i, step))
-        for a in step.antecedents:
-            if a not in working.clauses:
+        ants = step.antecedents
+        for a in ants:
+            if a not in clauses:
                 return report(False, i, UNKNOWN_ID, detail=a, checked=i)
-        if not step.antecedents:
+        if not ants:
             # the fold has no starting clause, so no position can clash
             return report(False, i, NO_PIVOT, detail=0, checked=i)
-        visited += len(step.antecedents)
-        acc = set(working.clauses[step.antecedents[0]].lits)
-        for pos in range(1, len(step.antecedents)):
-            nxt = working.clauses[step.antecedents[pos]].litset
-            clash = {abs(l) for l in acc if -l in nxt}
-            if len(clash) != 1:
-                return report(False, i, NO_PIVOT, detail=pos, checked=i)
-            v = clash.pop()
-            acc = {l for l in acc if abs(l) != v}
-            acc.update(l for l in nxt if abs(l) != v)
-            if any(-l in acc for l in acc):
-                return report(False, i, NO_PIVOT, detail=pos, checked=i)
-        if not acc <= step.claimed.litset:
+        visited += len(ants)
+        acc, pos, _ = _fold_chain(clauses, ants)
+        if pos is not None:
+            return report(False, i, NO_PIVOT, detail=pos, checked=i)
+        claimed = step.claimed
+        if not acc <= claimed.litset:
             return report(False, i, NOT_SUBSUMED, checked=i)
         last = sid
-        working.add_clause(step.claimed, cid=sid)
-        if step.claimed.is_empty:
+        clauses[sid] = claimed
+        if not claimed.lits:
             return report(True, checked=i + 1)
+        max_var = max(max_var, *map(abs, claimed.lits))
     return report(False, len(steps), NO_BOTTOM, checked=len(steps))

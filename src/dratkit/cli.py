@@ -3,8 +3,10 @@
 Subcommands: check (drat/lrat/er), trim, to-er, solve, gen (php/random).
 Result lines follow the solver convention ("s VERIFIED", "s SATISFIABLE",
 ...); optional counters print as "c <name> <integer>" lines and are
-byte-identical across runs on identical inputs.  Exit codes: 0 success or
-verified, 1 rejected, 2 usage or parse error.
+byte-identical across runs on identical inputs.  A rejection also names
+its step, reason and detail on stderr ("error: step 12 rejected: no_pivot
+(3)").  Exit codes: 0 success or verified, 1 rejected, 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -88,7 +90,12 @@ def _report_lines(report, counters: bool):
 def _finish_check(report, counters: bool) -> int:
     for line in _report_lines(report, counters):
         print(line)
-    return 0 if report.verified else 1
+    if report.verified:
+        return 0
+    # named as trim and to-er name a rejected input proof
+    rejected = ForwardRejected(report.step_index, report.reason, report.detail)
+    print("error: %s" % rejected, file=sys.stderr)
+    return 1
 
 
 def _cmd_check_drat(args) -> int:

@@ -16,7 +16,9 @@ DRAT search runs.  emit_lrat writes those hint blocks as they are, with a
 leading deletion line for the non-core originals and ids continuing from
 the original clause count.  to_er translates the same steps into an
 extended-resolution document: RUP additions become resolution chains (fold
-order is the reverse of the hint order), and each RAT addition becomes a
+order is the reverse of the hint order; checkers._fold_chain folds each one
+once, at the cost of its antecedents' width, and an antecedent that does
+not clash is left out of the emitted chain), and each RAT addition becomes a
 fresh definition variable with its clause family, derived images of the
 live clauses mentioning the pivot, and a variable substitution applied to
 everything after it; the images' chains come from the LRAT hints alone.
@@ -35,6 +37,7 @@ from dratkit.checkers import (
     NO_BOTTOM,
     CheckMode,
     _drat_forward,
+    _fold_chain,
     check_er,
     check_lrat,
 )
@@ -375,30 +378,19 @@ def _fold(er_clauses: dict, ids) -> tuple:
     variable against the accumulator are skipped and omitted from kept_ids,
     so the returned chain replays exactly under the strict fold rule.
     """
-    kept = []
-    acc = None
-    for eid in ids:
-        lits = er_clauses[eid].litset
-        if acc is None:
-            acc = set(lits)
-            kept.append(eid)
-            continue
-        clash = {abs(l) for l in acc if -l in lits}
-        if not clash:
-            continue
+    if not ids:
+        raise TranslationInvariantViolation("empty resolution chain")
+    dropped = []
+    acc, pos, clash = _fold_chain(er_clauses, ids, dropped)
+    if pos is not None:
         if len(clash) > 1:
             raise TranslationInvariantViolation(
-                "chain antecedent %d clashes on %r" % (eid, sorted(clash)))
-        v = clash.pop()
-        acc = {l for l in acc if abs(l) != v}
-        acc.update(l for l in lits if abs(l) != v)
-        if any(-l in acc for l in acc):
-            raise TranslationInvariantViolation(
-                "chain fold through %d became tautological" % eid)
-        kept.append(eid)
-    if acc is None:
-        raise TranslationInvariantViolation("empty resolution chain")
-    return kept, acc
+                "chain antecedent %d clashes on %r" % (ids[pos], sorted(clash)))
+        raise TranslationInvariantViolation(
+            "chain fold through %d became tautological" % ids[pos])
+    if dropped:
+        ids = [eid for k, eid in enumerate(ids) if k not in dropped]
+    return ids, acc
 
 
 def to_er(f: Formula, cp: CheckedProof):

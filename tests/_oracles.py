@@ -429,6 +429,19 @@ def naive_fold(chain_clauses):
     return ("ok", acc)
 
 
+# Chains at the edges of the fold rule, folded in clause order, with
+# naive_fold's verdict on each.
+FOLD_EDGES = {
+    # a tautological first antecedent whose pair the first clash removes
+    "taut_first_resolved": ([[1, -1, 2], [1, 3]], ("ok", [2, 3])),
+    # a tautological first antecedent whose pair survives the first clash
+    "taut_first_survives": ([[1, -1, 2], [-2, 3]], ("nopivot", 1)),
+    "taut_in_middle": ([[1, 2], [-2, 4], [-1, 3, -3], [-4]], ("nopivot", 2)),
+    "no_clash": ([[1, 2], [-1], [5, 6], [-2]], ("nopivot", 2)),
+    "double_clash": ([[1, 2], [-1, -2, 3]], ("nopivot", 1)),
+}
+
+
 def naive_check_er(cnf, text):
     """True iff the ER document verifies the CNF."""
     clauses = {}

@@ -31,6 +31,7 @@ from dratkit.formats import (
     Chain,
     Delete,
     Extend,
+    HintBlock,
     add_step,
     delete_step,
     parse_er,
@@ -41,10 +42,12 @@ from dratkit.formats import (
 from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
 
 from _oracles import (
+    FOLD_EDGES,
     naive_check_drat,
     naive_check_er,
     naive_check_lrat,
     naive_closure,
+    naive_fold,
     naive_protected,
     naive_satisfiable,
 )
@@ -412,6 +415,22 @@ def test_lrat_unknown_candidate_rejected():
     assert report.detail == 3
 
 
+def test_lrat_unknown_hint_rejected():
+    # a deleted id in the unit chain of a step that would otherwise pass as
+    # a vacuous RAT step (no live clause holds -5)
+    doc = b"6 d 2 0\n7 5 -3 0 5 2 0\n"
+    report = check_lrat(formula_from_clauses(FULL2_IMP), parse_lrat(doc))
+    assert not report.verified
+    assert (report.step_index, report.reason, report.detail) == (1, UNKNOWN_ID, 2)
+    assert not naive_check_lrat(FULL2_IMP, doc.decode())
+    # an id above the last one, in a RAT candidate's chain
+    cnf = [[-1, 2], [2, 3], [2, -3]]
+    bad = [(4, add_step([1], HintBlock((), ((1, (2, 9)),))))]
+    report = check_lrat(formula_from_clauses(cnf), bad)
+    assert (report.step_index, report.reason, report.detail) == (0, UNKNOWN_ID, 9)
+    assert not naive_check_lrat(cnf, write_lrat(bad).decode())
+
+
 def test_lrat_group_chain_must_close():
     f = [[-1, 2], [2, 3], [2, -3]]
     good = b"4 1 0 -1 2 3 0\n"
@@ -660,6 +679,24 @@ def test_er_random_chain_agreement():
             report.reason == NO_BOTTOM and report.steps_checked == 1)
         want = verdict == "ok" and set(acc) <= set(claim)
         assert accepted == want
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_EDGES))
+def test_er_fold_edge_cases_match_naive_fold(name):
+    # a chain over the clauses in order: check_er rejects it at naive_fold's
+    # position, or verifies the clause naive_fold derives
+    clauses, want = FOLD_EDGES[name]
+    assert naive_fold(clauses) == want
+    verdict, got = want
+    f = formula_from_clauses(clauses)
+    sid = len(clauses) + 1
+    claim = got if verdict == "ok" else []
+    doc = [(sid, Chain(Clause(claim), tuple(range(1, sid))))]
+    report = check_er(f, doc)
+    if verdict == "ok":
+        assert (report.reason, report.steps_checked) == (NO_BOTTOM, 1)
+    else:
+        assert (report.step_index, report.reason, report.detail) == (0, NO_PIVOT, got)
 
 
 def test_checkers_are_side_effect_free():

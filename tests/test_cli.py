@@ -211,6 +211,33 @@ def test_check_er_rejects_an_extension_mentioning_its_own_variable(tmp_path, cap
     assert out.splitlines()[-2:] == ["c reject_step 0", "s NOT VERIFIED"]
 
 
+# one rejected document per format, with the line that names its rejection
+REJECTED = {
+    "drat": ([[1, 2], [-1, -2]], b"1 0\n",
+             "error: step 0 rejected: not_rat (2)\n"),
+    "lrat": (FULL2 + [[-3, 4]], b"6 d 2 0\n7 5 -3 0 5 2 0\n",
+             "error: step 1 rejected: unknown_id (2)\n"),
+    "er": ([[1, 2], [3, 4], [-1, -2]], b"4 0 1 3 0\n",
+           "error: step 0 rejected: no_pivot (1)\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REJECTED))
+def test_check_names_the_rejection_on_stderr(fmt, tmp_path, capsys):
+    clauses, doc, line = REJECTED[fmt]
+    cnf = _cnf_file(tmp_path, clauses)
+    proof = tmp_path / ("p." + fmt)
+    proof.write_bytes(doc)
+    rc, out, err = _run(capsys, ["check", fmt, cnf, str(proof)])
+    assert (rc, out, err) == (1, "s NOT VERIFIED\n", line)
+    # the counter lines stay on stdout, as before, and the error stays off it
+    rc, out, err = _run(capsys, ["check", fmt, cnf, str(proof), "--counters"])
+    assert (rc, err) == (1, line)
+    step = int(line.split()[2])
+    assert out.splitlines()[-2:] == ["c reject_step %d" % step, "s NOT VERIFIED"]
+    assert all(l.startswith("c ") for l in out.splitlines()[:-1])
+
+
 def test_solve_reports_status_and_writes_proof(tmp_path, capsys):
     sat_cnf = _cnf_file(tmp_path, [[1, 2]], name="sat.cnf")
     rc, out, _ = _run(capsys, ["solve", sat_cnf])

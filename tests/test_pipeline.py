@@ -23,6 +23,7 @@ from dratkit.checkers import (
     NOT_RAT,
     OPERATIONAL,
     SPECIFIED,
+    UNKNOWN_ID,
     CheckMode,
     CheckReport,
     check_drat,
@@ -38,6 +39,7 @@ from dratkit.formats import (
     add_step,
     delete_ids_step,
     delete_step,
+    extension_clauses,
     parse_drat_text,
     parse_er,
     parse_lrat,
@@ -59,9 +61,11 @@ from dratkit.propagate import Engine
 from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
 
 from _oracles import (
+    FOLD_EDGES,
     naive_check_drat,
     naive_check_er,
     naive_check_lrat,
+    naive_fold,
     naive_rat,
     naive_rat_groups,
     naive_rup,
@@ -674,7 +678,8 @@ def test_rat_rich_proofs_give_documents_the_oracles_accept():
 def _lrat_mutant(rng, kind, nclauses, steps):
     """steps (trim's LRAT) with one mutation of the given kind at a random
     addition it applies to, or None when none does.  Inserted and padded
-    hints are ids live at that step, so the naive checker can read them."""
+    hints are ids live at that step, except for insert_unknown_hint, which
+    inserts a deleted id or the step's own (one above the last id)."""
     adds = [i for i, (_, s) in enumerate(steps) if s.kind == "add"]
     rng.shuffle(adds)
     for i in adds:
@@ -693,6 +698,10 @@ def _lrat_mutant(rng, kind, nclauses, steps):
             del rup[rng.randrange(len(rup))]
         elif kind == "insert_hint":
             rup.insert(rng.randint(0, len(rup)), rng.choice(live))
+        elif kind == "insert_unknown_hint":
+            gone = sorted(set(range(1, sid)) - set(live))
+            unknown = rng.choice(gone) if gone and rng.random() < 0.5 else sid
+            rup.insert(rng.randint(0, len(rup)), unknown)
         elif kind == "swap_hints" and len(set(rup)) > 1:
             a, b = rng.sample(range(len(rup)), 2)
             while rup[a] == rup[b]:
@@ -722,7 +731,8 @@ def test_lrat_mutants_get_the_oracles_verdict():
     # trim's LRAT for the RAT-rich proofs above, mutated at its hints and
     # literals: check_lrat must give naive_check_lrat's verdict either way
     kinds = ("drop_hint", "insert_hint", "swap_hints", "drop_group",
-             "shorten_chain", "pad_chain", "flip_literal")
+             "shorten_chain", "pad_chain", "flip_literal",
+             "insert_unknown_hint")
     rng = random.Random(47)
     mrng = random.Random(48)
     proofs = 0
@@ -745,8 +755,11 @@ def test_lrat_mutants_get_the_oracles_verdict():
                 mutant = _lrat_mutant(mrng, kind, len(cnf), lrat)
                 if mutant is None:
                     continue
-                verified = check_lrat(f, mutant).verified
+                report = check_lrat(f, mutant)
+                verified = report.verified
                 assert verified == naive_check_lrat(cnf, write_lrat(mutant).decode())
+                if kind == "insert_unknown_hint" and not verified:
+                    assert report.reason == UNKNOWN_ID
                 tried[kind] += 1
                 rejected[kind] += not verified
     assert min(tried.values()) >= 20
@@ -754,6 +767,209 @@ def test_lrat_mutants_get_the_oracles_verdict():
     # satisfies, and its hints are never read: padding it changes nothing
     assert rejected.pop("pad_chain") == 0
     assert min(rejected.values()) >= 1
+
+
+def _er_contents(cnf, doc, upto):
+    """The live clauses (id -> literal list) before doc[upto]."""
+    live = {i: list(c) for i, c in enumerate(cnf, start=1)}
+    for sid, s in doc[:upto]:
+        if isinstance(s, Delete):
+            for did in s.ids:
+                del live[did]
+        elif isinstance(s, Extend):
+            for j, c in enumerate(extension_clauses(s.fresh, s.p, s.ls)):
+                live[sid + j] = list(c.lits)
+        else:
+            live[sid] = list(s.claimed.lits)
+    return live
+
+
+def _renamed(step, x, y):
+    """step with variable x renamed to y."""
+    def r(l):
+        return (y if l > 0 else -y) if abs(l) == x else l
+    if isinstance(step, Extend):
+        return Extend(r(step.fresh), r(step.p), tuple(map(r, step.ls)))
+    if isinstance(step, Chain):
+        return Chain(Clause(map(r, step.claimed.lits)), step.antecedents)
+    return step
+
+
+def _shifted(doc, at):
+    """doc with every id from at on one higher, so that id at is free."""
+    def up(i):
+        return i + 1 if i >= at else i
+    out = []
+    for sid, s in doc:
+        if isinstance(s, Chain):
+            s = Chain(s.claimed, tuple(map(up, s.antecedents)))
+        elif isinstance(s, Delete):
+            s = Delete(tuple(map(up, s.ids)))
+        out.append((up(sid), s))
+    return out
+
+
+ER_KINDS = ("drop_antecedent", "duplicate_antecedent", "swap_antecedents",
+            "insert_unclashing", "insert_tautology", "flip_claimed",
+            "drop_claimed", "delete_cited", "reuse_variable")
+
+
+def _er_mutant(rng, kind, cnf, doc):
+    """doc (to-er's ER) with one mutation of the given kind at a random step
+    it applies to, or None when none does.  insert_unclashing inserts a live
+    clause with no literal complementary to the fold so far; insert_tautology
+    first derives a live clause weakened by a complementary pair, as a new
+    step that shifts the later ids; delete_cited deletes an antecedent right
+    before the step citing it; reuse_variable renames a definition's fresh
+    variable, from that step on, to an earlier one (or an input variable)."""
+    order = list(range(len(doc)))
+    rng.shuffle(order)
+    for i in order:
+        sid, step = doc[i]
+        if kind == "reuse_variable":
+            if not isinstance(step, Extend):
+                continue
+            earlier = [s.fresh for _, s in doc[:i] if isinstance(s, Extend)]
+            y = rng.choice(earlier or [abs(l) for c in cnf for l in c])
+            return doc[:i] + [(t, _renamed(s, step.fresh, y)) for t, s in doc[i:]]
+        if not isinstance(step, Chain):
+            continue
+        ants = list(step.antecedents)
+        lits = list(step.claimed.lits)
+        if kind == "drop_antecedent":
+            del ants[rng.randrange(len(ants))]
+        elif kind == "duplicate_antecedent":
+            k = rng.randrange(len(ants))
+            ants.insert(k + 1, ants[k])
+        elif kind == "swap_antecedents" and len(set(ants)) > 1:
+            a, b = rng.sample(range(len(ants)), 2)
+            while ants[a] == ants[b]:
+                a, b = rng.sample(range(len(ants)), 2)
+            ants[a], ants[b] = ants[b], ants[a]
+        elif kind == "insert_unclashing":
+            live = _er_contents(cnf, doc, i)
+            k = rng.randint(1, len(ants))
+            _, acc = naive_fold([live[a] for a in ants[:k]])
+            free = [c for c, cl in sorted(live.items())
+                    if not any(-l in acc for l in cl)]
+            if not free:
+                continue
+            ants.insert(k, rng.choice(free))
+        elif kind == "insert_tautology":
+            live = _er_contents(cnf, doc, i)
+            a = rng.choice(sorted(live))
+            v = rng.choice([abs(l) for c in cnf for l in c])
+            ants.insert(rng.randint(0, len(ants)), sid)
+            return (doc[:i] + [(sid, Chain(Clause(live[a] + [v, -v]), (a,))),
+                               (sid + 1, Chain(step.claimed, tuple(ants)))]
+                    + _shifted(doc[i + 1:], sid))
+        elif kind == "flip_claimed" and lits:
+            j = rng.randrange(len(lits))
+            lits[j] = -lits[j]
+        elif kind == "drop_claimed" and lits:
+            del lits[rng.randrange(len(lits))]
+        elif kind == "delete_cited":
+            return doc[:i] + [(sid, Delete((rng.choice(ants),)))] + doc[i:]
+        else:
+            continue
+        return doc[:i] + [(sid, Chain(Clause(lits), tuple(ants)))] + doc[i + 1:]
+    return None
+
+
+def test_er_mutants_get_the_oracles_verdict():
+    # to-er's ER for the RAT-rich proofs above, mutated at its chains,
+    # claims, deletions and definitions: check_er must give naive_check_er's
+    # verdict either way
+    rng = random.Random(47)
+    mrng = random.Random(49)
+    proofs = 0
+    tried = dict.fromkeys(ER_KINDS, 0)
+    rejected = dict.fromkeys(ER_KINDS, 0)
+    while proofs < 100:
+        made = _rat_rich_refutation(rng)
+        if made is None:
+            continue
+        proofs += 1
+        cnf, proof = made
+        f = formula_from_clauses(cnf)
+        for flavor in (SPECIFIED, OPERATIONAL):
+            try:
+                cp = backward_check(f, proof, CheckMode(flavor))
+            except ForwardRejected:
+                continue
+            er = to_er(f, cp)
+            for kind in ER_KINDS * 2:
+                mutant = _er_mutant(mrng, kind, cnf, er)
+                if mutant is None:
+                    continue
+                verified = check_er(f, mutant).verified
+                assert verified == naive_check_er(cnf, write_er(mutant).decode())
+                tried[kind] += 1
+                rejected[kind] += not verified
+    assert min(tried.values()) >= 20
+    # the strict fold rule, deletion and freshness reject these every time
+    for kind in ("duplicate_antecedent", "insert_unclashing", "delete_cited",
+                 "reuse_variable"):
+        assert rejected.pop(kind) == tried[kind]
+    assert min(rejected.values()) >= 1
+
+
+def _naive_fold_dropping(clauses):
+    """What _fold does with a chain over clauses (literal lists, ids 1..n),
+    restated over naive_fold: skip each antecedent with no literal
+    complementary to the fold so far, fold the others strictly.  Returns
+    ('ok', kept ids, literals) or ('nopivot', id of the failing antecedent)."""
+    kept = [1]
+    acc = list(dict.fromkeys(clauses[0]))
+    for eid in range(2, len(clauses) + 1):
+        if not any(-l in acc for l in clauses[eid - 1]):
+            continue
+        verdict, got = naive_fold([clauses[k - 1] for k in kept + [eid]])
+        if verdict != "ok":
+            return ("nopivot", eid)
+        kept.append(eid)
+        acc = got
+    return ("ok", kept, acc)
+
+
+def _assert_fold_matches_naive(clauses):
+    want = _naive_fold_dropping(clauses)
+    er_clauses = {i: Clause(c) for i, c in enumerate(clauses, start=1)}
+    if want[0] == "ok":
+        kept, acc = pipeline._fold(er_clauses, list(er_clauses))
+        assert (list(kept), acc) == (want[1], set(want[2]))
+    else:
+        with pytest.raises(TranslationInvariantViolation,
+                           match="(antecedent|through) %d " % want[1]):
+            pipeline._fold(er_clauses, list(er_clauses))
+    return want
+
+
+# _fold on FOLD_EDGES: kept ids and folded literals, or the failing id
+FOLD_KEPT = {
+    "taut_first_resolved": ("ok", [1, 2], [2, 3]),
+    "taut_first_survives": ("nopivot", 2),
+    "taut_in_middle": ("nopivot", 3),
+    "no_clash": ("ok", [1, 2, 4], []),
+    "double_clash": ("nopivot", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_EDGES))
+def test_to_er_fold_edge_cases_match_naive_fold(name):
+    assert _assert_fold_matches_naive(FOLD_EDGES[name][0]) == FOLD_KEPT[name]
+
+
+def test_to_er_fold_random_chains_match_naive_fold():
+    rng = random.Random(50)
+    verdicts = {"ok": 0, "nopivot": 0}
+    for _ in range(300):
+        maxv = rng.randint(2, 5)
+        pool = [[rng.randint(1, maxv) * rng.choice((-1, 1))
+                 for _ in range(rng.randint(1, 4))] for _ in range(6)]
+        chain = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        verdicts[_assert_fold_matches_naive(chain)[0]] += 1
+    assert min(verdicts.values()) >= 50
 
 
 def test_padding_is_trimmed_away():
