@@ -34,12 +34,14 @@ total width of its antecedents, not its length times the accumulator's.
 
 All checkers work on a copy of the input clauses and report a CheckReport;
 they raise only on contract violations (malformed step kinds), never on
-invalid proofs.
+invalid proofs.  The pipeline's two exceptions, ForwardRejected and
+TranslationInvariantViolation, are defined here, so that the command line
+names a rejection and catches them without importing the pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dratkit.core import Clause, Formula
 from dratkit.formats import Chain, Delete, Extend, HintBlock, extension_clauses
@@ -59,7 +61,23 @@ NO_PIVOT = "no_pivot"
 NOT_SUBSUMED = "not_subsumed"
 
 
-@dataclass(frozen=True)
+class ForwardRejected(Exception):
+    """The input proof fails its forward check."""
+
+    def __init__(self, step, reason, detail=None):
+        msg = "step %s rejected: %s" % (step, reason)
+        if detail is not None:
+            msg += " (%r)" % (detail,)
+        super().__init__(msg)
+        self.step = step
+        self.reason = reason
+        self.detail = detail
+
+
+class TranslationInvariantViolation(Exception):
+    """An emitted step or document failed its own re-check."""
+
+
 class CheckMode:
     """Checking flavor and pivot policy for DRAT.
 
@@ -69,18 +87,21 @@ class CheckMode:
     the clause.
     """
 
-    flavor: str = SPECIFIED
-    pivot_policy: str = "first"
+    __slots__ = ("flavor", "pivot_policy")
 
-    def __post_init__(self):
-        if self.flavor not in (SPECIFIED, OPERATIONAL):
-            raise ValueError("unknown flavor %r" % (self.flavor,))
-        if self.pivot_policy not in ("first", "any"):
-            raise ValueError("unknown pivot policy %r" % (self.pivot_policy,))
+    def __init__(self, flavor: str = SPECIFIED, pivot_policy: str = "first"):
+        if flavor not in (SPECIFIED, OPERATIONAL):
+            raise ValueError("unknown flavor %r" % (flavor,))
+        if pivot_policy not in ("first", "any"):
+            raise ValueError("unknown pivot policy %r" % (pivot_policy,))
+        self.flavor = flavor
+        self.pivot_policy = pivot_policy
+
+    def __repr__(self):
+        return "CheckMode(%r, %r)" % (self.flavor, self.pivot_policy)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     verified: bool
     step_index: int | None = None   # rejection site (index into the steps)
     reason: str | None = None       # rejection tag, one of the constants above

@@ -18,6 +18,8 @@ from dratkit.checkers import (
     OPERATIONAL,
     SPECIFIED,
     CheckMode,
+    ForwardRejected,
+    TranslationInvariantViolation,
     check_drat,
     check_er,
     check_lrat,
@@ -32,13 +34,6 @@ from dratkit.formats import (
     write_drat_text,
     write_er,
     write_lrat,
-)
-from dratkit.pipeline import (
-    ForwardRejected,
-    TranslationInvariantViolation,
-    backward_check,
-    emit_trim,
-    to_er,
 )
 
 
@@ -117,6 +112,9 @@ def _cmd_check_er(args) -> int:
 
 
 def _cmd_trim(args) -> int:
+    # only trim and to-er load the pipeline: the check commands never need it
+    from dratkit.pipeline import backward_check, emit_trim
+
     f = _load_cnf(args.cnf)
     cp = backward_check(f, _load_drat(args), _mode(args))
     outputs = []
@@ -133,6 +131,8 @@ def _cmd_trim(args) -> int:
 
 
 def _cmd_to_er(args) -> int:
+    from dratkit.pipeline import backward_check, to_er
+
     f = _load_cnf(args.cnf)
     cp = backward_check(f, _load_drat(args), _mode(args))
     er = to_er(f, cp)  # self-checks before anything is written

@@ -41,6 +41,9 @@ class _Tautology:
 TAUTOLOGY = _Tautology()
 
 
+_INT = frozenset([int])
+
+
 def _check_literals(lits: Iterable[int]) -> tuple[int, ...]:
     out = []
     seen = set()
@@ -65,9 +68,15 @@ class Clause:
     __slots__ = ("lits", "_set", "_hash")
 
     def __init__(self, lits: Iterable[int] = ()):
-        self.lits = _check_literals(lits)
-        self._set = frozenset(self.lits)
-        self._hash = hash(self._set)
+        lits = tuple(lits)
+        if not _INT.issuperset(map(type, lits)) or 0 in lits:
+            lits = _check_literals(lits)  # raises, unless an int subclass
+        s = frozenset(lits)
+        if len(s) < len(lits):
+            lits = tuple(dict.fromkeys(lits))
+        self.lits = lits
+        self._set = s
+        self._hash = hash(s)
 
     @property
     def litset(self) -> frozenset[int]:

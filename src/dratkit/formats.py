@@ -11,7 +11,8 @@ folding a resolution chain, deletion lines drop clause ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
+from typing import NamedTuple
 
 from dratkit.core import Clause, Formula
 
@@ -20,16 +21,14 @@ class ParseError(ValueError):
     """Malformed document; message carries line or byte position."""
 
 
-@dataclass(frozen=True)
-class HintBlock:
+class HintBlock(NamedTuple):
     """LRAT hints: a unit chain, then per-candidate chains for RAT steps."""
 
     rup_chain: tuple = ()
     rat_groups: tuple = ()
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     """One DRAT or LRAT step.
 
     kind 'add' carries clause (and hints in LRAT documents); kind 'delete'
@@ -45,20 +44,19 @@ class ProofStep:
 
 def add_step(lits, hints=None) -> ProofStep:
     c = lits if isinstance(lits, Clause) else Clause(lits)
-    return ProofStep("add", clause=c, hints=hints)
+    return ProofStep("add", c, hints)
 
 
 def delete_step(lits) -> ProofStep:
     c = lits if isinstance(lits, Clause) else Clause(lits)
-    return ProofStep("delete", clause=c)
+    return ProofStep("delete", c)
 
 
 def delete_ids_step(ids) -> ProofStep:
     return ProofStep("delete", ids=tuple(ids))
 
 
-@dataclass(frozen=True)
-class Extend:
+class Extend(NamedTuple):
     """Introduce x defined as (p or (ls1 and ... and lsk)); k may be 0."""
 
     fresh: int
@@ -66,16 +64,14 @@ class Extend:
     ls: tuple
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """Claim a clause derivable by left-folding the antecedent resolutions."""
 
     claimed: Clause
     antecedents: tuple
 
 
-@dataclass(frozen=True)
-class Delete:
+class Delete(NamedTuple):
     """Drop clause ids (one parsed line may list several)."""
 
     ids: tuple
@@ -107,12 +103,11 @@ def _text(data) -> str:
                          % (e.start, data[e.start])) from None
 
 
-def _tokens(data):
-    """Yield (token, line_no) over text bytes, 1-based lines."""
-    data = _text(data)
-    for ln, line in enumerate(data.splitlines(), start=1):
-        for tok in line.split():
-            yield tok, ln
+def _reject_underscore(ln: int, line: str) -> None:
+    """int() reads '1_0' as 10; no format here writes a digit separator."""
+    for tok in line.split():
+        if "_" in tok:
+            raise ParseError("line %d: underscore in token %r" % (ln, tok))
 
 
 def _int_tok(tok, ln, what="literal"):
@@ -120,6 +115,98 @@ def _int_tok(tok, ln, what="literal"):
         return int(tok)
     except ValueError:
         raise ParseError("line %d: expected %s, got %r" % (ln, what, tok)) from None
+
+
+class _Tokens:
+    """A text proof's tokens, read by position.
+
+    nums holds each token that int() reads as that int, and any other token,
+    the word tokens ('d', 'e') among them, as its string; odd lists the
+    positions of those strings.  Past the n tokens both hold a sentinel:
+    nums a 0, so that nums.index(0, i) always finds a terminator, and odd
+    the position n, so that odd[bisect_left(odd, i)] always names a string.
+    The words stand in as 0 while the tokens convert, so that one map(int,
+    ...) converts a well-formed document.  A token's line is worked out
+    only when an error names it, and a document holding '_' anywhere is
+    rejected before any walk.
+    """
+
+    def __init__(self, data, words):
+        self.text = text = _text(data)
+        if "_" in text:
+            for ln, line in enumerate(text.splitlines(), start=1):
+                _reject_underscore(ln, line)
+        self.toks = toks = text.split()
+        self.n = n = len(toks)
+        placed = []  # (position, word)
+        for w in words:
+            k = -1
+            try:
+                while True:
+                    k = toks.index(w, k + 1)
+                    placed.append((k, w))
+            except ValueError:
+                pass
+        for k, _ in placed:
+            toks[k] = "0"
+        odd = []
+        try:
+            nums = list(map(int, toks))
+        except ValueError:
+            nums = []
+            for k, tok in enumerate(toks):
+                try:
+                    nums.append(int(tok))
+                except ValueError:
+                    nums.append(tok)
+                    odd.append(k)
+        for k, w in placed:
+            toks[k] = nums[k] = w
+            odd.append(k)
+        odd.sort()
+        nums.append(0)
+        odd.append(n)
+        self.nums = nums
+        self.odd = odd
+
+    def line(self, k: int) -> int:
+        """1-based line of token k."""
+        ln = 0
+        for ln, line in enumerate(self.text.splitlines(), start=1):
+            n = len(line.split())
+            if k < n:
+                break
+            k -= n
+        return ln
+
+    def error(self, k: int, msg: str) -> ParseError:
+        return ParseError("line %d: %s" % (self.line(k), msg))
+
+    def expected(self, k: int, what: str) -> ParseError:
+        return self.error(k, "expected %s, got %r" % (what, self.toks[k]))
+
+    def run(self, i: int):
+        """(z, stop) for the numbers from position i on: z is the position
+        of the next 0 (n when none is left), and a token-at-a-time read
+        gets through nums[i:stop] before that 0 or a string stops it."""
+        z = self.nums.index(0, i)
+        odd = self.odd
+        return z, min(z, odd[bisect_left(odd, i)])
+
+    def close(self, z: int, stop: int, at: int, what: str, unterminated: str):
+        """Raise what a token-at-a-time read meets at stop, if it is no
+        terminating 0: a string, when it expected what, or the end of the
+        document, named on the line of token at."""
+        if stop < z:
+            raise self.expected(stop, what)
+        if z == self.n:
+            raise self.error(at, "unterminated %s" % unterminated)
+
+    def until_zero(self, i: int, at: int, what: str, unterminated: str):
+        """(the numbers from i up to the next 0, the position after it)."""
+        z, stop = self.run(i)
+        self.close(z, stop, at, what, unterminated)
+        return self.nums[i:z], z + 1
 
 
 # --------------------------------------------------------------------- DIMACS
@@ -132,6 +219,7 @@ def parse_dimacs(data, strict: bool = False):
     count mismatch are errors; by default they are tolerated.
     """
     data = _text(data)
+    underscore = "_" in data
     declared_vars = declared_clauses = None
     f = Formula()
     lits: list = []
@@ -141,6 +229,8 @@ def parse_dimacs(data, strict: bool = False):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
+        if underscore:
+            _reject_underscore(ln, stripped)
         if stripped.startswith("p"):
             if declared_vars is not None:
                 raise ParseError("line %d: duplicate header" % ln)
@@ -184,29 +274,21 @@ def write_dimacs(f: Formula) -> bytes:
 
 def parse_drat_text(data) -> list:
     """Whitespace-token DRAT: 'd l.. 0' deletes, 'l.. 0' adds."""
+    t = _Tokens(data, ("d",))
+    nums = t.nums
     steps = []
-    lits: list = []
-    deleting = False
-    in_clause = False
-    ln = 0
-    for tok, ln in _tokens(data):
-        if tok == "d":
-            if in_clause:
-                raise ParseError("line %d: 'd' inside a clause" % ln)
-            deleting = True
-            in_clause = True
-            continue
-        n = _int_tok(tok, ln)
-        if n == 0:
-            steps.append(delete_step(lits) if deleting else add_step(lits))
-            lits = []
-            deleting = False
-            in_clause = False
-        else:
-            lits.append(n)
-            in_clause = True
-    if in_clause:
-        raise ParseError("line %d: unterminated step" % ln)
+    i = 0
+    while i < t.n:
+        deleting = nums[i] == "d"
+        if deleting:
+            i += 1
+        z, stop = t.run(i)
+        if stop < z and nums[stop] == "d":
+            raise t.error(stop, "'d' inside a clause")
+        t.close(z, stop, t.n - 1, "literal", "step")
+        lits = nums[i:z]
+        steps.append(delete_step(lits) if deleting else add_step(lits))
+        i = z + 1
     return steps
 
 
@@ -319,70 +401,54 @@ def parse_lrat(data) -> list:
     clause may carry no hints at all (a RAT step whose negated pivot occurs
     in no live clause); whether it holds is the checker's decision.
     """
-    toks = list(_tokens(data))
+    t = _Tokens(data, ("d",))
+    nums = t.nums
     steps = []
     i = 0
     last_add = 0
-    while i < len(toks):
-        tok, ln = toks[i]
-        sid = _int_tok(tok, ln, "step id")
+    while i < t.n:
+        at = i
+        sid = nums[i]
+        if isinstance(sid, str):
+            raise t.expected(i, "step id")
         if sid <= 0:
-            raise ParseError("line %d: step id %d not positive" % (ln, sid))
+            raise t.error(at, "step id %d not positive" % sid)
         i += 1
-        if i < len(toks) and toks[i][0] == "d":
-            i += 1
-            ids = []
-            while True:
-                if i >= len(toks):
-                    raise ParseError("line %d: unterminated deletion" % ln)
-                n = _int_tok(toks[i][0], toks[i][1])
-                i += 1
-                if n == 0:
-                    break
-                if n < 0:
-                    raise ParseError("line %d: negative deletion id %d" % (ln, n))
-                ids.append(n)
+        if nums[i] == "d":
+            # in the order a token-at-a-time read meets them: a negative
+            # id, a non-number, the end of the document
+            z, stop = t.run(i + 1)
+            ids = nums[i + 1:stop]
+            if ids and min(ids) < 0:
+                raise t.error(at, "negative deletion id %d"
+                              % next(d for d in ids if d < 0))
+            t.close(z, stop, at, "literal", "deletion")
             steps.append((sid, delete_ids_step(ids)))
+            i = z + 1
             continue
         if sid <= last_add:
-            raise ParseError("line %d: addition id %d not above %d" % (ln, sid, last_add))
+            raise t.error(at, "addition id %d not above %d" % (sid, last_add))
         last_add = sid
-        lits = []
-        while True:
-            if i >= len(toks):
-                raise ParseError("line %d: unterminated clause" % ln)
-            n = _int_tok(toks[i][0], toks[i][1])
-            i += 1
-            if n == 0:
-                break
-            lits.append(n)
-        hints = []
-        while True:
-            if i >= len(toks):
-                raise ParseError("line %d: unterminated hint block" % ln)
-            n = _int_tok(toks[i][0], toks[i][1], "hint")
-            i += 1
-            if n == 0:
-                break
-            if abs(n) >= sid:
-                raise ParseError("line %d: hint %d not below step id %d" % (ln, n, sid))
-            hints.append(n)
-        rup = []
+        lits, i = t.until_zero(i, at, "literal", "clause")
+        z, stop = t.run(i)
+        hints = nums[i:stop]
+        if hints and (max(hints) >= sid or -min(hints) >= sid):
+            raise t.error(at, "hint %d not below step id %d"
+                          % (next(h for h in hints if abs(h) >= sid), sid))
+        t.close(z, stop, at, "hint", "hint block")
+        i = z + 1
         j = 0
         while j < len(hints) and hints[j] > 0:
-            rup.append(hints[j])
             j += 1
+        rup = tuple(hints[:j])
         groups = []
         while j < len(hints):
-            cand = -hints[j]
-            j += 1
-            chain = []
-            while j < len(hints) and hints[j] > 0:
-                chain.append(hints[j])
-                j += 1
-            groups.append((cand, tuple(chain)))
-        block = HintBlock(rup_chain=tuple(rup), rat_groups=tuple(groups))
-        steps.append((sid, add_step(lits, hints=block)))
+            k = j + 1
+            while k < len(hints) and hints[k] > 0:
+                k += 1
+            groups.append((-hints[j], tuple(hints[j + 1:k])))
+            j = k
+        steps.append((sid, add_step(lits, HintBlock(rup, tuple(groups)))))
     return steps
 
 
@@ -416,64 +482,52 @@ def parse_er(data) -> list:
     be strictly increasing across extension and chain lines; extension
     variables must exceed every variable seen earlier in the document.
     """
-    toks = list(_tokens(data))
+    t = _Tokens(data, ("d", "e"))
+    nums = t.nums
     steps = []
     i = 0
     last_claimed = 0
     doc_max_var = 0
-
-    def read_until_zero(ln, what):
-        nonlocal i
-        nums = []
-        while True:
-            if i >= len(toks):
-                raise ParseError("line %d: unterminated %s" % (ln, what))
-            n = _int_tok(toks[i][0], toks[i][1], what)
-            i += 1
-            if n == 0:
-                return nums
-            nums.append(n)
-
-    while i < len(toks):
-        tok, ln = toks[i]
-        sid = _int_tok(tok, ln, "step id")
+    while i < t.n:
+        at = i
+        sid = nums[i]
+        if isinstance(sid, str):
+            raise t.expected(i, "step id")
         if sid <= 0:
-            raise ParseError("line %d: step id %d not positive" % (ln, sid))
+            raise t.error(at, "step id %d not positive" % sid)
         i += 1
-        if i < len(toks) and toks[i][0] == "d":
-            i += 1
-            ids = read_until_zero(ln, "deletion")
-            if any(n < 0 for n in ids):
-                raise ParseError("line %d: negative deletion id" % ln)
+        if nums[i] == "d":
+            ids, i = t.until_zero(i + 1, at, "deletion", "deletion")
+            if ids and min(ids) < 0:
+                raise t.error(at, "negative deletion id")
             steps.append((sid, Delete(tuple(ids))))
             continue
         if sid <= last_claimed:
-            raise ParseError("line %d: id %d collides with claimed ids up to %d"
-                             % (ln, sid, last_claimed))
-        if i < len(toks) and toks[i][0] == "e":
-            i += 1
-            nums = read_until_zero(ln, "extension")
-            if len(nums) < 2:
-                raise ParseError("line %d: extension needs x and p" % ln)
-            x, p, ls = nums[0], nums[1], nums[2:]
+            raise t.error(at, "id %d collides with claimed ids up to %d"
+                          % (sid, last_claimed))
+        if nums[i] == "e":
+            ext, i = t.until_zero(i + 1, at, "extension", "extension")
+            if len(ext) < 2:
+                raise t.error(at, "extension needs x and p")
+            x, p, ls = ext[0], ext[1], ext[2:]
             if x <= 0:
-                raise ParseError("line %d: extension variable %d not positive" % (ln, x))
+                raise t.error(at, "extension variable %d not positive" % x)
             if doc_max_var and x <= doc_max_var:
-                raise ParseError("line %d: extension variable %d not fresh in document"
-                                 % (ln, x))
+                raise t.error(at, "extension variable %d not fresh in document" % x)
             steps.append((sid, Extend(x, p, tuple(ls))))
             last_claimed = sid + len(ls) + 1
-            doc_max_var = max([doc_max_var, x, abs(p)] + [abs(l) for l in ls])
+            doc_max_var = max(doc_max_var, x, *map(abs, ext[1:]))
             continue
-        lits = read_until_zero(ln, "claimed clause")
-        ants = read_until_zero(ln, "antecedent list")
+        lits, i = t.until_zero(i, at, "claimed clause", "claimed clause")
+        ants, i = t.until_zero(i, at, "antecedent list", "antecedent list")
         if not ants:
-            raise ParseError("line %d: chain with no antecedents" % ln)
-        if any(a < 0 for a in ants):
-            raise ParseError("line %d: negative antecedent id" % ln)
+            raise t.error(at, "chain with no antecedents")
+        if min(ants) < 0:
+            raise t.error(at, "negative antecedent id")
         steps.append((sid, Chain(Clause(lits), tuple(ants))))
         last_claimed = sid
-        doc_max_var = max([doc_max_var] + [abs(l) for l in lits])
+        if lits:
+            doc_max_var = max(doc_max_var, max(lits), -min(lits))
     return steps
 
 

@@ -31,11 +31,13 @@ raises TranslationInvariantViolation rather than returning a bad document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dratkit.checkers import (
     NO_BOTTOM,
     CheckMode,
+    ForwardRejected,
+    TranslationInvariantViolation,
     _drat_forward,
     _fold_chain,
     check_er,
@@ -55,25 +57,7 @@ from dratkit.formats import (
 from dratkit.propagate import Engine, walk
 
 
-class ForwardRejected(Exception):
-    """The input proof fails its forward check."""
-
-    def __init__(self, step, reason, detail=None):
-        msg = "step %s rejected: %s" % (step, reason)
-        if detail is not None:
-            msg += " (%r)" % (detail,)
-        super().__init__(msg)
-        self.step = step
-        self.reason = reason
-        self.detail = detail
-
-
-class TranslationInvariantViolation(Exception):
-    """An emitted step or document failed its own re-check."""
-
-
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One forward-pass step with its LRAT hint block and core flag.
 
     For additions, wid is the clause id assigned in the forward world and
@@ -94,8 +78,7 @@ class StepRecord:
     applied: bool = True
 
 
-@dataclass(frozen=True)
-class CheckedProof:
+class CheckedProof(NamedTuple):
     """Forward-checked proof with backward core marking.
 
     records covers the steps up to and including the empty-clause addition;

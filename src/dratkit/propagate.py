@@ -66,13 +66,12 @@ outstanding; checkers mutate only between checks.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dratkit.core import Clause, Formula
 
 
-@dataclass(frozen=True)
-class PropagationOutcome:
+class PropagationOutcome(NamedTuple):
     result: str                     # "fixpoint" | "conflict"
     conflict: int | None = None     # conflict clause id; None for an
                                     # assumption-level contradiction
@@ -80,22 +79,19 @@ class PropagationOutcome:
     antecedents: tuple = ()
 
 
-@dataclass(frozen=True)
-class RupOutcome:
+class RupOutcome(NamedTuple):
     rup: bool
     antecedents: tuple = ()
     visited_clauses: int = 0
 
 
-@dataclass(frozen=True)
-class GuidedOutcome:
+class GuidedOutcome(NamedTuple):
     rup: bool
     bad_position: int | None = None  # hints consumed when stuck
     visited_clauses: int = 0
 
 
-@dataclass(frozen=True)
-class RatOutcome:
+class RatOutcome(NamedTuple):
     """A RAT check's verdict; when it holds, (leading, groups) is the step's
     LRAT hint block."""
 

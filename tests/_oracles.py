@@ -3,7 +3,8 @@
 Everything here is deliberately slow and simple: truth tables by exhaustive
 enumeration, unit propagation by rescanning the whole clause list until
 stable, proof checking by direct restatement of the definitions.  Nothing
-imports the package under test.
+imports the package under test, except the reference text parsers at the
+end: they build its step records, so that their results compare equal.
 
 Clause arguments are iterables of nonzero ints; formulas are either plain
 lists of clauses (ids 1..n implied) or dicts mapping id -> clause.
@@ -12,6 +13,18 @@ lists of clauses (ids 1..n implied) or dicts mapping id -> clause.
 from __future__ import annotations
 
 import itertools
+
+from dratkit.core import Clause
+from dratkit.formats import (
+    Chain,
+    Delete,
+    Extend,
+    HintBlock,
+    ParseError,
+    add_step,
+    delete_ids_step,
+    delete_step,
+)
 
 
 # ---------------------------------------------------------------- truth tables
@@ -319,9 +332,8 @@ def naive_check_lrat(cnf, text):
     for sid, step in naive_parse_lrat(text):
         if step[0] == "d":
             for did in step[1]:
-                if did not in clauses:
+                if did not in clauses:  # a second listing of an id too
                     return False
-            for did in step[1]:
                 del clauses[did]
             continue
         _, lits, hints = step
@@ -452,9 +464,8 @@ def naive_check_er(cnf, text):
     for sid, step in naive_parse_er(text):
         if step[0] == "d":
             for did in step[1]:
-                if did not in clauses:
+                if did not in clauses:  # a second listing of an id too
                     return False
-            for did in step[1]:
                 del clauses[did]
             continue
         if sid <= last:
@@ -483,3 +494,209 @@ def naive_check_er(cnf, text):
         if not lits:
             return True
     return False
+
+
+# --------------------------------------- reference text parsers (token at a time)
+#
+# The package's DRAT, LRAT and ER text parsers as they read a document one
+# token at a time, copied with only their names changed.  The parsers under
+# test convert runs of tokens at once and work out a token's line only when
+# an error names it; they must return the same steps and raise the same
+# ParseError messages, except that they reject any token holding '_'.
+
+def _ref_text(data) -> str:
+    """Decode a text document; a non-ASCII byte is a ParseError."""
+    if not isinstance(data, bytes):
+        return data
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as e:
+        raise ParseError("byte %d: non-ASCII byte 0x%02x"
+                         % (e.start, data[e.start])) from None
+
+
+def _ref_tokens(data):
+    """Yield (token, line_no) over text bytes, 1-based lines."""
+    data = _ref_text(data)
+    for ln, line in enumerate(data.splitlines(), start=1):
+        for tok in line.split():
+            yield tok, ln
+
+
+def _ref_int_tok(tok, ln, what="literal"):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError("line %d: expected %s, got %r" % (ln, what, tok)) from None
+
+
+def ref_parse_drat_text(data) -> list:
+    """Whitespace-token DRAT: 'd l.. 0' deletes, 'l.. 0' adds."""
+    steps = []
+    lits: list = []
+    deleting = False
+    in_clause = False
+    ln = 0
+    for tok, ln in _ref_tokens(data):
+        if tok == "d":
+            if in_clause:
+                raise ParseError("line %d: 'd' inside a clause" % ln)
+            deleting = True
+            in_clause = True
+            continue
+        n = _ref_int_tok(tok, ln)
+        if n == 0:
+            steps.append(delete_step(lits) if deleting else add_step(lits))
+            lits = []
+            deleting = False
+            in_clause = False
+        else:
+            lits.append(n)
+            in_clause = True
+    if in_clause:
+        raise ParseError("line %d: unterminated step" % ln)
+    return steps
+
+
+def ref_parse_lrat(data) -> list:
+    """LRAT text -> list of (id, ProofStep).
+
+    Addition hints split at the first negative hint into the unit chain and
+    candidate groups.  Hints and candidates must reference ids below the
+    step's own id; addition ids must be strictly increasing.  A non-empty
+    clause may carry no hints at all (a RAT step whose negated pivot occurs
+    in no live clause); whether it holds is the checker's decision.
+    """
+    toks = list(_ref_tokens(data))
+    steps = []
+    i = 0
+    last_add = 0
+    while i < len(toks):
+        tok, ln = toks[i]
+        sid = _ref_int_tok(tok, ln, "step id")
+        if sid <= 0:
+            raise ParseError("line %d: step id %d not positive" % (ln, sid))
+        i += 1
+        if i < len(toks) and toks[i][0] == "d":
+            i += 1
+            ids = []
+            while True:
+                if i >= len(toks):
+                    raise ParseError("line %d: unterminated deletion" % ln)
+                n = _ref_int_tok(toks[i][0], toks[i][1])
+                i += 1
+                if n == 0:
+                    break
+                if n < 0:
+                    raise ParseError("line %d: negative deletion id %d" % (ln, n))
+                ids.append(n)
+            steps.append((sid, delete_ids_step(ids)))
+            continue
+        if sid <= last_add:
+            raise ParseError("line %d: addition id %d not above %d" % (ln, sid, last_add))
+        last_add = sid
+        lits = []
+        while True:
+            if i >= len(toks):
+                raise ParseError("line %d: unterminated clause" % ln)
+            n = _ref_int_tok(toks[i][0], toks[i][1])
+            i += 1
+            if n == 0:
+                break
+            lits.append(n)
+        hints = []
+        while True:
+            if i >= len(toks):
+                raise ParseError("line %d: unterminated hint block" % ln)
+            n = _ref_int_tok(toks[i][0], toks[i][1], "hint")
+            i += 1
+            if n == 0:
+                break
+            if abs(n) >= sid:
+                raise ParseError("line %d: hint %d not below step id %d" % (ln, n, sid))
+            hints.append(n)
+        rup = []
+        j = 0
+        while j < len(hints) and hints[j] > 0:
+            rup.append(hints[j])
+            j += 1
+        groups = []
+        while j < len(hints):
+            cand = -hints[j]
+            j += 1
+            chain = []
+            while j < len(hints) and hints[j] > 0:
+                chain.append(hints[j])
+                j += 1
+            groups.append((cand, tuple(chain)))
+        block = HintBlock(rup_chain=tuple(rup), rat_groups=tuple(groups))
+        steps.append((sid, add_step(lits, hints=block)))
+    return steps
+
+
+def ref_parse_er(data) -> list:
+    """ER text -> list of (id, Extend | Chain | Delete).
+
+    Extension lines claim ids id..id+k+1 for their clause family; ids must
+    be strictly increasing across extension and chain lines; extension
+    variables must exceed every variable seen earlier in the document.
+    """
+    toks = list(_ref_tokens(data))
+    steps = []
+    i = 0
+    last_claimed = 0
+    doc_max_var = 0
+
+    def read_until_zero(ln, what):
+        nonlocal i
+        nums = []
+        while True:
+            if i >= len(toks):
+                raise ParseError("line %d: unterminated %s" % (ln, what))
+            n = _ref_int_tok(toks[i][0], toks[i][1], what)
+            i += 1
+            if n == 0:
+                return nums
+            nums.append(n)
+
+    while i < len(toks):
+        tok, ln = toks[i]
+        sid = _ref_int_tok(tok, ln, "step id")
+        if sid <= 0:
+            raise ParseError("line %d: step id %d not positive" % (ln, sid))
+        i += 1
+        if i < len(toks) and toks[i][0] == "d":
+            i += 1
+            ids = read_until_zero(ln, "deletion")
+            if any(n < 0 for n in ids):
+                raise ParseError("line %d: negative deletion id" % ln)
+            steps.append((sid, Delete(tuple(ids))))
+            continue
+        if sid <= last_claimed:
+            raise ParseError("line %d: id %d collides with claimed ids up to %d"
+                             % (ln, sid, last_claimed))
+        if i < len(toks) and toks[i][0] == "e":
+            i += 1
+            nums = read_until_zero(ln, "extension")
+            if len(nums) < 2:
+                raise ParseError("line %d: extension needs x and p" % ln)
+            x, p, ls = nums[0], nums[1], nums[2:]
+            if x <= 0:
+                raise ParseError("line %d: extension variable %d not positive" % (ln, x))
+            if doc_max_var and x <= doc_max_var:
+                raise ParseError("line %d: extension variable %d not fresh in document"
+                                 % (ln, x))
+            steps.append((sid, Extend(x, p, tuple(ls))))
+            last_claimed = sid + len(ls) + 1
+            doc_max_var = max([doc_max_var, x, abs(p)] + [abs(l) for l in ls])
+            continue
+        lits = read_until_zero(ln, "claimed clause")
+        ants = read_until_zero(ln, "antecedent list")
+        if not ants:
+            raise ParseError("line %d: chain with no antecedents" % ln)
+        if any(a < 0 for a in ants):
+            raise ParseError("line %d: negative antecedent id" % ln)
+        steps.append((sid, Chain(Clause(lits), tuple(ants))))
+        last_claimed = sid
+        doc_max_var = max([doc_max_var] + [abs(l) for l in lits])
+    return steps

@@ -1,9 +1,14 @@
 """Command-line interface tests: exit codes, result lines, artifact files."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import dratkit
 from dratkit import pipeline
 from dratkit.cli import main
 from dratkit.core import formula_from_clauses
@@ -288,6 +293,55 @@ def test_usage_and_parse_errors_exit_two(tmp_path, capsys):
     assert "error:" in err
     rc, _, err = _run(capsys, ["gen", "php", "0"])
     assert rc == 2
+
+
+def test_digit_separator_in_the_cnf_exits_two(tmp_path, capsys):
+    # int() would read 1_0 as 10 and check the proof against clause [10]
+    cnf = tmp_path / "f.cnf"
+    cnf.write_bytes(b"p cnf 10 1\n1_0 0\n")
+    proof = _proof_file(tmp_path, [add_step([-10]), add_step([])])
+    rc, out, err = _run(capsys, ["check", "drat", str(cnf), proof])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: line 2: underscore in token '1_0'\n"
+
+
+# Run in a fresh interpreter: which modules `import dratkit.cli` and a check
+# command load.  The facts are printed as one JSON object.
+STARTUP_PROBE = """
+import json, sys
+before = set(sys.modules)
+import dratkit.cli
+imported = set(sys.modules) - before
+rc = dratkit.cli.main(["check", "lrat", sys.argv[1], sys.argv[2]])
+after_check = set(sys.modules)
+dratkit.cli.main(["trim", sys.argv[1], sys.argv[3], "--out-lrat", sys.argv[4]])
+print(json.dumps({
+    "rc": rc,
+    "import": sorted(imported & {"dataclasses", "dratkit.pipeline"}),
+    "check": sorted(after_check & {"dataclasses", "dratkit.pipeline"}),
+    "trim_dataclasses": "dataclasses" in set(sys.modules) - before,
+}))
+"""
+
+
+def test_check_commands_load_neither_dataclasses_nor_the_pipeline(tmp_path):
+    # start-up is most of a small check's cost: keep the pipeline (which
+    # only trim and to-er need) and dataclasses off the check path
+    cnf = _cnf_file(tmp_path, FULL2)
+    lrat = tmp_path / "p.lrat"
+    lrat.write_bytes(b"5 1 0 1 3 0\n6 0 5 2 4 0\n")
+    drat = _proof_file(tmp_path, FULL2_PROOF)
+    src = os.path.dirname(os.path.dirname(dratkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, cnf, str(lrat), drat,
+         str(tmp_path / "out.lrat")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    facts = json.loads(run.stdout.splitlines()[-1])
+    assert facts == {"rc": 0, "import": [], "check": [],
+                     "trim_dataclasses": False}
 
 
 def test_cli_round_trip_on_solver_corpus(tmp_path, capsys):

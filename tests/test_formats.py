@@ -84,6 +84,15 @@ class TestDimacs:
         with pytest.raises(ParseError, match="non-ASCII"):
             parse_dimacs(b"p cnf 2 2\n1 2 0\n\xff 0\n")
 
+    def test_digit_separator_is_parse_error(self):
+        with pytest.raises(ParseError, match="line 2: underscore in token '1_0'"):
+            parse_dimacs(b"p cnf 10 1\n1_0 0\n")
+        with pytest.raises(ParseError, match="line 1: underscore in token '1_0'"):
+            parse_dimacs(b"p cnf 1_0 1\n1 0\n")
+        # a comment may hold one
+        f, _, _ = parse_dimacs(b"c made_by hand\np cnf 1 1\n1 0\n")
+        assert dict(f.items()) == {1: Clause([1])}
+
 
 class TestDratText:
     def test_unit_then_empty(self):
@@ -118,6 +127,10 @@ class TestDratText:
     def test_non_ascii_byte_is_parse_error(self):
         with pytest.raises(ParseError, match="non-ASCII"):
             parse_drat(b"1 2 0\n\xff 0\n")
+
+    def test_digit_separator_is_parse_error(self):
+        with pytest.raises(ParseError, match="line 2: underscore in token '-1_0'"):
+            parse_drat(b"1 0\n-1_0 0\n0\n")
 
 
 class TestDratBinary:
@@ -254,6 +267,13 @@ class TestLrat:
         with pytest.raises(ParseError, match="non-ASCII"):
             parse_lrat(b"5 1 0 1 3 0\n6 \xff 0 0\n")
 
+    def test_digit_separator_is_parse_error(self):
+        with pytest.raises(ParseError, match="line 1: underscore in token '1_0'"):
+            parse_lrat(b"5 1_0 0 1 3 0\n6 0 5 2 4 0\n")
+        # rejected wherever it stands, even before an earlier error
+        with pytest.raises(ParseError, match="line 2: underscore in token '2_'"):
+            parse_lrat(b"x\n6 0 2_ 4 0\n")
+
     def test_hintless_empty_addition_parses(self):
         (sid, s), = parse_lrat(b"3 0 0\n")
         assert s.clause == Clause([]) and s.hints == HintBlock()
@@ -306,6 +326,10 @@ class TestEr:
     def test_non_ascii_byte_is_parse_error(self):
         with pytest.raises(ParseError, match="non-ASCII"):
             parse_er(b"4 e 3 1 2 0\n8 \xe9 0 4 0\n")
+
+    def test_digit_separator_is_parse_error(self):
+        with pytest.raises(ParseError, match="line 1: underscore in token '1_0'"):
+            parse_er(b"4 e 1_0 1 2 0\n")
 
 
 def _random_clause(rng, maxvar=9, width=4):

@@ -12,7 +12,6 @@ import hashlib
 import io
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -36,6 +35,7 @@ from dratkit.formats import (
     Delete,
     Extend,
     HintBlock,
+    ParseError,
     add_step,
     delete_ids_step,
     delete_step,
@@ -70,6 +70,9 @@ from _oracles import (
     naive_rat_groups,
     naive_rup,
     naive_satisfiable,
+    ref_parse_drat_text,
+    ref_parse_er,
+    ref_parse_lrat,
 )
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
@@ -344,8 +347,8 @@ def test_to_er_refuses_an_empty_chain_that_nothing_discharges():
     # {1, 2} is neither tautological nor satisfied by a leading unit
     f = formula_from_clauses(K0)
     cp = backward_check(f, K0_PROOF)
-    first = replace(cp.records[0], hints=HintBlock((), ((2, ()),)))
-    forged = replace(cp, records=(first,) + cp.records[1:])
+    first = cp.records[0]._replace(hints=HintBlock((), ((2, ()),)))
+    forged = cp._replace(records=(first,) + cp.records[1:])
     assert naive_rat_groups(K0, [1], 1, (), ((2, ()),)) is None
     with pytest.raises(TranslationInvariantViolation, match="no chain"):
         to_er(f, forged)
@@ -679,7 +682,18 @@ def _lrat_mutant(rng, kind, nclauses, steps):
     """steps (trim's LRAT) with one mutation of the given kind at a random
     addition it applies to, or None when none does.  Inserted and padded
     hints are ids live at that step, except for insert_unknown_hint, which
-    inserts a deleted id or the step's own (one above the last id)."""
+    inserts a deleted id or the step's own (one above the last id).
+    duplicate_deleted_id lists one id of a deletion twice."""
+    if kind == "duplicate_deleted_id":
+        dels = [i for i, (_, s) in enumerate(steps) if s.kind == "delete"]
+        if not dels:
+            return None
+        i = rng.choice(dels)
+        sid, step = steps[i]
+        ids = list(step.ids)
+        k = rng.randrange(len(ids))
+        ids.insert(k + 1, ids[k])
+        return steps[:i] + [(sid, delete_ids_step(ids))] + steps[i + 1:]
     adds = [i for i, (_, s) in enumerate(steps) if s.kind == "add"]
     rng.shuffle(adds)
     for i in adds:
@@ -732,7 +746,7 @@ def test_lrat_mutants_get_the_oracles_verdict():
     # literals: check_lrat must give naive_check_lrat's verdict either way
     kinds = ("drop_hint", "insert_hint", "swap_hints", "drop_group",
              "shorten_chain", "pad_chain", "flip_literal",
-             "insert_unknown_hint")
+             "insert_unknown_hint", "duplicate_deleted_id")
     rng = random.Random(47)
     mrng = random.Random(48)
     proofs = 0
@@ -759,6 +773,8 @@ def test_lrat_mutants_get_the_oracles_verdict():
                 verified = report.verified
                 assert verified == naive_check_lrat(cnf, write_lrat(mutant).decode())
                 if kind == "insert_unknown_hint" and not verified:
+                    assert report.reason == UNKNOWN_ID
+                if kind == "duplicate_deleted_id":
                     assert report.reason == UNKNOWN_ID
                 tried[kind] += 1
                 rejected[kind] += not verified
@@ -811,7 +827,8 @@ def _shifted(doc, at):
 
 ER_KINDS = ("drop_antecedent", "duplicate_antecedent", "swap_antecedents",
             "insert_unclashing", "insert_tautology", "flip_claimed",
-            "drop_claimed", "delete_cited", "reuse_variable")
+            "drop_claimed", "delete_cited", "reuse_variable",
+            "duplicate_deleted_id")
 
 
 def _er_mutant(rng, kind, cnf, doc):
@@ -821,11 +838,19 @@ def _er_mutant(rng, kind, cnf, doc):
     first derives a live clause weakened by a complementary pair, as a new
     step that shifts the later ids; delete_cited deletes an antecedent right
     before the step citing it; reuse_variable renames a definition's fresh
-    variable, from that step on, to an earlier one (or an input variable)."""
+    variable, from that step on, to an earlier one (or an input variable);
+    duplicate_deleted_id lists one id of a deletion twice."""
     order = list(range(len(doc)))
     rng.shuffle(order)
     for i in order:
         sid, step = doc[i]
+        if kind == "duplicate_deleted_id":
+            if not isinstance(step, Delete):
+                continue
+            ids = list(step.ids)
+            k = rng.randrange(len(ids))
+            ids.insert(k + 1, ids[k])
+            return doc[:i] + [(sid, Delete(tuple(ids)))] + doc[i + 1:]
         if kind == "reuse_variable":
             if not isinstance(step, Extend):
                 continue
@@ -909,9 +934,91 @@ def test_er_mutants_get_the_oracles_verdict():
     assert min(tried.values()) >= 20
     # the strict fold rule, deletion and freshness reject these every time
     for kind in ("duplicate_antecedent", "insert_unclashing", "delete_cited",
-                 "reuse_variable"):
+                 "reuse_variable", "duplicate_deleted_id"):
         assert rejected.pop(kind) == tried[kind]
     assert min(rejected.values()) >= 1
+
+
+# each text parser beside its token-at-a-time reference
+PARSERS = ((parse_drat_text, ref_parse_drat_text), (parse_lrat, ref_parse_lrat),
+           (parse_er, ref_parse_er))
+
+
+def _rebroken(rng, toks):
+    """The tokens joined by random whitespace, so steps break across lines
+    anywhere."""
+    seps = (" ", " ", "\n", "  ", "\t", "\r\n", " \n ")
+    return "".join(tok + rng.choice(seps) for tok in toks)
+
+
+def _token_mutant(rng, text):
+    """text with one to three tokens dropped, duplicated, or inserted: a
+    word token, a stray word, a terminating 0, a negative id or a number
+    with a digit separator."""
+    toks = text.split()
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(toks))
+        what = rng.randrange(3)
+        if what == 0:
+            del toks[k]
+        elif what == 1:
+            toks.insert(k, toks[k])
+        else:
+            toks.insert(k, rng.choice(("d", "e", "x", "0",
+                                       str(-rng.randint(1, 40)), "1_2")))
+    return _rebroken(rng, toks)
+
+
+def _agrees_with_reference(parse, ref, text):
+    """parse gives ref's steps or ref's ParseError message; a token with '_'
+    in it, which ref reads as a number, is an error of its own."""
+    data = text.encode()
+    if "_" in text:
+        with pytest.raises(ParseError, match="underscore in token"):
+            parse(data)
+        return "underscore"
+    try:
+        want = ref(data)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            parse(data)
+        assert str(got.value) == str(e)
+        return "error"
+    assert parse(data) == want
+    return "steps"
+
+
+def test_parsers_match_the_token_at_a_time_references():
+    # the proofs, trim's LRAT and to-er's ER for the RAT-rich proofs, broken
+    # across lines at random and mutated token by token, through every text
+    # parser and its reference
+    rng = random.Random(47)
+    mrng = random.Random(51)
+    outcomes = {"steps": 0, "error": 0, "underscore": 0}
+    proofs = 0
+    while proofs < 40:
+        made = _rat_rich_refutation(rng)
+        if made is None:
+            continue
+        cnf, proof = made
+        f = formula_from_clauses(cnf)
+        try:
+            cp = backward_check(f, proof)
+        except ForwardRejected:
+            continue
+        proofs += 1
+        docs = [write_drat_text(proof), write_lrat(emit_lrat(cp)),
+                write_er(to_er(f, cp))]
+        for doc in docs:
+            text = doc.decode()
+            variants = [_rebroken(mrng, text.split())]
+            variants += [_token_mutant(mrng, text) for _ in range(6)]
+            for variant in variants:
+                for parse, ref in PARSERS:
+                    outcomes[_agrees_with_reference(parse, ref, variant)] += 1
+    assert min(outcomes.values()) >= 20
+    # every document, re-broken, still parses to the same steps
+    assert outcomes["steps"] >= 3 * proofs
 
 
 def _naive_fold_dropping(clauses):
