@@ -142,7 +142,7 @@ def _cmd_to_er(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from dratkit.testkit import cdcl_solve  # numpy; only solve and gen need it
+    from dratkit.testkit import cdcl_solve  # only solve and gen load testkit
 
     f = _load_cnf(args.cnf)
     res = cdcl_solve(f, seed=args.seed)

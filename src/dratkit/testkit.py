@@ -1,75 +1,74 @@
 """Proof producers and semantic oracles for tests and benchmarks.
 
-brute_force enumerates truth tables with numpy bitmask chunks (hard cap 24
-variables).  cdcl_solve is a deliberately small CDCL solver, two watched
-literals, first-UIP learning, saved phases, geometric restarts, and a
-clause-database reduction pass, that logs every learned clause and every
-database deletion as DRAT steps.  gen_php and gen_random build benchmark
-formulas.
+brute_force and entails enumerate a truth table held in one Python int,
+one bit per assignment (hard cap 24 variables, 2**24 bits).  cdcl_solve is
+a deliberately small CDCL solver, two watched literals, first-UIP learning,
+saved phases, geometric restarts, and a clause-database reduction pass,
+that logs every learned clause and every database deletion as DRAT steps.
+gen_php and gen_random build benchmark formulas.
 """
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from dratkit.core import Clause, Formula
-from dratkit.formats import ProofStep, add_step, delete_step
+from dratkit.formats import add_step, delete_step
 
 ORACLE_VAR_CAP = 24
-_CHUNK = 1 << 20
 
 
 class OracleRangeError(ValueError):
     """Truth-table oracle asked to enumerate more than 2**24 assignments."""
 
 
-def _clause_masks(clauses):
-    masks = []
-    for c in clauses:
-        pos = neg = 0
-        for l in c:
-            if l > 0:
-                pos |= 1 << (l - 1)
-            else:
-                neg |= 1 << (-l - 1)
-        masks.append((pos, neg))
-    return masks
+def _pattern(v, nvars):
+    """The assignments setting variable v true, as bits of a 2**nvars int.
 
-
-def _first_model_index(masks, nvars):
-    """Index of the smallest satisfying assignment, or None.
-
-    Assignment index i sets variable v true iff bit v-1 of i is set.
+    Bit i is assignment i, which sets v true iff bit v-1 of i is set: blocks
+    of 2**(v-1) zeros then 2**(v-1) ones, doubled up to 2**nvars bits.
     """
-    total = 1 << nvars
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint32)
-        alive = np.ones(len(idx), dtype=bool)
-        for pos, neg in masks:
-            sat = (idx & pos) != 0 if pos else np.zeros(len(idx), dtype=bool)
-            if neg:
-                sat |= (idx & neg) != neg
-            alive &= sat
-            if not alive.any():
-                break
-        else:
-            return int(idx[np.flatnonzero(alive)[0]])
-    return None
+    half = 1 << (v - 1)
+    pat = ((1 << half) - 1) << half
+    width, total = half << 1, 1 << nvars
+    while width < total:
+        pat |= pat << width
+        width <<= 1
+    return pat
+
+
+def _first_model_index(clauses, nvars, too_many):
+    """Index of the smallest assignment satisfying every clause, or None.
+
+    Raises OracleRangeError, with too_many formatted by nvars and the cap,
+    beyond ORACLE_VAR_CAP variables.
+    """
+    if nvars > ORACLE_VAR_CAP:
+        raise OracleRangeError(too_many % (nvars, ORACLE_VAR_CAP))
+    if any(not c for c in clauses):
+        return None
+    alive = full = (1 << (1 << nvars)) - 1
+    patterns = {}
+    for c in clauses:
+        sat = 0
+        for l in c:
+            pat = patterns.get(abs(l))
+            if pat is None:
+                pat = patterns[abs(l)] = _pattern(abs(l), nvars)
+            sat |= pat if l > 0 else full ^ pat
+        alive &= sat
+        if not alive:
+            return None
+    return (alive & -alive).bit_length() - 1
 
 
 def brute_force(f: Formula):
-    """Exhaustive satisfiability: a model dict var->bool, or None for Unsat."""
-    if f.max_var > ORACLE_VAR_CAP:
-        raise OracleRangeError("formula has %d variables, oracle cap is %d"
-                               % (f.max_var, ORACLE_VAR_CAP))
-    clauses = [c.lits for _, c in f.items()]
-    if any(not c for c in clauses):
-        return None
-    i = _first_model_index(_clause_masks(clauses), f.max_var)
+    """Exhaustive satisfiability: the lowest-index model (variable 1 is the
+    lowest bit) as a dict var->bool, or None for Unsat."""
+    i = _first_model_index([c.lits for _, c in f.items()], f.max_var,
+                           "formula has %d variables, oracle cap is %d")
     if i is None:
         return None
     return {v: bool(i >> (v - 1) & 1) for v in range(1, f.max_var + 1)}
@@ -77,16 +76,11 @@ def brute_force(f: Formula):
 
 def entails(f: Formula, c) -> bool:
     """True iff every model of f satisfies c (f plus negated c is Unsat)."""
-    lits = list(c.lits) if isinstance(c, Clause) else list(c)
+    lits = set(c.lits if isinstance(c, Clause) else c)
     nvars = max([f.max_var] + [abs(l) for l in lits])
-    if nvars > ORACLE_VAR_CAP:
-        raise OracleRangeError("entailment query spans %d variables, cap is %d"
-                               % (nvars, ORACLE_VAR_CAP))
-    clauses = [cl.lits for _, cl in f.items()]
-    if any(not cl for cl in clauses):
-        return True
-    clauses = clauses + [(-l,) for l in set(lits)]
-    return _first_model_index(_clause_masks(clauses), nvars) is None
+    clauses = [cl.lits for _, cl in f.items()] + [(-l,) for l in lits]
+    return _first_model_index(clauses, nvars, "entailment query spans %d "
+                              "variables, cap is %d") is None
 
 
 # ------------------------------------------------------------------ generators
@@ -116,6 +110,10 @@ def gen_random(v: int, c: int, k: int, seed) -> Formula:
     Each clause uses k distinct variables with independent random signs, so
     clauses are duplicate-free and non-tautological.
     """
+    if k < 1:
+        raise ValueError("width must be at least 1, got %d" % k)
+    if c < 0:
+        raise ValueError("clauses must be at least 0, got %d" % c)
     if k > v:
         raise ValueError("width %d exceeds %d variables" % (k, v))
     rng = random.Random(seed)
@@ -129,8 +127,7 @@ def gen_random(v: int, c: int, k: int, seed) -> Formula:
 
 # ---------------------------------------------------------------------- solver
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str                       # "sat" | "unsat"
     model: dict | None = None
     proof: list | None = None         # DRAT ProofSteps for unsat

@@ -65,6 +65,17 @@ def naive_entails(clauses, clause):
     return naive_satisfiable(list(clauses) + negated, variables) is None
 
 
+def naive_lowest_model(clauses, nvars):
+    """The satisfying assignment of variables 1..nvars with the least index
+    i, or None: i sets variable v true iff bit v-1 of i is set."""
+    masks = [(sum(1 << (l - 1) for l in set(c) if l > 0),
+              sum(1 << (-l - 1) for l in set(c) if l < 0)) for c in clauses]
+    for i in range(1 << nvars):
+        if all(i & pos or ~i & neg for pos, neg in masks):
+            return {v: bool(i >> (v - 1) & 1) for v in range(1, nvars + 1)}
+    return None
+
+
 # ---------------------------------------------------------- unit propagation
 
 def _as_dict(formula):

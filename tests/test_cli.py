@@ -293,6 +293,15 @@ def test_usage_and_parse_errors_exit_two(tmp_path, capsys):
     assert "error:" in err
     rc, _, err = _run(capsys, ["gen", "php", "0"])
     assert rc == 2
+    out = tmp_path / "f.cnf"
+    for clauses, width, word in (("2", "0", "width"), ("2", "-1", "width"),
+                                 ("-2", "2", "clauses")):
+        rc, _, err = _run(capsys, ["gen", "random", "--vars", "3",
+                                   "--clauses", clauses, "--width", width,
+                                   "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert err.startswith("error: ") and word in err
+        assert not out.exists()
 
 
 def test_digit_separator_in_the_cnf_exits_two(tmp_path, capsys):
@@ -306,8 +315,9 @@ def test_digit_separator_in_the_cnf_exits_two(tmp_path, capsys):
     assert err == "error: line 2: underscore in token '1_0'\n"
 
 
-# Run in a fresh interpreter: which modules `import dratkit.cli` and a check
-# command load.  The facts are printed as one JSON object.
+# Run in a fresh interpreter: which modules `import dratkit.cli`, a check
+# command, trim, and then solve and gen load.  The facts are printed as one
+# JSON object.
 STARTUP_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -316,32 +326,76 @@ imported = set(sys.modules) - before
 rc = dratkit.cli.main(["check", "lrat", sys.argv[1], sys.argv[2]])
 after_check = set(sys.modules)
 dratkit.cli.main(["trim", sys.argv[1], sys.argv[3], "--out-lrat", sys.argv[4]])
+trim_dataclasses = "dataclasses" in set(sys.modules) - before
+dratkit.cli.main(["gen", "php", "3", "--out", sys.argv[5]])
+dratkit.cli.main(["solve", sys.argv[5], "--proof", sys.argv[6]])
 print(json.dumps({
     "rc": rc,
     "import": sorted(imported & {"dataclasses", "dratkit.pipeline"}),
     "check": sorted(after_check & {"dataclasses", "dratkit.pipeline"}),
-    "trim_dataclasses": "dataclasses" in set(sys.modules) - before,
+    "trim_dataclasses": trim_dataclasses,
+    "solve_gen": sorted((set(sys.modules) - before)
+                        & {"dataclasses", "numpy"}),
 }))
 """
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports this dratkit."""
+    src = os.path.dirname(os.path.dirname(dratkit.__file__))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_check_commands_load_neither_dataclasses_nor_the_pipeline(tmp_path):
     # start-up is most of a small check's cost: keep the pipeline (which
-    # only trim and to-er need) and dataclasses off the check path
+    # only trim and to-er need) and dataclasses off the check path, and
+    # numpy and dataclasses out of solve and gen
     cnf = _cnf_file(tmp_path, FULL2)
     lrat = tmp_path / "p.lrat"
     lrat.write_bytes(b"5 1 0 1 3 0\n6 0 5 2 4 0\n")
     drat = _proof_file(tmp_path, FULL2_PROOF)
-    src = os.path.dirname(os.path.dirname(dratkit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    php, proof = tmp_path / "php.cnf", tmp_path / "php.drat"
     run = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE, cnf, str(lrat), drat,
-         str(tmp_path / "out.lrat")],
-        env=env, capture_output=True, text=True, timeout=60)
+         str(tmp_path / "out.lrat"), str(php), str(proof)],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     facts = json.loads(run.stdout.splitlines()[-1])
     assert facts == {"rc": 0, "import": [], "check": [],
-                     "trim_dataclasses": False}
+                     "trim_dataclasses": False, "solve_gen": []}
+    assert run.stdout.splitlines()[-2] == "s UNSATISFIABLE"
+    assert proof.read_bytes().endswith(b"\n0\n")
+
+
+# Run with numpy blocked: every dratkit module imports, the oracles and the
+# solver run, and so do `gen php 3` and `solve`.
+NO_NUMPY_PROBE = """
+import importlib, pkgutil, sys
+sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+import dratkit
+for m in pkgutil.iter_modules(dratkit.__path__):
+    importlib.import_module("dratkit." + m.name)
+from dratkit.cli import main
+from dratkit.core import Clause, formula_from_clauses
+from dratkit.testkit import brute_force, cdcl_solve, entails, gen_php
+f = formula_from_clauses([[1, 2], [-1, 2]])
+assert brute_force(f) == {1: False, 2: True}
+assert entails(f, Clause([2])) and not entails(f, Clause([1]))
+assert cdcl_solve(gen_php(2), seed=0).status == "unsat"
+assert main(["gen", "php", "3", "--out", sys.argv[1]]) == 0
+assert main(["solve", sys.argv[1], "--proof", sys.argv[2]]) == 0
+"""
+
+
+def test_dratkit_runs_with_numpy_blocked(tmp_path):
+    # dratkit needs nothing outside the standard library
+    php, proof = tmp_path / "php.cnf", tmp_path / "php.drat"
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, str(php), str(proof)],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "s UNSATISFIABLE\n"
+    assert proof.read_bytes().endswith(b"\n0\n")
 
 
 def test_cli_round_trip_on_solver_corpus(tmp_path, capsys):

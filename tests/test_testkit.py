@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dratkit.core import Clause, formula_from_clauses
+from dratkit.formats import parse_dimacs
 from dratkit.testkit import (
     OracleRangeError,
     brute_force,
@@ -13,7 +14,7 @@ from dratkit.testkit import (
     gen_php,
     gen_random,
 )
-from _oracles import naive_check_drat, naive_satisfiable
+from _oracles import naive_check_drat, naive_entails, naive_lowest_model
 
 
 def _steps_for_oracle(steps):
@@ -53,17 +54,34 @@ class TestBruteForce:
         assert not entails(formula_from_clauses([[1]]), Clause([]))
 
     def test_agreement_with_naive_enumeration(self):
+        # the model is the lowest-index one, variable 1 the lowest bit
         rng = random.Random(31)
+        formulas = []
         for _ in range(80):
             v = rng.randint(1, 8)
-            f = gen_random(v, rng.randint(1, 24), rng.randint(1, min(3, v)), rng.random())
+            formulas.append(gen_random(v, rng.randint(1, 24),
+                                       rng.randint(1, min(3, v)), rng.random()))
+        formulas.append(parse_dimacs(b"p cnf 6 2\n1 0\n2 3 0\n")[0])  # 4-6 unused
+        formulas.append(formula_from_clauses(  # the unit sets the top bit
+            [[20]] + [c.lits for _, c in gen_random(20, 60, 3, 4).items()]))
+        for f in formulas:
+            clauses = [c.lits for _, c in f.items()]
             model = brute_force(f)
-            naive = naive_satisfiable([c.lits for _, c in f.items()],
-                                      range(1, v + 1))
-            assert (model is None) == (naive is None)
+            assert model == naive_lowest_model(clauses, f.max_var)
             if model is not None:
-                for _, c in f.items():
+                for c in clauses:
                     assert any(model[abs(l)] is (l > 0) for l in c)
+            if f.max_var > 8:
+                continue
+            for _ in range(4):
+                k = rng.randint(0, 3)
+                target = [x * rng.choice((-1, 1))
+                          for x in rng.sample(range(1, f.max_var + 3), k)]
+                assert entails(f, Clause(target)) == naive_entails(clauses, target)
+        assert formulas[-2].max_var == 6
+        assert brute_force(formulas[-2]) == {1: True, 2: True, 3: False,
+                                             4: False, 5: False, 6: False}
+        assert brute_force(formulas[-1])[20] is True
 
 
 class TestGenerators:
@@ -105,6 +123,10 @@ class TestGenerators:
     def test_random_width_bound(self):
         with pytest.raises(ValueError):
             gen_random(2, 5, 3, 0)
+        for clauses, width, word in ((2, 0, "width"), (2, -1, "width"),
+                                     (-2, 2, "clauses")):
+            with pytest.raises(ValueError, match=word):
+                gen_random(3, clauses, width, 1)
 
 
 class TestCdcl:
