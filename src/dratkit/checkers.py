@@ -3,7 +3,12 @@
 check_drat replays a content-addressed proof forward: every addition must be
 a propagation consequence (RUP) or a resolution-asymmetric addition (RAT) in
 the current formula, and the proof verifies once the empty clause enters the
-formula.  Deletions follow one of two semantics: "specified" applies them
+formula.  The propagation engine only searches: each addition it accepts
+comes with an LRAT hint block, and the verdict rests on that block passing
+check_addition, the rules check_lrat applies to every addition, over the
+same live formula.  An addition the engine accepts and those rules reject
+is the engine's fault and raises EngineFault.  Deletions follow one of two
+semantics: "specified" applies them
 literally, while "operational" mirrors the behavior of production checkers,
 which keep any clause that currently shapes the top-level trail (exactly one
 non-falsified literal under the top-level closure: a unit, or the reason
@@ -14,9 +19,9 @@ since the closure then depends on the order clauses are visited in.  The two
 flavors genuinely diverge on proofs that delete such clauses.
 
 check_lrat replays an id-addressed document with hints and does no search:
-it builds no propagation engine, and propagate.walk replays each stated
-chain over a dict of true literals, seeded with the negated clause (a RAT
-candidate extends it and takes its own literals back off).  A hint the walk
+it builds no propagation engine, and check_addition runs propagate.walk
+over each stated chain on a dict of true literals, seeded with the negated
+clause (a RAT candidate extends it and takes its own literals back off).  A hint the walk
 reaches that is not a live id rejects the step as unknown_id.  RAT steps
 must list chains for exactly the live clauses containing the negated pivot
 (none at all when no live clause contains it).
@@ -33,10 +38,11 @@ only the literals it adds for a complementary pair, so a chain costs the
 total width of its antecedents, not its length times the accumulator's.
 
 All checkers work on a copy of the input clauses and report a CheckReport;
-they raise only on contract violations (malformed step kinds), never on
-invalid proofs.  The pipeline's two exceptions, ForwardRejected and
-TranslationInvariantViolation, are defined here, so that the command line
-names a rejection and catches them without importing the pipeline.
+they raise only on contract violations (malformed step kinds) and on an
+EngineFault, never on invalid proofs.  The pipeline's two exceptions,
+ForwardRejected and TranslationInvariantViolation (EngineFault is one kind
+of it), are defined here, so that the command line names a rejection and
+catches them without importing the pipeline.
 """
 
 from __future__ import annotations
@@ -76,6 +82,18 @@ class ForwardRejected(Exception):
 
 class TranslationInvariantViolation(Exception):
     """An emitted step or document failed its own re-check."""
+
+
+class EngineFault(TranslationInvariantViolation):
+    """The DRAT search accepted an addition whose hint block fails the hint
+    walk, so the propagation engine is at fault, not the proof."""
+
+    def __init__(self, step, reason, detail=None):
+        super().__init__("the search's hint block for step %s failed the hint "
+                         "walk: %s (%r)" % (step, reason, detail))
+        self.step = step
+        self.reason = reason
+        self.detail = detail
 
 
 class CheckMode:
@@ -177,8 +195,11 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                                                 candidate id of its first pivot
 
     The stream ends right after init_verified/verified/reject, or when the
-    proof runs out without the empty clause.  The caller owns working and
-    engine and reads counters off them afterwards.
+    proof runs out without the empty clause.  Every addition the engine
+    accepts passes check_addition, with the pivot the engine used, before it
+    is yielded; one that fails raises EngineFault.  Those walks count no
+    visits.  The caller owns working and engine and reads counters off them
+    afterwards.
     """
     closure = None  # operational-mode closure cache, dropped on any change
 
@@ -216,19 +237,13 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
         pivot = None
         if c.is_tautology:
             hints = HintBlock()
-        elif c.is_empty:
-            out = engine.rup(c)
-            if not out.rup:
-                yield ("reject", i, NOT_RAT, None)
-                return
-            cid = working.add_clause(c)
-            yield ("add", i, cid, HintBlock(out.antecedents), None)
-            yield ("verified", i)
-            return
         else:
             out = engine.rup(c)
             if out.rup:
                 hints = HintBlock(out.antecedents)
+            elif c.is_empty:
+                yield ("reject", i, NOT_RAT, None)
+                return
             else:
                 pivots = c.lits[:1] if mode.pivot_policy == "first" else c.lits
                 failed = None  # failing candidate of the first pivot tried
@@ -242,10 +257,18 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                 else:
                     yield ("reject", i, NOT_RAT, failed)
                     return
+        # the verdict rests on check_lrat's rules, not on the search
+        reason, detail, _, _ = check_addition(
+            working.clauses, working.occurrence, c, hints, pivot)
+        if reason is not None:
+            raise EngineFault(i, reason, detail)
         cid = working.add_clause(c)
+        yield ("add", i, cid, hints, pivot)
+        if c.is_empty:
+            yield ("verified", i)
+            return
         engine.attach(cid)
         closure = None
-        yield ("add", i, cid, hints, pivot)
 
 
 def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
@@ -279,6 +302,70 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
 
 # -------------------------------------------------------------------- LRAT
 
+def check_addition(clauses, occurrence, c: Clause, hints: HintBlock, pivot):
+    """check_lrat's rules for one addition of c over the live clauses, with
+    no search; occurrence(l) lists the live ids containing l, ascending.
+
+    The unit chain is walked over the negated clause.  When it conflicts the
+    addition holds by RUP, and no group may follow.  Otherwise it holds by
+    RAT on pivot (None admits no RAT): the groups name exactly the live
+    clauses containing the negated pivot (none when there are no groups),
+    and each group's chain refutes its resolvent over the units the unit
+    chain made true, unless the resolvent is tautological or satisfied.
+
+    Returns (reason, detail, visited, rat): reason is None when the addition
+    holds, else the rejection tag and its detail as check_lrat reports them;
+    visited counts the walks' clause visits up to the verdict; rat tells
+    that the RAT rule accepted the addition.
+    """
+    groups = hints.rat_groups
+    true = dict.fromkeys(-l for l in c.lits)
+    visited = 0
+    if c.is_tautology:
+        status, consumed = "conflict", 0
+    else:
+        chain = hints.rup_chain
+        status, consumed = walk(clauses, true, chain)
+        visited = consumed + (status != "open")
+        if status == "open" and consumed < len(chain):
+            # the walk reached a hint that is not a live id
+            return UNKNOWN_ID, chain[consumed], visited, False
+    if status == "conflict":
+        if groups:
+            # hints continue past a finished propagation proof
+            return BAD_HINT, consumed, visited, False
+        return None, None, visited, False
+    if status == "stuck" or pivot is None:
+        return BAD_HINT, consumed, visited, False
+    occ = occurrence(-pivot)
+    if not groups and occ:
+        # a RAT step with no groups holds only when no live clause contains
+        # the negated pivot
+        return BAD_HINT, consumed, visited, False
+    for cand, _ in groups:
+        if cand not in clauses:
+            return UNKNOWN_ID, cand, visited, False
+    if sorted(cand for cand, _ in groups) != occ:
+        return MISSING_RAT_CANDIDATE, None, visited, False
+    lead = len(true)
+    for cand, gchain in groups:
+        for l in clauses[cand].lits:
+            if l != -pivot:
+                if l in true:
+                    break  # the resolvent is tautological or satisfied
+                true.setdefault(-l)
+        else:
+            status, consumed = walk(clauses, true, gchain)
+            visited += consumed + (status != "open")
+            if status == "open" and consumed < len(gchain):
+                return UNKNOWN_ID, gchain[consumed], visited, False
+            if status != "conflict":
+                return BAD_HINT, consumed, visited, False
+        while len(true) > lead:
+            true.popitem()
+    return None, None, visited, True
+
+
 def check_lrat(f: Formula, steps) -> CheckReport:
     working = f.copy()
     clauses = working.clauses
@@ -303,53 +390,13 @@ def check_lrat(f: Formula, steps) -> CheckReport:
         if sid <= last:
             return report(False, i, ID_ORDER, detail=sid, checked=i)
         c = step.clause
-        hints = step.hints or HintBlock()
-        groups = hints.rat_groups
-        true = dict.fromkeys(-l for l in c.lits)
-        if c.is_tautology:
-            status, consumed = "conflict", 0
-        else:
-            status, consumed = walk(clauses, true, hints.rup_chain)
-            visited += consumed + (status != "open")
-            if status == "open" and consumed < len(hints.rup_chain):
-                # the walk reached a hint that is not a live id
-                return report(False, i, UNKNOWN_ID,
-                              detail=hints.rup_chain[consumed], checked=i)
-        if status == "conflict":
-            if groups:
-                # hints continue past a finished propagation proof
-                return report(False, i, BAD_HINT, detail=consumed, checked=i)
-        elif status == "stuck" or c.is_empty:
-            return report(False, i, BAD_HINT, detail=consumed, checked=i)
-        elif not groups and working.occurrence(-c.lits[0]):
-            # a RAT step with no groups holds only when no live clause
-            # contains the negated pivot
-            return report(False, i, BAD_HINT, detail=consumed, checked=i)
-        else:
-            pivot = c.lits[0]
-            for cand, _ in groups:
-                if cand not in clauses:
-                    return report(False, i, UNKNOWN_ID, detail=cand, checked=i)
-            if sorted(cand for cand, _ in groups) != working.occurrence(-pivot):
-                return report(False, i, MISSING_RAT_CANDIDATE, checked=i)
-            lead = len(true)
-            for cand, gchain in groups:
-                for l in clauses[cand].lits:
-                    if l != -pivot:
-                        if l in true:
-                            break  # the resolvent is tautological or satisfied
-                        true.setdefault(-l)
-                else:
-                    st2, con2 = walk(clauses, true, gchain)
-                    visited += con2 + (st2 != "open")
-                    if st2 == "open" and con2 < len(gchain):
-                        return report(False, i, UNKNOWN_ID,
-                                      detail=gchain[con2], checked=i)
-                    if st2 != "conflict":
-                        return report(False, i, BAD_HINT, detail=con2, checked=i)
-                while len(true) > lead:
-                    true.popitem()
-            rat_steps += 1
+        reason, detail, seen, rat = check_addition(
+            clauses, working.occurrence, c, step.hints or HintBlock(),
+            c.lits[0] if c.lits else None)
+        visited += seen
+        if reason is not None:
+            return report(False, i, reason, detail, checked=i)
+        rat_steps += rat
         last = sid
         working.add_clause(c, cid=sid)
         if c.is_empty:

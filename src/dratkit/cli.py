@@ -5,7 +5,10 @@ Result lines follow the solver convention ("s VERIFIED", "s SATISFIABLE",
 ...); optional counters print as "c <name> <integer>" lines and are
 byte-identical across runs on identical inputs.  A rejection also names
 its step, reason and detail on stderr ("error: step 12 rejected: no_pivot
-(3)").  Exit codes: 0 success or verified, 1 rejected, 2 usage or parse
+(3)").  When the DRAT search accepts an addition whose hint block fails
+the hint walk, the search is at fault and the error says so ("error: the
+search's hint block for step 12 failed the hint walk: bad_hint (3)").
+Exit codes: 0 success or verified, 1 rejected or failed, 2 usage or parse
 error.
 """
 
@@ -18,6 +21,7 @@ from dratkit.checkers import (
     OPERATIONAL,
     SPECIFIED,
     CheckMode,
+    EngineFault,
     ForwardRejected,
     TranslationInvariantViolation,
     check_drat,
@@ -254,7 +258,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ForwardRejected as e:
+    except (ForwardRejected, EngineFault) as e:
         print("s NOT VERIFIED")
         print("error: %s" % e, file=sys.stderr)
         return 1
