@@ -9,9 +9,8 @@ beside the engine, for check_lrat, check_rup_guided and to_er.
 The Engine owns the propagation state for one Formula: a trail of assigned
 literals with reasons, two watched literals per clause of size two or more,
 and dedicated queues for unit and empty clauses (which cannot hold two
-watches).  Every check runs inside a checkpoint and restores the trail and
-the watch lists exactly, move for move, so repeated checks over the same
-formula perform identical work and report identical counters.
+watches).  Every check runs inside a checkpoint and restores the trail, the
+values and the queue head; the watches it moved stay where they went.
 
 Layout.  The state is flat and indexed by literal, as in DRAT-trim, so the
 watch loop reads lists and makes no method call per literal:
@@ -43,12 +42,15 @@ inserts the new slots between the positive and the negative half, in place,
 so lists bound to locals stay valid and every existing literal keeps its
 slot.
 
-Watch order.  Which conflict propagation meets first decides the antecedent
-chains, the visit counts and so the LRAT and ER bytes.  Three things fix
-that order and are kept as they are: a moved watch goes to the first
-non-false literal in clause order, a watch list is compacted in place while
-it is scanned, and rollback undoes each move exactly, putting the id back
-at its old index.
+Watches.  Rollback only unassigns, as in MiniSat and DRAT-trim: a moved
+watch went to a literal non-false under the longer trail, so it stays
+non-false under every prefix, and every check starts from the empty trail.
+The watch order, which decides the conflicts met first and so the chains,
+the visit counts and the LRAT and ER bytes, thus depends on the operations
+run so far.  It is deterministic: a moved watch goes to the first non-false
+literal in clause order, and a list is compacted in place while scanned.
+Verdicts do not rest on it: checkers._drat_forward walks every hint block
+the engine reports before it accepts the addition.
 
 Clause visits are counted per live-clause inspection (unit queue entries,
 watch list entries, the empty-clause short circuit).  On a conflict the
@@ -137,7 +139,6 @@ class Engine:
         self.qhead = 0
         self.unit_ids: list = []   # ascending ids of size-1 clauses
         self.empty_ids: list = []
-        self._moves: list = []     # (cid, slot, old_lit, old_index, new_lit)
         self.visited_total = 0
         self._dense = _identity_prefix(f)  # variables 1.._dense keep their number
         self._ix: dict = {}        # renamed variable -> internal variable
@@ -241,10 +242,10 @@ class Engine:
         self.trail.append(l)
 
     def checkpoint(self):
-        return (len(self.trail), len(self._moves), self.qhead)
+        return (len(self.trail), self.qhead)
 
     def rollback(self, cp) -> None:
-        tlen, mlen, qhead = cp
+        tlen, qhead = cp
         trail = self.trail
         if len(trail) > tlen:
             val = self.val
@@ -253,14 +254,6 @@ class Engine:
                 val[-l] = 0
             del trail[tlen:]
         self.qhead = qhead
-        moves = self._moves
-        if len(moves) > mlen:
-            watches, wlits = self.watches, self.wlits
-            for cid, slot, old_lit, old_idx, new_lit in reversed(moves[mlen:]):
-                watches[new_lit].pop()
-                watches[old_lit].insert(old_idx, cid)
-                wlits[cid][slot] = old_lit
-            del moves[mlen:]
 
     # ------------------------------------------------------------ propagation
 
@@ -297,7 +290,7 @@ class Engine:
         if self.empty_ids:
             return self._outcome("conflict", self.empty_ids[0], visited + 1,
                                  antecedents_from)
-        watches, wlits, moves = self.watches, self.wlits, self._moves
+        watches, wlits = self.watches, self.wlits
         for cid in self.unit_ids:
             visited += 1
             l = wlits[cid][2][0]
@@ -335,7 +328,6 @@ class Engine:
                     continue
                 for cand in w[2]:
                     if cand != other and cand != neg and val[cand] != -1:
-                        moves.append((cid, slot, neg, j, cand))
                         w[slot] = cand
                         watches[cand].append(cid)
                         break
@@ -360,8 +352,9 @@ class Engine:
         """The top-level unit-propagation fixpoint as {var: bool}, or None
         when propagation with no assumptions reaches a conflict.
 
-        Runs inside a checkpoint and restores visited_total, so the trail,
-        the watch order and the counters are left exactly as they were.
+        Runs inside a checkpoint and restores visited_total, so the trail
+        and the counters are left as they were; the watches it moved stay
+        where they went.
         """
         cp = self.checkpoint()
         visited = self.visited_total

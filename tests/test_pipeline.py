@@ -1127,35 +1127,37 @@ RATMIX_PROOF = [add_step([-6, -7]), delete_step([2, -1]),
                 delete_step([-6, -7]), add_step([-3]), add_step([])]
 
 # sha256 of every output the command line prints or writes for three fixed
-# inputs.  php5 and hops were computed before the propagation engine moved
-# to flat lists, ratmix before the forward pass recorded LRAT hint blocks.
-# The watch order decides which conflict propagation meets first, and so the
-# antecedent chains, the visit counters and the LRAT and ER bytes; a change
-# to the engine that reorders propagation fails here.
+# inputs, pinned after the engine stopped undoing watch moves, from LRAT and
+# ER documents that naive_check_lrat and naive_check_er accept.  The watch
+# order, which the whole sequence of checks and deletions before a step
+# shapes, decides which conflict propagation meets first, and so the
+# antecedent chains, the visit counters and the LRAT and ER bytes; they are
+# a function of the input alone, and a change to the engine that reorders
+# propagation fails here.
 GOLDEN = {
     "php5": {
         "check_specified":
-            "122f24b69d964336ec7637c1421a73b4fd60724b84a403b1c55992941f84cc33",
+            "930a863e96dd988fac43cf7e10d732e813d53c924480dc4c0fcd95c9c6a3db76",
         "check_operational":
-            "122f24b69d964336ec7637c1421a73b4fd60724b84a403b1c55992941f84cc33",
+            "930a863e96dd988fac43cf7e10d732e813d53c924480dc4c0fcd95c9c6a3db76",
         "lrat":
-            "f93bdfec075c05e1b16378235ba150185c8101099cb8d26e133b87f23807fef2",
+            "6458d429a00d9e00bb2c25acb32e30747e8d9e018941bd1c07f45ec7a44ced15",
         "trimmed":
             "1b55042dff3c10a0315a94dccd3167b85b234ab32d98fec1fa8c15d1c43aa176",
         "core":
             "7e5d017392eaa29f07649ef4d2383bd8472e0979a3c17c46e48c7f9442fe9610",
         "er":
-            "4013e4bc019791a0eccfd916236479a7211ca1b38dc200e52bf979ffc6bf1e0c",
+            "ce94df4e82450f659f5e7d9006be04278373755a172b6e386a36576a42c8c5f0",
         "check_lrat":
-            "84dd6c9525d89df5d26e0f585619ce4a36cf29b21e0a31f82dd75acd5c2341eb",
+            "993b32d105a2769ecce108fe9a352b41df11215ec8bbd7ef74b58c36d7501f7c",
         "check_er":
-            "84dd6c9525d89df5d26e0f585619ce4a36cf29b21e0a31f82dd75acd5c2341eb",
+            "993b32d105a2769ecce108fe9a352b41df11215ec8bbd7ef74b58c36d7501f7c",
     },
     "hops": {
         "check_specified":
-            "80b6afb2c79ad2818b3ddbdeb483caa73035945a2e69340b37949b40cb022e9f",
+            "7322a0143ae146fdb467acb021c9c10095be3363822eec444f9054910422132a",
         "check_operational":
-            "80b6afb2c79ad2818b3ddbdeb483caa73035945a2e69340b37949b40cb022e9f",
+            "7322a0143ae146fdb467acb021c9c10095be3363822eec444f9054910422132a",
         "lrat":
             "515c4074419d34576ee57bdabeded87364af213053d96637ff5ad08c9611c97d",
         "trimmed":
@@ -1171,9 +1173,9 @@ GOLDEN = {
     },
     "ratmix": {
         "check_specified":
-            "6b751173b420a9e34774d7b976a787af6a444fbe63801b3df6f34efb03bdba2f",
+            "c468a0289acb376420b2331a4a15cfc95c068224f180de338cbf31aa0aae31ea",
         "check_operational":
-            "6b751173b420a9e34774d7b976a787af6a444fbe63801b3df6f34efb03bdba2f",
+            "c468a0289acb376420b2331a4a15cfc95c068224f180de338cbf31aa0aae31ea",
         "lrat":
             "6e07e9bff5ce6efe4daebcb5540edde7b210da9d6a8b87a46d6727788e674a44",
         "trimmed":
@@ -1290,4 +1292,4 @@ def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
     cnf = [list(c.lits) for _, c in f.items()]
     assert naive_check_er(cnf, er.decode())
     assert hashlib.sha256(er).hexdigest() == (
-        "8837201b5b1c909a68985b9685f0375266c447e508b22fa5adf42cba3d26e744")
+        "f4514a555a896c1ac3bc0734ec297c4587c444bfdc2ce3d3eee411e01cb40602")

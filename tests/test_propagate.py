@@ -39,11 +39,13 @@ def _rand_formula(rng, maxv, nclauses):
 
 
 def _snapshot(e):
-    """Full propagation state in the formula's own literals, so engines that
-    numbered their variables differently compare equal: every literal's value
-    and watch list (free literals and empty lists normalized away, so growth
-    alone changes nothing), the reasons of the trail's variables, and every
-    attached clause's record."""
+    """The propagation state a check restores, in the formula's own literals,
+    so engines that numbered their variables differently compare equal: the
+    trail, every literal's value (free literals normalized away, so growth
+    alone changes nothing), the reasons of the trail's variables, the queue
+    head, every attached clause's literals and the unit and empty queues.
+    Where the watches sit is left out: a check leaves the watches it moved
+    where they went, and _assert_watches checks them."""
     assert len(e.val) == len(e.watches) == 2 * e.cap + 1
     assert len(e.reason) == e.cap + 1
     assert e.val[0] == 0 and e.watches[0] == []
@@ -59,13 +61,28 @@ def _snapshot(e):
         {x(l): e.val[l] for l in lits if e.val[l]},
         {abs(x(l)): e.reason[abs(l)] for l in e.trail},
         e.qhead,
-        {x(l): tuple(e.watches[l]) for l in lits if e.watches[l]},
-        {cid: (w[0] and x(w[0]), w[1] and x(w[1]), tuple(map(x, w[2])))
-         for cid, w in e.wlits.items()},
+        {cid: tuple(map(x, w[2])) for cid, w in e.wlits.items()},
         tuple(e.unit_ids),
         tuple(e.empty_ids),
-        len(e._moves),
     )
+
+
+def _assert_watches(e):
+    """The watches at rest: every clause of two or more literals watches two
+    distinct literals of its own, and its id sits in the watch lists of
+    exactly those two literals, once in each; unit and empty clauses watch
+    nothing."""
+    where = {}
+    for l in range(-e.cap, e.cap + 1):
+        for cid in e.watches[l]:
+            where.setdefault(cid, []).append(l)
+    for cid, (w0, w1, lits) in e.wlits.items():
+        if len(lits) > 1:
+            assert w0 != w1 and w0 in lits and w1 in lits
+            assert sorted(where.pop(cid)) == sorted((w0, w1))
+        else:
+            assert w0 is None and w1 is None
+    assert not where
 
 
 # ------------------------------------------------------------------ propagate
@@ -407,24 +424,32 @@ def test_rat_leading_reasons_replay_as_units():
 
 # ------------------------------------------------------------------ engine state
 
+def _run_check(e, op, c):
+    if op == 0:
+        return e.rup(c)
+    if op == 1:
+        return e.toplevel()
+    return e.rat(c, c.lits[0])
+
+
 def test_checks_restore_trail_and_watches():
+    # a check restores the trail, the values and the queue head and keeps
+    # the watch invariant; a twin engine fed the same checks reports the
+    # same outcomes and counters
     rng = random.Random(18)
     for _ in range(60):
         maxv = rng.randint(2, 7)
         clauses = _rand_formula(rng, maxv, rng.randint(2, 20))
         f = formula_from_clauses(clauses)
-        e = Engine(f)
+        e, twin = Engine(f), Engine(formula_from_clauses(clauses))
         before = _snapshot(e)
         for _ in range(8):
             c = Clause(_rand_clause(rng, maxv))
             op = rng.randrange(3)
-            if op == 0:
-                e.rup(c)
-            elif op == 1:
-                e.toplevel()
-            else:
-                e.rat(c, c.lits[0])
+            assert _run_check(e, op, c) == _run_check(twin, op, c)
+            assert e.visited_total == twin.visited_total
             assert _snapshot(e) == before
+            _assert_watches(e)
 
 
 def test_checks_restore_state_across_attach_detach():
@@ -433,21 +458,26 @@ def test_checks_restore_state_across_attach_detach():
         maxv = rng.randint(2, 6)
         clauses = _rand_formula(rng, maxv, rng.randint(2, 12))
         f = formula_from_clauses(clauses)
-        e = Engine(f)
+        e, twin = Engine(f), Engine(f)
         for _ in range(6):
             if rng.random() < 0.5 and f.clauses:
                 cid = rng.choice(sorted(f.clauses))
                 e.detach(cid)
+                twin.detach(cid)
                 f.remove_by_id(cid)
             else:
                 cid = f.add_clause(_rand_clause(rng, maxv))
                 e.attach(cid)
+                twin.attach(cid)
+            _assert_watches(e)
             before = _snapshot(e)
             c = Clause(_rand_clause(rng, maxv))
-            e.rup(c)
-            if f.clauses:
-                e.rat(c, c.lits[0])
+            ops = (0, 2) if f.clauses else (0,)
+            for op in ops:
+                assert _run_check(e, op, c) == _run_check(twin, op, c)
+            assert e.visited_total == twin.visited_total
             assert _snapshot(e) == before
+            _assert_watches(e)
 
 
 def test_toplevel_equals_naive_closure():
@@ -478,6 +508,7 @@ def test_toplevel_restores_state_and_counters():
         e.toplevel()
         assert _snapshot(e) == before
         assert e.visited_total == visited
+        _assert_watches(e)
 
 
 def test_engine_runs_are_deterministic():
@@ -588,9 +619,10 @@ def test_slots_follow_the_variables_seen_not_their_numbers():
 # formula's max_var), detach one, or run rup, rat or toplevel on the engine,
 # or replay hints over the same formula without it: check_rup_guided, or an
 # LRAT-style addition (walk the hints over the negated clause).  Every check
-# must agree with its oracle, report exactly what an engine built afresh over
-# the same formula reports, and leave the engine's state as it found it;
-# after every change the engine must match one built afresh.
+# must agree with its oracle, report exactly what a twin engine fed the same
+# operations reports, restore the trail, the values and the queue head, and
+# keep the watch invariant; after every change the engine's state, its
+# watches aside, must match one built afresh.
 
 BASE_VARS = 5      # variables of the starting formula
 FRESH_VARS = 3     # variables above it that lemmas and attachments may use
@@ -670,22 +702,28 @@ def _check(e, f, op):
 @given(st.lists(_clauses(BASE_VARS, min_size=1), min_size=1, max_size=11), _ops)
 def test_engine_agrees_with_oracles_under_attach_and_detach(clauses, ops):
     f = formula_from_clauses(clauses)
-    e = Engine(f)
+    e, twin = Engine(f), Engine(f)
     for op in ops:
         if op[0] == "attach":
-            e.attach(f.add_clause(op[1]))
+            cid = f.add_clause(op[1])
+            e.attach(cid)
+            twin.attach(cid)
         elif op[0] == "detach":
             if f.clauses:
                 ids = sorted(f.clauses)
                 cid = ids[op[1] % len(ids)]
                 e.detach(cid)
+                twin.detach(cid)
                 f.remove_by_id(cid)
         else:
             before, visited = _snapshot(e), e.visited_total
             out = _check(e, f, op)
             assert _snapshot(e) == before
+            _assert_watches(e)
             if op[0] == "toplevel":
                 assert e.visited_total == visited
-            assert out == _check(Engine(f), f, op)
+            assert out == _check(twin, f, op)
+            assert e.visited_total == twin.visited_total
             continue
         assert _snapshot(e) == _snapshot(Engine(f))
+        _assert_watches(e)
