@@ -10,12 +10,16 @@ truth-table oracle.
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from dratkit import cli, pipeline
+import dratkit
+from dratkit import checkers, cli, pipeline
 from dratkit.checkers import (
     BAD_HINT,
     NO_BOTTOM,
@@ -1293,3 +1297,212 @@ def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
     assert naive_check_er(cnf, er.decode())
     assert hashlib.sha256(er).hexdigest() == (
         "f4514a555a896c1ac3bc0734ec297c4587c444bfdc2ce3d3eee411e01cb40602")
+
+
+# ------------------------------------------- RAT-rich DRAT proofs, mutated
+
+def _rat_corpus():
+    """(name, formula, proof): Cook's PHP(3) and PHP(4) proofs, hops and
+    ratmix."""
+    out = []
+    for n in (3, 4):
+        proof = [add_step(lits) if kind == "a" else delete_step(lits)
+                 for kind, lits in _cook_proof(n)]
+        out.append(("cook%d" % n, gen_php(n), proof))
+    for name in ("hops", "ratmix"):
+        out.append((name, *_golden_inputs(name)))
+    return out
+
+
+def _drat_mutant(rng, kind, f, proof, cp):
+    """proof with one mutation of the given kind, or None when no step takes
+    it.  cp is the forward pass over proof: delete_needed deletes, right
+    before a lemma, a clause its hint block cites."""
+    proof = list(proof)
+    lemmas = [i for i, s in enumerate(proof) if s.kind == "add"]
+    if kind == "drop_lemma":
+        del proof[rng.choice(lemmas)]
+    elif kind == "flip_literal":
+        i = rng.choice([i for i in lemmas if proof[i].clause.lits])
+        lits = list(proof[i].clause.lits)
+        j = rng.randrange(len(lits))
+        lits[j] = -lits[j]
+        proof[i] = add_step(lits)
+    elif kind == "swap_steps":
+        i, j = rng.sample(range(len(proof)), 2)
+        proof[i], proof[j] = proof[j], proof[i]
+    elif kind == "drop_deletion":
+        dels = [i for i, s in enumerate(proof) if s.kind == "delete"]
+        if not dels:
+            return None
+        del proof[rng.choice(dels)]
+    elif kind == "add_deletion":
+        k = rng.randrange(len(proof) + 1)
+        pool = [c for _, c in f.items()]
+        pool += [proof[i].clause for i in lemmas if i < k]
+        proof.insert(k, delete_step(rng.choice(pool)))
+    else:  # delete_needed
+        content = dict(f.clauses)
+        content.update((r.wid, r.clause) for r in cp.records if r.kind == "add")
+        needy = [k for k, r in enumerate(cp.records)
+                 if r.kind == "add" and r.hints != HintBlock()]
+        k = rng.choice(needy)
+        cited = pipeline._cited_ids(cp.records[k].hints)
+        proof.insert(k, delete_step(content[rng.choice(cited)]))
+    return proof
+
+
+def test_rat_rich_drat_mutants_get_the_oracles_verdict():
+    # whole-proof mutants of the RAT-rich corpus: check_drat gives
+    # naive_check_drat's verdict at the same step in both deletion modes
+    # (and, but for the oracle's slowest input, both pivot policies), and
+    # every addition the search accepts passes the hint walk (an EngineFault
+    # would fail the test)
+    kinds = ("drop_lemma", "flip_literal", "swap_steps", "drop_deletion",
+             "add_deletion", "delete_needed")
+    rng = random.Random(12)
+    tried = dict.fromkeys(kinds, 0)
+    verdicts = {True: 0, False: 0}
+    for name, f, proof in _rat_corpus():
+        cnf = [list(c.lits) for _, c in f.items()]
+        cp = backward_check(f, proof)
+        big = name == "cook4"
+        for kind in kinds * (1 if big else 3):
+            mutant = _drat_mutant(rng, kind, f, proof, cp)
+            if mutant is None:
+                continue
+            tried[kind] += 1
+            steps = [("a" if s.kind == "add" else "d", list(s.clause.lits))
+                     for s in mutant]
+            for flavor in (SPECIFIED, OPERATIONAL):
+                for policy in ("first",) if big else ("first", "any"):
+                    report = check_drat(f, mutant, CheckMode(flavor, policy))
+                    want = naive_check_drat(cnf, steps, flavor, policy)
+                    if report.verified:
+                        got = ("verified", report.steps_checked)
+                    else:
+                        got = ("rejected", report.step_index,
+                               {NOT_RAT: "step", NO_BOTTOM: "nobottom"}[report.reason])
+                    assert got == want, (name, kind, flavor, policy)
+                    verdicts[report.verified] += 1
+    assert min(tried.values()) >= 8
+    assert min(verdicts.values()) >= 30
+
+
+# ---------------------------------------- determinism across processes
+
+def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # two fresh interpreters with different hash seeds write the same trim
+    # and to-er documents and print the same counter lines
+    src = os.path.dirname(os.path.dirname(dratkit.__file__))
+    cook = [add_step(lits) if kind == "a" else delete_step(lits)
+            for kind, lits in _cook_proof(3)]
+    inputs = {"php5": (gen_php(5), cdcl_solve(gen_php(5), seed=0).proof),
+              "cook3": (gen_php(3), cook)}
+    for name, (f, proof) in inputs.items():
+        cnf, drat = tmp_path / (name + ".cnf"), tmp_path / (name + ".drat")
+        cnf.write_bytes(write_dimacs(f))
+        drat.write_bytes(write_drat_text(proof))
+        seen = []
+        for seed in ("0", "12345"):
+            d = tmp_path / ("%s-%s" % (name, seed))
+            d.mkdir()
+            outs = {k: str(d / k) for k in ("lrat", "trimmed", "core", "er")}
+            commands = [
+                ["check", "drat", str(cnf), str(drat), "--counters"],
+                ["trim", str(cnf), str(drat), "--out-lrat", outs["lrat"],
+                 "--out-drat", outs["trimmed"], "--out-core", outs["core"]],
+                ["to-er", str(cnf), str(drat), "--out", outs["er"]],
+            ]
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            printed = []
+            for argv in commands:
+                run = subprocess.run([sys.executable, "-m", "dratkit.cli", *argv],
+                                     env=env, capture_output=True, timeout=120)
+                assert run.returncode == 0, run.stderr
+                printed.append(run.stdout)
+            files = {k: (d / k).read_bytes() for k in outs}
+            seen.append((printed, files))
+        assert seen[0] == seen[1], name
+        assert b"c visited_clauses" in seen[0][0][0]
+
+
+# ------------------------------------------------ a forged search refused
+
+FORGE = ([[-1, 2], [2, 3], [2, -3], [-2, 4], [-2, -4]],
+         [add_step([1]), add_step([2]), add_step([])])
+# (1) is RAT and not RUP: its one candidate (-1 2) leaves the resolvent (2),
+# which (2 3) and (2 -3) refute, so its group's chain is not empty
+
+
+def _forge_rup(real):
+    def rup(self, c):
+        out = real(self, c)
+        if out.rup:  # drop the conflict clause from the chain
+            return out._replace(antecedents=out.antecedents[:-1])
+        return out
+    return rup
+
+
+def _forge_rat(real):
+    def rat(self, c, pivot):
+        out = real(self, c, pivot)
+        groups = tuple((cand, chain[:-1]) for cand, chain in out.groups)
+        return out._replace(groups=groups)
+    return rat
+
+
+@pytest.mark.parametrize("forge", ["rup", "rat"])
+def test_a_forged_search_is_refused_by_every_drat_command(forge, tmp_path,
+                                                          capsys, monkeypatch):
+    clauses, proof = FULL2, FULL2_PROOF
+    if forge == "rup":
+        monkeypatch.setattr(Engine, "rup", _forge_rup(Engine.rup))
+    else:
+        clauses, proof = FORGE
+        monkeypatch.setattr(Engine, "rat", _forge_rat(Engine.rat))
+    cnf, drat = tmp_path / "f.cnf", tmp_path / "p.drat"
+    cnf.write_bytes(write_dimacs(formula_from_clauses(clauses)))
+    drat.write_bytes(write_drat_text(proof))
+    out = tmp_path / "out"
+    for argv in (["check", "drat", str(cnf), str(drat), "--counters"],
+                 ["check", "drat", str(cnf), str(drat), "--mode", "operational"],
+                 ["trim", str(cnf), str(drat), "--out-lrat", str(out),
+                  "--out-drat", str(out) + ".drat", "--out-core", str(out) + ".cnf"],
+                 ["to-er", str(cnf), str(drat), "--out", str(out)]):
+        rc = cli.main(argv)
+        printed = capsys.readouterr()
+        assert rc == 1
+        assert "s VERIFIED" not in printed.out
+        assert printed.err.startswith(
+            "error: the search's hint block for step 0 failed the hint walk: "
+            "bad_hint")
+        assert not list(tmp_path.glob("out*"))
+
+
+def test_the_hint_walk_adds_no_clause_visits(tmp_path, capsys, monkeypatch):
+    # the counters are the search's alone: visited_clauses is the engine's
+    # own total, and every counter line reads the same with the walk
+    # replaced by one that accepts without looking
+    engines = []
+
+    class Recording(Engine):
+        def __init__(self, f):
+            super().__init__(f)
+            engines.append(self)
+
+    monkeypatch.setattr(checkers, "Engine", Recording)
+    for name, f, proof in _rat_corpus():
+        cnf, drat = tmp_path / (name + ".cnf"), tmp_path / (name + ".drat")
+        cnf.write_bytes(write_dimacs(f))
+        drat.write_bytes(write_drat_text(proof))
+        argv = ["check", "drat", str(cnf), str(drat), "--counters"]
+        with monkeypatch.context() as m:
+            m.setattr(checkers, "check_addition", lambda *a: (None, None, 0, False))
+            assert cli.main(argv) == 0
+            unwalked = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == unwalked
+        assert engines[-1].visited_total > 0
+        assert "c visited_clauses %d" % engines[-1].visited_total in printed.splitlines()
