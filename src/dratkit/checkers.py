@@ -7,24 +7,25 @@ formula.  The propagation engine only searches: each addition it accepts
 comes with an LRAT hint block, and the verdict rests on that block passing
 check_addition, the rules check_lrat applies to every addition, over the
 same live formula.  An addition the engine accepts and those rules reject
-is the engine's fault and raises EngineFault.  Deletions follow one of two
-semantics: "specified" applies them
-literally, while "operational" mirrors the behavior of production checkers,
-which keep any clause that currently shapes the top-level trail (exactly one
+is the engine's fault and raises EngineFault.
+
+Deletions follow one of two semantics: "specified" applies them literally,
+while "operational" mirrors the behavior of production checkers, which keep
+any clause that currently shapes the top-level trail (exactly one
 non-falsified literal under the top-level closure: a unit, or the reason
-clause of a derived unit).  That closure is the engine's top-level
-propagation fixpoint, which is unique when it has no conflict; only when the
-top level conflicts does the id-order fixpoint of toplevel_closure decide,
-since the closure then depends on the order clauses are visited in.  The two
-flavors genuinely diverge on proofs that delete such clauses.
+clause of a derived unit).  That closure is the engine's top-level propagation
+fixpoint, which is unique when it has no conflict; only when the top level
+conflicts does the id-order fixpoint of toplevel_closure decide, since the
+closure then depends on the order clauses are visited in.  The two flavors
+genuinely diverge on proofs that delete such clauses.
 
 check_lrat replays an id-addressed document with hints and does no search:
-it builds no propagation engine, and check_addition runs propagate.walk
-over each stated chain on a dict of true literals, seeded with the negated
-clause (a RAT candidate extends it and takes its own literals back off).  A hint the walk
-reaches that is not a live id rejects the step as unknown_id.  RAT steps
-must list chains for exactly the live clauses containing the negated pivot
-(none at all when no live clause contains it).
+it builds no propagation engine, and check_addition runs propagate.walk over
+each stated chain on a dict of true literals, seeded with the negated clause
+(a RAT candidate extends it and takes its own literals back off).  A hint
+the walk reaches that is not a live id rejects the step as unknown_id.  RAT
+steps must list chains for exactly the live clauses containing the negated
+pivot (none at all when no live clause contains it).
 
 check_er verifies extension steps (a fresh definition variable, not
 mentioned by its own definition, with its clause family) and resolution
