@@ -2,7 +2,8 @@
 
 backward_check replays a DRAT proof forward, recording every addition's
 LRAT hint block (a RUP chain, or a RAT step's leading units plus one chain
-per candidate), then walks backward from the empty clause marking the cited
+per candidate, each block certified by the hint walk as the search finds
+it), then walks backward from the empty clause marking the cited
 closure as core.  Additions outside that closure, and deletions of
 non-core clauses, are flagged non-core; the used subset of the original
 formula becomes core_formula_ids.
