@@ -13,11 +13,13 @@ Deletions follow one of two semantics: "specified" applies them literally,
 while "operational" mirrors the behavior of production checkers, which keep
 any clause that currently shapes the top-level trail (exactly one
 non-falsified literal under the top-level closure: a unit, or the reason
-clause of a derived unit).  That closure is the engine's top-level propagation
-fixpoint, which is unique when it has no conflict; only when the top level
-conflicts does the id-order fixpoint of toplevel_closure decide, since the
-closure then depends on the order clauses are visited in.  The two flavors
-genuinely diverge on proofs that delete such clauses.
+clause of a derived unit).  That closure is the engine's top-level
+propagation fixpoint.  While the top level propagates to a conflict,
+operational mode keeps every clause: the formula stays refuted by
+propagation, so every later addition is RUP, and since deletions only weaken
+a formula and RAT additions preserve satisfiability, the input is then
+unsatisfiable.  The two flavors genuinely diverge on proofs that delete such
+clauses.
 
 check_lrat replays an id-addressed document with hints and does no search:
 it builds no propagation engine, and check_addition runs propagate.walk over
@@ -101,9 +103,9 @@ class CheckMode:
     """Checking flavor and pivot policy for DRAT.
 
     flavor "specified" applies deletions literally; "operational" skips
-    deletions of trail-shaping clauses.  pivot_policy "first" tries the
-    first literal of the clause as written; "any" searches all literals of
-    the clause.
+    deletions of trail-shaping clauses, and every deletion while the top
+    level conflicts.  pivot_policy "first" tries the first literal of the
+    clause as written; "any" searches all literals of the clause.
     """
 
     __slots__ = ("flavor", "pivot_policy")
@@ -133,40 +135,6 @@ class CheckReport(NamedTuple):
     missing_deletions: int = 0      # deletions of clauses not in the formula
 
 
-def toplevel_closure(f: Formula) -> dict:
-    """Unit-propagation closure of the formula with no assumptions.
-
-    Iterates clauses in id order until stable; falsified clauses are skipped
-    (the closure continues past conflicts).  Without a conflict the result
-    is the unique fixpoint that Engine.toplevel also returns; with one it
-    depends on the id order, which is why operational mode falls back to it
-    only then.  Returns {var: bool}.
-    """
-    assign: dict[int, bool] = {}
-    changed = True
-    while changed:
-        changed = False
-        for cid in sorted(f.clauses):
-            free = None
-            nfree = 0
-            satisfied = False
-            for l in f.clauses[cid].lits:
-                v = assign.get(abs(l))
-                if v is None:
-                    nfree += 1
-                    free = l
-                    if nfree > 1:
-                        break
-                elif v == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied or nfree != 1:
-                continue
-            assign[abs(free)] = free > 0
-            changed = True
-    return assign
-
-
 def _shapes_trail(clause: Clause, closure: dict) -> bool:
     """True when exactly one literal is non-falsified under the closure."""
     nonfalse = 0
@@ -180,6 +148,9 @@ def _shapes_trail(clause: Clause, closure: dict) -> bool:
 
 
 # -------------------------------------------------------------------- DRAT
+
+_STALE = object()  # _drat_forward's closure cache holds no current value
+
 
 def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     """Forward DRAT replay as an event stream over a live formula/engine pair.
@@ -202,7 +173,8 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     visits.  The caller owns working and engine and reads counters off them
     afterwards.
     """
-    closure = None  # operational-mode closure cache, dropped on any change
+    closure = _STALE  # operational mode's Engine.toplevel(), None on a
+                      # conflict; made stale by any change to the formula
 
     if working.has_empty:
         yield ("init_verified",)
@@ -219,16 +191,15 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                 continue
             target = ids[0]
             if mode.flavor == OPERATIONAL:
-                if closure is None:
+                if closure is _STALE:
                     closure = engine.toplevel()
-                    if closure is None:
-                        closure = toplevel_closure(working)
-                if _shapes_trail(working.clauses[target], closure):
+                if closure is None or _shapes_trail(working.clauses[target],
+                                                    closure):
                     yield ("delete", i, target, False)
                     continue
             engine.detach(target)
             working.remove_by_id(target)
-            closure = None
+            closure = _STALE
             yield ("delete", i, target, True)
             continue
         if step.kind != "add":
@@ -269,7 +240,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             yield ("verified", i)
             return
         engine.attach(cid)
-        closure = None
+        closure = _STALE
 
 
 def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:

@@ -88,7 +88,8 @@ def naive_closure(formula, assign=None):
     """Id-order iterate-until-stable unit propagation.
 
     Returns (assign, conflict).  Falsified clauses flag the conflict but do
-    not stop the loop, so the closure is order-independent.
+    not stop the loop.  The flag does not depend on the clause order; past a
+    conflict, the assignment does.
     """
     clauses = _as_dict(formula)
     assign = dict(assign or {})
@@ -186,8 +187,8 @@ def naive_check_drat(cnf, steps, mode="specified", pivot_policy="first"):
             if ids:
                 target = ids[0]
                 if mode == "operational":
-                    assign, _ = naive_closure(clauses)
-                    if naive_protected(clauses[target], assign):
+                    assign, conflict = naive_closure(clauses)
+                    if conflict or naive_protected(clauses[target], assign):
                         continue
                 del clauses[target]
             continue

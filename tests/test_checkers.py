@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from dratkit import checkers
 from dratkit.core import Clause, formula_from_clauses
 from dratkit.pipeline import backward_check
 from dratkit.propagate import Engine
@@ -25,7 +24,6 @@ from dratkit.checkers import (
     check_drat,
     check_er,
     check_lrat,
-    toplevel_closure,
 )
 from dratkit.formats import (
     Chain,
@@ -133,16 +131,22 @@ def test_drat_rat_rejection_names_failing_candidate():
 
 
 def test_drat_deletion_semantics_diverge():
-    f = formula_from_clauses([[1], [-1]])
-    proof = [delete_step([1]), add_step([])]
-    spec = check_drat(f, proof, CheckMode(SPECIFIED))
-    op = check_drat(f, proof, CheckMode(OPERATIONAL))
-    assert not spec.verified
-    assert spec.step_index == 1
-    assert spec.reason == NOT_RAT
-    assert op.verified
-    assert op.steps_checked == 2
-    assert op.skipped_deletions == 1
+    # operational mode keeps the unit {1}, and keeps every clause while the
+    # top level conflicts: 1 and {-1, 2} force 2, which falsifies {-2}
+    for cnf, unit in (([[1], [-1]], [1]), ([[1], [-1, 2], [-2], [3, 4]], [-2])):
+        f = formula_from_clauses(cnf)
+        proof = [delete_step(unit), add_step([])]
+        spec = check_drat(f, proof, CheckMode(SPECIFIED))
+        op = check_drat(f, proof, CheckMode(OPERATIONAL))
+        assert not spec.verified
+        assert spec.step_index == 1
+        assert spec.reason == NOT_RAT
+        assert op.verified
+        assert op.steps_checked == 2
+        assert op.skipped_deletions == 1
+        for flavor, report in ((SPECIFIED, spec), (OPERATIONAL, op)):
+            want = naive_check_drat(cnf, _steps_for_oracle(proof), mode=flavor)
+            assert _triple(report) == want
 
 
 def test_drat_missing_deletion_is_counted_not_fatal():
@@ -185,12 +189,6 @@ def test_drat_rejects_foreign_step_kinds():
         check_drat(f, [delete_ids_step([1])])
     with pytest.raises(ValueError):
         check_drat(f, [ProofStep("extend")])
-
-
-def test_toplevel_closure_continues_past_conflicts():
-    f = formula_from_clauses([[1], [-1], [-2, 3], [2]])
-    assign = toplevel_closure(f)
-    assert assign == {1: True, 2: True, 3: True}
 
 
 def _mutate_proof(rng, proof, maxv):
@@ -287,22 +285,16 @@ def _deletion_case(rng):
 
 def test_drat_deletion_corpus_agrees_with_naive(monkeypatch):
     """Both flavors against the oracle on proofs that delete units and
-    reasons; operational mode falls back to toplevel_closure only when the
-    top level conflicts."""
-    tops, fallbacks = [], []
+    reasons; operational mode keeps every clause while the top level
+    conflicts, and every verified verdict is on an unsatisfiable formula."""
+    tops = []
     toplevel = Engine.toplevel
 
     def engine_toplevel(engine):
         tops.append(toplevel(engine))
         return tops[-1]
 
-    def closure_on_conflict(f):
-        _, conflict = naive_closure({cid: c.lits for cid, c in f.items()})
-        fallbacks.append(conflict)
-        return toplevel_closure(f)
-
     monkeypatch.setattr(Engine, "toplevel", engine_toplevel)
-    monkeypatch.setattr(checkers, "toplevel_closure", closure_on_conflict)
     rng = random.Random(44)
     skipped = diverged = verified = 0
     for trial in range(200):
@@ -316,9 +308,10 @@ def test_drat_deletion_corpus_agrees_with_naive(monkeypatch):
             triples.append(want)
             if report.verified:
                 verified += 1
+                assert brute_force(f) is None, (trial, flavor)
         skipped += report.skipped_deletions > 0
         diverged += triples[0] != triples[1]
-    assert all(fallbacks) and len(fallbacks) == tops.count(None) >= 50
+    assert tops.count(None) >= 50  # deletions under a conflicting top level
     assert sum(bool(t) for t in tops) >= 50  # shields read off the engine
     assert skipped >= 40 and diverged >= 10 and verified >= 40
 

@@ -88,11 +88,15 @@ def _counter_runs(tmp_path, capsys, f, proof, modes=("specified", "operational")
 
 def test_check_drat_operational_counters_equal_specified(tmp_path, capsys):
     # php(5) is the smallest pigeonhole proof of the solver with deletions;
-    # the second formula has a top-level trail for the shield to read
+    # the second formula has a top-level trail (1, 2) for the shield to
+    # read, which satisfies one deleted clause and falsifies a literal of
+    # the other, and its top level never conflicts at a deletion
     f = gen_php(5)
     cases = [(f, cdcl_solve(f, seed=0).proof),
-             (formula_from_clauses([[1], [-1, 2], [5, 6], [3, 4], [-3, 4], [3, -4], [-3, -4]]),
-              [delete_step([5, 6]), add_step([3]), delete_step([3, 4]), add_step([])])]
+             (formula_from_clauses([[1], [-1, 2], [2, 7], [-2, 5, 6], [3, 4],
+                                    [-3, 4], [3, -4], [-3, -4]]),
+              [delete_step([2, 7]), delete_step([-2, 5, 6]), add_step([3]),
+               add_step([])])]
     for f, proof in cases:
         assert any(s.kind == "delete" for s in proof)
         spec, op = _counter_runs(tmp_path, capsys, f, proof)
@@ -101,10 +105,17 @@ def test_check_drat_operational_counters_equal_specified(tmp_path, capsys):
 
 
 def test_check_drat_operational_counts_skipped_unit_deletion(tmp_path, capsys):
-    f = formula_from_clauses([[1], [-1]])
-    (rc, out, _), = _counter_runs(tmp_path, capsys, f, [delete_step([1]), add_step([])],
-                                  modes=("operational",))
-    assert rc == 0 and "c skipped_deletions 1" in out.splitlines()
+    # each deletion comes under a conflicting top level: 1 and -1; 1, {-1, 2}
+    # and {-2}; 3 with {-3, 4} and {-3, -4}
+    cases = [([[1], [-1]], [delete_step([1]), add_step([])]),
+             ([[1], [-1, 2], [-2], [3, 4]], [delete_step([-2]), add_step([])]),
+             ([[1], [-1, 2], [5, 6], [3, 4], [-3, 4], [3, -4], [-3, -4]],
+              [delete_step([5, 6]), add_step([3]), delete_step([3, 4]),
+               add_step([])])]
+    for clauses, proof in cases:
+        (rc, out, _), = _counter_runs(tmp_path, capsys, formula_from_clauses(clauses),
+                                      proof, modes=("operational",))
+        assert rc == 0 and "c skipped_deletions 1" in out.splitlines()
 
 
 def test_check_drat_mode_flag_switches_deletion_semantics(tmp_path, capsys):

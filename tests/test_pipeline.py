@@ -323,6 +323,20 @@ def test_noncore_original_gets_leading_lrat_deletion():
     assert not any(9 in s.antecedents for _, s in er if isinstance(s, Chain))
 
 
+def test_operational_trim_and_to_er_keep_deletions_under_a_conflict():
+    # the top level conflicts on {-2}, so operational mode keeps it
+    cnf = [[1], [-1, 2], [-2], [3, 4]]
+    proof = [delete_step([-2]), add_step([])]
+    f = formula_from_clauses(cnf)
+    with pytest.raises(ForwardRejected):
+        backward_check(f, proof, CheckMode(SPECIFIED))
+    cp = backward_check(f, proof, CheckMode(OPERATIONAL))
+    lrat, trimmed, core = emit_trim(cp)
+    assert check_drat(core, trimmed).verified
+    assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+    assert naive_check_er(cnf, write_er(to_er(f, cp)).decode())
+
+
 def test_singleton_rat_translates_with_two_clause_family():
     f = formula_from_clauses(K0)
     cp = backward_check(f, K0_PROOF)
