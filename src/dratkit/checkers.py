@@ -7,7 +7,13 @@ formula.  The propagation engine only searches: each addition it accepts
 comes with an LRAT hint block, and the verdict rests on that block passing
 check_addition, the rules check_lrat applies to every addition, over the
 same live formula.  An addition the engine accepts and those rules reject
-is the engine's fault and raises EngineFault.
+is the engine's fault and raises EngineFault.  The forward pass,
+_drat_forward, yields one StepRecord per proof step and raises
+ForwardRejected at an addition that holds by neither rule; check_drat
+counts its report off those records, and pipeline.backward_check keeps
+them.  StepRecord is the only step record from the search to the emitted
+documents: the pipeline marks core on these records and rewrites the core
+ones over the trimmed proof's ids.
 
 Deletions follow one of two semantics: "specified" applies them literally,
 while "operational" mirrors the behavior of production checkers, which keep
@@ -40,12 +46,14 @@ antecedent, drops the pivot's two literals from the accumulator and tests
 only the literals it adds for a complementary pair, so a chain costs the
 total width of its antecedents, not its length times the accumulator's.
 
-All checkers work on a copy of the input clauses and report a CheckReport;
+All checkers work on a copy of the input clauses, read any iterable of
+steps, and report a CheckReport (no_bottom at the count of steps read);
 they raise only on contract violations (malformed step kinds) and on an
 EngineFault, never on invalid proofs.  The pipeline's two exceptions,
 ForwardRejected and TranslationInvariantViolation (EngineFault is one kind
 of it), are defined here, so that the command line names a rejection and
-catches them without importing the pipeline.
+catches them without importing the pipeline; so is StepRecord, which the
+forward pass yields.  pipeline re-exports all three.
 """
 
 from __future__ import annotations
@@ -135,6 +143,30 @@ class CheckReport(NamedTuple):
     missing_deletions: int = 0      # deletions of clauses not in the formula
 
 
+class StepRecord(NamedTuple):
+    """One proof step on its way from the DRAT search to the emitted
+    documents.
+
+    _drat_forward yields one per step of the input proof, over the forward
+    world's ids.  An addition's wid is its clause id and hints its LRAT hint
+    block: the RUP chain (dependency-filtered, ending at the conflict), or
+    for a RAT step on pivot the unfiltered reasons of the leading units and
+    one (candidate, chain) pair per live clause containing the negated
+    pivot.  A deletion's wid is the id it targets (None when no live clause
+    has its content) and applied tells whether it took effect.
+    pipeline.backward_check sets core; pipeline.emit_trimmed rewrites the
+    core records over the trimmed proof's ids.
+    """
+
+    kind: str
+    clause: Clause | None
+    wid: int | None
+    hints: HintBlock = HintBlock()
+    pivot: int | None = None
+    core: bool = False
+    applied: bool = True
+
+
 def _shapes_trail(clause: Clause, closure: dict) -> bool:
     """True when exactly one literal is non-falsified under the closure."""
     nonfalse = 0
@@ -153,32 +185,25 @@ _STALE = object()  # _drat_forward's closure cache holds no current value
 
 
 def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
-    """Forward DRAT replay as an event stream over a live formula/engine pair.
+    """Forward DRAT replay over a live formula/engine pair: one StepRecord
+    per proof step, in proof order.
 
-    Yields, in proof order:
-      ("init_verified",)                        formula already holds the empty clause
-      ("delete", i, target_id_or_None, applied) deletion step; target None = no such clause
-      ("add", i, cid, hints, pivot)             accepted addition with its LRAT HintBlock
-                                                (empty for a tautology); pivot None for
-                                                RUP and tautologies, set for RAT
-      ("verified", i)                           the empty clause entered at step i
-      ("reject", i, reason, detail)             proof invalid at step i; a failed
-                                                RAT addition's detail is the failing
-                                                candidate id of its first pivot
+    An accepted addition's record carries its id and its LRAT hint block
+    (empty for a tautology), and its pivot when it holds by RAT.  A
+    deletion's record carries the id it targets (None when no live clause
+    has its content) and whether it took effect.  The stream ends right
+    after the empty clause's addition, or when the proof runs out; the
+    caller tests beforehand whether working already holds the empty clause.
+    An addition that holds by neither rule raises ForwardRejected; a failed
+    RAT addition's detail is the failing candidate id of its first pivot.
 
-    The stream ends right after init_verified/verified/reject, or when the
-    proof runs out without the empty clause.  Every addition the engine
-    accepts passes check_addition, with the pivot the engine used, before it
-    is yielded; one that fails raises EngineFault.  Those walks count no
-    visits.  The caller owns working and engine and reads counters off them
-    afterwards.
+    Every addition the engine accepts passes check_addition, with the pivot
+    the engine used, before its record is yielded; one that fails raises
+    EngineFault.  Those walks count no visits.  The caller owns working and
+    engine and reads counters off them afterwards.
     """
     closure = _STALE  # operational mode's Engine.toplevel(), None on a
                       # conflict; made stale by any change to the formula
-
-    if working.has_empty:
-        yield ("init_verified",)
-        return
 
     for i, step in enumerate(proof):
         if step.kind == "delete":
@@ -186,8 +211,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                 raise ValueError("step %d: content-free deletion in a DRAT proof" % i)
             ids = working.ids_for(step.clause)
             if not ids:
-                working.missing_deletes += 1
-                yield ("delete", i, None, False)
+                yield StepRecord("delete", step.clause, None, applied=False)
                 continue
             target = ids[0]
             if mode.flavor == OPERATIONAL:
@@ -195,12 +219,12 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                     closure = engine.toplevel()
                 if closure is None or _shapes_trail(working.clauses[target],
                                                     closure):
-                    yield ("delete", i, target, False)
+                    yield StepRecord("delete", step.clause, target, applied=False)
                     continue
             engine.detach(target)
             working.remove_by_id(target)
             closure = _STALE
-            yield ("delete", i, target, True)
+            yield StepRecord("delete", step.clause, target)
             continue
         if step.kind != "add":
             raise ValueError("step %d: kind %r not allowed in a DRAT proof"
@@ -214,8 +238,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             if out.rup:
                 hints = HintBlock(out.antecedents)
             elif c.is_empty:
-                yield ("reject", i, NOT_RAT, None)
-                return
+                raise ForwardRejected(i, NOT_RAT)
             else:
                 pivots = c.lits[:1] if mode.pivot_policy == "first" else c.lits
                 failed = None  # failing candidate of the first pivot tried
@@ -227,17 +250,15 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                     if failed is None:
                         failed = r.witness_candidate
                 else:
-                    yield ("reject", i, NOT_RAT, failed)
-                    return
+                    raise ForwardRejected(i, NOT_RAT, failed)
         # the verdict rests on check_lrat's rules, not on the search
         reason, detail, _, _ = check_addition(
             working.clauses, working.occurrence, c, hints, pivot)
         if reason is not None:
             raise EngineFault(i, reason, detail)
         cid = working.add_clause(c)
-        yield ("add", i, cid, hints, pivot)
+        yield StepRecord("add", c, cid, hints, pivot)
         if c.is_empty:
-            yield ("verified", i)
             return
         engine.attach(cid)
         closure = _STALE
@@ -247,29 +268,29 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
     mode = mode or CheckMode()
     working = f.copy()
     engine = Engine(working)
-    skipped = 0
-    rat_steps = 0
+    skipped = missing = rat_steps = 0
 
     def report(verified, i=None, reason=None, detail=None, checked=0):
         return CheckReport(verified, i, reason, detail, checked, rat_steps,
-                           engine.visited_total, skipped,
-                           working.missing_deletes)
+                           engine.visited_total, skipped, missing)
 
-    for ev in _drat_forward(working, engine, proof, mode):
-        tag = ev[0]
-        if tag == "init_verified":
-            return report(True, checked=0)
-        if tag == "delete":
-            if ev[2] is not None and not ev[3]:
-                skipped += 1
-        elif tag == "add" and ev[4] is not None:  # a pivot marks a RAT step
-            rat_steps += 1
-        elif tag == "verified":
-            return report(True, checked=ev[1] + 1)
-        elif tag == "reject":
-            _, i, reason, detail = ev
-            return report(False, i, reason, detail, checked=i)
-    return report(False, len(proof), NO_BOTTOM, checked=len(proof))
+    if working.has_empty:
+        return report(True)
+    n = 0
+    try:
+        for n, r in enumerate(_drat_forward(working, engine, proof, mode), 1):
+            if r.kind == "delete":
+                if r.wid is None:
+                    missing += 1
+                elif not r.applied:
+                    skipped += 1
+            elif r.pivot is not None:
+                rat_steps += 1
+            elif r.clause.is_empty:
+                return report(True, checked=n)
+    except ForwardRejected as e:
+        return report(False, e.step, e.reason, e.detail, checked=e.step)
+    return report(False, n, NO_BOTTOM, checked=n)
 
 
 # -------------------------------------------------------------------- LRAT
@@ -349,6 +370,7 @@ def check_lrat(f: Formula, steps) -> CheckReport:
         return CheckReport(verified, i, reason, detail, checked, rat_steps,
                            visited)
 
+    i = -1
     for i, (sid, step) in enumerate(steps):
         if step.kind == "delete":
             for did in step.ids:
@@ -373,7 +395,7 @@ def check_lrat(f: Formula, steps) -> CheckReport:
         working.add_clause(c, cid=sid)
         if c.is_empty:
             return report(True, checked=i + 1)
-    return report(False, len(steps), NO_BOTTOM, checked=len(steps))
+    return report(False, i + 1, NO_BOTTOM, checked=i + 1)
 
 
 # ---------------------------------------------------------------------- ER
@@ -431,6 +453,7 @@ def check_er(f: Formula, steps) -> CheckReport:
     def report(verified, i=None, reason=None, detail=None, checked=0):
         return CheckReport(verified, i, reason, detail, checked, 0, visited)
 
+    i = -1
     for i, (sid, step) in enumerate(steps):
         if isinstance(step, Delete):
             for did in step.ids:
@@ -473,4 +496,4 @@ def check_er(f: Formula, steps) -> CheckReport:
         if not claimed.lits:
             return report(True, checked=i + 1)
         max_var = max(max_var, *map(abs, claimed.lits))
-    return report(False, len(steps), NO_BOTTOM, checked=len(steps))
+    return report(False, i + 1, NO_BOTTOM, checked=i + 1)

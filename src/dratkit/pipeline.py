@@ -1,29 +1,36 @@
 """Proof transformation chain: backward check, trim, LRAT and ER emission.
 
-backward_check replays a DRAT proof forward, recording every addition's
-LRAT hint block (a RUP chain, or a RAT step's leading units plus one chain
-per candidate, each block certified by the hint walk as the search finds
-it), then walks backward from the empty clause marking the cited
-closure as core.  Additions outside that closure, and deletions of
-non-core clauses, are flagged non-core; the used subset of the original
+backward_check runs the forward DRAT search, checkers._drat_forward, which
+yields one StepRecord per proof step: each addition with its LRAT hint block
+(a RUP chain, or a RAT step's leading units plus one chain per candidate,
+certified by the hint walk as the search finds it).  It then walks backward
+from the empty clause and sets core on the cited closure's additions and
+on the applied deletions of its clauses; the used subset of the original
 formula becomes core_formula_ids.
 
-emit_trimmed keeps only core steps, rotates RAT clauses pivot-first, mirrors
+emit_trimmed builds the trimmed proof in one pass over those records, as
+StepRecords over the trimmed world's ids (original ids, non-core originals
+removed): it keeps only core steps, rotates RAT clauses pivot-first, mirrors
 the applied deletions of core clauses, and inserts synthetic deletions of
-added core clauses right after their last use.  emit_lrat and to_er both
-read the trimmed proof with the forward pass's hint blocks renumbered into
-the trimmed world (original ids, non-core originals removed); no second
-DRAT search runs.  emit_lrat writes those hint blocks as they are, with a
-leading deletion line for the non-core originals and ids continuing from
-the original clause count.  to_er translates the same steps into an
-extended-resolution document: RUP additions become resolution chains (fold
-order is the reverse of the hint order; checkers._fold_chain folds each one
-once, at the cost of its antecedents' width, and an antecedent that does
-not clash is left out of the emitted chain), and each RAT addition becomes a
-fresh definition variable with its clause family, derived images of the
-live clauses mentioning the pivot, and a variable substitution applied to
-everything after it; the images' chains come from the LRAT hints alone.
-Its bookkeeping stays linear in the proof: the live clauses mentioning the
+added core clauses right after their last use.  Each addition takes the
+next id after the original clauses, its hint block renumbered as it goes;
+each deletion names the id of the clause it frees.  Of two live copies of
+one lemma, that may not be the lower id a deletion by content would take,
+but both hold the same clause, so the LRAT and the trimmed DRAT hold equal
+clause multisets after every step.  Read by kind and clause the records
+are the trimmed DRAT proof; read by wid and hints they are its LRAT steps,
+which emit_trim writes after a leading deletion line for the non-core
+originals.  No second DRAT search and no replay by content runs.
+
+to_er translates the same records into an extended-resolution document:
+RUP additions become resolution chains (fold order is the reverse of the
+hint order; checkers._fold_chain folds each one once, at the cost of its
+antecedents' width, and an antecedent that does not clash is left out of
+the emitted chain), and each RAT addition becomes a fresh definition
+variable with its clause family, derived images of the live clauses
+mentioning the pivot, and a variable substitution applied to everything
+after it; the images' chains come from the LRAT hints alone.  Its
+bookkeeping stays linear in the proof: the live clauses mentioning the
 pivot come from the formula's occurrence lists, a table of each clause's
 last citation decides which of them need an image, and the substitution is
 resolved lazily.  All emitted documents are re-checked; a failed re-check
@@ -38,6 +45,7 @@ from dratkit.checkers import (
     NO_BOTTOM,
     CheckMode,
     ForwardRejected,
+    StepRecord,
     TranslationInvariantViolation,
     _drat_forward,
     _fold_chain,
@@ -52,31 +60,9 @@ from dratkit.formats import (
     HintBlock,
     add_step,
     delete_ids_step,
-    delete_step,
     extension_clauses,
 )
 from dratkit.propagate import Engine, walk
-
-
-class StepRecord(NamedTuple):
-    """One forward-pass step with its LRAT hint block and core flag.
-
-    For additions, wid is the clause id assigned in the forward world and
-    hints is the addition's LRAT hint block over forward-world ids: the RUP
-    chain (dependency-filtered, ending at the conflict), or for a RAT step
-    on pivot the unfiltered reasons of the leading units and one (candidate,
-    chain) pair per clause containing the negated pivot.  For deletions, wid
-    is the targeted clause id (None when the clause was absent) and applied
-    tells whether the deletion took effect.
-    """
-
-    kind: str
-    clause: Clause | None
-    wid: int | None
-    hints: HintBlock = HintBlock()
-    pivot: int | None = None
-    core: bool = False
-    applied: bool = True
 
 
 class CheckedProof(NamedTuple):
@@ -106,60 +92,28 @@ def _cited_ids(hints: HintBlock):
 
 def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedProof:
     mode = mode or CheckMode()
-    proof = list(proof)
     base = f.copy()
+    if base.has_empty:
+        return CheckedProof((), frozenset([min(base.empty_ids())]), base, True)
     working = f.copy()
-    engine = Engine(working)
-    raw = []  # (kind, clause, wid, hints, pivot, applied)
-    init_empty = False
-    verified = False
-    for ev in _drat_forward(working, engine, proof, mode):
-        tag = ev[0]
-        if tag == "init_verified":
-            init_empty = True
-            verified = True
-        elif tag == "delete":
-            _, i, target, applied = ev
-            raw.append(("delete", proof[i].clause, target, HintBlock(), None,
-                        applied))
-        elif tag == "add":
-            _, i, cid, hints, pivot = ev
-            raw.append(("add", proof[i].clause, cid, hints, pivot, True))
-        elif tag == "verified":
-            verified = True
-        elif tag == "reject":
-            raise ForwardRejected(ev[1], ev[2], ev[3])
-    if not verified:
-        raise ForwardRejected(len(proof), NO_BOTTOM)
-    if init_empty:
-        eid = min(base.empty_ids())
-        return CheckedProof((), frozenset([eid]), base, True)
+    records = list(_drat_forward(working, Engine(working), proof, mode))
+    if not records or records[-1].kind != "add" or not records[-1].clause.is_empty:
+        raise ForwardRejected(len(records), NO_BOTTOM)
 
-    original_ids = set(base.clauses)
-    add_index = {r[2]: k for k, r in enumerate(raw) if r[0] == "add"}
-    core_adds = set()
-    core_orig = set()
-    stack = [raw[-1][2]]  # the empty-clause addition is the last record
+    add_at = {r.wid: k for k, r in enumerate(records) if r.kind == "add"}
+    core = set()  # the cited closure of the empty clause, originals included
+    stack = [records[-1].wid]
     while stack:
         wid = stack.pop()
-        if wid in original_ids:
-            core_orig.add(wid)
-            continue
-        if wid in core_adds:
-            continue
-        core_adds.add(wid)
-        r = raw[add_index[wid]]
-        stack.extend(_cited_ids(r[3]))
-
-    records = []
-    for kind, clause, wid, hints, pivot, applied in raw:
-        if kind == "add":
-            core = wid in core_adds
-        else:
-            core = applied and (wid in core_adds or wid in core_orig)
-        records.append(StepRecord(kind, clause, wid, hints, pivot, core,
-                                  applied))
-    return CheckedProof(tuple(records), frozenset(core_orig), base)
+        if wid not in core:
+            core.add(wid)
+            if wid in add_at:
+                stack.extend(_cited_ids(records[add_at[wid]].hints))
+    for k, r in enumerate(records):
+        if r.wid in core and r.applied:
+            records[k] = r._replace(core=True)
+    return CheckedProof(tuple(records), frozenset(core.intersection(base.clauses)),
+                        base)
 
 
 # ------------------------------------------------------------------ trimming
@@ -172,107 +126,70 @@ def _rotate(clause: Clause, pivot: int) -> Clause:
 
 
 def emit_trimmed(cp: CheckedProof):
-    """Core-only DRAT proof plus the cited subset of the original formula.
+    """The trimmed proof as StepRecords over the trimmed world's ids, plus
+    the cited subset of the original formula.
 
     Returns (steps, core_cnf); core_cnf is renumbered densely.  Deletions of
     added core clauses are inserted right after their last citing step,
     except for clauses the proof itself deletes later and for anything still
-    cited by the final step.
+    cited by the final step.  The steps serve wherever DRAT steps do; their
+    wid and hints are the LRAT view the module docstring describes.  The
+    forward pass's chains hold in the trimmed world as they are: they cite
+    only core clauses, a unit chain stays unit whatever else is live, and
+    every RAT candidate is cited, so the trimmed world has the same
+    candidates.
     """
     if cp.empty_in_formula:
         core = Formula()
         core.add_clause(Clause([]))
-        return [add_step(Clause([]))], core
+        eid = min(cp.formula.empty_ids())
+        return [StepRecord("add", Clause([]), cp.formula.next_id,
+                           HintBlock((eid,)), core=True)], core
 
+    final_k = len(cp.records) - 1  # the empty clause's addition
     last_use = {}
-    final_k = None
     for k, r in enumerate(cp.records):
-        if not r.core or r.kind != "add":
-            continue
-        final_k = k
-        for wid in _cited_ids(r.hints):
-            last_use[wid] = k
+        if r.core and r.kind == "add":
+            for wid in _cited_ids(r.hints):
+                last_use[wid] = k
     mirrored = {r.wid for r in cp.records if r.kind == "delete" and r.core}
-    added_core = {r.wid for r in cp.records if r.kind == "add" and r.core}
+    added = {r.wid: r.clause for r in cp.records if r.kind == "add" and r.core}
     synth_at = {}
     for wid, k in last_use.items():
-        if wid in added_core and wid not in mirrored and k != final_k:
+        if wid in added and wid not in mirrored and k != final_k:
             synth_at.setdefault(k, []).append(wid)
 
-    by_wid = {r.wid: r for r in cp.records if r.kind == "add"}
-    steps = []
-    for k, r in enumerate(cp.records):
-        if not r.core:
-            continue
-        if r.kind == "delete":
-            steps.append(delete_step(r.clause))
-            continue
-        c = _rotate(r.clause, r.pivot) if r.pivot is not None else r.clause
-        steps.append(add_step(c))
-        for wid in sorted(synth_at.get(k, ())):
-            steps.append(delete_step(by_wid[wid].clause))
-
-    core = Formula()
-    for oid in sorted(cp.core_formula_ids):
-        core.add_clause(Clause(cp.formula.clauses[oid].lits))
-    return steps, core
-
-
-def _trimmed_world(cp: CheckedProof) -> Formula:
-    """The original formula with the non-core originals removed, ids kept."""
-    world = cp.formula.copy()
-    for oid in sorted(set(world.clauses) - set(cp.core_formula_ids)):
-        world.remove_by_id(oid)
-    return world
-
-
-# ------------------------------------------------------------------ replay
-
-def _replay_records(cp: CheckedProof, trimmed):
-    """The trimmed proof's steps with the forward pass's hint blocks,
-    renumbered into the trimmed world; runs no search.
-
-    The k-th addition of trimmed is cp's k-th core addition.  Its chains hold
-    as they are: they cite only core clauses, a unit chain stays unit
-    whatever else is live, and every RAT candidate is cited, so the trimmed
-    world has the same candidates.  Returns ("delete", target) and ("add",
-    cid, clause, hints, pivot) tuples in proof order.
-    """
-    world = _trimmed_world(cp)
-    image = {oid: oid for oid in world.clauses}
-    gone = {}  # content of each trimmed id a deletion removed
-    core_adds = (r for r in cp.records if r.kind == "add" and r.core)
+    image = {oid: oid for oid in cp.core_formula_ids}
+    next_tid = cp.formula.next_id
 
     def img(wid):
         tid = image.get(wid)
-        if tid in gone:  # a deletion by content took it in its twin's place
-            tid = image[wid] = (world.ids_for(gone[tid]) or [None])[0]
         if tid is None:
             raise TranslationInvariantViolation(
                 "clause %d cited but has no image in the trimmed proof" % wid)
         return tid
 
-    records = []
-    for i, step in enumerate(trimmed):
-        if step.kind == "delete":
-            ids = world.ids_for(step.clause)
-            if not ids:
-                raise TranslationInvariantViolation(
-                    "trimmed step %d: deletion did not apply in the trimmed world" % i)
-            gone[ids[0]] = world.remove_by_id(ids[0])
-            records.append(("delete", ids[0]))
+    steps = []
+    for k, r in enumerate(cp.records):
+        if not r.core:
             continue
-        r = next(core_adds, None)
-        if r is None:
-            raise TranslationInvariantViolation(
-                "trimmed step %d: more additions than core additions" % i)
+        if r.kind == "delete":
+            steps.append(r._replace(wid=img(r.wid)))
+            continue
         hints = HintBlock(tuple(map(img, r.hints.rup_chain)),
                           tuple((img(cand), tuple(map(img, chain)))
                                 for cand, chain in r.hints.rat_groups))
-        cid = world.add_clause(step.clause)
-        image[r.wid] = cid
-        records.append(("add", cid, step.clause, hints, r.pivot))
-    return records
+        c = _rotate(r.clause, r.pivot) if r.pivot is not None else r.clause
+        image[r.wid] = next_tid
+        steps.append(r._replace(clause=c, wid=next_tid, hints=hints))
+        next_tid += 1
+        for wid in sorted(synth_at.get(k, ())):
+            steps.append(StepRecord("delete", added[wid], image[wid], core=True))
+
+    core = Formula()
+    for oid in sorted(cp.core_formula_ids):
+        core.add_clause(Clause(cp.formula.clauses[oid].lits))
+    return steps, core
 
 
 def _require_verified(report, what: str) -> None:
@@ -298,27 +215,23 @@ def emit_lrat(cp: CheckedProof):
 def emit_trim(cp: CheckedProof):
     """Everything trim writes, built from one trimmed proof: (emit_lrat's
     document, then emit_trimmed's steps and core formula).  The LRAT document
-    adds and deletes the trimmed proof's clauses in its order, so its
-    re-check certifies the trimmed proof too, under specified deletions."""
+    is a leading deletion of the non-core originals, then the trimmed steps
+    read by wid and hints; it adds and deletes the trimmed proof's clauses
+    in its order, so its re-check certifies the trimmed proof too, under
+    specified deletions."""
     trimmed, core = emit_trimmed(cp)
     m = cp.formula.next_id - 1
-    if cp.empty_in_formula:
-        eid = min(cp.formula.empty_ids())
-        return ([(m + 1, add_step(Clause([]), hints=HintBlock(rup_chain=(eid,))))],
-                trimmed, core)
-
-    noncore = sorted(set(cp.formula.clauses) - set(cp.core_formula_ids))
-    out = []
-    if noncore:
-        out.append((m, delete_ids_step(tuple(noncore))))
-    last_sid = m
-    for rec in _replay_records(cp, trimmed):
-        if rec[0] == "delete":
-            out.append((last_sid, delete_ids_step((rec[1],))))
-            continue
-        _, cid, clause, hints, _ = rec
-        out.append((cid, add_step(clause, hints=hints)))
-        last_sid = cid
+    # an input holding the empty clause needs no deletion before citing it
+    noncore = () if cp.empty_in_formula else sorted(
+        set(cp.formula.clauses) - cp.core_formula_ids)
+    out = [(m, delete_ids_step(noncore))] if noncore else []
+    sid = m
+    for r in trimmed:
+        if r.kind == "delete":
+            out.append((sid, delete_ids_step((r.wid,))))
+        else:
+            sid = r.wid
+            out.append((sid, add_step(r.clause, hints=r.hints)))
     _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out, trimmed, core
 
@@ -393,11 +306,12 @@ def to_er(f: Formula, cp: CheckedProof):
     The live clauses mentioning p come from the live formula's occurrence
     lists, in ascending id order; last_ref[tid], the index of the last
     record citing tid, tells whether a later step still cites a clause.
-    The images' folds cite the ids from before the step, read through a log
-    of the id-map entries the step overwrites.  The rename is stored as
-    sub[|p|] = +-x and resolved lazily by _apply_lit: x is fresh, so it is
-    never already a key and the renames form chains without cycles.  The
-    finished document is re-checked before being returned.
+    A step's images are collected first, their folds citing the id map as
+    it stands before the step, and only then emitted and mapped.  The
+    rename is stored as sub[|p|] = +-x and resolved lazily by _apply_lit: x
+    is fresh, so it is never already a key and the renames form chains
+    without cycles.  The finished document is re-checked before being
+    returned.
     """
     m = f.next_id - 1
     if cp.empty_in_formula:
@@ -405,24 +319,23 @@ def to_er(f: Formula, cp: CheckedProof):
         return [(m + 1, Chain(Clause([]), (eid,)))]
 
     trimmed, _ = emit_trimmed(cp)
-    live = _trimmed_world(cp)
-    records = _replay_records(cp, trimmed)
+    live = cp.formula.copy()  # the trimmed world the records' ids live in
+    for oid in set(live.clauses) - cp.core_formula_ids:
+        live.remove_by_id(oid)
 
     last_ref = {}
-    for ri, rec in enumerate(records):
-        if rec[0] == "add":
-            for tid in _cited_ids(rec[3]):
-                last_ref[tid] = ri
+    for ri, r in enumerate(trimmed):
+        for tid in _cited_ids(r.hints):
+            last_ref[tid] = ri
 
     er_clauses = {cid: cl for cid, cl in f.clauses.items()}
     id_map = {tid: tid for tid in live.clauses}
     sub: dict[int, int] = {}
     fresh = f.max_var
-    for rec in records:
-        if rec[0] == "add":
-            for l in rec[2].lits:
-                if abs(l) > fresh:
-                    fresh = abs(l)
+    for r in trimmed:
+        for l in r.clause.lits:
+            if abs(l) > fresh:
+                fresh = abs(l)
     next_sid = m + 1
     out = []
 
@@ -449,14 +362,13 @@ def to_er(f: Formula, cp: CheckedProof):
         er_clauses[sid] = claimed
         return sid
 
-    for ri, rec in enumerate(records):
-        if rec[0] == "delete":
-            target = rec[1]
-            if target in id_map:
-                emit(Delete((id_map[target],)))
-            live.remove_by_id(target)
+    for ri, r in enumerate(trimmed):
+        cid, clause, hints, pivot = r.wid, r.clause, r.hints, r.pivot
+        if r.kind == "delete":
+            if cid in id_map:
+                emit(Delete((id_map[cid],)))
+            live.remove_by_id(cid)
             continue
-        _, cid, clause, hints, pivot = rec
         if pivot is None:
             if clause.is_tautology:
                 live.add_clause(clause, cid=cid)
@@ -485,38 +397,20 @@ def to_er(f: Formula, cp: CheckedProof):
         next_sid = ext_sid + len(family)
         sub[abs(pivot_er)] = x if pivot_er > 0 else -x
 
-        with_pivot = live.occurrence(pivot)
-        with_neg = live.occurrence(-pivot)
-        # recorded chains predate the rename: image folds must cite the
-        # pre-substitution ids, so log the entries this step overwrites
-        # (cid has no image before it)
-        before = {tid: id_map.get(tid) for tid in with_pivot + with_neg}
-        before[cid] = None
-
-        def er_old(tid):
-            eid = before[tid] if tid in before else id_map.get(tid)
-            if eid is None:
-                raise TranslationInvariantViolation(
-                    "clause %d cited but has no translated image" % tid)
-            return eid
-
-        id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x
-        live.add_clause(clause, cid=cid)
         leading = hints.rup_chain
         chains = dict(hints.rat_groups)
         true = None  # the leading chain walked over the negated clause, once
-
-        for tid in with_pivot:
+        # the recorded chains predate the rename, so every fold cites the
+        # ids from before this step: collect the images first, then update
+        images = []  # (tid, claimed, fold ids)
+        dropped = []
+        for tid in live.occurrence(pivot) + live.occurrence(-pivot):
             cl = live.clauses[tid]
             if cl.is_tautology or last_ref.get(tid, -1) <= ri or tid not in id_map:
-                id_map.pop(tid, None)
+                dropped.append(tid)
                 continue
-            claimed = _apply_clause(sub, cl)
-            id_map[tid] = emit_chain(claimed, [er_old(tid), fam_ids[0]])
-        for tid in with_neg:
-            cl = live.clauses[tid]
-            if cl.is_tautology or last_ref.get(tid, -1) <= ri or tid not in id_map:
-                id_map.pop(tid, None)
+            if pivot in cl:
+                images.append((tid, _apply_clause(sub, cl), [er_id(tid), fam_ids[0]]))
                 continue
             chain = chains.get(tid)
             if chain is None:
@@ -531,7 +425,7 @@ def to_er(f: Formula, cp: CheckedProof):
                 j = next((j for j, l in enumerate(others) if -l in cl), None)
                 if j is not None:
                     # a tautological resolvent: one family clause resolves it
-                    id_map[tid] = emit_chain(claimed, [fam_ids[2 + j], er_old(tid)])
+                    images.append((tid, claimed, [fam_ids[2 + j], er_id(tid)]))
                     continue
                 # a literal of the candidate is true under the leading units:
                 # its reason and the units before it derive it
@@ -544,10 +438,16 @@ def to_er(f: Formula, cp: CheckedProof):
                         "candidate %d has no chain, no complementary literal "
                         "and no literal the leading units make true" % tid)
                 prefix = leading[:leading.index(true[w]) + 1]
-            fold_ids = [er_old(a) for a in reversed(prefix)]
-            fold_ids += [fam_ids[2 + j] for j in range(len(others))]
-            fold_ids.append(er_old(tid))
+            fold_ids = [er_id(a) for a in reversed(prefix)]
+            fold_ids += fam_ids[2:]
+            fold_ids.append(er_id(tid))
+            images.append((tid, claimed, fold_ids))
+        for tid, claimed, fold_ids in images:
             id_map[tid] = emit_chain(claimed, fold_ids)
+        for tid in dropped:
+            id_map.pop(tid, None)
+        id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x
+        live.add_clause(clause, cid=cid)
 
     _require_verified(check_er(f, out), "ER")
     return out

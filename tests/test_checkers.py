@@ -692,6 +692,24 @@ def test_er_fold_edge_cases_match_naive_fold(name):
         assert (report.step_index, report.reason, report.detail) == (0, NO_PIVOT, got)
 
 
+def test_checkers_read_any_iterable_of_steps():
+    # no_bottom is reported at the count of steps read, so an iterator gets
+    # the list's report: verified, rejected, or out of steps at each prefix
+    f = formula_from_clauses(FULL2)
+    docs = {
+        check_drat: ([add_step([1]), add_step([])], [add_step([])]),
+        check_lrat: (parse_lrat(b"5 1 0 1 3 0\n6 0 5 2 4 0\n"),
+                     parse_lrat(b"5 0 1 0\n")),
+        check_er: (parse_er(b"5 1 0 1 3 0\n6 -1 0 2 4 0\n7 0 5 6 0\n"),
+                   parse_er(b"5 0 1 0\n")),
+    }
+    for check, (good, bad) in docs.items():
+        assert check(f, good).verified and not check(f, bad).verified
+        for doc in [good[:k] for k in range(len(good) + 1)] + [bad]:
+            assert check(f, iter(doc)) == check(f, doc)
+        assert check(f, iter(good[:-1])).step_index == len(good) - 1
+
+
 def test_checkers_are_side_effect_free():
     f = formula_from_clauses(FULL2)
     before = {i: c.lits for i, c in f.items()}

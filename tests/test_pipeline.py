@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -103,6 +104,41 @@ def _cited(rec):
         out.append(cand)
         out.extend(chain)
     return out
+
+
+def _assert_lrat_is_the_trimmed_proof(cnf, cp):
+    """emit_trim's LRAT is the leading deletion of the non-core originals,
+    then emit_trimmed's records read by wid and hints; after every step its
+    live clauses and the trimmed DRAT's (deleting by content) are equal
+    multisets; and naive_check_lrat accepts it."""
+    lrat, trimmed, core = emit_trim(cp)
+    assert trimmed == emit_trimmed(cp)[0]
+    m = len(cnf)
+    noncore = sorted(set(range(1, m + 1)) - cp.core_formula_ids)
+    want = [(m, delete_ids_step(noncore))] if noncore else []
+    sid = m
+    for r in trimmed:
+        if r.kind == "add":
+            sid = r.wid
+            want.append((sid, add_step(r.clause, hints=r.hints)))
+        else:
+            want.append((sid, delete_ids_step((r.wid,))))
+    assert lrat == want
+    live = dict(enumerate(map(Clause, cnf), 1))
+    for did in noncore:
+        del live[did]
+    drat = Counter(c.litset for _, c in core.items())
+    for (sid, step), r in zip(lrat[len(lrat) - len(trimmed):], trimmed):
+        if step.kind == "add":
+            live[sid] = step.clause
+            drat[r.clause.litset] += 1
+        else:
+            (did,) = step.ids
+            del live[did]
+            assert drat[r.clause.litset] > 0
+            drat[r.clause.litset] -= 1
+        assert Counter(c.litset for c in live.values()) == +drat
+    assert naive_check_lrat(cnf, write_lrat(lrat).decode())
 
 
 def _unsat_corpus(rng, count, maxv_hi=7):
@@ -396,8 +432,9 @@ def test_rat_step_on_a_later_literal_is_rotated_and_renumbered():
 
 
 # The proof adds {-5, -3, -8} twice (ids 21 and 22).  The second copy's last
-# use is the step that adds {-1}, so trimming deletes its content there; a
-# deletion by content removes the lower id, 21, which the step after cites.
+# use is the step that adds {-1}, so trimming deletes its content there.  A
+# deletion by content would remove the lower id, 21, which the step after
+# cites; the LRAT deletes 22, the copy the trim schedule frees.
 TWINS = [[-7, -8, 9], [-9, 2, 7], [8, -3, 1], [-8, -2, -5], [4, -2, -1],
          [7, 2, 9], [2, 4, -7], [-8, 5, 6], [5, 1, 4], [6, 2, -7],
          [-6, 2, -9], [-8, -6, 7], [8, 7, -4], [-4, -2, 3], [8, -4, -3],
@@ -412,14 +449,31 @@ def test_citation_of_a_twin_deleted_in_its_copys_place():
     cp = backward_check(f, TWINS_PROOF)
     assert 21 in _cited(cp.records[6])
     lrat, trimmed, core = emit_trim(cp)
-    assert (25, delete_ids_step((21,))) in lrat
+    assert (25, delete_ids_step((22,))) in lrat
     hints = [s.hints for sid, s in lrat if sid == 26 and s.kind == "add"][0]
     cited = set(hints.rup_chain).union(*(g[1] for g in hints.rat_groups))
-    assert 22 in cited and 21 not in cited
+    assert 21 in cited and 22 not in cited
     assert check_drat(core, trimmed).verified
-    assert naive_check_lrat(TWINS, write_lrat(lrat).decode())
+    _assert_lrat_is_the_trimmed_proof(TWINS, cp)
     er = to_er(f, cp)
     assert check_er(f, er).verified
+    assert naive_check_er(TWINS, write_er(er).decode())
+
+
+def test_a_proof_deleting_the_surviving_twin_deletes_its_id():
+    # after trimming frees copy 22, the proof deletes the content of the
+    # copy that survives: the LRAT deletes 21 there, and both documents
+    # still hold equal clause multisets
+    f = formula_from_clauses(TWINS)
+    proof = TWINS_PROOF[:-1] + [delete_step([-5, -3, -8]), add_step([])]
+    cp = backward_check(f, proof)
+    lrat, trimmed, core = emit_trim(cp)
+    dels = [s.ids for _, s in lrat if s.kind == "delete"]
+    assert dels.index((22,)) < dels.index((21,))
+    assert write_drat_text(trimmed).count(b"d -5 ") == 2
+    assert check_drat(core, trimmed).verified
+    _assert_lrat_is_the_trimmed_proof(TWINS, cp)
+    er = to_er(f, cp)
     assert naive_check_er(TWINS, write_er(er).decode())
 
 
@@ -679,8 +733,7 @@ def test_rat_rich_proofs_give_documents_the_oracles_accept():
                     backward_check(f, proof, CheckMode(flavor))
                 continue
             cp = backward_check(f, proof, CheckMode(flavor))
-            lrat, _, _ = emit_trim(cp)
-            assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+            _assert_lrat_is_the_trimmed_proof(cnf, cp)
             assert naive_check_er(cnf, write_er(to_er(f, cp)).decode())
             content = dict(f.items())
             content.update((r.wid, r.clause) for r in cp.records
@@ -1371,7 +1424,9 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
     # naive_check_drat's verdict at the same step in both deletion modes
     # (and, but for the oracle's slowest input, both pivot policies), and
     # every addition the search accepts passes the hint walk (an EngineFault
-    # would fail the test)
+    # would fail the test); backward_check reads the same forward records,
+    # so it rejects where check_drat does, with the same reason and detail,
+    # or keeps one record per step up to the empty clause
     kinds = ("drop_lemma", "flip_literal", "swap_steps", "drop_deletion",
              "add_deletion", "delete_needed")
     rng = random.Random(12)
@@ -1390,7 +1445,18 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
                      for s in mutant]
             for flavor in (SPECIFIED, OPERATIONAL):
                 for policy in ("first",) if big else ("first", "any"):
-                    report = check_drat(f, mutant, CheckMode(flavor, policy))
+                    mode = CheckMode(flavor, policy)
+                    report = check_drat(f, mutant, mode)
+                    try:
+                        records = backward_check(f, mutant, mode).records
+                    except ForwardRejected as e:
+                        assert (e.step, e.reason, e.detail) == (
+                            report.step_index, report.reason, report.detail)
+                    else:
+                        assert report.verified
+                        n = report.steps_checked
+                        assert [(r.kind, r.clause) for r in records] == [
+                            (s.kind, s.clause) for s in mutant[:n]]
                     want = naive_check_drat(cnf, steps, flavor, policy)
                     if report.verified:
                         got = ("verified", report.steps_checked)
