@@ -3,17 +3,18 @@
 check_drat replays a content-addressed proof forward: every addition must be
 a propagation consequence (RUP) or a resolution-asymmetric addition (RAT) in
 the current formula, and the proof verifies once the empty clause enters the
-formula.  The propagation engine only searches: each addition it accepts
-comes with an LRAT hint block, and the verdict rests on that block passing
-check_addition, the rules check_lrat applies to every addition, over the
-same live formula.  An addition the engine accepts and those rules reject
-is the engine's fault and raises EngineFault.  The forward pass,
-_drat_forward, yields one StepRecord per proof step and raises
-ForwardRejected at an addition that holds by neither rule; check_drat
-counts its report off those records, and pipeline.backward_check keeps
-them.  StepRecord is the only step record from the search to the emitted
-documents: the pipeline marks core on these records and rewrites the core
-ones over the trimmed proof's ids.
+formula.  A RAT addition's pivot is its first literal, as the DRAT format
+defines it; a deletion removes the lowest live id holding its content.  The
+propagation engine only searches: each addition it accepts comes with an
+LRAT hint block, and the verdict rests on that block passing check_addition,
+the rules check_lrat applies to every addition, over the same live formula.
+An addition the engine accepts and those rules reject is the engine's fault
+and raises EngineFault.  The forward pass, _drat_forward, yields one
+StepRecord per proof step and raises ForwardRejected at an addition that
+holds by neither rule; check_drat counts its report off those records, and
+pipeline.backward_check keeps them.  StepRecord is the only step record
+from the search to the emitted documents: the pipeline marks core on these
+records and rewrites the core ones over the trimmed proof's ids.
 
 Deletions follow one of two semantics: "specified" applies them literally,
 while "operational" mirrors the behavior of production checkers, which keep
@@ -108,26 +109,22 @@ class EngineFault(TranslationInvariantViolation):
 
 
 class CheckMode:
-    """Checking flavor and pivot policy for DRAT.
+    """Checking flavor for DRAT.
 
     flavor "specified" applies deletions literally; "operational" skips
     deletions of trail-shaping clauses, and every deletion while the top
-    level conflicts.  pivot_policy "first" tries the first literal of the
-    clause as written; "any" searches all literals of the clause.
+    level conflicts.
     """
 
-    __slots__ = ("flavor", "pivot_policy")
+    __slots__ = ("flavor",)
 
-    def __init__(self, flavor: str = SPECIFIED, pivot_policy: str = "first"):
+    def __init__(self, flavor: str = SPECIFIED):
         if flavor not in (SPECIFIED, OPERATIONAL):
             raise ValueError("unknown flavor %r" % (flavor,))
-        if pivot_policy not in ("first", "any"):
-            raise ValueError("unknown pivot policy %r" % (pivot_policy,))
         self.flavor = flavor
-        self.pivot_policy = pivot_policy
 
     def __repr__(self):
-        return "CheckMode(%r, %r)" % (self.flavor, self.pivot_policy)
+        return "CheckMode(%r)" % (self.flavor,)
 
 
 class CheckReport(NamedTuple):
@@ -150,10 +147,11 @@ class StepRecord(NamedTuple):
     _drat_forward yields one per step of the input proof, over the forward
     world's ids.  An addition's wid is its clause id and hints its LRAT hint
     block: the RUP chain (dependency-filtered, ending at the conflict), or
-    for a RAT step on pivot the unfiltered reasons of the leading units and
-    one (candidate, chain) pair per live clause containing the negated
-    pivot.  A deletion's wid is the id it targets (None when no live clause
-    has its content) and applied tells whether it took effect.
+    for a RAT step the unfiltered reasons of the leading units and one
+    (candidate, chain) pair per live clause containing the negated pivot,
+    the clause's first literal.  A deletion's wid is the id it targets
+    (None when no live clause has its content) and applied tells whether it
+    took effect.
     pipeline.backward_check sets core; pipeline.emit_trimmed rewrites the
     core records over the trimmed proof's ids.
     """
@@ -189,16 +187,17 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     per proof step, in proof order.
 
     An accepted addition's record carries its id and its LRAT hint block
-    (empty for a tautology), and its pivot when it holds by RAT.  A
-    deletion's record carries the id it targets (None when no live clause
-    has its content) and whether it took effect.  The stream ends right
-    after the empty clause's addition, or when the proof runs out; the
-    caller tests beforehand whether working already holds the empty clause.
+    (empty for a tautology), and its pivot, its first literal, when it
+    holds by RAT.  A deletion's record carries the id it targets, the lowest
+    live id with its content (None when there is none), and whether it took
+    effect.  The stream ends right after the empty clause's addition, or
+    when the proof runs out; the caller tests beforehand whether working
+    already holds the empty clause.
     An addition that holds by neither rule raises ForwardRejected; a failed
-    RAT addition's detail is the failing candidate id of its first pivot.
+    RAT addition's detail is its failing candidate id.
 
     Every addition the engine accepts passes check_addition, with the pivot
-    the engine used, before its record is yielded; one that fails raises
+    the engine tried, before its record is yielded; one that fails raises
     EngineFault.  Those walks count no visits.  The caller owns working and
     engine and reads counters off them afterwards.
     """
@@ -240,17 +239,11 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             elif c.is_empty:
                 raise ForwardRejected(i, NOT_RAT)
             else:
-                pivots = c.lits[:1] if mode.pivot_policy == "first" else c.lits
-                failed = None  # failing candidate of the first pivot tried
-                for pivot in pivots:
-                    r = engine.rat(c, pivot)
-                    if r.rat:
-                        hints = HintBlock(r.leading, r.groups)
-                        break
-                    if failed is None:
-                        failed = r.witness_candidate
-                else:
-                    raise ForwardRejected(i, NOT_RAT, failed)
+                pivot = c.lits[0]
+                r = engine.rat(c, pivot)
+                if not r.rat:
+                    raise ForwardRejected(i, NOT_RAT, r.witness_candidate)
+                hints = HintBlock(r.leading, r.groups)
         # the verdict rests on check_lrat's rules, not on the search
         reason, detail, _, _ = check_addition(
             working.clauses, working.occurrence, c, hints, pivot)

@@ -169,7 +169,6 @@ class Formula:
         self.clauses: dict[int, Clause] = {}
         self.next_id = 1
         self.max_var = 0
-        self.missing_deletes = 0
         self._occ: dict[int, set[int]] = {}
 
     def declare_variables(self, n: int) -> None:
@@ -200,29 +199,6 @@ class Formula:
         for l in clause.lits:
             self._occ[l].discard(cid)
         return clause
-
-    def remove_by_content(self, clause) -> int | None:
-        """Remove one clause equal to the given literal set; lowest id wins.
-
-        Removing an absent clause is a recorded no-op: returns None and
-        bumps missing_deletes.
-        """
-        if not isinstance(clause, Clause):
-            clause = Clause(clause)
-        ids = self.ids_for(clause)
-        if not ids:
-            self.missing_deletes += 1
-            return None
-        cid = ids[0]
-        self.remove_by_id(cid)
-        return cid
-
-    def remove_clause(self, c) -> bool:
-        """Spec-surface removal: by id (int, unknown id raises) or by content."""
-        if isinstance(c, int):
-            self.remove_by_id(c)
-            return True
-        return self.remove_by_content(c) is not None
 
     def ids_for(self, clause) -> list[int]:
         """All live ids whose clause equals the given content, ascending."""

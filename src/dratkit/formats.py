@@ -211,12 +211,12 @@ class _Tokens:
 
 # --------------------------------------------------------------------- DIMACS
 
-def parse_dimacs(data, strict: bool = False):
+def parse_dimacs(data):
     """DIMACS CNF -> (Formula, declared_vars, declared_clauses).
 
-    Comment lines start with 'c'; clause ids run 1..n in file order.  With
-    strict=True, literals beyond the declared variable count and a clause
-    count mismatch are errors; by default they are tolerated.
+    Comment lines start with 'c'; clause ids run 1..n in file order.
+    Literals beyond the declared variable count and a clause count mismatch
+    are tolerated.
     """
     data = _text(data)
     underscore = "_" in data
@@ -248,16 +248,11 @@ def parse_dimacs(data, strict: bool = False):
                 f.add_clause(Clause(lits))
                 lits = []
             else:
-                if strict and abs(n) > declared_vars:
-                    raise ParseError("line %d: literal %d beyond declared %d variables"
-                                     % (ln, n, declared_vars))
                 lits.append(n)
     if declared_vars is None:
         raise ParseError("missing 'p cnf' header")
     if lits:
         raise ParseError("line %d: unterminated clause %s" % (last_ln, lits))
-    if strict and len(f) != declared_clauses:
-        raise ParseError("declared %d clauses, found %d" % (declared_clauses, len(f)))
     f.declare_variables(declared_vars)
     return f, declared_vars, declared_clauses
 

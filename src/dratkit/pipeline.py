@@ -8,19 +8,23 @@ from the empty clause and sets core on the cited closure's additions and
 on the applied deletions of its clauses; the used subset of the original
 formula becomes core_formula_ids.
 
+An input that already holds the empty clause gets one record: the empty
+clause added at the next id, citing the lowest empty original.
+
 emit_trimmed builds the trimmed proof in one pass over those records, as
 StepRecords over the trimmed world's ids (original ids, non-core originals
-removed): it keeps only core steps, rotates RAT clauses pivot-first, mirrors
-the applied deletions of core clauses, and inserts synthetic deletions of
-added core clauses right after their last use.  Each addition takes the
-next id after the original clauses, its hint block renumbered as it goes;
-each deletion names the id of the clause it frees.  Of two live copies of
-one lemma, that may not be the lower id a deletion by content would take,
-but both hold the same clause, so the LRAT and the trimmed DRAT hold equal
-clause multisets after every step.  Read by kind and clause the records
-are the trimmed DRAT proof; read by wid and hints they are its LRAT steps,
+removed): it keeps only core steps, mirrors the applied deletions of core
+clauses, and inserts synthetic deletions of added core clauses right after
+their last use.  Each addition takes the next id after the original
+clauses, its hint block renumbered as it goes; each deletion names the id
+of the clause it frees.  Of two live copies of one lemma, that may not be
+the lower id a deletion by content would take, but both hold the same
+clause, so the LRAT and the trimmed DRAT hold equal clause multisets after
+every step.  Read by kind and clause the records are the trimmed DRAT
+proof; read by wid and hints they are its LRAT steps,
 which emit_trim writes after a leading deletion line for the non-core
-originals.  No second DRAT search and no replay by content runs.
+originals, one deletion line per run of deletions.  No second DRAT search
+and no replay by content runs.
 
 to_er translates the same records into an extended-resolution document:
 RUP additions become resolution chains (fold order is the reverse of the
@@ -70,15 +74,12 @@ class CheckedProof(NamedTuple):
 
     records covers the steps up to and including the empty-clause addition;
     core_formula_ids is the cited subset of the original clause ids.  The
-    formula field is a private copy of the input formula; empty_in_formula
-    marks the degenerate case where it already contains the empty clause
-    (records is then empty).
+    formula field is a private copy of the input formula.
     """
 
     records: tuple
     core_formula_ids: frozenset
     formula: Formula
-    empty_in_formula: bool = False
 
 
 def _cited_ids(hints: HintBlock):
@@ -94,9 +95,12 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
     mode = mode or CheckMode()
     base = f.copy()
     if base.has_empty:
-        return CheckedProof((), frozenset([min(base.empty_ids())]), base, True)
-    working = f.copy()
-    records = list(_drat_forward(working, Engine(working), proof, mode))
+        # the input refutes itself: one addition cites its first empty clause
+        records = [StepRecord("add", Clause([]), base.next_id,
+                              HintBlock((min(base.empty_ids()),)))]
+    else:
+        working = f.copy()
+        records = list(_drat_forward(working, Engine(working), proof, mode))
     if not records or records[-1].kind != "add" or not records[-1].clause.is_empty:
         raise ForwardRejected(len(records), NO_BOTTOM)
 
@@ -118,13 +122,6 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
 
 # ------------------------------------------------------------------ trimming
 
-def _rotate(clause: Clause, pivot: int) -> Clause:
-    """The same clause with the pivot written first."""
-    if clause.lits and clause.lits[0] == pivot:
-        return clause
-    return Clause((pivot,) + tuple(l for l in clause.lits if l != pivot))
-
-
 def emit_trimmed(cp: CheckedProof):
     """The trimmed proof as StepRecords over the trimmed world's ids, plus
     the cited subset of the original formula.
@@ -139,13 +136,6 @@ def emit_trimmed(cp: CheckedProof):
     every RAT candidate is cited, so the trimmed world has the same
     candidates.
     """
-    if cp.empty_in_formula:
-        core = Formula()
-        core.add_clause(Clause([]))
-        eid = min(cp.formula.empty_ids())
-        return [StepRecord("add", Clause([]), cp.formula.next_id,
-                           HintBlock((eid,)), core=True)], core
-
     final_k = len(cp.records) - 1  # the empty clause's addition
     last_use = {}
     for k, r in enumerate(cp.records):
@@ -179,9 +169,8 @@ def emit_trimmed(cp: CheckedProof):
         hints = HintBlock(tuple(map(img, r.hints.rup_chain)),
                           tuple((img(cand), tuple(map(img, chain)))
                                 for cand, chain in r.hints.rat_groups))
-        c = _rotate(r.clause, r.pivot) if r.pivot is not None else r.clause
         image[r.wid] = next_tid
-        steps.append(r._replace(clause=c, wid=next_tid, hints=hints))
+        steps.append(r._replace(wid=next_tid, hints=hints))
         next_tid += 1
         for wid in sorted(synth_at.get(k, ())):
             steps.append(StepRecord("delete", added[wid], image[wid], core=True))
@@ -216,22 +205,22 @@ def emit_trim(cp: CheckedProof):
     """Everything trim writes, built from one trimmed proof: (emit_lrat's
     document, then emit_trimmed's steps and core formula).  The LRAT document
     is a leading deletion of the non-core originals, then the trimmed steps
-    read by wid and hints; it adds and deletes the trimmed proof's clauses
-    in its order, so its re-check certifies the trimmed proof too, under
-    specified deletions."""
+    read by wid and hints, a run of deletions as one line; it adds and
+    deletes the trimmed proof's clauses in its order, so its re-check
+    certifies the trimmed proof too, under specified deletions."""
     trimmed, core = emit_trimmed(cp)
     m = cp.formula.next_id - 1
-    # an input holding the empty clause needs no deletion before citing it
-    noncore = () if cp.empty_in_formula else sorted(
-        set(cp.formula.clauses) - cp.core_formula_ids)
+    noncore = sorted(set(cp.formula.clauses) - cp.core_formula_ids)
     out = [(m, delete_ids_step(noncore))] if noncore else []
     sid = m
     for r in trimmed:
-        if r.kind == "delete":
-            out.append((sid, delete_ids_step((r.wid,))))
-        else:
+        if r.kind == "add":
             sid = r.wid
             out.append((sid, add_step(r.clause, hints=r.hints)))
+        elif out and out[-1][1].kind == "delete":
+            out[-1] = (sid, delete_ids_step(out[-1][1].ids + (r.wid,)))
+        else:
+            out.append((sid, delete_ids_step((r.wid,))))
     _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out, trimmed, core
 
@@ -314,10 +303,6 @@ def to_er(f: Formula, cp: CheckedProof):
     returned.
     """
     m = f.next_id - 1
-    if cp.empty_in_formula:
-        eid = min(f.empty_ids())
-        return [(m + 1, Chain(Clause([]), (eid,)))]
-
     trimmed, _ = emit_trimmed(cp)
     live = cp.formula.copy()  # the trimmed world the records' ids live in
     for oid in set(live.clauses) - cp.core_formula_ids:
@@ -381,7 +366,7 @@ def to_er(f: Formula, cp: CheckedProof):
                 break
             continue
 
-        # RAT addition: clause is pivot-first after trimming
+        # RAT addition: the pivot is the clause's first literal
         others = clause.lits[1:]
         pivot_er = _apply_lit(sub, pivot)
         others_er = tuple(_apply_lit(sub, l) for l in others)

@@ -167,11 +167,12 @@ def naive_protected(clause, assign):
     return len(free) == 1
 
 
-def naive_check_drat(cnf, steps, mode="specified", pivot_policy="first"):
+def naive_check_drat(cnf, steps, mode="specified"):
     """Forward DRAT replay.  cnf: list of clauses; steps: ('a'|'d', lits).
 
-    Returns ('verified', steps_checked) or ('rejected', step_index, tag)
-    with tag 'step' (a failed addition) or 'nobottom'.
+    A RAT addition's pivot is its first literal.  Returns ('verified',
+    steps_checked) or ('rejected', step_index, tag) with tag 'step' (a
+    failed addition) or 'nobottom'.
     """
     clauses = {}
     nid = 0
@@ -201,10 +202,8 @@ def naive_check_drat(cnf, steps, mode="specified", pivot_policy="first"):
             ok = True
         elif naive_rup(clauses, lits):
             ok = True
-        elif pivot_policy == "first":
-            ok = naive_rat(clauses, lits, lits[0])
         else:
-            ok = any(naive_rat(clauses, lits, p) for p in lits)
+            ok = naive_rat(clauses, lits, lits[0])
         if not ok:
             return ("rejected", idx, "step")
         nid += 1

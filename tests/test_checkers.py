@@ -21,6 +21,7 @@ from dratkit.checkers import (
     UNKNOWN_ID,
     CheckMode,
     CheckReport,
+    ForwardRejected,
     check_drat,
     check_er,
     check_lrat,
@@ -73,14 +74,8 @@ def _rand_clause(rng, maxv, wmin=1, wmax=4):
 
 def test_mode_defaults_and_validation():
     assert CheckMode().flavor == SPECIFIED
-    assert CheckMode().pivot_policy == "first"
-    assert CheckMode(OPERATIONAL).pivot_policy == "first"
-    assert CheckMode(pivot_policy="any").pivot_policy == "any"
     with pytest.raises(ValueError):
         CheckMode("fast")
-    for policy in ("third", None):
-        with pytest.raises(ValueError):
-            CheckMode(pivot_policy=policy)
 
 
 # ------------------------------------------------------------------- DRAT
@@ -156,6 +151,17 @@ def test_drat_missing_deletion_is_counted_not_fatal():
     assert report.missing_deletions == 1
 
 
+def test_drat_deletion_by_content_takes_the_lowest_live_id():
+    # three copies of {1, 2}: each deletion by content removes the lowest
+    # live copy, and the refutation cites the one left
+    f = formula_from_clauses([[1, 2], [2, 1], [1, 2], [-1], [-2]])
+    cp = backward_check(f, [delete_step([1, 2]), delete_step([2, 1]),
+                            add_step([])])
+    assert [(r.kind, r.wid) for r in cp.records] == [
+        ("delete", 1), ("delete", 2), ("add", 6)]
+    assert cp.core_formula_ids == frozenset([3, 4, 5])
+
+
 def test_drat_tautological_addition_vacuous():
     f = formula_from_clauses([[1], [-1]])
     report = check_drat(f, [add_step([2, -2]), add_step([])])
@@ -163,22 +169,20 @@ def test_drat_tautological_addition_vacuous():
     assert report.rat_steps == 0
 
 
-def test_drat_pivot_policy_widens_acceptance():
+def test_drat_rat_pivot_is_the_first_literal():
+    # {1, 2} is RAT on 2, which no clause negates, but not on its first
+    # literal 1: the resolvent with {-1, 3} is {2, 3}, and negating it
+    # propagates nothing
     f = formula_from_clauses([[-1, 3]])
     proof = [add_step([1, 2])]
-    first = check_drat(f, proof, CheckMode(pivot_policy="first"))
-    assert not first.verified and first.reason == NOT_RAT
-    anyp = check_drat(f, proof, CheckMode(pivot_policy="any"))
-    assert anyp.reason == NO_BOTTOM
-    assert anyp.rat_steps == 1
-    # the working pivot, read off a refutation that opens with the same
-    # step: -1 still blocks pivot 1, and no clause holds -2
-    g = formula_from_clauses([[-1, 3], [-3], [1, 4, 5], [1, 4, -5],
-                              [1, -4, 5], [1, -4, -5]])
-    refutation = proof + [add_step([1, 4]), add_step([1]), add_step([])]
-    assert check_drat(g, refutation).reason == NOT_RAT
-    cp = backward_check(g, refutation, CheckMode(pivot_policy="any"))
-    assert cp.records[0].pivot == 2
+    report = check_drat(f, proof)
+    assert (report.verified, report.step_index, report.reason,
+            report.detail) == (False, 0, NOT_RAT, 1)
+    assert naive_check_drat([[-1, 3]], [("a", [1, 2])]) == (
+        "rejected", 0, "step")
+    with pytest.raises(ForwardRejected) as e:
+        backward_check(f, proof)
+    assert (e.value.step, e.value.reason, e.value.detail) == (0, NOT_RAT, 1)
 
 
 def test_drat_rejects_foreign_step_kinds():
@@ -717,7 +721,6 @@ def test_checkers_are_side_effect_free():
     check_lrat(f, parse_lrat(b"5 1 0 1 3 0\n6 0 5 2 4 0\n"))
     check_er(f, parse_er(b"5 1 0 1 3 0\n"))
     assert {i: c.lits for i, c in f.items()} == before
-    assert f.missing_deletes == 0
 
 
 def test_php_solver_proofs_check_in_both_modes():

@@ -111,29 +111,21 @@ class TestFormula:
         f.declare_variables(2)
         assert f.max_var == 9
 
-    def test_remove_by_content_matches_as_set(self):
-        f = formula_from_clauses([[1, 2], [-1]])
-        assert f.remove_clause(Clause([2, 1])) is True
-        assert len(f) == 1
+    def test_ids_for_matches_content_as_set(self):
+        f = formula_from_clauses([[1, 2], [-1], [2, 1]])
+        assert f.ids_for(Clause([2, 1])) == [1, 3]
+        assert f.ids_for(Clause([3])) == []
+        f.remove_by_id(1)
+        assert f.ids_for(Clause([1, 2])) == [3]
+        f.remove_by_id(3)
         assert Clause([1, 2]) not in f
-
-    def test_remove_absent_content_is_counted_noop(self):
-        f = formula_from_clauses([[1, 2]])
-        assert f.remove_clause(Clause([3])) is False
-        assert f.missing_deletes == 1
         assert len(f) == 1
 
     def test_remove_by_id(self):
         f = formula_from_clauses([[1], [2]])
-        assert f.remove_clause(1) is True
+        assert f.remove_by_id(1) == Clause([1])
         with pytest.raises(UnknownClauseError):
-            f.remove_clause(1)
-
-    def test_duplicate_content_lowest_id_removed_first(self):
-        f = formula_from_clauses([[1, 2], [2, 1], [1, 2]])
-        assert f.ids_for(Clause([1, 2])) == [1, 2, 3]
-        f.remove_clause(Clause([1, 2]))
-        assert f.ids_for(Clause([1, 2])) == [2, 3]
+            f.remove_by_id(1)
 
     def test_forced_ids_must_increase(self):
         f = Formula()
@@ -149,7 +141,7 @@ class TestFormula:
         assert f.occurrence(2) == [1, 2]
         assert f.occurrence(-1) == [2]
         assert f.occurrence(5) == []
-        f.remove_clause(1)
+        f.remove_by_id(1)
         assert f.occurrence(2) == [2]
 
     def test_empty_clause_tracking(self):
@@ -161,7 +153,7 @@ class TestFormula:
     def test_copy_is_independent(self):
         f = formula_from_clauses([[1, 2], [-2]])
         g = f.copy()
-        g.remove_clause(1)
+        g.remove_by_id(1)
         g.add_clause(Clause([9]))
         assert len(f) == 2 and f.occurrence(1) == [1]
         assert f.max_var == 2
@@ -169,7 +161,7 @@ class TestFormula:
 
     def test_items_id_order(self):
         f = formula_from_clauses([[1], [2]])
-        f.remove_clause(1)
+        f.remove_by_id(1)
         f.add_clause(Clause([3]))
         assert [i for i, _ in f.items()] == [2, 3]
 
@@ -182,13 +174,13 @@ class TestFormula:
                 if shadow and rng.random() < 0.4:
                     if rng.random() < 0.5:
                         cid = rng.choice(sorted(shadow))
-                        f.remove_clause(cid)
-                        del shadow[cid]
                     else:
                         lits = tuple(sorted(rng.choice(list(shadow.values()))))
                         want = sorted(i for i, c in shadow.items() if set(c) == set(lits))
-                        assert f.remove_clause(Clause(lits)) is True
-                        del shadow[want[0]]
+                        assert f.ids_for(Clause(lits)) == want
+                        cid = want[0]
+                    f.remove_by_id(cid)
+                    del shadow[cid]
                 else:
                     lits = sorted({rng.choice([-1, 1]) * rng.randint(1, 4)
                                    for _ in range(rng.randint(1, 3))})

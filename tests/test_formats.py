@@ -62,12 +62,10 @@ class TestDimacs:
         f, nv, _ = parse_dimacs(b"p cnf 9 1\n1 0\n")
         assert f.max_var == 9
 
-    def test_strict_flags_overflow_and_count(self):
+    def test_overflow_and_count_mismatch_are_tolerated(self):
         assert parse_dimacs(b"p cnf 1 1\n1 2 0\n")[0].max_var == 2
-        with pytest.raises(ParseError):
-            parse_dimacs(b"p cnf 1 1\n1 2 0\n", strict=True)
-        with pytest.raises(ParseError):
-            parse_dimacs(b"p cnf 2 2\n1 0\n", strict=True)
+        f, nv, nc = parse_dimacs(b"p cnf 2 2\n1 0\n")
+        assert (len(f), nv, nc) == (1, 2, 2)
 
     def test_clause_spanning_lines(self):
         f, _, _ = parse_dimacs(b"p cnf 3 1\n1\n2 3 0\n")
@@ -415,8 +413,7 @@ _TOKENS = st.lists(st.sampled_from(
 @settings(max_examples=500)
 @given(st.one_of(st.binary(), _TOKENS))
 def test_parsers_return_or_raise_parse_error_on_any_bytes(data):
-    parsers = (parse_dimacs, lambda d: parse_dimacs(d, strict=True),
-               parse_drat, lambda d: parse_drat(d, binary=True),
+    parsers = (parse_dimacs, parse_drat, lambda d: parse_drat(d, binary=True),
                lambda d: parse_drat(d, binary=False), parse_lrat, parse_er)
     for parse in parsers:
         try:

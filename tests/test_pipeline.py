@@ -55,6 +55,7 @@ from dratkit.formats import (
 )
 from dratkit.pipeline import (
     ForwardRejected,
+    StepRecord,
     TranslationInvariantViolation,
     backward_check,
     emit_lrat,
@@ -108,14 +109,23 @@ def _cited(rec):
 
 def _assert_lrat_is_the_trimmed_proof(cnf, cp):
     """emit_trim's LRAT is the leading deletion of the non-core originals,
-    then emit_trimmed's records read by wid and hints; after every step its
-    live clauses and the trimmed DRAT's (deleting by content) are equal
-    multisets; and naive_check_lrat accepts it."""
+    then emit_trimmed's records read by wid and hints, each run of
+    deletions on one line; after every step its live clauses and the
+    trimmed DRAT's (deleting by content) are equal multisets; and
+    naive_check_lrat accepts it."""
     lrat, trimmed, core = emit_trim(cp)
     assert trimmed == emit_trimmed(cp)[0]
+    kinds = [step.kind for _, step in lrat]
+    assert ("delete", "delete") not in zip(kinds, kinds[1:])
+    flat = []  # one deleted id per line
+    for sid, step in lrat:
+        if step.kind == "delete":
+            flat += [(sid, delete_ids_step((did,))) for did in step.ids]
+        else:
+            flat.append((sid, step))
     m = len(cnf)
     noncore = sorted(set(range(1, m + 1)) - cp.core_formula_ids)
-    want = [(m, delete_ids_step(noncore))] if noncore else []
+    want = [(m, delete_ids_step((did,))) for did in noncore]
     sid = m
     for r in trimmed:
         if r.kind == "add":
@@ -123,12 +133,12 @@ def _assert_lrat_is_the_trimmed_proof(cnf, cp):
             want.append((sid, add_step(r.clause, hints=r.hints)))
         else:
             want.append((sid, delete_ids_step((r.wid,))))
-    assert lrat == want
+    assert flat == want
     live = dict(enumerate(map(Clause, cnf), 1))
     for did in noncore:
         del live[did]
     drat = Counter(c.litset for _, c in core.items())
-    for (sid, step), r in zip(lrat[len(lrat) - len(trimmed):], trimmed):
+    for (sid, step), r in zip(flat[len(noncore):], trimmed):
         if step.kind == "add":
             live[sid] = step.clause
             drat[r.clause.litset] += 1
@@ -166,7 +176,6 @@ def test_backward_marking_drops_redundant_addition():
     assert cp.records[1].hints == HintBlock(rup_chain=(1, 3))
     assert cp.records[2].hints == HintBlock(rup_chain=(6, 2, 4))
     assert cp.core_formula_ids == frozenset([1, 2, 3, 4])
-    assert not cp.empty_in_formula
 
 
 def test_backward_core_closure_on_solver_proofs():
@@ -243,21 +252,30 @@ def test_rup_only_proof_translates_without_extensions():
 
 
 def test_degenerate_empty_clause_in_input():
-    f = formula_from_clauses([[1], []])
-    for proof in ([], [add_step([1])]):
-        cp = backward_check(f, proof)
-        assert cp.empty_in_formula
-        assert cp.core_formula_ids == frozenset([2])
-        steps, core = emit_trimmed(cp)
-        assert write_drat_text(steps) == b"0\n"
-        assert core.has_empty
-        assert check_drat(core, steps).verified
-        lrat = emit_lrat(cp)
-        assert lrat == [(3, add_step([], hints=HintBlock(rup_chain=(2,))))]
-        assert check_lrat(f, lrat).verified
-        er = to_er(f, cp)
-        assert er == [(3, Chain(Clause([]), (2,)))]
-        assert check_er(f, er).verified
+    # an input that holds the empty clause takes the general path: its one
+    # record adds the empty clause at the next id, citing the first empty
+    # original, and the LRAT deletes the non-core originals first
+    for cnf, eid, lrat_text in (([[1], []], 2, b"2 d 1 0\n3 0 2 0\n"),
+                                ([[], [1], []], 1, b"3 d 2 3 0\n4 0 1 0\n"),
+                                ([[]], 1, b"2 0 1 0\n")):
+        f = formula_from_clauses(cnf)
+        sid = len(cnf) + 1
+        for proof in ([], [add_step([1])]):
+            cp = backward_check(f, proof)
+            assert cp.records == (StepRecord("add", Clause([]), sid,
+                                             HintBlock((eid,)), core=True),)
+            assert cp.core_formula_ids == frozenset([eid])
+            steps, core = emit_trimmed(cp)
+            assert write_drat_text(steps) == b"0\n"
+            assert [c.lits for _, c in core.items()] == [()]
+            assert check_drat(core, steps).verified
+            lrat = emit_lrat(cp)
+            assert write_lrat(lrat) == lrat_text
+            assert check_lrat(f, lrat).verified
+            assert naive_check_lrat(cnf, lrat_text.decode())
+            er = to_er(f, cp)
+            assert er == [(sid, Chain(Clause([]), (eid,)))]
+            assert check_er(f, er).verified
 
 
 # ------------------------------------------------- the RAT-bearing instance
@@ -410,27 +428,6 @@ def test_to_er_refuses_an_empty_chain_that_nothing_discharges():
         emit_trim(forged)
 
 
-def test_rat_step_on_a_later_literal_is_rotated_and_renumbered():
-    # the first lemma is written [-2 1]: RAT on -2 fails, RAT on 1 holds
-    f = formula_from_clauses(SPLIT8)
-    cnf = [list(c.lits) for _, c in f.items()]
-    proof = [add_step([-2, 1]), delete_step([-2, 3]), add_step([3, -2]),
-             add_step([3]), add_step([-3, 4]), add_step([-3]), add_step([])]
-    first = check_drat(f, proof)
-    assert (first.verified, first.step_index, first.reason) == (False, 0, NOT_RAT)
-    cp = backward_check(f, proof, CheckMode(pivot_policy="any"))
-    assert cp.records[0].pivot == 1
-    lrat, trimmed, core = emit_trim(cp)
-    assert write_drat_text(trimmed).startswith(b"1 -2 0\n")
-    assert check_drat(core, trimmed, CheckMode(SPECIFIED)).verified
-    assert check_drat(core, trimmed, CheckMode(OPERATIONAL)).verified
-    assert check_lrat(f, lrat).verified
-    assert naive_check_lrat(cnf, write_lrat(lrat).decode())
-    er = to_er(f, cp)
-    assert check_er(f, er).verified
-    assert naive_check_er(cnf, write_er(er).decode())
-
-
 # The proof adds {-5, -3, -8} twice (ids 21 and 22).  The second copy's last
 # use is the step that adds {-1}, so trimming deletes its content there.  A
 # deletion by content would remove the lower id, 21, which the step after
@@ -449,7 +446,7 @@ def test_citation_of_a_twin_deleted_in_its_copys_place():
     cp = backward_check(f, TWINS_PROOF)
     assert 21 in _cited(cp.records[6])
     lrat, trimmed, core = emit_trim(cp)
-    assert (25, delete_ids_step((22,))) in lrat
+    assert (25, delete_ids_step((22, 23))) in lrat
     hints = [s.hints for sid, s in lrat if sid == 26 and s.kind == "add"][0]
     cited = set(hints.rup_chain).union(*(g[1] for g in hints.rat_groups))
     assert 21 in cited and 22 not in cited
@@ -469,7 +466,7 @@ def test_a_proof_deleting_the_surviving_twin_deletes_its_id():
     cp = backward_check(f, proof)
     lrat, trimmed, core = emit_trim(cp)
     dels = [s.ids for _, s in lrat if s.kind == "delete"]
-    assert dels.index((22,)) < dels.index((21,))
+    assert dels == [(22, 23), (20, 24, 21)]
     assert write_drat_text(trimmed).count(b"d -5 ") == 2
     assert check_drat(core, trimmed).verified
     _assert_lrat_is_the_trimmed_proof(TWINS, cp)
@@ -1198,8 +1195,9 @@ RATMIX_PROOF = [add_step([-6, -7]), delete_step([2, -1]),
                 delete_step([-6, -7]), add_step([-3]), add_step([])]
 
 # sha256 of every output the command line prints or writes for three fixed
-# inputs, pinned after the engine stopped undoing watch moves, from LRAT and
-# ER documents that naive_check_lrat and naive_check_er accept.  The watch
+# inputs, pinned after the engine stopped undoing watch moves (the LRAT ones
+# again once each run of deletions became one line), from LRAT and ER
+# documents that naive_check_lrat and naive_check_er accept.  The watch
 # order, which the whole sequence of checks and deletions before a step
 # shapes, decides which conflict propagation meets first, and so the
 # antecedent chains, the visit counters and the LRAT and ER bytes; they are
@@ -1212,7 +1210,7 @@ GOLDEN = {
         "check_operational":
             "930a863e96dd988fac43cf7e10d732e813d53c924480dc4c0fcd95c9c6a3db76",
         "lrat":
-            "6458d429a00d9e00bb2c25acb32e30747e8d9e018941bd1c07f45ec7a44ced15",
+            "1b681c31184f5302ff4f0e66c7b9be9db9197e1b7fe2ff07e7e95093c70d9465",
         "trimmed":
             "1b55042dff3c10a0315a94dccd3167b85b234ab32d98fec1fa8c15d1c43aa176",
         "core":
@@ -1220,7 +1218,7 @@ GOLDEN = {
         "er":
             "ce94df4e82450f659f5e7d9006be04278373755a172b6e386a36576a42c8c5f0",
         "check_lrat":
-            "993b32d105a2769ecce108fe9a352b41df11215ec8bbd7ef74b58c36d7501f7c",
+            "937d0f6ebdfbcf29a72823e58dd5d8a580bd0a22ed5ddfb2eee99b2fd4b8ed24",
         "check_er":
             "993b32d105a2769ecce108fe9a352b41df11215ec8bbd7ef74b58c36d7501f7c",
     },
@@ -1230,7 +1228,7 @@ GOLDEN = {
         "check_operational":
             "7322a0143ae146fdb467acb021c9c10095be3363822eec444f9054910422132a",
         "lrat":
-            "515c4074419d34576ee57bdabeded87364af213053d96637ff5ad08c9611c97d",
+            "65644d86bf981b5ebc561028c157c9ff82558a3f537c2fc4353024ad860b19a2",
         "trimmed":
             "2ed1aea00fe0aa0d511a2ee597c05220b139aeca1c04a3740874c0a8fdc0d18c",
         "core":
@@ -1238,7 +1236,7 @@ GOLDEN = {
         "er":
             "bf807634b3b03b6b3e5da9880e6e55980bb918793fbd6de208543a82c5f5fb01",
         "check_lrat":
-            "a62765a2a0de045f56d4ef29c0044479a4fecfba16b1596ddb4f388c764c4825",
+            "1fc62930810b177b1c68649f094bc8051e13000aad1d544554cc18eadf7c011f",
         "check_er":
             "81ae3b2025dcd521a11802303c91ee24efafabf381868fd3946bcba70ae3c5e8",
     },
@@ -1347,18 +1345,25 @@ def _cook_proof(n):
 
 
 def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
-    # Cook's PHP(3) proof with shuffled literals, checked with
-    # pivot_policy="any": some core RAT candidates hold two literals the
-    # leading units make true, and the fold starts at the reason of the
-    # first of them (in the candidate's order); starting at another one
-    # gives a valid but different document
+    # Cook's PHP(3) proof with shuffled literals, each RAT lemma's pivot
+    # (given by step index) moved to the front: some core RAT candidates
+    # hold two literals the leading units make true, and the fold starts at
+    # the reason of the first of them (in the candidate's order); starting
+    # at another one gives a valid but different document
+    pivots = {0: 13, 2: -13, 4: 14, 6: 2, 8: 15, 10: 4, 12: 16, 14: 6,
+              16: 17, 18: -17, 20: 18, 22: 9}
     f = gen_php(3)
     rng = random.Random(0)
     proof = []
-    for kind, lits in _cook_proof(3):
+    for k, (kind, lits) in enumerate(_cook_proof(3)):
         rng.shuffle(lits)
+        if k in pivots:
+            lits.remove(pivots[k])
+            lits.insert(0, pivots[k])
         proof.append(add_step(lits) if kind == "a" else delete_step(lits))
-    cp = backward_check(f, proof, CheckMode(pivot_policy="any"))
+    cp = backward_check(f, proof)
+    assert {k: r.pivot for k, r in enumerate(cp.records)
+            if r.pivot is not None} == pivots
     er = write_er(to_er(f, cp))
     cnf = [list(c.lits) for _, c in f.items()]
     assert naive_check_er(cnf, er.decode())
@@ -1421,12 +1426,11 @@ def _drat_mutant(rng, kind, f, proof, cp):
 
 def test_rat_rich_drat_mutants_get_the_oracles_verdict():
     # whole-proof mutants of the RAT-rich corpus: check_drat gives
-    # naive_check_drat's verdict at the same step in both deletion modes
-    # (and, but for the oracle's slowest input, both pivot policies), and
-    # every addition the search accepts passes the hint walk (an EngineFault
-    # would fail the test); backward_check reads the same forward records,
-    # so it rejects where check_drat does, with the same reason and detail,
-    # or keeps one record per step up to the empty clause
+    # naive_check_drat's verdict at the same step in both deletion modes,
+    # and every addition the search accepts passes the hint walk (an
+    # EngineFault would fail the test); backward_check reads the same
+    # forward records, so it rejects where check_drat does, with the same
+    # reason and detail, or keeps one record per step up to the empty clause
     kinds = ("drop_lemma", "flip_literal", "swap_steps", "drop_deletion",
              "add_deletion", "delete_needed")
     rng = random.Random(12)
@@ -1435,8 +1439,7 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
     for name, f, proof in _rat_corpus():
         cnf = [list(c.lits) for _, c in f.items()]
         cp = backward_check(f, proof)
-        big = name == "cook4"
-        for kind in kinds * (1 if big else 3):
+        for kind in kinds * (1 if name == "cook4" else 3):
             mutant = _drat_mutant(rng, kind, f, proof, cp)
             if mutant is None:
                 continue
@@ -1444,27 +1447,26 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
             steps = [("a" if s.kind == "add" else "d", list(s.clause.lits))
                      for s in mutant]
             for flavor in (SPECIFIED, OPERATIONAL):
-                for policy in ("first",) if big else ("first", "any"):
-                    mode = CheckMode(flavor, policy)
-                    report = check_drat(f, mutant, mode)
-                    try:
-                        records = backward_check(f, mutant, mode).records
-                    except ForwardRejected as e:
-                        assert (e.step, e.reason, e.detail) == (
-                            report.step_index, report.reason, report.detail)
-                    else:
-                        assert report.verified
-                        n = report.steps_checked
-                        assert [(r.kind, r.clause) for r in records] == [
-                            (s.kind, s.clause) for s in mutant[:n]]
-                    want = naive_check_drat(cnf, steps, flavor, policy)
-                    if report.verified:
-                        got = ("verified", report.steps_checked)
-                    else:
-                        got = ("rejected", report.step_index,
-                               {NOT_RAT: "step", NO_BOTTOM: "nobottom"}[report.reason])
-                    assert got == want, (name, kind, flavor, policy)
-                    verdicts[report.verified] += 1
+                mode = CheckMode(flavor)
+                report = check_drat(f, mutant, mode)
+                try:
+                    records = backward_check(f, mutant, mode).records
+                except ForwardRejected as e:
+                    assert (e.step, e.reason, e.detail) == (
+                        report.step_index, report.reason, report.detail)
+                else:
+                    assert report.verified
+                    n = report.steps_checked
+                    assert [(r.kind, r.clause) for r in records] == [
+                        (s.kind, s.clause) for s in mutant[:n]]
+                want = naive_check_drat(cnf, steps, flavor)
+                if report.verified:
+                    got = ("verified", report.steps_checked)
+                else:
+                    got = ("rejected", report.step_index,
+                           {NOT_RAT: "step", NO_BOTTOM: "nobottom"}[report.reason])
+                assert got == want, (name, kind, flavor)
+                verdicts[report.verified] += 1
     assert min(tried.values()) >= 8
     assert min(verdicts.values()) >= 30
 
