@@ -147,9 +147,10 @@ class StepRecord(NamedTuple):
     _drat_forward yields one per step of the input proof, over the forward
     world's ids.  An addition's wid is its clause id and hints its LRAT hint
     block: the RUP chain (dependency-filtered, ending at the conflict), or
-    for a RAT step the unfiltered reasons of the leading units and one
-    (candidate, chain) pair per live clause containing the negated pivot,
-    the clause's first literal.  A deletion's wid is the id it targets
+    for a RAT step the reasons of the leading units its groups use
+    (dependency-filtered, like the RUP chain) and one (candidate, chain)
+    pair per live clause containing the negated pivot, the clause's first
+    literal.  A deletion's wid is the id it targets
     (None when no live clause has its content) and applied tells whether it
     took effect.
     pipeline.backward_check sets core; pipeline.emit_trimmed rewrites the

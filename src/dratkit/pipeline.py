@@ -30,7 +30,10 @@ to_er translates the same records into an extended-resolution document:
 RUP additions become resolution chains (fold order is the reverse of the
 hint order; checkers._fold_chain folds each one once, at the cost of its
 antecedents' width, and an antecedent that does not clash is left out of
-the emitted chain), and each RAT addition becomes a fresh definition
+the emitted chain).  A definition the proof already spells, a RAT
+addition (x, -p) on a variable no live clause mentions followed by the rest
+of x's clause family, becomes one Extend on a fresh variable that renames
+x, with no images.  Any other RAT addition becomes a fresh definition
 variable with its clause family, derived images of the live clauses
 mentioning the pivot, and a variable substitution applied to everything
 after it; the images' chains come from the LRAT hints alone.  Its
@@ -279,14 +282,56 @@ def _fold(er_clauses: dict, ids) -> tuple:
     return ids, acc
 
 
+def _definition_run(trimmed, ri, live):
+    """The definition of x that the proof spells from the RAT record
+    trimmed[ri] on, or None.
+
+    The record must read (x, -p) with pivot x, and no live clause may
+    mention x.  The run is the consecutive additions from it on whose first
+    literal is x or -x, the way DRAT writes a definition: the defined
+    variable first, as a RAT pivot.  Its second clause must read
+    (x, -ls1, ..., -lsk), and each clause of the run must equal a distinct
+    member of extension_clauses(x, p, ls).  Returns
+    (p, ls, [(record, member index)]).
+    """
+    first = trimmed[ri]
+    x = first.pivot
+    if len(first.clause) != 2 or live.occurrence(x) or live.occurrence(-x):
+        return None
+    run = [first]
+    while ri + len(run) < len(trimmed):
+        r = trimmed[ri + len(run)]
+        if r.kind != "add" or r.clause.lits[:1] not in ((x,), (-x,)):
+            break
+        run.append(r)
+    if len(run) < 2 or run[1].clause.lits[0] != x:
+        return None
+    p = -first.clause.lits[1]
+    ls = tuple(-l for l in run[1].clause.lits[1:])
+    if x in ls:
+        return None  # the second clause is a tautology
+    members = {c: j for j, c in enumerate(extension_clauses(x, p, ls))}
+    out = []
+    for r in run:
+        j = members.pop(r.clause, None)
+        if j is None:
+            return None
+        out.append((r, j))
+    return p, ls, out
+
+
 def to_er(f: Formula, cp: CheckedProof):
     """Extended-resolution document for the checked proof, over f's ids.
 
-    RUP additions fold their hint chains in reverse.  A RAT addition on
-    pivot p introduces a fresh variable x defined as (p or the conjunction
-    of the negated remaining literals), derives an image of every live
-    clause mentioning p that a later step cites, and renames p to x in
-    everything after it.  The image of a candidate D folds, in reverse, the
+    RUP additions fold their hint chains in reverse.  A RAT addition that
+    starts a definition the proof spells (see _definition_run) becomes
+    Extend(y, p, ls) on the next fresh y, with p and ls under the current
+    substitution, and x is renamed to y: no live clause mentions x, so no
+    image is needed, and each record of the run maps to its family clause.
+    Any other RAT addition on pivot p introduces a fresh variable x defined
+    as (p or the conjunction of the negated remaining literals), derives an
+    image of every live clause mentioning p that a later step cites, and
+    renames p to x in everything after it.  The image of a candidate D folds, in reverse, the
     step's leading chain and D's own chain; when D's chain is empty the
     resolvent is tautological, and one family clause resolves it, or a
     leading unit satisfies it, and the leading chain up to that unit's
@@ -299,8 +344,10 @@ def to_er(f: Formula, cp: CheckedProof):
     it stands before the step, and only then emitted and mapped.  The
     rename is stored as sub[|p|] = +-x and resolved lazily by _apply_lit: x
     is fresh, so it is never already a key and the renames form chains
-    without cycles.  The finished document is re-checked before being
-    returned.
+    without cycles.  A definition's rename overwrites sub[|x|] when the
+    proof reuses a variable; nothing live mentions x, and no key maps to a
+    proof variable, so only x's later occurrences change.  The finished
+    document is re-checked before being returned.
     """
     m = f.next_id - 1
     trimmed, _ = emit_trimmed(cp)
@@ -338,6 +385,18 @@ def to_er(f: Formula, cp: CheckedProof):
         next_sid += 1
         return sid
 
+    def define(p, ls):
+        """Emit Extend(x, p, ls) on the next fresh x and register its
+        family; returns x and its first family clause's id."""
+        nonlocal fresh, next_sid
+        fresh += 1
+        ext_sid = next_sid
+        out.append((ext_sid, Extend(fresh, p, ls)))
+        for clx in extension_clauses(fresh, p, ls):
+            er_clauses[next_sid] = clx
+            next_sid += 1
+        return fresh, ext_sid
+
     def emit_chain(claimed, fold_ids):
         kept, acc = _fold(er_clauses, fold_ids)
         if not acc <= claimed.litset:
@@ -347,7 +406,8 @@ def to_er(f: Formula, cp: CheckedProof):
         er_clauses[sid] = claimed
         return sid
 
-    for ri, r in enumerate(trimmed):
+    records = iter(enumerate(trimmed))
+    for ri, r in records:
         cid, clause, hints, pivot = r.wid, r.clause, r.hints, r.pivot
         if r.kind == "delete":
             if cid in id_map:
@@ -367,19 +427,24 @@ def to_er(f: Formula, cp: CheckedProof):
             continue
 
         # RAT addition: the pivot is the clause's first literal
+        run = _definition_run(trimmed, ri, live)
+        if run is not None:
+            # the proof's own definition of a variable no live clause
+            # mentions: one Extend, no images, and a rename of the variable
+            p, ls, members = run
+            x, ext_sid = define(_apply_lit(sub, p),
+                                tuple(_apply_lit(sub, l) for l in ls))
+            sub[abs(pivot)] = x if pivot > 0 else -x
+            for k, (rec, j) in enumerate(members):
+                if k:
+                    next(records)  # the run's later records are done here
+                id_map[rec.wid] = ext_sid + j
+                live.add_clause(rec.clause, cid=rec.wid)
+            continue
         others = clause.lits[1:]
         pivot_er = _apply_lit(sub, pivot)
-        others_er = tuple(_apply_lit(sub, l) for l in others)
-        fresh += 1
-        x = fresh
-        ls = tuple(-l for l in others_er)
-        family = extension_clauses(x, pivot_er, ls)
-        ext_sid = next_sid
-        out.append((ext_sid, Extend(x, pivot_er, ls)))
-        fam_ids = tuple(range(ext_sid, ext_sid + len(family)))
-        for j, clx in enumerate(family):
-            er_clauses[fam_ids[j]] = clx
-        next_sid = ext_sid + len(family)
+        x, ext_sid = define(pivot_er, tuple(-_apply_lit(sub, l) for l in others))
+        fam_ids = tuple(range(ext_sid, next_sid))
         sub[abs(pivot_er)] = x if pivot_er > 0 else -x
 
         leading = hints.rup_chain

@@ -58,8 +58,9 @@ engine reports the dependency-filtered antecedents: the reasons that
 transitively contribute to falsifying the conflict clause, in propagation
 order, with the conflict clause last.  That list is exactly an LRAT hint
 chain, and a RAT check reports exactly an LRAT hint block: the reasons of
-the units the negated clause propagates, then one (candidate, chain) pair
-per clause containing the negated pivot.
+the units the negated clause propagates, filtered the same way to those the
+groups use, then one (candidate, chain) pair per clause containing the
+negated pivot.
 
 Formula mutations (attach/detach) must not happen while a checkpoint is
 outstanding; checkers mutate only between checks.
@@ -104,9 +105,10 @@ class RatOutcome(NamedTuple):
                               # the resolvent over the leading units; () when
                               # the resolvent is tautological or one of its
                               # literals is already true
-    leading: tuple = ()       # reasons of all units derived from the negated
-                              # clause, unfiltered, trail order; the RUP chain
-                              # when that propagation already conflicts
+    leading: tuple = ()       # reasons of the units derived from the negated
+                              # clause that the groups use, closed under
+                              # reasons, trail order; the RUP chain when that
+                              # propagation already conflicts
     visited_clauses: int = 0
 
 
@@ -378,8 +380,16 @@ class Engine:
         variable contributes (transitively) to falsifying the clause;
         returns them in propagation order with the conflict id appended.
         """
+        out = self._reasons({abs(l) for l in self.wlits[conflict_cid][2]},
+                            from_index)
+        out.append(conflict_cid)
+        return tuple(out)
+
+    def _reasons(self, marked: set, from_index: int) -> list:
+        """The reasons of the marked variables on the trail from from_index
+        on, and of every variable on those reasons, transitively: walks the
+        trail backward, extending marked in place; propagation order."""
         wlits, trail, reason = self.wlits, self.trail, self.reason
-        marked = {abs(l) for l in wlits[conflict_cid][2]}
         out = []
         i = len(trail) - 1
         while i >= from_index:
@@ -392,8 +402,7 @@ class Engine:
                         marked.add(abs(x))
             i -= 1
         out.reverse()
-        out.append(conflict_cid)
-        return tuple(out)
+        return out
 
     # ----------------------------------------------------------------- checks
 
@@ -428,27 +437,32 @@ class Engine:
             if lead.result == "conflict":
                 return RatOutcome(True, None, (), lead.antecedents, visited)
             tlead = len(self.trail)
-            val, reason, wlits = self.val, self.reason, self.wlits
-            leading = tuple(reason[abs(l)] for l in self.trail
-                            if reason[abs(l)] is not None)
+            val, wlits = self.val, self.wlits
             neg_pivot = -self._lit(pivot)  # internal, like wlits
+            marked = set()  # variables whose leading reasons a group uses
             for did in candidates:
                 cp2 = self.checkpoint()
                 chain = ()
                 for l in wlits[did][2]:
                     if l != neg_pivot:
                         if val[l] == 1:
-                            break  # the resolvent is tautological or satisfied
+                            # the resolvent is tautological or satisfied; a
+                            # leading unit that made l true is needed
+                            marked.add(abs(l))
+                            break
                         if val[l] == 0:
                             self._assign(-l, None)
                 else:
                     out = self.propagate(antecedents_from=tlead)
                     visited += out.visited_clauses
                     if out.result != "conflict":
-                        return RatOutcome(False, did, tuple(groups), leading, visited)
+                        return RatOutcome(False, did, tuple(groups), (), visited)
                     chain = out.antecedents
+                    for cid in chain:
+                        marked.update(abs(x) for x in wlits[cid][2])
                 self.rollback(cp2)
                 groups.append((did, chain))
+            leading = tuple(self._reasons(marked, 0))
             return RatOutcome(True, None, tuple(groups), leading, visited)
         finally:
             self.rollback(cp)

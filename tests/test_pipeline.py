@@ -1228,7 +1228,7 @@ GOLDEN = {
         "check_operational":
             "7322a0143ae146fdb467acb021c9c10095be3363822eec444f9054910422132a",
         "lrat":
-            "65644d86bf981b5ebc561028c157c9ff82558a3f537c2fc4353024ad860b19a2",
+            "774d9997ac12b4f039db2373e632b1d95047dc37a60161d7ffb7d49786cc1c6f",
         "trimmed":
             "2ed1aea00fe0aa0d511a2ee597c05220b139aeca1c04a3740874c0a8fdc0d18c",
         "core":
@@ -1236,7 +1236,7 @@ GOLDEN = {
         "er":
             "bf807634b3b03b6b3e5da9880e6e55980bb918793fbd6de208543a82c5f5fb01",
         "check_lrat":
-            "1fc62930810b177b1c68649f094bc8051e13000aad1d544554cc18eadf7c011f",
+            "a5dab2775aa0be099c101bc0fe771aff092985fe63a1b7bb40a62d59fc033886",
         "check_er":
             "81ae3b2025dcd521a11802303c91ee24efafabf381868fd3946bcba70ae3c5e8",
     },
@@ -1349,7 +1349,9 @@ def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
     # (given by step index) moved to the front: some core RAT candidates
     # hold two literals the leading units make true, and the fold starts at
     # the reason of the first of them (in the candidate's order); starting
-    # at another one gives a valid but different document
+    # at another one gives a valid but different document.  Shuffled
+    # definitions whose clauses do not all start with their variable are
+    # not folded, so those candidates take to_er's general route
     pivots = {0: 13, 2: -13, 4: 14, 6: 2, 8: 15, 10: 4, 12: 16, 14: 6,
               16: 17, 18: -17, 20: 18, 22: 9}
     f = gen_php(3)
@@ -1368,7 +1370,72 @@ def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
     cnf = [list(c.lits) for _, c in f.items()]
     assert naive_check_er(cnf, er.decode())
     assert hashlib.sha256(er).hexdigest() == (
-        "f4514a555a896c1ac3bc0734ec297c4587c444bfdc2ce3d3eee411e01cb40602")
+        "04e1305859dc5d91520a26507b1298aa4a5bf1190e464d318a7516ee6e830d18")
+
+
+# ------------------------------------------- the proof's own definitions
+
+def _cook_er(n, proof=None):
+    """to_er over Cook's PHP(n) proof (or the given steps), once both ER
+    checkers accept the document: (the checked proof, its Extends)."""
+    f = gen_php(n)
+    steps = [add_step(lits) if kind == "a" else delete_step(lits)
+             for kind, lits in (proof or _cook_proof(n))]
+    cp = backward_check(f, steps)
+    er = to_er(f, cp)
+    assert check_er(f, er).verified
+    assert naive_check_er([list(c.lits) for _, c in f.items()],
+                          write_er(er).decode())
+    return cp, [s for _, s in er if isinstance(s, Extend)]
+
+
+@pytest.mark.parametrize("n, defined", [(3, 6), (4, 18), (5, 38), (6, 68)])
+def test_to_er_folds_each_definition_into_one_extend(n, defined):
+    # every definition Cook's proof adds by RAT becomes one Extend on a
+    # fresh variable: as many as the proof's distinct RAT pivot variables
+    # (the last levels' definitions are RUP and become chains)
+    cp, extends = _cook_er(n)
+    pivots = {abs(r.pivot) for r in cp.records if r.pivot is not None}
+    assert len(extends) == len(pivots) == defined
+    assert min(e.fresh for e in extends) > max(
+        abs(l) for r in cp.records for l in r.clause.lits)
+
+
+def _cook3_first_family(edit):
+    """to_er over Cook's PHP(3) proof with its first definition's four
+    clauses (x -p) (x -a -b) (-x p a) (-x p b) replaced by edit(those
+    four): (how many of the edited steps are core RAT records, the
+    Extends)."""
+    proof = _cook_proof(3)
+    family = edit([c for _, c in proof[:4]])
+    cp, extends = _cook_er(3, [("a", c) for c in family] + proof[4:])
+    rat = sum(r.pivot is not None and r.core for r in cp.records[:len(family)])
+    return rat, extends
+
+
+def test_to_er_takes_the_general_route_when_x_is_already_live():
+    # (x -p -a) before the whole family: it is core (the RAT steps on -x
+    # cite it as a candidate), so when (x -p) follows, x occurs in a live
+    # clause and the run is not folded; each of its RAT records gets its
+    # own Extend, and the other five definitions fold
+    def prefix(c):
+        x, p, a = c[0][0], -c[0][1], -c[1][1]
+        return [[x, -p, -a]] + c
+    rat, extends = _cook3_first_family(prefix)
+    assert rat >= 2
+    assert len(extends) == 5 + rat
+
+
+def test_to_er_takes_the_general_route_for_a_clause_outside_the_family():
+    # (x -p -a) after (x -p) (x -a -b) is core (the later RAT steps on -x
+    # cite it as a candidate) but no member of the family, so the run is
+    # not folded and each of its RAT records gets its own Extend
+    def widen(c):
+        x, p, a = c[0][0], -c[0][1], -c[1][1]
+        return c[:2] + [[x, -p, -a]] + c[2:]
+    rat, extends = _cook3_first_family(widen)
+    assert rat >= 2
+    assert len(extends) == 5 + rat
 
 
 # ------------------------------------------- RAT-rich DRAT proofs, mutated
@@ -1430,12 +1497,14 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
     # and every addition the search accepts passes the hint walk (an
     # EngineFault would fail the test); backward_check reads the same
     # forward records, so it rejects where check_drat does, with the same
-    # reason and detail, or keeps one record per step up to the empty clause
+    # reason and detail, or keeps one record per step up to the empty
+    # clause, and then naive_check_er accepts to_er's document
     kinds = ("drop_lemma", "flip_literal", "swap_steps", "drop_deletion",
              "add_deletion", "delete_needed")
     rng = random.Random(12)
     tried = dict.fromkeys(kinds, 0)
     verdicts = {True: 0, False: 0}
+    translated = 0
     for name, f, proof in _rat_corpus():
         cnf = [list(c.lits) for _, c in f.items()]
         cp = backward_check(f, proof)
@@ -1450,15 +1519,20 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
                 mode = CheckMode(flavor)
                 report = check_drat(f, mutant, mode)
                 try:
-                    records = backward_check(f, mutant, mode).records
+                    mcp = backward_check(f, mutant, mode)
                 except ForwardRejected as e:
                     assert (e.step, e.reason, e.detail) == (
                         report.step_index, report.reason, report.detail)
                 else:
                     assert report.verified
                     n = report.steps_checked
-                    assert [(r.kind, r.clause) for r in records] == [
+                    assert [(r.kind, r.clause) for r in mcp.records] == [
                         (s.kind, s.clause) for s in mutant[:n]]
+                    # swapped and flipped steps break definitions apart, so
+                    # to_er takes its general route as well as its fold
+                    er = write_er(to_er(f, mcp)).decode()
+                    assert naive_check_er(cnf, er), (name, kind, flavor)
+                    translated += 1
                 want = naive_check_drat(cnf, steps, flavor)
                 if report.verified:
                     got = ("verified", report.steps_checked)
@@ -1469,6 +1543,7 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
                 verdicts[report.verified] += 1
     assert min(tried.values()) >= 8
     assert min(verdicts.values()) >= 30
+    assert translated == verdicts[True]
 
 
 # ---------------------------------------- determinism across processes
@@ -1480,7 +1555,7 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     cook = [add_step(lits) if kind == "a" else delete_step(lits)
             for kind, lits in _cook_proof(3)]
     inputs = {"php5": (gen_php(5), cdcl_solve(gen_php(5), seed=0).proof),
-              "cook3": (gen_php(3), cook)}
+              "cook3": (gen_php(3), cook)}  # cook3 last: checked below
     for name, (f, proof) in inputs.items():
         cnf, drat = tmp_path / (name + ".cnf"), tmp_path / (name + ".drat")
         cnf.write_bytes(write_dimacs(f))
@@ -1507,6 +1582,14 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
             seen.append((printed, files))
         assert seen[0] == seen[1], name
         assert b"c visited_clauses" in seen[0][0][0]
+    # cook3's folded ER, the same under both seeds: one Extend per
+    # definition, and bytes that naive_check_er accepts
+    er = seen[0][1]["er"]
+    assert sum(line.split()[1:2] == [b"e"] for line in er.splitlines()) == 6
+    assert naive_check_er([list(c.lits) for _, c in gen_php(3).items()],
+                          er.decode())
+    assert hashlib.sha256(er).hexdigest() == (
+        "26e760e04121ee6f03639e43c91b878cbf7b83451fd989af3f9359fd2de25ec3")
 
 
 # ------------------------------------------------ a forged search refused

@@ -401,18 +401,50 @@ def test_rat_group_chains_replay_structured():
     assert replayed >= 60
 
 
+def _needy_rat_input(rng):
+    """A random formula and clause c where implication chains over fresh
+    variables lead from literals true under c's negation to a literal of a
+    clause holding the negated pivot c[0], so that candidate needs leading
+    units."""
+    c = _rand_clause(rng, 3, 1, 3)
+    clauses = []
+    v = 3
+    for _ in range(rng.randint(1, 3)):
+        a = -rng.choice(c)
+        for _ in range(rng.randint(1, 3)):
+            v += 1
+            b = v * rng.choice((-1, 1))
+            clauses.append([-a, b])
+            a = b
+        clauses.append([-c[0], a] + _rand_clause(rng, v, 0, 2))
+    clauses += _rand_formula(rng, v, rng.randint(0, 4))
+    rng.shuffle(clauses)
+    return clauses, c
+
+
 def test_rat_leading_reasons_replay_as_units():
+    # random inputs, then inputs whose candidates need leading units (a
+    # RAT step's leading chain keeps only the reasons its groups use)
     rng = random.Random(17)
     seen = 0
-    for _ in range(200):
-        maxv = rng.randint(2, 6)
-        clauses = _rand_formula(rng, maxv, rng.randint(1, 15))
-        c = Clause(_rand_clause(rng, maxv))
+    for k in range(300):
+        if k < 200:
+            maxv = rng.randint(2, 6)
+            clauses = _rand_formula(rng, maxv, rng.randint(1, 15))
+            c = _rand_clause(rng, maxv)
+        else:
+            clauses, c = _needy_rat_input(rng)
+        c = Clause(c)
         if c.is_tautology:
             continue
         f = formula_from_clauses(clauses)
         out = check_rat(f, c, c.lits[0])
-        if naive_rup(clauses, list(c.lits)) or not out.leading:
+        if naive_rup(clauses, list(c.lits)):
+            continue
+        if out.rat:
+            # the filtered leading chain still certifies every group
+            _assert_groups_certify(f, clauses, c, c.lits[0], out)
+        if not out.leading:
             continue
         # every leading reason is consumable as a unit, in order, and the
         # replay ends open (the leading propagation found no conflict)
