@@ -39,8 +39,9 @@ mentioning the pivot, and a variable substitution applied to everything
 after it; the images' chains come from the LRAT hints alone.  Its
 bookkeeping stays linear in the proof: the live clauses mentioning the
 pivot come from the formula's occurrence lists, a table of each clause's
-last citation decides which of them need an image, and the substitution is
-resolved lazily.  All emitted documents are re-checked; a failed re-check
+last citation decides which of them need an image, and the substitution
+maps each renamed proof literal straight to its newest image, one lookup
+per literal.  All emitted documents are re-checked; a failed re-check
 raises TranslationInvariantViolation rather than returning a bad document.
 """
 
@@ -230,34 +231,10 @@ def emit_trim(cp: CheckedProof):
 
 # --------------------------------------------------------------------- ER
 
-def _apply_lit(sub: dict, l: int) -> int:
-    """Image of l under the substitution, resolving chains of renames.
-
-    sub maps a variable to the literal it was renamed to, which may itself
-    have been renamed later; the chain ends at a variable that is not a key.
-    Every variable on a chain longer than one step is pointed straight at
-    its end, so the next lookup takes one step.
-    """
-    t = sub.get(abs(l))
-    if t is None:
-        return l
-    root = t
-    while abs(root) in sub:
-        s = sub[abs(root)]
-        root = s if root > 0 else -s
-    if root != t:
-        cur = abs(l)  # a literal whose image is root
-        while cur != root:
-            nxt = sub[abs(cur)]
-            sub[abs(cur)] = root if cur > 0 else -root
-            cur = nxt if cur > 0 else -nxt
-    return root if l > 0 else -root
-
-
 def _apply_clause(sub: dict, c: Clause) -> Clause:
     if not sub:
         return c
-    return Clause([_apply_lit(sub, l) for l in c.lits])
+    return Clause([sub.get(l, l) for l in c.lits])
 
 
 def _fold(er_clauses: dict, ids) -> tuple:
@@ -341,13 +318,13 @@ def to_er(f: Formula, cp: CheckedProof):
     lists, in ascending id order; last_ref[tid], the index of the last
     record citing tid, tells whether a later step still cites a clause.
     A step's images are collected first, their folds citing the id map as
-    it stands before the step, and only then emitted and mapped.  The
-    rename is stored as sub[|p|] = +-x and resolved lazily by _apply_lit: x
-    is fresh, so it is never already a key and the renames form chains
-    without cycles.  A definition's rename overwrites sub[|x|] when the
-    proof reuses a variable; nothing live mentions x, and no key maps to a
-    proof variable, so only x's later occurrences change.  The finished
-    document is re-checked before being returned.
+    it stands before the step, and only then emitted and mapped.  Both
+    routes store the rename by the proof's literal, sub[p] = x and
+    sub[-p] = -x, overwriting p's earlier image when the proof renames p
+    again: every fresh variable lies above every proof variable, so each
+    key is a proof literal, each value that literal's newest image, and a
+    literal's image is one sub.get.  The finished document is re-checked
+    before being returned.
     """
     m = f.next_id - 1
     trimmed, _ = emit_trimmed(cp)
@@ -432,9 +409,8 @@ def to_er(f: Formula, cp: CheckedProof):
             # the proof's own definition of a variable no live clause
             # mentions: one Extend, no images, and a rename of the variable
             p, ls, members = run
-            x, ext_sid = define(_apply_lit(sub, p),
-                                tuple(_apply_lit(sub, l) for l in ls))
-            sub[abs(pivot)] = x if pivot > 0 else -x
+            x, ext_sid = define(sub.get(p, p), tuple(sub.get(l, l) for l in ls))
+            sub[pivot], sub[-pivot] = x, -x
             for k, (rec, j) in enumerate(members):
                 if k:
                     next(records)  # the run's later records are done here
@@ -442,10 +418,10 @@ def to_er(f: Formula, cp: CheckedProof):
                 live.add_clause(rec.clause, cid=rec.wid)
             continue
         others = clause.lits[1:]
-        pivot_er = _apply_lit(sub, pivot)
-        x, ext_sid = define(pivot_er, tuple(-_apply_lit(sub, l) for l in others))
+        x, ext_sid = define(sub.get(pivot, pivot),
+                            tuple(-sub.get(l, l) for l in others))
         fam_ids = tuple(range(ext_sid, next_sid))
-        sub[abs(pivot_er)] = x if pivot_er > 0 else -x
+        sub[pivot], sub[-pivot] = x, -x
 
         leading = hints.rup_chain
         chains = dict(hints.rat_groups)
@@ -467,7 +443,7 @@ def to_er(f: Formula, cp: CheckedProof):
                 raise TranslationInvariantViolation(
                     "live clause %d missing from the pivot's candidate records" % tid)
             dprime = [l for l in cl.lits if l != -pivot]
-            claimed = Clause([-x] + [_apply_lit(sub, l) for l in dprime])
+            claimed = Clause([-x] + [sub.get(l, l) for l in dprime])
             if chain:
                 # the fold drops every reason the conflict does not need
                 prefix = leading + chain

@@ -29,18 +29,16 @@ watch loop reads lists and makes no method call per literal:
 Variables and capacity.  The lists hold internal literals, and the slots
 follow the variables the engine has seen, not their numbers: neither an
 over-declared header nor a lemma on variable 10**9 costs more than one slot
-per variable.  Variables 1..n keep their number, where n is the highest
-variable of the clauses present at construction (0 when n exceeds their
-literal count: a sparse numbering), and n grows while fresh variables
-arrive in order, as an ER proof's definitions do; then each clause's tuple
-is shared with the formula.  Any other variable is renamed to the next free
-internal number when first seen.  Literals are translated on the way in
-(attach, propagate's assumptions, lit_value) and out (toplevel, the
-module-level propagate); the trail and the watch records stay internal.  A
-new variable gets its slot before any access, capacity doubling.  Growth
-inserts the new slots between the positive and the negative half, in place,
-so lists bound to locals stay valid and every existing literal keeps its
-slot.
+per variable.  Every variable takes the next internal number when the
+engine first sees it, in the order of the clauses at construction and then
+of the calls; _ix maps each literal seen to its internal literal, so a
+translation is one lookup, and _ex maps an internal variable back.
+Literals are translated on the way in (attach, propagate's assumptions,
+lit_value) and out (toplevel, the module-level propagate); the trail and
+the watch records stay internal.  A new variable gets its slot before any
+access, capacity doubling.  Growth inserts the new slots between the
+positive and the negative half, in place, so lists bound to locals stay
+valid and every existing literal keeps its slot.
 
 Watches.  Rollback only unassigns, as in MiniSat and DRAT-trim: a moved
 watch went to a literal non-false under the longer trail, so it stays
@@ -112,27 +110,12 @@ class RatOutcome(NamedTuple):
     visited_clauses: int = 0
 
 
-def _identity_prefix(f: Formula) -> int:
-    """How many variables keep their own number in an Engine over f: all up
-    to the highest one its clauses use, unless that exceeds their literal
-    count, so a sparse numbering costs no more slots than literals.  The
-    header's declared count plays no part."""
-    top = size = 0
-    for c in f.clauses.values():
-        lits = c.lits
-        if lits:
-            size += len(lits)
-            top = max(top, max(lits), -min(lits))
-    return top if top <= size else 0
-
-
 class Engine:
     """Propagation state over a Formula; see the module docstring."""
 
     def __init__(self, f: Formula):
         self.f = f
-        self.cap = 0               # highest internal variable with a slot
-        self.nvars = 0             # internal variables in use, at most cap
+        self.cap = 0               # internal variables with a slot, at least nvars
         self.val: list = [0]       # literal -> 1 true | -1 false | 0 free
         self.reason: list = [None]  # var -> clause id | None for assumptions
         self.watches: list = [[]]  # literal -> clause ids watching it
@@ -142,67 +125,51 @@ class Engine:
         self.unit_ids: list = []   # ascending ids of size-1 clauses
         self.empty_ids: list = []
         self.visited_total = 0
-        self._dense = _identity_prefix(f)  # variables 1.._dense keep their number
-        self._ix: dict = {}        # renamed variable -> internal variable
-        self._ex: dict = {}        # internal variable -> renamed variable
-        self._grow(self._dense)
-        self.nvars = self._dense
+        self._ix: dict = {}        # literal -> internal literal, both signs
+        self._ex: list = [0]       # internal variable -> variable
         for cid in sorted(f.clauses):
             self.attach(cid)
 
-    def _grow(self, n: int) -> None:
-        """Give internal variables up to n their slots, in place: the new
-        literals go between the positive half and the negative half."""
-        d = n - self.cap
-        if d <= 0:
-            return
-        mid = self.cap + 1
-        self.val[mid:mid] = [0] * (2 * d)
-        self.watches[mid:mid] = [[] for _ in range(2 * d)]
-        self.reason.extend([None] * d)
-        self.cap = n
-
-    def _var(self, v: int) -> int:
-        """Internal variable of a variable above the identity prefix; a new
-        one takes the next free number, so slots follow the variables seen."""
-        iv = self._ix.get(v)
-        if iv is None:
-            if not self._ix and v == self._dense + 1:
-                self._dense = iv = v   # still numbered in order: no renaming
-            else:
-                iv = self.nvars + 1
-                self._ix[v] = iv
-                self._ex[iv] = v
-            self.nvars = iv
-            if iv > self.cap:
-                self._grow(max(iv, 2 * self.cap))
-        return iv
+    @property
+    def nvars(self) -> int:
+        """Internal variables in use: the variables seen so far."""
+        return len(self._ex) - 1
 
     def _lit(self, l: int) -> int:
-        """Internal literal of literal l, allocating its variable."""
-        if l > 0:
-            return l if l <= self._dense else self._var(l)
-        return l if -l <= self._dense else -self._var(-l)
+        """Internal literal of literal l.  A variable seen for the first time
+        takes the next internal number; when that has no slot, capacity
+        doubles in place: the new literals go between the positive half and
+        the negative half."""
+        il = self._ix.get(l)
+        if il is None:
+            iv = len(self._ex)
+            if iv > self.cap:
+                d = self.cap or 1
+                self.val[iv:iv] = [0] * (2 * d)
+                self.watches[iv:iv] = [[] for _ in range(2 * d)]
+                self.reason.extend([None] * d)
+                self.cap += d
+            self._ex.append(l if l > 0 else -l)
+            il = iv if l > 0 else -iv
+            self._ix[l], self._ix[-l] = il, -il
+        return il
+
+    def _lits(self, lits) -> tuple:
+        """Internal literals of a sequence of literals: one lookup each,
+        unless one of them is new."""
+        try:
+            return tuple(map(self._ix.__getitem__, lits))
+        except KeyError:
+            return tuple(map(self._lit, lits))
 
     def _elit(self, l: int) -> int:
         """The literal an internal literal stands for."""
-        v = l if l > 0 else -l
-        if v <= self._dense:
-            return l
-        v = self._ex[v]
-        return v if l > 0 else -v
+        return self._ex[l] if l > 0 else -self._ex[-l]
 
     # ------------------------------------------------------------- structure
 
     def attach(self, cid: int) -> None:
-        lits = self.f.clauses[cid].lits
-        dense = self._dense
-        for l in lits:
-            if l > dense or -l > dense:
-                renamed = tuple(map(self._lit, lits))
-                if renamed != lits:
-                    lits = renamed
-                break
+        lits = self._lits(self.f.clauses[cid].lits)
         if not lits:
             self.wlits[cid] = [None, None, lits]
             insort(self.empty_ids, cid)
@@ -229,13 +196,8 @@ class Engine:
 
     def lit_value(self, l: int) -> int:
         """1 true, -1 false, 0 unassigned."""
-        v = l if l > 0 else -l
-        if v > self._dense:
-            v = self._ix.get(v)
-            if v is None:
-                return 0
-            l = v if l > 0 else -v
-        return self.val[l]
+        l = self._ix.get(l)
+        return 0 if l is None else self.val[l]
 
     def _assign(self, l: int, why) -> None:
         self.val[l] = 1
@@ -269,7 +231,9 @@ class Engine:
     def propagate(self, assumptions=(), antecedents_from=None) -> PropagationOutcome:
         """Assume the given literals, then propagate to fixpoint or conflict.
 
-        The trail is left extended; the caller owns rollback.  Antecedents
+        assumptions is a sequence, not an iterator: a new variable among
+        them makes _lits read it twice.  The trail is left extended; the
+        caller owns rollback.  Antecedents
         are filtered from trail position antecedents_from (default: the
         trail length on entry).
         """
@@ -277,10 +241,7 @@ class Engine:
         if antecedents_from is None:
             antecedents_from = len(trail)
         visited = 0
-        dense = self._dense
-        for l in assumptions:
-            if l > dense or -l > dense:
-                l = self._lit(l)
+        for l in self._lits(assumptions):
             v = val[l]
             if v == -1:
                 return self._outcome("conflict", None, visited, antecedents_from)
@@ -363,12 +324,8 @@ class Engine:
         try:
             if self.propagate().result == "conflict":
                 return None
-            dense, ex = self._dense, self._ex
-            out = {}
-            for l in self.trail:
-                v = l if l > 0 else -l
-                out[v if v <= dense else ex[v]] = l > 0
-            return out
+            ex = self._ex
+            return {ex[l] if l > 0 else ex[-l]: l > 0 for l in self.trail}
         finally:
             self.rollback(cp)
             self.visited_total = visited

@@ -1592,6 +1592,74 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         "26e760e04121ee6f03639e43c91b878cbf7b83451fd989af3f9359fd2de25ec3")
 
 
+# ------------------------------------- determinism across variable names
+
+# A deletion-corpus input (tests/test_checkers.py, _deletion_case, seed 44,
+# trial 47): both modes verify it, operational mode skipping three
+# deletions, and a RAT lemma brings in the fresh variable 5.
+DELCASE = [[2], [2, -2], [1], [1], [2, -4], [-2, -3], [-1]]
+DELCASE_PROOF = [add_step([3]), add_step([-2]), add_step([5, -1]),
+                 add_step([2, -4]), delete_step([2, -2]), delete_step([1]),
+                 delete_step([5, -1]), add_step([-2, 4]), add_step([])]
+
+
+def _relabelled(f, proof, var):
+    """f and proof with every variable v renamed to var(v), and the literal
+    map."""
+    def lit(l):
+        return var(l) if l > 0 else -var(-l)
+    g = formula_from_clauses([map(lit, c.lits) for _, c in f.items()])
+    steps = [(add_step if s.kind == "add" else delete_step)(map(lit, s.clause.lits))
+             for s in proof]
+    return g, steps, lit
+
+
+def _er_shape(er):
+    """An ER document with its literals left out: ids, step kinds, chain
+    antecedents and deleted ids."""
+    return [(sid, type(s).__name__, s.antecedents if isinstance(s, Chain)
+             else s.ids if isinstance(s, Delete) else None) for sid, s in er]
+
+
+def test_outputs_do_not_depend_on_the_variable_numbering():
+    # every input twice relabelled, sparsely (the engine gets huge
+    # variables in first-seen order) and reversed: each checker's report
+    # is the same, field for field, in both deletion modes; trim's LRAT is
+    # the original's under the literal map, ids and hints included; to_er's
+    # document has the same ids, antecedents and Extends, and both ER
+    # checkers accept it
+    skipped = 0
+    php4 = gen_php(4)
+    inputs = [
+        ("cook3", gen_php(3), [add_step(lits) if kind == "a" else delete_step(lits)
+                               for kind, lits in _cook_proof(3)]),
+        ("hops", *_golden_inputs("hops")),
+        ("ratmix", *_golden_inputs("ratmix")),
+        ("php4", php4, cdcl_solve(php4, seed=0).proof),
+        ("delcase", formula_from_clauses(DELCASE), DELCASE_PROOF),
+    ]
+    for name, f, proof in inputs:
+        n = max([f.max_var] + [abs(l) for s in proof for l in s.clause.lits])
+        for var in (lambda v: 10 ** 6 + 7 * v, lambda v: n + 1 - v):
+            g, relabelled, lit = _relabelled(f, proof, var)
+            cnf = [list(c.lits) for _, c in g.items()]
+            for flavor in (SPECIFIED, OPERATIONAL):
+                mode = CheckMode(flavor)
+                report = check_drat(f, proof, mode)
+                assert check_drat(g, relabelled, mode) == report, (name, flavor)
+                skipped += report.skipped_deletions
+                assert report.verified, (name, flavor)
+                cp, cq = backward_check(f, proof, mode), backward_check(g, relabelled, mode)
+                mapped = [(sid, add_step(map(lit, s.clause.lits), hints=s.hints)
+                           if s.kind == "add" else s) for sid, s in emit_trim(cp)[0]]
+                assert write_lrat(emit_trim(cq)[0]) == write_lrat(mapped), (name, flavor)
+                er = to_er(g, cq)
+                assert _er_shape(er) == _er_shape(to_er(f, cp)), (name, flavor)
+                assert check_er(g, er).verified
+                assert naive_check_er(cnf, write_er(er).decode())
+    assert skipped >= 3
+
+
 # ------------------------------------------------ a forged search refused
 
 FORGE = ([[-1, 2], [2, 3], [2, -3], [-2, 4], [-2, -4]],

@@ -589,16 +589,17 @@ def test_fresh_variables_never_alias_existing_slots():
     assert e.lit_value(top + 100) == 0 and e.lit_value(-(top + 100)) == 0
 
 
-def test_variables_numbered_in_order_keep_their_number():
-    # Cook-style fresh variables arrive as max_var+1, max_var+2, ...: their
-    # internal literals are their own, so no clause needs a renamed copy
+def test_variables_attached_in_order_take_one_slot_each():
+    # Cook-style fresh variables arrive as max_var+1, max_var+2, ...: each
+    # takes one internal variable, and the engine grown clause by clause
+    # holds what one built over the whole formula holds
     f = formula_from_clauses([[1, 2], [-1, 3]])
     e = Engine(f)
     for lits in ([4, -1], [5, -4, 2], [-5, 3]):
-        cid = f.add_clause(lits)
-        e.attach(cid)
-        assert e.wlits[cid][2] is f.clauses[cid].lits
-    assert e._dense == e.nvars == 5 and not e._ix
+        e.attach(f.add_clause(lits))
+    assert e.nvars == 5 and e.cap <= 8
+    assert _snapshot(e) == _snapshot(Engine(f))
+    _assert_watches(e)
 
 
 def test_slots_follow_the_variables_seen_not_their_numbers():
