@@ -203,7 +203,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     engine and reads counters off them afterwards.
     """
     closure = _STALE  # operational mode's Engine.toplevel(), None on a
-                      # conflict; made stale by any change to the formula
+                      # conflict; made stale by each addition only
 
     for i, step in enumerate(proof):
         if step.kind == "delete":
@@ -221,9 +221,13 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                                                     closure):
                     yield StepRecord("delete", step.clause, target, applied=False)
                     continue
+            # an applied deletion leaves the closure as it is: operational
+            # mode applies one only to a clause with two or more non-false
+            # literals under it (one would shape the trail, and none would
+            # have made toplevel() report a conflict), and such a clause is
+            # the reason of no literal, so the fixpoint holds without it
             engine.detach(target)
             working.remove_by_id(target)
-            closure = _STALE
             yield StepRecord("delete", step.clause, target)
             continue
         if step.kind != "add":

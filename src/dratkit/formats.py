@@ -5,7 +5,10 @@ span lines); DIMACS keeps its line discipline for comments and the header.
 Binary DRAT uses the tag-byte ('a'/'d') plus 7-bit varint literal encoding.
 ER is this toolkit's own format: extension lines introduce a definition
 clause family under consecutive ids, chain lines claim a clause derived by
-folding a resolution chain, deletion lines drop clause ids.
+folding a resolution chain, deletion lines drop clause ids.  A deletion
+line claims no id, as in LRAT: the parsers accept any positive id on it,
+and the documents this toolkit writes put one run of deletions on one line
+at the highest id claimed before it.
 """
 
 from __future__ import annotations

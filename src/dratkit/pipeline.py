@@ -21,16 +21,21 @@ of the clause it frees.  Of two live copies of one lemma, that may not be
 the lower id a deletion by content would take, but both hold the same
 clause, so the LRAT and the trimmed DRAT hold equal clause multisets after
 every step.  Read by kind and clause the records are the trimmed DRAT
-proof; read by wid and hints they are its LRAT steps,
-which emit_trim writes after a leading deletion line for the non-core
-originals, one deletion line per run of deletions.  No second DRAT search
+proof; read by wid and hints they are its LRAT steps, which emit_trim writes
+after a leading deletion of the non-core originals.  No second DRAT search
 and no replay by content runs.
+
+The LRAT and the ER write deletions by one rule (_Lines): a run of
+consecutive deletions is one line, which carries the highest id the
+document has claimed so far (the original clause count before any
+addition) and claims no id of its own.
 
 to_er translates the same records into an extended-resolution document:
 RUP additions become resolution chains (fold order is the reverse of the
 hint order; checkers._fold_chain folds each one once, at the cost of its
 antecedents' width, and an antecedent that does not clash is left out of
-the emitted chain).  A definition the proof already spells, a RAT
+the emitted chain), and deletions of translated clauses become deletion
+lines by the rule above.  A definition the proof already spells, a RAT
 addition (x, -p) on a variable no live clause mentions followed by the rest
 of x's clause family, becomes one Extend on a fresh variable that renames
 x, with no images.  Any other RAT addition becomes a fresh definition
@@ -192,6 +197,42 @@ def _require_verified(report, what: str) -> None:
             % (what, report.step_index, report.reason, report.detail))
 
 
+# ----------------------------------------------------- LRAT and ER lines
+
+class _Lines:
+    """An LRAT or ER document's lines, appended in order under the deletion
+    rule the two share: consecutive deletions make one line, which carries
+    the highest id the document has claimed so far (m, the original clause
+    count, before any addition) and claims no id of its own.  A run's ids
+    gather in a list that is frozen into its line once, when the run ends,
+    so a run of n deletions costs O(n)."""
+
+    def __init__(self, m: int, delete):
+        self._out = []
+        self.last = m  # the highest id claimed so far
+        self._delete = delete  # a tuple of ids -> the format's deletion step
+        self._run = []
+
+    def add(self, sid: int, step, last: int | None = None) -> None:
+        """Append step, which claims the ids sid..last (sid alone when last
+        is None)."""
+        self._end_run()
+        self._out.append((sid, step))
+        self.last = sid if last is None else last
+
+    def delete(self, did: int) -> None:
+        self._run.append(did)
+
+    def done(self) -> list:
+        self._end_run()
+        return self._out
+
+    def _end_run(self) -> None:
+        if self._run:
+            self._out.append((self.last, self._delete(tuple(self._run))))
+            self._run = []
+
+
 # ------------------------------------------------------------------- LRAT
 
 def emit_lrat(cp: CheckedProof):
@@ -208,23 +249,20 @@ def emit_lrat(cp: CheckedProof):
 def emit_trim(cp: CheckedProof):
     """Everything trim writes, built from one trimmed proof: (emit_lrat's
     document, then emit_trimmed's steps and core formula).  The LRAT document
-    is a leading deletion of the non-core originals, then the trimmed steps
-    read by wid and hints, a run of deletions as one line; it adds and
-    deletes the trimmed proof's clauses in its order, so its re-check
-    certifies the trimmed proof too, under specified deletions."""
+    is a deletion of the non-core originals, then the trimmed steps read by
+    wid and hints, its deletions in runs (see _Lines); it adds and deletes
+    the trimmed proof's clauses in its order, so its re-check certifies the
+    trimmed proof too, under specified deletions."""
     trimmed, core = emit_trimmed(cp)
-    m = cp.formula.next_id - 1
-    noncore = sorted(set(cp.formula.clauses) - cp.core_formula_ids)
-    out = [(m, delete_ids_step(noncore))] if noncore else []
-    sid = m
+    lines = _Lines(cp.formula.next_id - 1, delete_ids_step)
+    for oid in sorted(set(cp.formula.clauses) - cp.core_formula_ids):
+        lines.delete(oid)
     for r in trimmed:
         if r.kind == "add":
-            sid = r.wid
-            out.append((sid, add_step(r.clause, hints=r.hints)))
-        elif out and out[-1][1].kind == "delete":
-            out[-1] = (sid, delete_ids_step(out[-1][1].ids + (r.wid,)))
+            lines.add(r.wid, add_step(r.clause, hints=r.hints))
         else:
-            out.append((sid, delete_ids_step((r.wid,))))
+            lines.delete(r.wid)
+    out = lines.done()
     _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out, trimmed, core
 
@@ -345,8 +383,7 @@ def to_er(f: Formula, cp: CheckedProof):
         for l in r.clause.lits:
             if abs(l) > fresh:
                 fresh = abs(l)
-    next_sid = m + 1
-    out = []
+    lines = _Lines(m, Delete)
 
     def er_id(tid):
         eid = id_map.get(tid)
@@ -355,31 +392,25 @@ def to_er(f: Formula, cp: CheckedProof):
                 "clause %d cited but has no translated image" % tid)
         return eid
 
-    def emit(step):
-        nonlocal next_sid
-        sid = next_sid
-        out.append((sid, step))
-        next_sid += 1
-        return sid
-
     def define(p, ls):
         """Emit Extend(x, p, ls) on the next fresh x and register its
-        family; returns x and its first family clause's id."""
-        nonlocal fresh, next_sid
+        family; returns x and its family's ids."""
+        nonlocal fresh
         fresh += 1
-        ext_sid = next_sid
-        out.append((ext_sid, Extend(fresh, p, ls)))
-        for clx in extension_clauses(fresh, p, ls):
-            er_clauses[next_sid] = clx
-            next_sid += 1
-        return fresh, ext_sid
+        family = extension_clauses(fresh, p, ls)
+        ext_sid = lines.last + 1
+        lines.add(ext_sid, Extend(fresh, p, ls), ext_sid + len(family) - 1)
+        for j, clx in enumerate(family):
+            er_clauses[ext_sid + j] = clx
+        return fresh, range(ext_sid, ext_sid + len(family))
 
     def emit_chain(claimed, fold_ids):
         kept, acc = _fold(er_clauses, fold_ids)
         if not acc <= claimed.litset:
             raise TranslationInvariantViolation(
                 "chain for %r folds to %r" % (claimed, sorted(acc)))
-        sid = emit(Chain(claimed, tuple(kept)))
+        sid = lines.last + 1
+        lines.add(sid, Chain(claimed, tuple(kept)))
         er_clauses[sid] = claimed
         return sid
 
@@ -388,7 +419,7 @@ def to_er(f: Formula, cp: CheckedProof):
         cid, clause, hints, pivot = r.wid, r.clause, r.hints, r.pivot
         if r.kind == "delete":
             if cid in id_map:
-                emit(Delete((id_map[cid],)))
+                lines.delete(id_map[cid])
             live.remove_by_id(cid)
             continue
         if pivot is None:
@@ -409,18 +440,17 @@ def to_er(f: Formula, cp: CheckedProof):
             # the proof's own definition of a variable no live clause
             # mentions: one Extend, no images, and a rename of the variable
             p, ls, members = run
-            x, ext_sid = define(sub.get(p, p), tuple(sub.get(l, l) for l in ls))
+            x, fam_ids = define(sub.get(p, p), tuple(sub.get(l, l) for l in ls))
             sub[pivot], sub[-pivot] = x, -x
             for k, (rec, j) in enumerate(members):
                 if k:
                     next(records)  # the run's later records are done here
-                id_map[rec.wid] = ext_sid + j
+                id_map[rec.wid] = fam_ids[j]
                 live.add_clause(rec.clause, cid=rec.wid)
             continue
         others = clause.lits[1:]
-        x, ext_sid = define(sub.get(pivot, pivot),
+        x, fam_ids = define(sub.get(pivot, pivot),
                             tuple(-sub.get(l, l) for l in others))
-        fam_ids = tuple(range(ext_sid, next_sid))
         sub[pivot], sub[-pivot] = x, -x
 
         leading = hints.rup_chain
@@ -475,5 +505,6 @@ def to_er(f: Formula, cp: CheckedProof):
         id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x
         live.add_clause(clause, cid=cid)
 
+    out = lines.done()
     _require_verified(check_er(f, out), "ER")
     return out

@@ -507,6 +507,35 @@ def naive_check_er(cnf, text):
     return False
 
 
+def naive_deletion_runs(nclauses, text):
+    """True iff the LRAT or ER text writes its deletions the way both
+    documents do: no two deletion lines in a row, each one at the highest id
+    claimed before it (nclauses before any addition), and no id deleted
+    twice.  An extension line claims one id per clause of its family, from
+    its own on; any other line claims its own id."""
+    last = nclauses
+    deleted = set()
+    previous = None
+    for raw in text.splitlines():
+        parts = raw.split()
+        if not parts:
+            continue
+        sid, word = int(parts[0]), parts[1]
+        if word == "d":
+            ids = [int(t) for t in parts[2:-1]]
+            if previous == "d" or sid != last or deleted.intersection(ids):
+                return False
+            if len(set(ids)) != len(ids):
+                return False
+            deleted.update(ids)
+        elif word == "e":
+            last = sid + len(parts) - 4  # sid e x p l1..lk 0: k + 2 clauses
+        else:
+            last = sid
+        previous = word
+    return True
+
+
 # --------------------------------------- reference text parsers (token at a time)
 #
 # The package's DRAT, LRAT and ER text parsers as they read a document one

@@ -43,7 +43,12 @@ from dratkit.formats import (
 from dratkit.pipeline import backward_check, emit_lrat, emit_trimmed, to_er
 from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
 
-from _oracles import naive_check_drat, naive_check_er, naive_check_lrat
+from _oracles import (
+    naive_check_drat,
+    naive_check_er,
+    naive_check_lrat,
+    naive_deletion_runs,
+)
 
 # first literal of every addition is its pivot; both bases need RAT steps
 SPLIT8 = [[1, 2], [-1, 2], [-1, -2, 3], [-2, 3],
@@ -110,11 +115,20 @@ def test_soundness_on_random_corpus():
 
 
 def test_pipeline_products_reverify_and_cores_stay_unsat():
+    # the LRAT and the ER also write each run of deletions as one line at
+    # the highest id claimed before it, and read back as written
     prods = _products()
     for f, trimmed, core, lrat, er in prods:
         assert check_lrat(f, lrat).verified
         assert check_er(f, er).verified
         assert brute_force(core) is None
+        cnf = _cnf_rows(f)
+        for doc, write, parse in ((lrat, write_lrat, parse_lrat),
+                                  (er, write_er, parse_er)):
+            text = write(doc)
+            assert naive_deletion_runs(len(cnf), text.decode())
+            assert parse(text) == doc
+        assert naive_check_er(cnf, write_er(er).decode())
     print("PASS idempotence: %d trim and translate pipelines re-verified, "
           "every core brute-force unsat" % len(prods))
 

@@ -320,6 +320,36 @@ def test_drat_deletion_corpus_agrees_with_naive(monkeypatch):
     assert skipped >= 40 and diverged >= 10 and verified >= 40
 
 
+def test_operational_closure_is_recomputed_only_after_additions(monkeypatch):
+    # the top level sets 3 and 4; the proof deletes three wide clauses in a
+    # row, a unit among them, then adds (1), under which the top level
+    # conflicts, and deletes one more: operational mode reads the closure
+    # once for the run and once after the addition, keeping (3) and the last
+    # wide clause
+    calls = []
+    toplevel = Engine.toplevel
+
+    def counted(engine):
+        calls.append(engine)
+        return toplevel(engine)
+
+    monkeypatch.setattr(Engine, "toplevel", counted)
+    cnf = [[1, 2], [-1, 2], [1, -2], [-1, -2], [3], [-3, 4],
+           [5, 6, 7], [5, -6, 7], [-5, 6, 7], [5, 6, -7]]
+    proof = [delete_step([5, 6, 7]), delete_step([5, -6, 7]), delete_step([3]),
+             delete_step([-5, 6, 7]), add_step([1]), delete_step([5, 6, -7]),
+             add_step([])]
+    f = formula_from_clauses(cnf)
+    report = check_drat(f, proof, CheckMode(OPERATIONAL))
+    assert len(calls) == 2
+    assert report.verified and report.skipped_deletions == 2
+    assert _triple(report) == naive_check_drat(cnf, _steps_for_oracle(proof),
+                                               mode=OPERATIONAL)
+    calls.clear()
+    assert check_drat(f, proof, CheckMode(SPECIFIED)).verified
+    assert not calls
+
+
 def test_drat_modes_agree_without_deletions():
     rng = random.Random(32)
     for trial in range(80):

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -71,6 +72,7 @@ from _oracles import (
     naive_check_drat,
     naive_check_er,
     naive_check_lrat,
+    naive_deletion_runs,
     naive_fold,
     naive_rat,
     naive_rat_groups,
@@ -149,6 +151,22 @@ def _assert_lrat_is_the_trimmed_proof(cnf, cp):
             drat[r.clause.litset] -= 1
         assert Counter(c.litset for c in live.values()) == +drat
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+
+
+def _assert_deletion_runs(cnf, lrat, er):
+    """trim's LRAT and to-er's ER write each run of deletions as one line
+    at the highest id claimed before it and delete no id twice
+    (naive_deletion_runs); both read back as written, and check_lrat,
+    check_er and naive_check_er accept them."""
+    f = formula_from_clauses(cnf)
+    for doc, write, parse in ((lrat, write_lrat, parse_lrat),
+                              (er, write_er, parse_er)):
+        text = write(doc)
+        assert naive_deletion_runs(len(cnf), text.decode())
+        assert parse(text) == doc
+    assert check_lrat(f, lrat).verified
+    assert check_er(f, er).verified
+    assert naive_check_er(cnf, write_er(er).decode())
 
 
 def _unsat_corpus(rng, count, maxv_hi=7):
@@ -346,15 +364,15 @@ def test_rat_proof_er_document():
         (12, Chain(Clause([6, 2]), (1, 9))),
         (13, Chain(Clause([-6, 2]), (11, 2))),
         (14, Chain(Clause([-6, -2, 3]), (4, 11, 3))),
-        (15, Delete((4,))),
-        (16, Chain(Clause([-2, 3]), (10, 14))),
-        (17, Delete((10,))),
-        (18, Chain(Clause([3]), (13, 12, 16))),
-        (19, Delete((16,))),
-        (20, Chain(Clause([-3, 4]), (7, 5))),
-        (21, Chain(Clause([-3]), (8, 6, 20))),
-        (22, Delete((20,))),
-        (23, Chain(Clause([]), (21, 18))),
+        (14, Delete((4,))),
+        (15, Chain(Clause([-2, 3]), (10, 14))),
+        (15, Delete((10,))),
+        (16, Chain(Clause([3]), (13, 12, 15))),
+        (16, Delete((15,))),
+        (17, Chain(Clause([-3, 4]), (7, 5))),
+        (18, Chain(Clause([-3]), (8, 6, 17))),
+        (18, Delete((17,))),
+        (19, Chain(Clause([]), (18, 16))),
     ]
     assert check_er(f, er).verified
     assert check_er(f, parse_er(write_er(er))).verified
@@ -407,8 +425,8 @@ def test_singleton_rat_translates_with_two_clause_family():
         (6, Extend(5, 1, ())),
         (8, Chain(Clause([-5, 2]), (3, 1, 2))),
         (9, Chain(Clause([2]), (8, 7))),
-        (10, Delete((7,))),
-        (11, Chain(Clause([]), (5, 4, 9))),
+        (9, Delete((7,))),
+        (10, Chain(Clause([]), (5, 4, 9))),
     ]
     assert check_er(f, er).verified
     assert brute_force(f) is None
@@ -731,7 +749,7 @@ def test_rat_rich_proofs_give_documents_the_oracles_accept():
                 continue
             cp = backward_check(f, proof, CheckMode(flavor))
             _assert_lrat_is_the_trimmed_proof(cnf, cp)
-            assert naive_check_er(cnf, write_er(to_er(f, cp)).decode())
+            _assert_deletion_runs(cnf, emit_lrat(cp), to_er(f, cp))
             content = dict(f.items())
             content.update((r.wid, r.clause) for r in cp.records
                            if r.kind == "add")
@@ -1196,8 +1214,9 @@ RATMIX_PROOF = [add_step([-6, -7]), delete_step([2, -1]),
 
 # sha256 of every output the command line prints or writes for three fixed
 # inputs, pinned after the engine stopped undoing watch moves (the LRAT ones
-# again once each run of deletions became one line), from LRAT and ER
-# documents that naive_check_lrat and naive_check_er accept.  The watch
+# again once each run of deletions became one line, the ER ones once the ER
+# did the same), from LRAT and ER documents that naive_check_lrat and
+# naive_check_er accept.  The watch
 # order, which the whole sequence of checks and deletions before a step
 # shapes, decides which conflict propagation meets first, and so the
 # antecedent chains, the visit counters and the LRAT and ER bytes; they are
@@ -1216,11 +1235,11 @@ GOLDEN = {
         "core":
             "7e5d017392eaa29f07649ef4d2383bd8472e0979a3c17c46e48c7f9442fe9610",
         "er":
-            "ce94df4e82450f659f5e7d9006be04278373755a172b6e386a36576a42c8c5f0",
+            "53c29e41144f90601c7f28ff32f2f78b5b6588bc89d8929f311fbe11b9686cea",
         "check_lrat":
             "937d0f6ebdfbcf29a72823e58dd5d8a580bd0a22ed5ddfb2eee99b2fd4b8ed24",
         "check_er":
-            "993b32d105a2769ecce108fe9a352b41df11215ec8bbd7ef74b58c36d7501f7c",
+            "937d0f6ebdfbcf29a72823e58dd5d8a580bd0a22ed5ddfb2eee99b2fd4b8ed24",
     },
     "hops": {
         "check_specified":
@@ -1234,11 +1253,11 @@ GOLDEN = {
         "core":
             "8500d387f53eb4e57f524c2cd18c838c712e8fe4ca6c45474074a157aa39a1e4",
         "er":
-            "bf807634b3b03b6b3e5da9880e6e55980bb918793fbd6de208543a82c5f5fb01",
+            "b2e3d94615a0625f9b8a0f3f5adbcc6be77c6c4ae50ef94a86797c45dca592ed",
         "check_lrat":
             "a5dab2775aa0be099c101bc0fe771aff092985fe63a1b7bb40a62d59fc033886",
         "check_er":
-            "81ae3b2025dcd521a11802303c91ee24efafabf381868fd3946bcba70ae3c5e8",
+            "7a37c5afb2ea1b7dae597ea06f7c38cf8c34191daac5ed4a033c9637adc4456b",
     },
     "ratmix": {
         "check_specified":
@@ -1370,7 +1389,7 @@ def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
     cnf = [list(c.lits) for _, c in f.items()]
     assert naive_check_er(cnf, er.decode())
     assert hashlib.sha256(er).hexdigest() == (
-        "04e1305859dc5d91520a26507b1298aa4a5bf1190e464d318a7516ee6e830d18")
+        "5703c775b9ca2a22fb5a33f6b508bed29ea6890320adc1514b4f5ace836208c4")
 
 
 # ------------------------------------------- the proof's own definitions
@@ -1399,6 +1418,36 @@ def test_to_er_folds_each_definition_into_one_extend(n, defined):
     assert len(extends) == len(pivots) == defined
     assert min(e.fresh for e in extends) > max(
         abs(l) for r in cp.records for l in r.clause.lits)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cook_documents_write_each_deletion_run_as_one_line(n):
+    # Cook's proof deletes each finished level in one run, and trimming
+    # frees the last level's clauses a few at a time: the LRAT and the ER
+    # write the same runs, each as one line of more than one id
+    f = gen_php(n)
+    cnf = [list(c.lits) for _, c in f.items()]
+    cp = backward_check(f, [add_step(lits) if kind == "a" else delete_step(lits)
+                            for kind, lits in _cook_proof(n)])
+    lrat, er = emit_lrat(cp), to_er(f, cp)
+    _assert_deletion_runs(cnf, lrat, er)
+    assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+    runs = [len(s.ids) for _, s in lrat if s.kind == "delete"]
+    assert runs == [len(s.ids) for _, s in er if isinstance(s, Delete)]
+    assert len(runs) > n - 2 and min(runs) > 1
+
+
+def test_a_run_of_deletions_is_built_in_linear_time():
+    # one run of 40000 deletions becomes one line, its ids gathered in a
+    # list; growing the line's tuple by one id per deletion costs seconds
+    lines = pipeline._Lines(7, delete_ids_step)
+    t0 = time.process_time()
+    for did in range(1, 40001):
+        lines.delete(did)
+    out = lines.done()
+    elapsed = time.process_time() - t0
+    assert out == [(7, delete_ids_step(range(1, 40001)))]
+    assert elapsed < 0.3
 
 
 def _cook3_first_family(edit):
@@ -1589,7 +1638,7 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert naive_check_er([list(c.lits) for _, c in gen_php(3).items()],
                           er.decode())
     assert hashlib.sha256(er).hexdigest() == (
-        "26e760e04121ee6f03639e43c91b878cbf7b83451fd989af3f9359fd2de25ec3")
+        "8c6d52b1114a94d4f10f00e5b7af56cbe3f93784035687809553adc1dbc862d3")
 
 
 # ------------------------------------- determinism across variable names
