@@ -4,7 +4,10 @@ check_drat replays a content-addressed proof forward: every addition must be
 a propagation consequence (RUP) or a resolution-asymmetric addition (RAT) in
 the current formula, and the proof verifies once the empty clause enters the
 formula.  A RAT addition's pivot is its first literal, as the DRAT format
-defines it; a deletion removes the lowest live id holding its content.  The
+defines it; a deletion removes the lowest live id holding its content.  Each
+addition makes one propagation of its negated clause (Engine.rat settles
+RUP on the way), and each deletion one lookup in a content index that the
+search keeps beside the live formula.  The
 propagation engine only searches: each addition it accepts comes with an
 LRAT hint block, and the verdict rests on that block passing check_addition,
 the rules check_lrat applies to every addition, over the same live formula.
@@ -187,29 +190,39 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     """Forward DRAT replay over a live formula/engine pair: one StepRecord
     per proof step, in proof order.
 
-    An accepted addition's record carries its id and its LRAT hint block
-    (empty for a tautology), and its pivot, its first literal, when it
-    holds by RAT.  A deletion's record carries the id it targets, the lowest
-    live id with its content (None when there is none), and whether it took
-    effect.  The stream ends right after the empty clause's addition, or
-    when the proof runs out; the caller tests beforehand whether working
-    already holds the empty clause.
+    Each addition other than a tautology makes one engine call, which
+    propagates its negated clause once: Engine.rat on its first literal,
+    which settles RUP on the way, or Engine.rup for the empty clause, which
+    has no pivot.  An accepted addition's record carries its id and its
+    LRAT hint block (empty for a tautology), and its pivot, its first
+    literal, when it holds by RAT and not by RUP.  A deletion's record
+    carries the id it targets, the lowest live id with its content (None
+    when there is none), and whether it took effect.  Deletions find that
+    id with one lookup in a content index local to the search: each
+    content maps to its live ids, ascending, filled from working, extended
+    by every addition and shortened by every applied deletion.  The stream
+    ends right after the empty clause's addition, or when the proof runs
+    out; the caller tests beforehand whether working already holds the
+    empty clause.
     An addition that holds by neither rule raises ForwardRejected; a failed
     RAT addition's detail is its failing candidate id.
 
-    Every addition the engine accepts passes check_addition, with the pivot
-    the engine tried, before its record is yielded; one that fails raises
+    Every addition the engine accepts passes check_addition, with its
+    record's pivot, before its record is yielded; one that fails raises
     EngineFault.  Those walks count no visits.  The caller owns working and
     engine and reads counters off them afterwards.
     """
     closure = _STALE  # operational mode's Engine.toplevel(), None on a
                       # conflict; made stale by each addition only
+    live = {}  # clause content -> its live ids, ascending
+    for cid, cl in working.clauses.items():  # ids ascend in insertion order
+        live.setdefault(cl, []).append(cid)
 
     for i, step in enumerate(proof):
         if step.kind == "delete":
             if step.clause is None:
                 raise ValueError("step %d: content-free deletion in a DRAT proof" % i)
-            ids = working.ids_for(step.clause)
+            ids = live.get(step.clause)
             if not ids:
                 yield StepRecord("delete", step.clause, None, applied=False)
                 continue
@@ -228,6 +241,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             # the reason of no literal, so the fixpoint holds without it
             engine.detach(target)
             working.remove_by_id(target)
+            del ids[0]
             yield StepRecord("delete", step.clause, target)
             continue
         if step.kind != "add":
@@ -237,24 +251,25 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
         pivot = None
         if c.is_tautology:
             hints = HintBlock()
-        else:
+        elif c.is_empty:
             out = engine.rup(c)
-            if out.rup:
-                hints = HintBlock(out.antecedents)
-            elif c.is_empty:
+            if not out.rup:
                 raise ForwardRejected(i, NOT_RAT)
-            else:
+            hints = HintBlock(out.antecedents)
+        else:
+            r = engine.rat(c, c.lits[0])
+            if not r.rat:
+                raise ForwardRejected(i, NOT_RAT, r.witness_candidate)
+            hints = HintBlock(r.leading, r.groups)  # no groups when RUP
+            if not r.rup:
                 pivot = c.lits[0]
-                r = engine.rat(c, pivot)
-                if not r.rat:
-                    raise ForwardRejected(i, NOT_RAT, r.witness_candidate)
-                hints = HintBlock(r.leading, r.groups)
         # the verdict rests on check_lrat's rules, not on the search
         reason, detail, _, _ = check_addition(
             working.clauses, working.occurrence, c, hints, pivot)
         if reason is not None:
             raise EngineFault(i, reason, detail)
         cid = working.add_clause(c)
+        live.setdefault(c, []).append(cid)
         yield StepRecord("add", c, cid, hints, pivot)
         if c.is_empty:
             return

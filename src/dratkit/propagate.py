@@ -58,7 +58,11 @@ order, with the conflict clause last.  That list is exactly an LRAT hint
 chain, and a RAT check reports exactly an LRAT hint block: the reasons of
 the units the negated clause propagates, filtered the same way to those the
 groups use, then one (candidate, chain) pair per clause containing the
-negated pivot.
+negated pivot.  A RAT check propagates the negated clause once and settles
+RUP on the way: when that propagation conflicts it reports the RUP chain
+and looks at no candidate.  So the DRAT search makes one propagation of
+each addition's negated clause, through Engine.rat; it calls Engine.rup
+only for the empty clause, which has no pivot.
 
 Formula mutations (attach/detach) must not happen while a checkpoint is
 outstanding; checkers mutate only between checks.
@@ -94,7 +98,11 @@ class GuidedOutcome(NamedTuple):
 
 class RatOutcome(NamedTuple):
     """A RAT check's verdict; when it holds, (leading, groups) is the step's
-    LRAT hint block."""
+    LRAT hint block.
+
+    The check propagates the negated clause once.  When that propagation
+    conflicts, the clause is RUP: rup is set, leading is the RUP chain and
+    no candidate is looked at, so the caller needs no separate RUP check."""
 
     rat: bool
     witness_candidate: int | None = None   # failing candidate when not rat
@@ -105,9 +113,9 @@ class RatOutcome(NamedTuple):
                               # literals is already true
     leading: tuple = ()       # reasons of the units derived from the negated
                               # clause that the groups use, closed under
-                              # reasons, trail order; the RUP chain when that
-                              # propagation already conflicts
+                              # reasons, trail order; the RUP chain when rup
     visited_clauses: int = 0
+    rup: bool = False         # the negated clause's propagation conflicts
 
 
 class Engine:
@@ -373,18 +381,21 @@ class Engine:
                           out.visited_clauses)
 
     def rat(self, c: Clause, pivot: int) -> RatOutcome:
-        """Check every resolvent of c on pivot, reusing one shared trail.
+        """Check c by RUP, else every resolvent of c on pivot, reusing one
+        shared trail.
 
+        The negated clause is propagated once: a conflict makes c RUP (see
+        RatOutcome.rup), and otherwise the fixpoint is the shared trail.
         The obligation for candidate D is the union of c and D minus the
         negated pivot; its negation is the negation of c plus the negation
-        of D's remaining literals, so the shared trail from assuming the
-        negation of c is extended per candidate and rolled back.  The
-        shared trail's reasons and each candidate's chain make up the step's
-        LRAT hint block (see RatOutcome).
+        of D's remaining literals, so the shared trail is extended per
+        candidate and rolled back.  The candidates are listed only once the
+        shared trail stands.  The shared trail's reasons and each
+        candidate's chain make up the step's LRAT hint block (see
+        RatOutcome).
         """
         if pivot not in c:
             raise ValueError("pivot %d not in clause %r" % (pivot, c))
-        candidates = self.f.occurrence(-pivot)
         cp = self.checkpoint()
         visited = 0
         groups = []
@@ -392,7 +403,9 @@ class Engine:
             lead = self.propagate(assumptions=[-l for l in c.lits])
             visited += lead.visited_clauses
             if lead.result == "conflict":
-                return RatOutcome(True, None, (), lead.antecedents, visited)
+                return RatOutcome(True, None, (), lead.antecedents, visited,
+                                  rup=True)
+            candidates = self.f.occurrence(-pivot)
             tlead = len(self.trail)
             val, wlits = self.val, self.wlits
             neg_pivot = -self._lit(pivot)  # internal, like wlits

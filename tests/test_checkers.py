@@ -22,6 +22,7 @@ from dratkit.checkers import (
     CheckMode,
     CheckReport,
     ForwardRejected,
+    _drat_forward,
     check_drat,
     check_er,
     check_lrat,
@@ -318,6 +319,81 @@ def test_drat_deletion_corpus_agrees_with_naive(monkeypatch):
     assert tops.count(None) >= 50  # deletions under a conflicting top level
     assert sum(bool(t) for t in tops) >= 50  # shields read off the engine
     assert skipped >= 40 and diverged >= 10 and verified >= 40
+
+
+def _duplicate_case(rng):
+    """_deletion_case with duplicate input clauses, duplicate lemmas, and
+    more deletions: of clauses seen before, with their literals reordered,
+    and of random clauses, most of them absent."""
+    cnf, proof = _deletion_case(rng)
+    cnf += [list(c) for c in rng.sample(cnf, min(2, len(cnf)))]
+    seen = [list(c) for c in cnf]
+    out = []
+    for step in proof:
+        out.append(step)
+        lits = list(step.clause.lits)
+        if step.kind == "add" and lits:
+            seen.append(lits)
+            if rng.random() < 0.4:
+                out.append(add_step(lits))
+        if rng.random() < 0.5:
+            lits = list(rng.choice(seen))
+            rng.shuffle(lits)
+            out.append(delete_step(lits[::-1]))
+        if rng.random() < 0.2:
+            out.append(delete_step(_rand_clause(rng, 4)))
+    return cnf, out
+
+
+def test_deletions_target_the_lowest_live_id_with_their_content():
+    # each deletion record targets the lowest live id whose literal set is
+    # the deletion's, found by scanning the live formula before the step,
+    # or None when there is none; it takes effect unless that id is missing
+    # or, in operational mode, the top level conflicts or the clause has
+    # one non-falsified literal under it; check_drat's missing_deletions and
+    # skipped_deletions count those records
+    rng = random.Random(45)
+    seen = dict.fromkeys(("repeat", "missing", "skipped", "reordered"), 0)
+    for trial in range(150):
+        cnf, proof = _duplicate_case(rng)
+        f = formula_from_clauses(cnf)
+        for flavor in (SPECIFIED, OPERATIONAL):
+            working = f.copy()
+            records = _drat_forward(working, Engine(working), proof,
+                                    CheckMode(flavor))
+            missing = skipped = 0
+            for step in proof:
+                want = None
+                if step.kind == "delete":
+                    same = [cid for cid, c in working.clauses.items()
+                            if set(c.lits) == set(step.clause.lits)]
+                    want = min(same, default=None)
+                    live = {cid: list(c.lits) for cid, c in working.clauses.items()}
+                try:
+                    r = next(records)
+                except (StopIteration, ForwardRejected):
+                    break
+                if step.kind != "delete":
+                    continue
+                assert (r.kind, r.wid) == ("delete", want), (trial, flavor)
+                if want is None:
+                    applied = False
+                    missing += 1
+                else:
+                    assign, conflict = naive_closure(live)
+                    applied = flavor == SPECIFIED or not (
+                        conflict or naive_protected(live[want], assign))
+                    skipped += not applied
+                    seen["repeat"] += len(same) > 1
+                    seen["reordered"] += list(step.clause.lits) != live[want]
+                    assert (want in working.clauses) != applied, (trial, flavor)
+                assert r.applied == applied, (trial, flavor)
+            report = check_drat(f, proof, CheckMode(flavor))
+            assert (report.missing_deletions, report.skipped_deletions) == (
+                missing, skipped), (trial, flavor)
+            seen["missing"] += missing
+            seen["skipped"] += skipped
+    assert min(seen.values()) >= 100, seen
 
 
 def test_operational_closure_is_recomputed_only_after_additions(monkeypatch):

@@ -1215,7 +1215,8 @@ RATMIX_PROOF = [add_step([-6, -7]), delete_step([2, -1]),
 # sha256 of every output the command line prints or writes for three fixed
 # inputs, pinned after the engine stopped undoing watch moves (the LRAT ones
 # again once each run of deletions became one line, the ER ones once the ER
-# did the same), from LRAT and ER documents that naive_check_lrat and
+# did the same, the hops and ratmix check ones once a RAT step propagated its
+# negated clause once), from LRAT and ER documents that naive_check_lrat and
 # naive_check_er accept.  The watch
 # order, which the whole sequence of checks and deletions before a step
 # shapes, decides which conflict propagation meets first, and so the
@@ -1243,9 +1244,9 @@ GOLDEN = {
     },
     "hops": {
         "check_specified":
-            "7322a0143ae146fdb467acb021c9c10095be3363822eec444f9054910422132a",
+            "3d2ee946eab6187963dd8e20b3086a69a321707c1b534b833adea2b6e5b60544",
         "check_operational":
-            "7322a0143ae146fdb467acb021c9c10095be3363822eec444f9054910422132a",
+            "3d2ee946eab6187963dd8e20b3086a69a321707c1b534b833adea2b6e5b60544",
         "lrat":
             "774d9997ac12b4f039db2373e632b1d95047dc37a60161d7ffb7d49786cc1c6f",
         "trimmed":
@@ -1261,9 +1262,9 @@ GOLDEN = {
     },
     "ratmix": {
         "check_specified":
-            "c468a0289acb376420b2331a4a15cfc95c068224f180de338cbf31aa0aae31ea",
+            "cc547ad2a6aa5b835da77abed98de718eb25ebe11e80e2895c6d281298c49eeb",
         "check_operational":
-            "c468a0289acb376420b2331a4a15cfc95c068224f180de338cbf31aa0aae31ea",
+            "cc547ad2a6aa5b835da77abed98de718eb25ebe11e80e2895c6d281298c49eeb",
         "lrat":
             "6e07e9bff5ce6efe4daebcb5540edde7b210da9d6a8b87a46d6727788e674a44",
         "trimmed":
@@ -1595,6 +1596,71 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
     assert translated == verdicts[True]
 
 
+def test_each_addition_propagates_its_negated_clause_once(monkeypatch):
+    # Engine.propagate calls per forward record, over the RAT-rich corpus
+    # (Cook's PHP(3) among it) and mutants of it: a RUP addition makes one,
+    # the propagation of its negated clause inside Engine.rat, and a RAT
+    # addition that one plus one per candidate whose group chain is not
+    # empty (a tautological or satisfied resolvent propagates nothing); the
+    # empty clause makes one, through Engine.rup, a tautology none, and a
+    # deletion at most operational mode's Engine.toplevel.  Verdicts match
+    # naive_check_drat in both deletion modes
+    calls = []
+    propagate = Engine.propagate
+
+    def counted(engine, *args, **kwargs):
+        calls.append(engine)
+        return propagate(engine, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "propagate", counted)
+    rng = random.Random(19)
+    seen = Counter()
+    for name, f, proof in _rat_corpus():
+        cnf = [list(c.lits) for _, c in f.items()]
+        cp = backward_check(f, proof)
+        proofs = [proof] + [_drat_mutant(rng, kind, f, proof, cp)
+                            for kind in ("drop_lemma", "flip_literal",
+                                         "add_deletion", "delete_needed")]
+        for p in filter(None, proofs):
+            for flavor in (SPECIFIED, OPERATIONAL):
+                working = f.copy()
+                engine = Engine(working)
+                calls.clear()
+                try:
+                    for r in checkers._drat_forward(working, engine, p,
+                                                    CheckMode(flavor)):
+                        n = len(calls)
+                        calls.clear()
+                        if r.kind == "delete":
+                            assert n <= (flavor == OPERATIONAL), (name, r)
+                        elif r.clause.is_tautology:
+                            assert n == 0, (name, r)
+                        elif r.pivot is None:
+                            assert n == 1, (name, r)
+                            seen["rup"] += 1
+                        else:
+                            chains = [bool(ch) for _, ch in r.hints.rat_groups]
+                            assert n == 1 + sum(chains), (name, r)
+                            seen["rat"] += 1
+                            seen["chains"] += sum(chains)
+                            seen["chainless"] += chains.count(False)
+                except ForwardRejected:
+                    pass
+                report = check_drat(f, p, CheckMode(flavor))
+                if report.verified:
+                    got = ("verified", report.steps_checked)
+                else:
+                    got = ("rejected", report.step_index,
+                           {NOT_RAT: "step", NO_BOTTOM: "nobottom"}[report.reason])
+                steps = [("a" if s.kind == "add" else "d", list(s.clause.lits))
+                         for s in p]
+                assert got == naive_check_drat(cnf, steps, flavor), (name, flavor)
+                seen[report.verified] += 1
+    assert seen["rup"] >= 100 and seen["rat"] >= 100
+    assert seen["chains"] >= 40 and seen["chainless"] >= 100
+    assert seen[True] >= 20 and seen[False] >= 8
+
+
 # ---------------------------------------- determinism across processes
 
 def test_cli_outputs_do_not_depend_on_the_hash_seed(tmp_path):
@@ -1718,12 +1784,13 @@ FORGE = ([[-1, 2], [2, 3], [2, -3], [-2, 4], [-2, -4]],
 
 
 def _forge_rup(real):
-    def rup(self, c):
-        out = real(self, c)
+    # the search checks a non-empty addition's RUP inside Engine.rat
+    def rat(self, c, pivot):
+        out = real(self, c, pivot)
         if out.rup:  # drop the conflict clause from the chain
-            return out._replace(antecedents=out.antecedents[:-1])
+            return out._replace(leading=out.leading[:-1])
         return out
-    return rup
+    return rat
 
 
 def _forge_rat(real):
@@ -1739,7 +1806,7 @@ def test_a_forged_search_is_refused_by_every_drat_command(forge, tmp_path,
                                                           capsys, monkeypatch):
     clauses, proof = FULL2, FULL2_PROOF
     if forge == "rup":
-        monkeypatch.setattr(Engine, "rup", _forge_rup(Engine.rup))
+        monkeypatch.setattr(Engine, "rat", _forge_rup(Engine.rat))
     else:
         clauses, proof = FORGE
         monkeypatch.setattr(Engine, "rat", _forge_rat(Engine.rat))
