@@ -14,7 +14,8 @@ the rules check_lrat applies to every addition, over the same live formula.
 An addition the engine accepts and those rules reject is the engine's fault
 and raises EngineFault.  The forward pass, _drat_forward, yields one
 StepRecord per proof step and raises ForwardRejected at an addition that
-holds by neither rule; check_drat counts its report off those records, and
+holds by neither rule, and (no_bottom) when the proof runs out before the
+empty clause; check_drat counts its report off those records, and
 pipeline.backward_check keeps them.  StepRecord is the only step record
 from the search to the emitted documents: the pipeline marks core on these
 records and rewrites the core ones over the trimmed proof's ids.
@@ -52,7 +53,8 @@ total width of its antecedents, not its length times the accumulator's.
 
 All checkers work on a copy of the input clauses, read any iterable of
 steps, and report a CheckReport (no_bottom at the count of steps read);
-they raise only on contract violations (malformed step kinds) and on an
+they raise only on a contract violation, a step of another format (a
+ValueError naming the step, raised before its id is read), and on an
 EngineFault, never on invalid proofs.  The pipeline's two exceptions,
 ForwardRejected and TranslationInvariantViolation (EngineFault is one kind
 of it), are defined here, so that the command line names a rejection and
@@ -201,11 +203,13 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     id with one lookup in a content index local to the search: each
     content maps to its live ids, ascending, filled from working, extended
     by every addition and shortened by every applied deletion.  The stream
-    ends right after the empty clause's addition, or when the proof runs
-    out; the caller tests beforehand whether working already holds the
-    empty clause.
+    ends right after the empty clause's addition.  working may already
+    hold the empty clause: the one-step proof that adds it then yields the
+    addition citing the lowest empty original, like any other RUP step.
     An addition that holds by neither rule raises ForwardRejected; a failed
-    RAT addition's detail is its failing candidate id.
+    RAT addition's detail is its failing candidate id.  A proof that runs
+    out before the empty clause raises ForwardRejected(<steps read>,
+    no_bottom).
 
     Every addition the engine accepts passes check_addition, with its
     record's pivot, before its record is yielded; one that fails raises
@@ -218,8 +222,10 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     for cid, cl in working.clauses.items():  # ids ascend in insertion order
         live.setdefault(cl, []).append(cid)
 
+    i = -1
     for i, step in enumerate(proof):
-        if step.kind == "delete":
+        kind = getattr(step, "kind", None)
+        if kind == "delete":
             if step.clause is None:
                 raise ValueError("step %d: content-free deletion in a DRAT proof" % i)
             ids = live.get(step.clause)
@@ -244,9 +250,8 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             del ids[0]
             yield StepRecord("delete", step.clause, target)
             continue
-        if step.kind != "add":
-            raise ValueError("step %d: kind %r not allowed in a DRAT proof"
-                             % (i, step.kind))
+        if kind != "add":
+            raise ValueError("step %d: %r is not a DRAT step" % (i, step))
         c = step.clause
         pivot = None
         if c.is_tautology:
@@ -275,6 +280,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             return
         engine.attach(cid)
         closure = _STALE
+    raise ForwardRejected(i + 1, NO_BOTTOM)
 
 
 def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
@@ -288,8 +294,7 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
                            engine.visited_total, skipped, missing)
 
     if working.has_empty:
-        return report(True)
-    n = 0
+        return report(True)  # no step read
     try:
         for n, r in enumerate(_drat_forward(working, engine, proof, mode), 1):
             if r.kind == "delete":
@@ -303,7 +308,6 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
                 return report(True, checked=n)
     except ForwardRejected as e:
         return report(False, e.step, e.reason, e.detail, checked=e.step)
-    return report(False, n, NO_BOTTOM, checked=n)
 
 
 # -------------------------------------------------------------------- LRAT
@@ -385,15 +389,15 @@ def check_lrat(f: Formula, steps) -> CheckReport:
 
     i = -1
     for i, (sid, step) in enumerate(steps):
-        if step.kind == "delete":
+        kind = getattr(step, "kind", None)
+        if kind == "delete" and step.ids is not None:
             for did in step.ids:
                 if did not in clauses:
                     return report(False, i, UNKNOWN_ID, detail=did, checked=i)
                 working.remove_by_id(did)
             continue
-        if step.kind != "add":
-            raise ValueError("step %d: kind %r not allowed in an LRAT document"
-                             % (i, step.kind))
+        if kind != "add":
+            raise ValueError("step %d: %r is not an LRAT step" % (i, step))
         if sid <= last:
             return report(False, i, ID_ORDER, detail=sid, checked=i)
         c = step.clause
@@ -473,6 +477,8 @@ def check_er(f: Formula, steps) -> CheckReport:
                 if clauses.pop(did, None) is None:
                     return report(False, i, UNKNOWN_ID, detail=did, checked=i)
             continue
+        if not isinstance(step, (Extend, Chain)):
+            raise ValueError("step %d: %r is not an ER step" % (i, step))
         if sid <= last:
             return report(False, i, ID_ORDER, detail=sid, checked=i)
         if isinstance(step, Extend):
@@ -488,8 +494,6 @@ def check_er(f: Formula, steps) -> CheckReport:
             max_var = max(x, *defining)
             last = sid + len(family) - 1
             continue
-        if not isinstance(step, Chain):
-            raise ValueError("step %d: %r is not an ER step" % (i, step))
         ants = step.antecedents
         for a in ants:
             if a not in clauses:

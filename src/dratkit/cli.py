@@ -18,8 +18,6 @@ import argparse
 import sys
 
 from dratkit.checkers import (
-    OPERATIONAL,
-    SPECIFIED,
     CheckMode,
     EngineFault,
     ForwardRejected,
@@ -56,63 +54,31 @@ def _write(path: str, data: bytes) -> None:
         fh.write(data)
 
 
-def _mode(args) -> CheckMode:
-    return CheckMode(OPERATIONAL if args.mode == "operational" else SPECIFIED)
-
-
-def _binary_choice(args):
-    if args.binary:
-        return True
-    if args.text:
-        return False
-    return None  # detect from the content
-
-
 def _load_drat(args):
-    return parse_drat(_read(args.proof), binary=_binary_choice(args))
+    return parse_drat(_read(args.proof), binary=args.binary)
 
 
-def _report_lines(report, counters: bool):
-    lines = []
-    if counters:
-        lines += ["c steps_checked %d" % report.steps_checked,
-                  "c rat_steps %d" % report.rat_steps,
-                  "c visited_clauses %d" % report.visited_clauses_total,
-                  "c skipped_deletions %d" % report.skipped_deletions,
-                  "c missing_deletions %d" % report.missing_deletions]
+def _cmd_check(args) -> int:
+    f = _load_cnf(args.cnf)
+    if args.format == "drat":
+        report = check_drat(f, _load_drat(args), CheckMode(args.mode))
+    elif args.format == "lrat":
+        report = check_lrat(f, parse_lrat(_read(args.proof)))
+    else:
+        report = check_er(f, parse_er(_read(args.proof)))
+    if args.counters:
+        print("c steps_checked %d" % report.steps_checked)
+        print("c rat_steps %d" % report.rat_steps)
+        print("c visited_clauses %d" % report.visited_clauses_total)
+        print("c skipped_deletions %d" % report.skipped_deletions)
+        print("c missing_deletions %d" % report.missing_deletions)
         if not report.verified and report.step_index is not None:
-            lines.append("c reject_step %d" % report.step_index)
-    lines.append("s VERIFIED" if report.verified else "s NOT VERIFIED")
-    return lines
-
-
-def _finish_check(report, counters: bool) -> int:
-    for line in _report_lines(report, counters):
-        print(line)
-    if report.verified:
-        return 0
-    # named as trim and to-er name a rejected input proof
-    rejected = ForwardRejected(report.step_index, report.reason, report.detail)
-    print("error: %s" % rejected, file=sys.stderr)
-    return 1
-
-
-def _cmd_check_drat(args) -> int:
-    f = _load_cnf(args.cnf)
-    report = check_drat(f, _load_drat(args), _mode(args))
-    return _finish_check(report, args.counters)
-
-
-def _cmd_check_lrat(args) -> int:
-    f = _load_cnf(args.cnf)
-    report = check_lrat(f, parse_lrat(_read(args.proof)))
-    return _finish_check(report, args.counters)
-
-
-def _cmd_check_er(args) -> int:
-    f = _load_cnf(args.cnf)
-    report = check_er(f, parse_er(_read(args.proof)))
-    return _finish_check(report, args.counters)
+            print("c reject_step %d" % report.step_index)
+    if not report.verified:
+        # main names it as it names a proof that trim or to-er rejects
+        raise ForwardRejected(report.step_index, report.reason, report.detail)
+    print("s VERIFIED")
+    return 0
 
 
 def _cmd_trim(args) -> int:
@@ -120,7 +86,7 @@ def _cmd_trim(args) -> int:
     from dratkit.pipeline import backward_check, emit_trim
 
     f = _load_cnf(args.cnf)
-    cp = backward_check(f, _load_drat(args), _mode(args))
+    cp = backward_check(f, _load_drat(args), CheckMode(args.mode))
     outputs = []
     lrat, trimmed, core = emit_trim(cp)
     outputs.append((args.out_lrat, write_lrat(lrat)))
@@ -138,7 +104,7 @@ def _cmd_to_er(args) -> int:
     from dratkit.pipeline import backward_check, to_er
 
     f = _load_cnf(args.cnf)
-    cp = backward_check(f, _load_drat(args), _mode(args))
+    cp = backward_check(f, _load_drat(args), CheckMode(args.mode))
     er = to_er(f, cp)  # self-checks before anything is written
     _write(args.out, write_er(er))
     print("s VERIFIED")
@@ -190,9 +156,10 @@ def _add_drat_inputs(p) -> None:
     p.add_argument("cnf")
     p.add_argument("proof")
     enc = p.add_mutually_exclusive_group()
-    enc.add_argument("--binary", action="store_true",
+    # binary stays None, for detection from the content, unless forced
+    enc.add_argument("--binary", action="store_const", const=True,
                      help="force binary proof parsing")
-    enc.add_argument("--text", action="store_true",
+    enc.add_argument("--text", dest="binary", action="store_const", const=False,
                      help="force text proof parsing")
 
 
@@ -209,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_drat_inputs(p)
     _add_mode(p)
     p.add_argument("--counters", action="store_true")
-    p.set_defaults(func=_cmd_check_drat)
-    for name, func in (("lrat", _cmd_check_lrat), ("er", _cmd_check_er)):
+    p.set_defaults(func=_cmd_check)
+    for name in ("lrat", "er"):
         p = fmt.add_parser(name)
         p.add_argument("cnf")
         p.add_argument("proof")
         p.add_argument("--counters", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("trim", help="backward-check, trim, and emit LRAT")
     _add_drat_inputs(p)

@@ -161,8 +161,8 @@ class Formula:
 
     Ids are dense from 1 in insertion order for ordinary adds and never
     reused; add_clause(cid=...) lets id-addressed proof formats claim their
-    own (strictly increasing) ids.  Content lookups use set equality, so
-    duplicate additions are distinct ids sharing one content key.
+    own (strictly increasing) ids.  Duplicate additions are distinct ids;
+    the store keeps no content index (the DRAT search keeps its own).
     """
 
     def __init__(self):
@@ -200,24 +200,12 @@ class Formula:
             self._occ[l].discard(cid)
         return clause
 
-    def ids_for(self, clause) -> list[int]:
-        """All live ids whose clause equals the given content, ascending."""
-        if not isinstance(clause, Clause):
-            clause = Clause(clause)
-        if not clause.lits:
-            return sorted(i for i, c in self.clauses.items() if c.is_empty)
-        probe = min((self._occ.get(l, ()) for l in clause.lits), key=len, default=())
-        return sorted(i for i in probe if self.clauses[i] == clause)
-
     def occurrence(self, lit: int) -> list[int]:
         """Live clause ids containing lit, in ascending id order."""
         ids = self._occ.get(lit)
         if not ids:
             return []
         return sorted(ids)
-
-    def empty_ids(self) -> list[int]:
-        return sorted(i for i, c in self.clauses.items() if c.is_empty)
 
     @property
     def has_empty(self) -> bool:
@@ -237,9 +225,6 @@ class Formula:
 
     def __len__(self) -> int:
         return len(self.clauses)
-
-    def __contains__(self, clause) -> bool:
-        return bool(self.ids_for(clause))
 
     def __repr__(self) -> str:
         return "Formula(%d clauses, max_var=%d)" % (len(self.clauses), self.max_var)

@@ -351,7 +351,7 @@ def parse_drat_binary(data: bytes) -> list:
 def write_drat_binary(steps) -> bytes:
     out = bytearray()
     for s in steps:
-        if s.kind not in ("add", "delete") or s.clause is None:
+        if getattr(s, "kind", None) not in ("add", "delete") or s.clause is None:
             raise ValueError("binary DRAT holds content add/delete steps only: %r" % (s,))
         out.append(0x64 if s.kind == "delete" else 0x61)
         for l in s.clause.lits:

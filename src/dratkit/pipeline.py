@@ -8,8 +8,10 @@ from the empty clause and sets core on the cited closure's additions and
 on the applied deletions of its clauses; the used subset of the original
 formula becomes core_formula_ids.
 
-An input that already holds the empty clause gets one record: the empty
-clause added at the next id, citing the lowest empty original.
+An input that already holds the empty clause is searched with the one-step
+proof that adds the empty clause: its one record cites the lowest empty
+original and passes the hint walk like any other.  A proof that the search
+rejects, or that runs out before the empty clause, raises ForwardRejected.
 
 emit_trimmed builds the trimmed proof in one pass over those records, as
 StepRecords over the trimmed world's ids (original ids, non-core originals
@@ -55,7 +57,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from dratkit.checkers import (
-    NO_BOTTOM,
     CheckMode,
     ForwardRejected,
     StepRecord,
@@ -101,18 +102,12 @@ def _cited_ids(hints: HintBlock):
 
 
 def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedProof:
-    mode = mode or CheckMode()
+    if f.has_empty:
+        proof = [add_step([])]  # the input refutes itself
     base = f.copy()
-    if base.has_empty:
-        # the input refutes itself: one addition cites its first empty clause
-        records = [StepRecord("add", Clause([]), base.next_id,
-                              HintBlock((min(base.empty_ids()),)))]
-    else:
-        working = f.copy()
-        records = list(_drat_forward(working, Engine(working), proof, mode))
-    if not records or records[-1].kind != "add" or not records[-1].clause.is_empty:
-        raise ForwardRejected(len(records), NO_BOTTOM)
-
+    working = f.copy()
+    records = list(_drat_forward(working, Engine(working), proof,
+                                 mode or CheckMode()))
     add_at = {r.wid: k for k, r in enumerate(records) if r.kind == "add"}
     core = set()  # the cited closure of the empty clause, originals included
     stack = [records[-1].wid]

@@ -33,6 +33,7 @@ from dratkit.formats import (
     Extend,
     HintBlock,
     add_step,
+    delete_ids_step,
     delete_step,
     parse_er,
     parse_lrat,
@@ -194,6 +195,32 @@ def test_drat_rejects_foreign_step_kinds():
         check_drat(f, [delete_ids_step([1])])
     with pytest.raises(ValueError):
         check_drat(f, [ProofStep("extend")])
+
+
+# a step of another format, after one valid step of the checker's own; the
+# foreign step's id (where it has one) is already taken, so a checker that
+# read it first would report id_order instead of raising
+_FOREIGN = {
+    check_drat: (add_step([2]), [Extend(3, 1, (2,)), Chain(Clause([2]), (1, 2)),
+                                 Delete((1,)), (6, add_step([])),
+                                 delete_ids_step((1,))]),
+    check_lrat: ((5, parse_lrat(b"5 2 0 1 2 0\n")[0][1]),
+                 [(1, Extend(3, 1, (2,))), (1, Chain(Clause([2]), (1, 2))),
+                  (1, Delete((1,))), (1, delete_step([1, 2]))]),
+    check_er: ((5, Chain(Clause([2]), (1, 2))),
+               [(1, add_step([])), (1, delete_ids_step((1,))),
+                (1, delete_step([1, 2]))]),
+}
+
+
+@pytest.mark.parametrize("check, k", [(c, k) for c, (_, steps) in _FOREIGN.items()
+                                      for k in range(len(steps))])
+def test_checkers_raise_on_a_foreign_step_naming_it(check, k):
+    first, foreign = _FOREIGN[check]
+    f = formula_from_clauses(FULL2)
+    assert not check(f, [first]).verified  # the first step is read and kept
+    with pytest.raises(ValueError, match="^step 1: "):
+        check(f, [first, foreign[k]])
 
 
 def _mutate_proof(rng, proof, maxv):

@@ -254,6 +254,94 @@ def test_check_names_the_rejection_on_stderr(fmt, tmp_path, capsys):
     assert all(l.startswith("c ") for l in out.splitlines()[:-1])
 
 
+# every command with a rejected input: the cnf, the proof and the command's
+# output flags (none for the checks)
+REJECTED_COMMANDS = {
+    "check drat": (FULL2, b"1 0\n", []),
+    "check lrat": REJECTED["lrat"][:2] + ([],),
+    "check er": REJECTED["er"][:2] + ([],),
+    "trim": (FULL2, b"1 0\n", ["--out-lrat", "o.lrat", "--out-drat", "o.drat",
+                               "--out-core", "o.cnf"]),
+    "to-er": (FULL2, b"1 0\n", ["--out", "o.er"]),
+}
+
+
+@pytest.mark.parametrize("command, counters", [
+    (c, counters) for c in sorted(REJECTED_COMMANDS)
+    for counters in ((False, True) if c.startswith("check") else (False,))])
+def test_every_command_reports_a_rejection_one_way(command, counters, tmp_path,
+                                                   capsys, monkeypatch):
+    clauses, doc, outputs = REJECTED_COMMANDS[command]
+    monkeypatch.chdir(tmp_path)
+    cnf = _cnf_file(tmp_path, clauses)
+    proof = tmp_path / "p.doc"
+    proof.write_bytes(doc)
+    before = sorted(os.listdir(tmp_path))
+    argv = command.split() + [cnf, str(proof)] + outputs
+    rc, out, err = _run(capsys, argv + ["--counters"] * counters)
+    assert rc == 1
+    assert out.splitlines()[-1] == "s NOT VERIFIED"
+    assert all(l.startswith("c ") for l in out.splitlines()[:-1])
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: step ") and " rejected: " in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command, what", [("trim", "LRAT"), ("to-er", "ER")])
+def test_a_failed_self_check_writes_nothing(command, what, tmp_path, capsys,
+                                            monkeypatch):
+    from dratkit.checkers import CheckReport
+
+    def reject(f, steps):
+        return CheckReport(False, 2, "bad_hint", 1)
+
+    monkeypatch.setattr(pipeline, "check_lrat", reject)
+    monkeypatch.setattr(pipeline, "check_er", reject)
+    monkeypatch.chdir(tmp_path)
+    cnf = _cnf_file(tmp_path, FULL2)
+    proof = _proof_file(tmp_path, FULL2_PROOF)
+    outputs = REJECTED_COMMANDS[command][2]
+    rc, out, err = _run(capsys, [command, cnf, proof] + outputs)
+    assert (rc, out) == (1, "s NOT VERIFIED\n")
+    assert err == ("error: translation self-check failed: emitted %s document "
+                   "rejected at step 2: bad_hint (1)\n" % what)
+    assert sorted(os.listdir(tmp_path)) == ["f.cnf", "p.drat"]
+
+
+def test_a_forged_engine_is_caught_on_an_input_holding_the_empty_clause(
+        tmp_path, capsys, monkeypatch):
+    # the record of an input that refutes itself comes from the search and
+    # passes the hint walk like any other: an engine that leaves the empty
+    # original out of its chain is caught before anything is written
+    from dratkit.propagate import Engine
+
+    real = Engine.rup
+
+    def forged(self, c):
+        out = real(self, c)
+        empty = {cid for cid, cl in self.f.clauses.items() if cl.is_empty}
+        return out._replace(antecedents=tuple(a for a in out.antecedents
+                                              if a not in empty))
+
+    monkeypatch.setattr(Engine, "rup", forged)
+    monkeypatch.chdir(tmp_path)
+    cnf = _cnf_file(tmp_path, [[1], []])
+    proof = _proof_file(tmp_path, [])
+    for command in ("trim", "to-er"):
+        outputs = REJECTED_COMMANDS[command][2]
+        rc, out, err = _run(capsys, [command, cnf, proof] + outputs)
+        assert (rc, out) == (1, "s NOT VERIFIED\n")
+        assert err == ("error: the search's hint block for step 0 failed the "
+                       "hint walk: bad_hint (0)\n")
+        assert sorted(os.listdir(tmp_path)) == ["f.cnf", "p.drat"]
+    # check drat verifies such an input with no step read
+    rc, out, _ = _run(capsys, ["check", "drat", cnf, proof, "--counters"])
+    assert rc == 0
+    assert out.splitlines()[0] == "c steps_checked 0"
+    assert out.splitlines()[2:] == ["c visited_clauses 0", "c skipped_deletions 0",
+                                    "c missing_deletions 0", "s VERIFIED"]
+
+
 def test_solve_reports_status_and_writes_proof(tmp_path, capsys):
     sat_cnf = _cnf_file(tmp_path, [[1, 2]], name="sat.cnf")
     rc, out, _ = _run(capsys, ["solve", sat_cnf])

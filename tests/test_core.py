@@ -111,16 +111,6 @@ class TestFormula:
         f.declare_variables(2)
         assert f.max_var == 9
 
-    def test_ids_for_matches_content_as_set(self):
-        f = formula_from_clauses([[1, 2], [-1], [2, 1]])
-        assert f.ids_for(Clause([2, 1])) == [1, 3]
-        assert f.ids_for(Clause([3])) == []
-        f.remove_by_id(1)
-        assert f.ids_for(Clause([1, 2])) == [3]
-        f.remove_by_id(3)
-        assert Clause([1, 2]) not in f
-        assert len(f) == 1
-
     def test_remove_by_id(self):
         f = formula_from_clauses([[1], [2]])
         assert f.remove_by_id(1) == Clause([1])
@@ -147,8 +137,10 @@ class TestFormula:
     def test_empty_clause_tracking(self):
         f = formula_from_clauses([[1], []])
         assert f.has_empty
-        assert f.empty_ids() == [2]
-        assert f.ids_for(Clause([])) == [2]
+        f.remove_by_id(2)
+        assert not f.has_empty
+        f.add_clause(Clause([]))
+        assert f.has_empty
 
     def test_copy_is_independent(self):
         f = formula_from_clauses([[1, 2], [-2]])
@@ -157,7 +149,8 @@ class TestFormula:
         g.add_clause(Clause([9]))
         assert len(f) == 2 and f.occurrence(1) == [1]
         assert f.max_var == 2
-        assert Clause([9]) not in f
+        assert Clause([9]) not in f.clauses.values()
+        assert f.occurrence(9) == [] and g.occurrence(9) == [3]
 
     def test_items_id_order(self):
         f = formula_from_clauses([[1], [2]])
@@ -177,7 +170,10 @@ class TestFormula:
                     else:
                         lits = tuple(sorted(rng.choice(list(shadow.values()))))
                         want = sorted(i for i, c in shadow.items() if set(c) == set(lits))
-                        assert f.ids_for(Clause(lits)) == want
+                        # the occurrence lists find the content's ids
+                        probe = set.intersection(*(set(f.occurrence(l)) for l in lits))
+                        assert sorted(i for i in probe
+                                      if len(f.clauses[i]) == len(lits)) == want
                         cid = want[0]
                     f.remove_by_id(cid)
                     del shadow[cid]
@@ -192,4 +188,5 @@ class TestFormula:
                 if lit == 0:
                     continue
                 want = sorted(i for i, c in shadow.items() if lit in c)
-                assert f.occurrence(lit) == want
+                scan = sorted(i for i, c in f.clauses.items() if lit in c)
+                assert f.occurrence(lit) == scan == want

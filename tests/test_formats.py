@@ -58,6 +58,10 @@ class TestDimacs:
         with pytest.raises(ParseError):
             parse_dimacs(b"c only comments\n")
 
+    def test_duplicate_header(self):
+        with pytest.raises(ParseError, match="line 3: duplicate header"):
+            parse_dimacs(b"p cnf 2 1\n1 0\np cnf 2 1\n")
+
     def test_header_over_declares_variables(self):
         f, nv, _ = parse_dimacs(b"p cnf 9 1\n1 0\n")
         assert f.max_var == 9
@@ -165,6 +169,12 @@ class TestDratBinary:
             else:
                 with pytest.raises(ParseError):
                     parse_drat_binary(data[:cut])
+
+    @pytest.mark.parametrize("step", [delete_ids_step((1,)), Extend(3, 1, (2,)),
+                                      Chain(Clause([1]), (1, 2))])
+    def test_foreign_step_rejected(self, step):
+        with pytest.raises(ValueError, match="content add/delete steps only"):
+            write_drat_binary([add_step([1]), step])
 
     def test_text_binary_agreement(self):
         steps_t = parse_drat_text(b"1 -2 0\nd 300 0\n0\n")
@@ -320,6 +330,12 @@ class TestEr:
     def test_roundtrip_golden(self):
         text = b"4 e 3 1 2 0\n7 2 3 0 4 6 0\n7 d 1 2 0\n"
         assert write_er(parse_er(text)) == text
+
+    @pytest.mark.parametrize("step", [add_step([1]), delete_ids_step((1,)),
+                                      delete_step([1])])
+    def test_write_rejects_a_foreign_step(self, step):
+        with pytest.raises(ValueError, match="not an ER step"):
+            write_er([(4, Extend(3, 1, (2,))), (7, step)])
 
     def test_non_ascii_byte_is_parse_error(self):
         with pytest.raises(ParseError, match="non-ASCII"):

@@ -1421,6 +1421,34 @@ def test_to_er_folds_each_definition_into_one_extend(n, defined):
         abs(l) for r in cp.records for l in r.clause.lits)
 
 
+@pytest.mark.parametrize("flavor", [SPECIFIED, OPERATIONAL])
+def test_to_er_drops_a_core_tautology(flavor):
+    # Cook's PHP(3) proof with (-x, 1000, -1000) just before x's first
+    # definition clause: the tautology is that clause's one RAT candidate,
+    # cited with an empty chain, so it is core.  to_er adds it to the live
+    # formula without emitting it; since it mentions x, the definition is
+    # not folded, and the general route defines a fresh variable over x
+    # and drops the tautology from the images
+    proof = _cook_proof(3)
+    x = proof[0][1][0]
+    proof.insert(0, ("a", [-x, 1000, -1000]))
+    f = gen_php(3)
+    cnf = [list(c.lits) for _, c in f.items()]
+    cp = backward_check(f, [add_step(lits) if kind == "a" else delete_step(lits)
+                            for kind, lits in proof], CheckMode(flavor))
+    taut, first = cp.records[:2]
+    assert taut.core and taut.clause.is_tautology and taut.pivot is None
+    assert first.pivot == x and first.hints.rat_groups == ((taut.wid, ()),)
+    er = to_er(f, cp)
+    assert check_er(f, er).verified
+    assert naive_check_er(cnf, write_er(er).decode())
+    assert not any(1000 in s.claimed for _, s in er if isinstance(s, Chain))
+    assert next(s for _, s in er if isinstance(s, Extend)).p == x
+    lrat = emit_lrat(cp)
+    assert check_lrat(f, lrat).verified
+    assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_cook_documents_write_each_deletion_run_as_one_line(n):
     # Cook's proof deletes each finished level in one run, and trimming
