@@ -7,29 +7,19 @@ resolution from the trimmed core.
 """
 
 from dratkit.core import (
-    TAUTOLOGY,
     Clause,
-    EMPTY_CLAUSE,
     Formula,
     MalformedLiteralError,
-    ResolutionError,
     UnknownClauseError,
     formula_from_clauses,
-    normalize,
-    resolve,
 )
 
 __all__ = [
-    "TAUTOLOGY",
     "Clause",
-    "EMPTY_CLAUSE",
     "Formula",
     "MalformedLiteralError",
-    "ResolutionError",
     "UnknownClauseError",
     "formula_from_clauses",
-    "normalize",
-    "resolve",
 ]
 
 __version__ = "0.1.0"

@@ -53,7 +53,8 @@ total width of its antecedents, not its length times the accumulator's.
 
 All checkers work on a copy of the input clauses, read any iterable of
 steps, and report a CheckReport (no_bottom at the count of steps read);
-they raise only on a contract violation, a step of another format (a
+they raise only on a contract violation, a step of another format or, in
+check_lrat and check_er, a bare step that is no (id, step) pair (a
 ValueError naming the step, raised before its id is read), and on an
 EngineFault, never on invalid proofs.  The pipeline's two exceptions,
 ForwardRejected and TranslationInvariantViolation (EngineFault is one kind
@@ -388,7 +389,10 @@ def check_lrat(f: Formula, steps) -> CheckReport:
                            visited)
 
     i = -1
-    for i, (sid, step) in enumerate(steps):
+    for i, item in enumerate(steps):
+        if type(item) is not tuple or len(item) != 2:
+            raise ValueError("step %d: %r is not an LRAT step" % (i, item))
+        sid, step = item
         kind = getattr(step, "kind", None)
         if kind == "delete" and step.ids is not None:
             for did in step.ids:
@@ -471,7 +475,10 @@ def check_er(f: Formula, steps) -> CheckReport:
         return CheckReport(verified, i, reason, detail, checked, 0, visited)
 
     i = -1
-    for i, (sid, step) in enumerate(steps):
+    for i, item in enumerate(steps):
+        if type(item) is not tuple or len(item) != 2:
+            raise ValueError("step %d: %r is not an ER step" % (i, item))
+        sid, step = item
         if isinstance(step, Delete):
             for did in step.ids:
                 if clauses.pop(did, None) is None:

