@@ -45,11 +45,12 @@ mentioned by its own definition, with its clause family) and resolution
 chains folded left with a unique clashing variable per fold, accepting a
 chain when the folded clause subsumes the claimed one.  It keeps a plain
 id -> Clause dict and the highest variable seen (the header's declared
-count included).  The fold, _fold_chain, is shared with pipeline.to_er and
-works from each antecedent's side: a fold step reads the clash set off the
-antecedent, drops the pivot's two literals from the accumulator and tests
-only the literals it adds for a complementary pair, so a chain costs the
-total width of its antecedents, not its length times the accumulator's.
+count included).  The fold, _fold_chain, is shared with pipeline.to_er,
+which folds a RAT step's image chains with it.  It works from each
+antecedent's side: a fold step reads the clash set off the antecedent,
+drops the pivot's two literals from the accumulator and tests only the
+literals it adds for a complementary pair, so a chain costs the total
+width of its antecedents, not its length times the accumulator's.
 
 All checkers work on a copy of the input clauses, read any iterable of
 steps, and report a CheckReport (no_bottom at the count of steps read);
@@ -226,9 +227,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     i = -1
     for i, step in enumerate(proof):
         kind = getattr(step, "kind", None)
-        if kind == "delete":
-            if step.clause is None:
-                raise ValueError("step %d: content-free deletion in a DRAT proof" % i)
+        if kind == "delete" and step.clause is not None:
             ids = live.get(step.clause)
             if not ids:
                 yield StepRecord("delete", step.clause, None, applied=False)

@@ -33,23 +33,27 @@ document has claimed so far (the original clause count before any
 addition) and claims no id of its own.
 
 to_er translates the same records into an extended-resolution document:
-RUP additions become resolution chains (fold order is the reverse of the
-hint order; checkers._fold_chain folds each one once, at the cost of its
-antecedents' width, and an antecedent that does not clash is left out of
-the emitted chain), and deletions of translated clauses become deletion
-lines by the rule above.  A definition the proof already spells, a RAT
-addition (x, -p) on a variable no live clause mentions followed by the rest
-of x's clause family, becomes one Extend on a fresh variable that renames
-x, with no images.  Any other RAT addition becomes a fresh definition
-variable with its clause family, derived images of the live clauses
-mentioning the pivot, and a variable substitution applied to everything
-after it; the images' chains come from the LRAT hints alone.  Its
-bookkeeping stays linear in the proof: the live clauses mentioning the
-pivot come from the formula's occurrence lists, a table of each clause's
-last citation decides which of them need an image, and the substitution
-maps each renamed proof literal straight to its newest image, one lookup
-per literal.  All emitted documents are re-checked; a failed re-check
-raises TranslationInvariantViolation rather than returning a bad document.
+RUP additions become resolution chains, their hint chains reversed and
+written as they are, and deletions of translated clauses become deletion
+lines by the rule above.  A RUP chain needs no fold here: the search's
+chains are dependency-filtered and its trail assigns each variable once,
+so the reversed chain clashes on exactly the variable each reason
+propagated, and the final check_er is its one fold.  A definition the
+proof already spells, a RAT addition (x, -p) on a variable no live clause
+mentions followed by the rest of x's clause family, becomes one Extend on
+a fresh variable that renames x, with no images.  Any other RAT addition
+becomes a fresh definition variable with its clause family, derived
+images of the live clauses mentioning the pivot, and a variable
+substitution applied to everything after it.  The images' chains come
+from the LRAT hints alone, and checkers._fold_chain folds each one, at
+the cost of its antecedents' width, leaving out of the emitted chain an
+antecedent that does not clash.  Its bookkeeping stays linear in the
+proof: the live clauses mentioning the pivot come from the formula's
+occurrence lists, a table of each clause's last citation decides which of
+them need an image, and the substitution maps each renamed proof literal
+straight to its newest image, one lookup per literal.  All emitted
+documents are re-checked; a failed re-check raises
+TranslationInvariantViolation rather than returning a bad document.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
                 stack.extend(_cited_ids(records[add_at[wid]].hints))
     for k, r in enumerate(records):
         if r.wid in core and r.applied:
-            records[k] = r._replace(core=True)
+            records[k] = StepRecord(r.kind, r.clause, r.wid, r.hints, r.pivot, True)
     return CheckedProof(tuple(records), frozenset(core.intersection(base.clauses)),
                         base)
 
@@ -168,13 +172,13 @@ def emit_trimmed(cp: CheckedProof):
         if not r.core:
             continue
         if r.kind == "delete":
-            steps.append(r._replace(wid=img(r.wid)))
+            steps.append(StepRecord("delete", r.clause, img(r.wid), core=True))
             continue
         hints = HintBlock(tuple(map(img, r.hints.rup_chain)),
                           tuple((img(cand), tuple(map(img, chain)))
                                 for cand, chain in r.hints.rat_groups))
         image[r.wid] = next_tid
-        steps.append(r._replace(wid=next_tid, hints=hints))
+        steps.append(StepRecord("add", r.clause, next_tid, hints, r.pivot, True))
         next_tid += 1
         for wid in sorted(synth_at.get(k, ())):
             steps.append(StepRecord("delete", added[wid], image[wid], core=True))
@@ -333,7 +337,8 @@ def _definition_run(trimmed, ri, live):
 def to_er(f: Formula, cp: CheckedProof):
     """Extended-resolution document for the checked proof, over f's ids.
 
-    RUP additions fold their hint chains in reverse.  A RAT addition that
+    RUP additions write their hint chains reversed, with no fold: check_er
+    folds them when it re-checks the document.  A RAT addition that
     starts a definition the proof spells (see _definition_run) becomes
     Extend(y, p, ls) on the next fresh y, with p and ls under the current
     substitution, and x is renamed to y: no live clause mentions x, so no
@@ -341,7 +346,8 @@ def to_er(f: Formula, cp: CheckedProof):
     Any other RAT addition on pivot p introduces a fresh variable x defined
     as (p or the conjunction of the negated remaining literals), derives an
     image of every live clause mentioning p that a later step cites, and
-    renames p to x in everything after it.  The image of a candidate D folds, in reverse, the
+    renames p to x in everything after it.  The image of a candidate D folds
+    (_fold, which drops the antecedents that do not clash), in reverse, the
     step's leading chain and D's own chain; when D's chain is empty the
     resolvent is tautological, and one family clause resolves it, or a
     leading unit satisfies it, and the leading chain up to that unit's
@@ -422,8 +428,11 @@ def to_er(f: Formula, cp: CheckedProof):
                 live.add_clause(clause, cid=cid)
                 continue
             claimed = _apply_clause(sub, clause)
-            fold_ids = [er_id(a) for a in reversed(hints.rup_chain)]
-            id_map[cid] = emit_chain(claimed, fold_ids)
+            sid = lines.last + 1
+            ids = tuple(map(er_id, reversed(hints.rup_chain)))
+            lines.add(sid, Chain(claimed, ids))
+            er_clauses[sid] = claimed
+            id_map[cid] = sid
             live.add_clause(clause, cid=cid)
             if clause.is_empty:
                 break

@@ -219,6 +219,9 @@ _FOREIGN = {
 }
 
 
+_FORMAT = {check_drat: "a DRAT", check_lrat: "an LRAT", check_er: "an ER"}
+
+
 @pytest.mark.parametrize("check, k", [(c, k) for c, (_, steps) in _FOREIGN.items()
                                       for k in range(len(steps))])
 def test_checkers_raise_on_a_foreign_step_naming_it(check, k):
@@ -228,10 +231,10 @@ def test_checkers_raise_on_a_foreign_step_naming_it(check, k):
     step = foreign[k]
     with pytest.raises(ValueError, match="^step 1: ") as e:
         check(f, [first, step])
-    if check is not check_drat:
-        # the message names the step, bare or the second field of a pair
-        named = step[1] if type(step) is tuple else step
-        assert str(e.value).startswith("step 1: %r is not an " % (named,))
+    # the message names the step: the proof's item itself in DRAT, which has
+    # no (id, step) pairs, and in LRAT and ER the second field of a pair
+    named = step[1] if type(step) is tuple and check is not check_drat else step
+    assert str(e.value) == "step 1: %r is not %s step" % (named, _FORMAT[check])
 
 
 def _mutate_proof(rng, proof, maxv):

@@ -635,6 +635,23 @@ def test_emit_lrat_raises_when_its_document_fails_the_recheck(monkeypatch):
         emit_lrat(cp)
 
 
+def test_to_er_refuses_a_rup_chain_that_does_not_derive_its_clause():
+    # a core RUP record without its first hint: the reason of the first
+    # unit is gone, so the reversed chain folds to a clause that keeps that
+    # unit's negation; to_er writes the chain, and its re-check with the
+    # real check_er refuses the document
+    f = gen_php(4)
+    cp = backward_check(f, cdcl_solve(f, seed=0).proof)
+    k = next(k for k, r in enumerate(cp.records)
+             if r.core and r.kind == "add" and r.pivot is None
+             and len(r.hints.rup_chain) >= 2)
+    bad = cp.records[k]._replace(hints=HintBlock(cp.records[k].hints.rup_chain[1:]))
+    forged = cp._replace(records=cp.records[:k] + (bad,) + cp.records[k + 1:])
+    assert check_er(f, to_er(f, cp)).verified
+    with pytest.raises(TranslationInvariantViolation):
+        to_er(f, forged)
+
+
 def test_to_er_memory_stays_near_the_backward_check():
     # to_er keeps one entry per live clause and per cited id, not one set
     # of later-cited ids per record; the bound is about 3x the backward
