@@ -195,9 +195,9 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     per proof step, in proof order.
 
     Each addition other than a tautology makes one engine call, which
-    propagates its negated clause once: Engine.rat on its first literal,
-    which settles RUP on the way, or Engine.rup for the empty clause, which
-    has no pivot.  An accepted addition's record carries its id and its
+    propagates its negated clause once: Engine.rat, which pivots on the
+    first literal and settles RUP on the way, or Engine.rup for the empty
+    clause, which has no pivot.  An accepted addition's record carries its id and its
     LRAT hint block (empty for a tautology), and its pivot, its first
     literal, when it holds by RAT and not by RUP.  A deletion's record
     carries the id it targets, the lowest live id with its content (None
@@ -262,7 +262,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
                 raise ForwardRejected(i, NOT_RAT)
             hints = HintBlock(out.antecedents)
         else:
-            r = engine.rat(c, c.lits[0])
+            r = engine.rat(c)
             if not r.rat:
                 raise ForwardRejected(i, NOT_RAT, r.witness_candidate)
             hints = HintBlock(r.leading, r.groups)  # no groups when RUP

@@ -27,7 +27,6 @@ from dratkit.checkers import (
     check_lrat,
 )
 from dratkit.formats import (
-    ParseError,
     parse_dimacs,
     parse_drat,
     parse_er,
@@ -55,7 +54,7 @@ def _write(path: str, data: bytes) -> None:
 
 
 def _load_drat(args):
-    return parse_drat(_read(args.proof), binary=args.binary)
+    return parse_drat(_read(args.proof))
 
 
 def _cmd_check(args) -> int:
@@ -154,13 +153,7 @@ def _add_mode(p) -> None:
 
 def _add_drat_inputs(p) -> None:
     p.add_argument("cnf")
-    p.add_argument("proof")
-    enc = p.add_mutually_exclusive_group()
-    # binary stays None, for detection from the content, unless forced
-    enc.add_argument("--binary", action="store_const", const=True,
-                     help="force binary proof parsing")
-    enc.add_argument("--text", dest="binary", action="store_const", const=False,
-                     help="force text proof parsing")
+    p.add_argument("proof")  # text or binary DRAT, told apart by its bytes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,10 +226,7 @@ def main(argv=None) -> int:
         print("s NOT VERIFIED")
         print("error: translation self-check failed: %s" % e, file=sys.stderr)
         return 1
-    except (ParseError, ValueError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:  # a ParseError is a ValueError
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ walk.
 The Engine serves the DRAT search: it finds the propagation chains that a
 DRAT proof leaves out.  An LRAT check needs none of it, since the document
 states every chain; walk replays those hints over a dict of true literals,
-beside the engine, for check_lrat, check_rup_guided and to_er.
+beside the engine, for checkers.check_addition (which check_lrat and the
+DRAT search's own verdicts rest on) and for to_er's leading chains.
 
 The Engine owns the propagation state for one Formula: a trail of assigned
 literals with reasons, two watched literals per clause of size two or more,
@@ -51,18 +52,21 @@ Verdicts do not rest on it: checkers._drat_forward walks every hint block
 the engine reports before it accepts the addition.
 
 Clause visits are counted per live-clause inspection (unit queue entries,
-watch list entries, the empty-clause short circuit).  On a conflict the
-engine reports the dependency-filtered antecedents: the reasons that
+watch list entries, the empty-clause short circuit) into one counter,
+Engine.visited_total; no outcome carries a count of its own.  On a conflict
+the engine reports the dependency-filtered antecedents: the reasons that
 transitively contribute to falsifying the conflict clause, in propagation
 order, with the conflict clause last.  That list is exactly an LRAT hint
 chain, and a RAT check reports exactly an LRAT hint block: the reasons of
 the units the negated clause propagates, filtered the same way to those the
 groups use, then one (candidate, chain) pair per clause containing the
-negated pivot.  A RAT check propagates the negated clause once and settles
-RUP on the way: when that propagation conflicts it reports the RUP chain
-and looks at no candidate.  So the DRAT search makes one propagation of
-each addition's negated clause, through Engine.rat; it calls Engine.rup
-only for the empty clause, which has no pivot.
+negated pivot.  The pivot is the clause's first literal, as the DRAT format
+defines it, and Engine.rat reads it off the clause.  A RAT check propagates
+the negated clause once and settles RUP on the way: when that propagation
+conflicts it reports the RUP chain and looks at no candidate.  So the DRAT
+search makes one propagation of each addition's negated clause, through
+Engine.rat; it calls Engine.rup only for the empty clause, which has no
+pivot.
 
 Formula mutations (attach/detach) must not happen while a checkpoint is
 outstanding; checkers mutate only between checks.
@@ -78,7 +82,6 @@ from dratkit.core import Clause, Formula
 
 class PropagationOutcome(NamedTuple):
     result: str                     # "fixpoint" | "conflict"
-    visited_clauses: int = 0
     antecedents: tuple = ()         # ending in the conflict clause; () for
                                     # an assumption-level contradiction
 
@@ -86,13 +89,6 @@ class PropagationOutcome(NamedTuple):
 class RupOutcome(NamedTuple):
     rup: bool
     antecedents: tuple = ()
-    visited_clauses: int = 0
-
-
-class GuidedOutcome(NamedTuple):
-    rup: bool
-    bad_position: int | None = None  # hints consumed when stuck
-    visited_clauses: int = 0
 
 
 class RatOutcome(NamedTuple):
@@ -113,7 +109,6 @@ class RatOutcome(NamedTuple):
     leading: tuple = ()       # reasons of the units derived from the negated
                               # clause that the groups use, closed under
                               # reasons, trail order; the RUP chain when rup
-    visited_clauses: int = 0
     rup: bool = False         # the negated clause's propagation conflicts
 
 
@@ -233,7 +228,7 @@ class Engine:
         collect the antecedents."""
         self.visited_total += visited
         ants = () if cid is None else self.antecedents_of(cid, from_index)
-        return PropagationOutcome(result, visited, ants)
+        return PropagationOutcome(result, ants)
 
     def propagate(self, assumptions=(), antecedents_from=None) -> PropagationOutcome:
         """Assume the given literals, then propagate to fixpoint or conflict.
@@ -376,12 +371,11 @@ class Engine:
             out = self.propagate(assumptions=[-l for l in c.lits])
         finally:
             self.rollback(cp)
-        return RupOutcome(out.result == "conflict", out.antecedents,
-                          out.visited_clauses)
+        return RupOutcome(out.result == "conflict", out.antecedents)
 
-    def rat(self, c: Clause, pivot: int) -> RatOutcome:
-        """Check c by RUP, else every resolvent of c on pivot, reusing one
-        shared trail.
+    def rat(self, c: Clause) -> RatOutcome:
+        """Check the non-empty clause c by RUP, else every resolvent of c on
+        its pivot, its first literal, reusing one shared trail.
 
         The negated clause is propagated once: a conflict makes c RUP (see
         RatOutcome.rup), and otherwise the fixpoint is the shared trail.
@@ -393,17 +387,13 @@ class Engine:
         candidate's chain make up the step's LRAT hint block (see
         RatOutcome).
         """
-        if pivot not in c:
-            raise ValueError("pivot %d not in clause %r" % (pivot, c))
+        pivot = c.lits[0]
         cp = self.checkpoint()
-        visited = 0
         groups = []
         try:
             lead = self.propagate(assumptions=[-l for l in c.lits])
-            visited += lead.visited_clauses
             if lead.result == "conflict":
-                return RatOutcome(True, None, (), lead.antecedents, visited,
-                                  rup=True)
+                return RatOutcome(True, None, (), lead.antecedents, rup=True)
             candidates = self.f.occurrence(-pivot)
             tlead = len(self.trail)
             val, wlits = self.val, self.wlits
@@ -423,16 +413,15 @@ class Engine:
                             self._assign(-l, None)
                 else:
                     out = self.propagate(antecedents_from=tlead)
-                    visited += out.visited_clauses
                     if out.result != "conflict":
-                        return RatOutcome(False, did, tuple(groups), (), visited)
+                        return RatOutcome(False, did, tuple(groups))
                     chain = out.antecedents
                     for cid in chain:
                         marked.update(abs(x) for x in wlits[cid][2])
                 self.rollback(cp2)
                 groups.append((did, chain))
             leading = tuple(self._reasons(marked, 0))
-            return RatOutcome(True, None, tuple(groups), leading, visited)
+            return RatOutcome(True, None, tuple(groups), leading)
         finally:
             self.rollback(cp)
 
@@ -469,13 +458,3 @@ def walk(clauses, true: dict, chain):
         true[free] = hid
         consumed += 1
     return "open", consumed
-
-
-def check_rup_guided(f: Formula, c, chain) -> GuidedOutcome:
-    c = c if isinstance(c, Clause) else Clause(c)
-    if c.is_tautology:
-        return GuidedOutcome(True, None, 0)
-    status, consumed = walk(f.clauses, dict.fromkeys(-l for l in c.lits), chain)
-    if status == "conflict":
-        return GuidedOutcome(True, None, consumed + 1)
-    return GuidedOutcome(False, consumed, consumed + (status == "stuck"))

@@ -241,7 +241,7 @@ def naive_guided(formula, clause, chain):
 def naive_parse_lrat(text):
     """LRAT text -> list of (id, ('d', ids) | ('a', lits, hints))."""
     out = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line:
             continue
@@ -398,7 +398,7 @@ def naive_parse_er(text):
     """ER text -> list of (id, step) with steps ('e', x, p, ls) /
     ('c', lits, antecedents) / ('d', ids)."""
     out = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.strip()
         if not line:
             continue
@@ -462,6 +462,8 @@ FOLD_EDGES = {
     "taut_in_middle": ([[1, 2], [-2, 4], [-1, 3, -3], [-4]], ("nopivot", 2)),
     "no_clash": ([[1, 2], [-1], [5, 6], [-2]], ("nopivot", 2)),
     "double_clash": ([[1, 2], [-1, -2, 3]], ("nopivot", 1)),
+    # a first antecedent in which every literal's complement is present too
+    "taut_first_all_paired": ([[1, -1, 2, -2], [-1]], ("nopivot", 1)),
 }
 
 
@@ -516,7 +518,7 @@ def naive_deletion_runs(nclauses, text):
     last = nclauses
     deleted = set()
     previous = None
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         parts = raw.split()
         if not parts:
             continue
@@ -542,23 +544,31 @@ def naive_deletion_runs(nclauses, text):
 # token at a time, copied with only their names changed.  The parsers under
 # test convert runs of tokens at once and work out a token's line only when
 # an error names it; they must return the same steps and raise the same
-# ParseError messages, except that they reject any token holding '_'.
+# ParseError messages, except that they reject any token holding '_'.  Both
+# follow one text rule: ASCII, tokens separated by C's isspace, lines ending
+# at \n only, and the bytes 0x1c-0x1f (which str.split() would split at)
+# rejected.
 
 def _ref_text(data) -> str:
-    """Decode a text document; a non-ASCII byte is a ParseError."""
-    if not isinstance(data, bytes):
-        return data
+    """Decode a text document (a str as its UTF-8 bytes); a non-ASCII byte
+    or a byte 0x1c-0x1f is a ParseError."""
+    if isinstance(data, str):
+        data = data.encode()
     try:
-        return data.decode("ascii")
+        data = data.decode("ascii")
     except UnicodeDecodeError as e:
         raise ParseError("byte %d: non-ASCII byte 0x%02x"
                          % (e.start, data[e.start])) from None
+    for k, ch in enumerate(data):
+        if "\x1c" <= ch <= "\x1f":
+            raise ParseError("byte %d: separator byte 0x%02x" % (k, ord(ch)))
+    return data
 
 
 def _ref_tokens(data):
     """Yield (token, line_no) over text bytes, 1-based lines."""
     data = _ref_text(data)
-    for ln, line in enumerate(data.splitlines(), start=1):
+    for ln, line in enumerate(data.split("\n"), start=1):
         for tok in line.split():
             yield tok, ln
 

@@ -405,8 +405,7 @@ def test_format_round_trips():
         assert parse_drat_text(text) == steps
         assert parse_drat_binary(blob) == steps
         assert parse_drat(blob) == steps
-        if not text.startswith(b"d"):
-            assert parse_drat(text) == steps
+        assert parse_drat(text) == steps
 
     for _ in range(500):
         doc = []

@@ -207,15 +207,15 @@ _FOREIGN = {
     check_lrat: ((5, parse_lrat(b"5 2 0 1 2 0\n")[0][1]),
                  [(1, Extend(3, 1, (2,))), (1, Chain(Clause([2]), (1, 2))),
                   (1, Delete((1,))), (1, delete_step([1, 2])),
-                  # bare steps, not (id, step) pairs
+                  # bare steps and a triple, not (id, step) pairs
                   add_step([]), delete_ids_step((1,)), Extend(3, 1, (2,)),
-                  Chain(Clause([2]), (1, 2))]),
+                  Chain(Clause([2]), (1, 2)), (7, add_step([]), 0)]),
     check_er: ((5, Chain(Clause([2]), (1, 2))),
                [(1, add_step([])), (1, delete_ids_step((1,))),
                 (1, delete_step([1, 2])),
-                # bare steps, not (id, step) pairs
+                # bare steps and a triple, not (id, step) pairs
                 Extend(3, 1, (2,)), Chain(Clause([2]), (1, 2)),
-                Delete((1,)), add_step([])]),
+                Delete((1,)), add_step([]), (7, Chain(Clause([]), (1, 2)), 0)]),
 }
 
 
@@ -233,7 +233,8 @@ def test_checkers_raise_on_a_foreign_step_naming_it(check, k):
         check(f, [first, step])
     # the message names the step: the proof's item itself in DRAT, which has
     # no (id, step) pairs, and in LRAT and ER the second field of a pair
-    named = step[1] if type(step) is tuple and check is not check_drat else step
+    pair = type(step) is tuple and len(step) == 2
+    named = step[1] if pair and check is not check_drat else step
     assert str(e.value) == "step 1: %r is not %s step" % (named, _FORMAT[check])
 
 
@@ -625,6 +626,20 @@ def test_lrat_tautological_addition_needs_no_hints():
     report = check_lrat(formula_from_clauses(FULL2), parse_lrat(doc))
     assert report.reason == NO_BOTTOM
     assert report.steps_checked == 1
+    # an addition built with no hint block reads as the empty one
+    assert check_lrat(formula_from_clauses(FULL2),
+                      [(5, add_step([1, -1]))]) == report
+
+
+def test_lrat_counts_the_visits_of_every_walk():
+    # each hint looked at is one visit, in a unit chain and in a RAT
+    # group's chain: 0 + 2 for the RAT step (1), 2 for (2), 3 for ()
+    cnf = [[-1, 2], [2, 3], [2, -3], [-2, 4], [-2, -4]]
+    doc = b"6 1 0 -1 2 3 0\n7 2 0 6 1 0\n8 0 7 4 5 0\n"
+    report = check_lrat(formula_from_clauses(cnf), parse_lrat(doc))
+    assert (report.verified, report.rat_steps, report.visited_clauses_total) == (
+        True, 1, 7)
+    assert naive_check_lrat(cnf, doc.decode())
 
 
 def test_lrat_hint_after_closed_proof_rejected():
@@ -709,6 +724,7 @@ def test_er_refutation_verifies():
     report = check_er(f, parse_er(doc))
     assert report.verified
     assert report.steps_checked == 1
+    assert report.visited_clauses_total == 2  # one per antecedent
     assert naive_check_er([[1], [-1]], doc.decode())
 
 
@@ -783,6 +799,8 @@ def test_er_no_pivot_positions():
     assert none.reason == NO_PIVOT and none.detail == 1
     double = check_er(f, parse_er(b"4 0 1 3 0\n"))
     assert double.reason == NO_PIVOT and double.detail == 1
+    empty = check_er(f, [(4, Chain(Clause([]), ()))])
+    assert empty.reason == NO_PIVOT and empty.detail == 0
 
 
 def test_er_not_subsumed():
@@ -804,6 +822,13 @@ def test_er_id_collision_rejected():
     f = formula_from_clauses([[1], [-1]])
     report = check_er(f, [(2, Chain(Clause([1]), (1,)))])
     assert report.reason == ID_ORDER
+    # an id of the family an extension claims (3 and 4), and an id a chain
+    # claimed
+    for doc in ([(3, Extend(2, 1, ())), (4, Chain(Clause([2]), (3, 1)))],
+                [(3, Chain(Clause([1]), (1,))), (3, Chain(Clause([1]), (1,)))]):
+        report = check_er(f, doc)
+        assert (report.step_index, report.reason, report.detail) == (
+            1, ID_ORDER, doc[1][0])
 
 
 def test_er_mutation_agreement_with_naive():

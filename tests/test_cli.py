@@ -82,7 +82,7 @@ def _counter_runs(tmp_path, capsys, f, proof, modes=("specified", "operational")
     cnf = tmp_path / "f.cnf"
     cnf.write_bytes(write_dimacs(f))
     path = _proof_file(tmp_path, proof)
-    return [_run(capsys, ["check", "drat", str(cnf), path, "--text", "--counters",
+    return [_run(capsys, ["check", "drat", str(cnf), path, "--counters",
                           "--mode", mode]) for mode in modes]
 
 
@@ -121,10 +121,10 @@ def test_check_drat_operational_counts_skipped_unit_deletion(tmp_path, capsys):
 def test_check_drat_mode_flag_switches_deletion_semantics(tmp_path, capsys):
     cnf = _cnf_file(tmp_path, [[1], [-1]])
     proof = _proof_file(tmp_path, [delete_step([1]), add_step([])])
-    rc, out, _ = _run(capsys, ["check", "drat", cnf, proof, "--text",
+    rc, out, _ = _run(capsys, ["check", "drat", cnf, proof,
                                "--mode", "operational"])
     assert (rc, out) == (0, "s VERIFIED\n")
-    rc, out, _ = _run(capsys, ["check", "drat", cnf, proof, "--text",
+    rc, out, _ = _run(capsys, ["check", "drat", cnf, proof,
                                "--mode", "specified"])
     assert (rc, out) == (1, "s NOT VERIFIED\n")
 
@@ -134,16 +134,28 @@ def test_check_drat_binary_autodetect_and_override(tmp_path, capsys):
     bproof = _proof_file(tmp_path, FULL2_PROOF, name="p.bdrat", binary=True)
     rc, out, _ = _run(capsys, ["check", "drat", cnf, bproof])
     assert (rc, out) == (0, "s VERIFIED\n")
-    rc, out, _ = _run(capsys, ["check", "drat", cnf, bproof, "--binary"])
-    assert (rc, out) == (0, "s VERIFIED\n")
     # a text proof opening with a deletion line starts with 'd' like a
-    # binary one, but holds no byte outside the text alphabet, so it is
-    # detected as text; --text forces the same parser
+    # binary one, but holds no NUL, so it is detected as text
     tproof = tmp_path / "d.drat"
     tproof.write_bytes(b"d 5 6 0\n1 0\n0\n")
-    for flags in ([], ["--text"]):
-        rc, out, _ = _run(capsys, ["check", "drat", cnf, str(tproof)] + flags)
-        assert (rc, out) == (0, "s VERIFIED\n")
+    rc, out, _ = _run(capsys, ["check", "drat", cnf, str(tproof)])
+    assert (rc, out) == (0, "s VERIFIED\n")
+    # no option forces a parser
+    for flag in ("--binary", "--text"):
+        with pytest.raises(SystemExit):
+            main(["check", "drat", cnf, str(tproof), flag])
+
+
+def test_check_drat_reads_a_comment_to_the_newline(tmp_path, capsys):
+    # DRAT-trim and MiniSat end a comment at \n only: this formula is the
+    # satisfiable {(1)}, so the proof 0 fails at its one step
+    cnf = tmp_path / "f.cnf"
+    cnf.write_bytes(b"p cnf 1 1\nc x\f-1 0\n1 0\n")
+    proof = tmp_path / "p.drat"
+    proof.write_bytes(b"0\n")
+    rc, out, err = _run(capsys, ["check", "drat", str(cnf), str(proof)])
+    assert (rc, out) == (1, "s NOT VERIFIED\n")
+    assert err == "error: step 0 rejected: not_rat\n"
 
 
 def test_trim_writes_all_artifacts_that_reverify(tmp_path, capsys):
@@ -161,8 +173,7 @@ def test_trim_writes_all_artifacts_that_reverify(tmp_path, capsys):
     assert out_drat.read_bytes() == b"1 0\n0\n"
     rc, out, _ = _run(capsys, ["check", "lrat", cnf, str(out_lrat)])
     assert (rc, out) == (0, "s VERIFIED\n")
-    rc, out, _ = _run(capsys, ["check", "drat", str(out_core), str(out_drat),
-                               "--text"])
+    rc, out, _ = _run(capsys, ["check", "drat", str(out_core), str(out_drat)])
     assert (rc, out) == (0, "s VERIFIED\n")
 
 
@@ -351,7 +362,7 @@ def test_solve_reports_status_and_writes_proof(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["solve", unsat_cnf, "--proof", str(proof),
                                "--seed", "3"])
     assert (rc, out) == (0, "s UNSATISFIABLE\n")
-    rc, out, _ = _run(capsys, ["check", "drat", unsat_cnf, str(proof), "--text"])
+    rc, out, _ = _run(capsys, ["check", "drat", unsat_cnf, str(proof)])
     assert (rc, out) == (0, "s VERIFIED\n")
 
 
@@ -517,10 +528,10 @@ def test_cli_round_trip_on_solver_corpus(tmp_path, capsys):
         assert (rc, out) == (0, "s UNSATISFIABLE\n")
         lrat = tmp_path / ("f%d.lrat" % trial)
         er = tmp_path / ("f%d.er" % trial)
-        rc, _, _ = _run(capsys, ["trim", str(cnf), str(proof), "--text",
+        rc, _, _ = _run(capsys, ["trim", str(cnf), str(proof),
                                  "--out-lrat", str(lrat)])
         assert rc == 0
-        rc, _, _ = _run(capsys, ["to-er", str(cnf), str(proof), "--text",
+        rc, _, _ = _run(capsys, ["to-er", str(cnf), str(proof),
                                  "--out", str(er)])
         assert rc == 0
         for argv in (["check", "lrat", str(cnf), str(lrat)],

@@ -45,7 +45,25 @@ class TestDimacs:
         assert f.max_var == 2
 
     def test_comment_skipping(self):
-        f, _, _ = parse_dimacs(b"c x\np cnf 1 1\n1 0\n")
+        f, _, _ = parse_dimacs(b"c x\n\n \np cnf 1 1\n\n1 0\n")
+        assert dict(f.items()) == {1: Clause([1])}
+
+    @pytest.mark.parametrize("header", [b"p dnf 1 1", b"p cnf 1", b"p cnf 1 1 1"])
+    def test_bad_header(self, header):
+        with pytest.raises(ParseError, match="line 1: bad header"):
+            parse_dimacs(header + b"\n1 0\n")
+
+    @pytest.mark.parametrize("ws", [b"\v", b"\f", b"\r"])
+    def test_a_comment_runs_to_the_newline(self, ws):
+        # as in DRAT-trim and MiniSat: \v, \f and \r separate tokens but end
+        # no line, so the comment swallows the -1
+        f, _, _ = parse_dimacs(b"p cnf 1 1\nc x" + ws + b"-1 0\n1 0\n")
+        assert dict(f.items()) == {1: Clause([1])}
+
+    def test_a_lone_cr_ends_no_line(self):
+        with pytest.raises(ParseError, match="line 1: bad header"):
+            parse_dimacs(b"p cnf 1 1\r1 0\r")
+        f, _, _ = parse_dimacs(b"p cnf 1 1\r\n1 0\r\n")
         assert dict(f.items()) == {1: Clause([1])}
 
     def test_unterminated_clause(self):
@@ -129,6 +147,9 @@ class TestDratText:
     def test_non_ascii_byte_is_parse_error(self):
         with pytest.raises(ParseError, match="non-ASCII"):
             parse_drat(b"1 2 0\n\xff 0\n")
+        # a str follows the same rule: a no-break space separates nothing
+        with pytest.raises(ParseError, match="byte 1: non-ASCII byte 0xc2"):
+            parse_drat_text("1\xa02 0\n")
 
     def test_digit_separator_is_parse_error(self):
         with pytest.raises(ParseError, match="line 2: underscore in token '-1_0'"):
@@ -195,31 +216,26 @@ class TestDratAutoDetect:
         assert steps[0].clause == Clause([1, 2])
         assert steps[1].clause == Clause([1])
 
+    def test_malformed_leading_text_deletion_gets_the_text_error(self):
+        with pytest.raises(ParseError, match="line 1: expected literal, got 'x'"):
+            parse_drat(b"d 1 x 0\n")
+        with pytest.raises(ParseError, match="line 2: underscore in token '1_0'"):
+            parse_drat(b"d 1 2 0\n1_0 0\n")
+        # a NUL alone makes no binary proof: it must follow a tag byte
+        with pytest.raises(ParseError, match=r"line 2: expected literal, got '\\x00'"):
+            parse_drat(b"1 0\n\x00 0\n")
+
     def test_leading_binary_deletion_detected_as_binary(self):
         steps = [delete_step([1, 2]), add_step([1])]
         data = write_drat_binary(steps)
         assert data[:1] == b"d"
         assert parse_drat(data) == steps
-        # every byte of these varints lies in the text alphabet: only the
+        # every byte of these varints is one text DRAT may hold: only the
         # NUL ending each step tells them apart
         steps = [delete_step([25, -22, 16]), add_step([])]
         data = write_drat_binary(steps)
         assert data == b"d2- \x00a\x00"
         assert parse_drat(data) == steps
-
-    def test_override_forces_the_parser(self):
-        text = b"d 1 2 0\n1 0\n"
-        assert parse_drat(text, binary=False) == parse_drat(text)
-        with pytest.raises(ParseError):
-            parse_drat(text, binary=True)
-        binary = write_drat_binary([delete_step([1, 2]), add_step([1])])
-        assert parse_drat(binary, binary=True) == parse_drat(binary)
-        with pytest.raises(ParseError):
-            parse_drat(binary, binary=False)
-
-    def test_force_binary(self):
-        data = write_drat_binary([add_step([1])])
-        assert parse_drat(data, binary=True) == parse_drat(data)
 
 
 class TestLrat:
@@ -299,6 +315,7 @@ class TestEr:
     def test_family_shape(self):
         fam = extension_clauses(3, 1, [2])
         assert fam == [Clause([3, -1]), Clause([3, -2]), Clause([-3, 1, 2])]
+        assert extension_clauses(3, 1, iter([2])) == fam
 
     def test_family_k0_collapses(self):
         assert extension_clauses(3, 1, []) == [Clause([3, -1]), Clause([3])]
@@ -429,10 +446,32 @@ _TOKENS = st.lists(st.sampled_from(
 @settings(max_examples=500)
 @given(st.one_of(st.binary(), _TOKENS))
 def test_parsers_return_or_raise_parse_error_on_any_bytes(data):
-    parsers = (parse_dimacs, parse_drat, lambda d: parse_drat(d, binary=True),
-               lambda d: parse_drat(d, binary=False), parse_lrat, parse_er)
+    parsers = (parse_dimacs, parse_drat, parse_drat_binary, parse_drat_text,
+               parse_lrat, parse_er)
     for parse in parsers:
         try:
             parse(data)
         except ParseError:
             pass
+
+
+# one valid document per text format, and a space in it that the test
+# replaces
+SEPARATED = [(parse_dimacs, b"p cnf 2 1\n1 2 0\n", 11),
+             (parse_drat_text, b"1 2 0\n0\n", 1),
+             (parse_drat, b"1 2 0\n0\n", 1),
+             (parse_lrat, b"3 1 0 1 2 0\n", 3),
+             (parse_er, b"3 1 0 1 2 0\n", 3)]
+
+
+@pytest.mark.parametrize("byte", [0x1c, 0x1d, 0x1e, 0x1f])
+@pytest.mark.parametrize("parse,doc,at", SEPARATED,
+                         ids=[parse.__name__ for parse, _, _ in SEPARATED])
+def test_bytes_str_split_reads_as_whitespace_are_parse_errors(parse, doc, at, byte):
+    # str.split() takes 0x1c-0x1f for separators and C's isspace does not:
+    # no text format holds them
+    assert doc[at:at + 1] == b" "
+    parse(doc)
+    with pytest.raises(ParseError, match="byte %d: separator byte 0x%02x$"
+                       % (at, byte)):
+        parse(doc[:at] + bytes([byte]) + doc[at + 1:])

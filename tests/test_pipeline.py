@@ -46,10 +46,12 @@ from dratkit.formats import (
     delete_ids_step,
     delete_step,
     extension_clauses,
+    parse_drat,
     parse_drat_text,
     parse_er,
     parse_lrat,
     write_dimacs,
+    write_drat_binary,
     write_drat_text,
     write_er,
     write_lrat,
@@ -1047,14 +1049,18 @@ PARSERS = ((parse_drat_text, ref_parse_drat_text), (parse_lrat, ref_parse_lrat),
            (parse_er, ref_parse_er))
 
 
-def _rebroken(rng, toks):
+SEPS = (" ", " ", "\n", "  ", "\t", "\r\n", " \n ")
+# every separator of the text rule, the ones that end no line among them
+ALL_SEPS = (" ", "\n", "\t", "\v", "\f", "\r", "\r\n", "\f\n", " \v ")
+
+
+def _rebroken(rng, toks, seps=SEPS):
     """The tokens joined by random whitespace, so steps break across lines
     anywhere."""
-    seps = (" ", " ", "\n", "  ", "\t", "\r\n", " \n ")
     return "".join(tok + rng.choice(seps) for tok in toks)
 
 
-def _token_mutant(rng, text):
+def _token_mutant(rng, text, seps=SEPS):
     """text with one to three tokens dropped, duplicated, or inserted: a
     word token, a stray word, a terminating 0, a negative id or a number
     with a digit separator."""
@@ -1069,7 +1075,7 @@ def _token_mutant(rng, text):
         else:
             toks.insert(k, rng.choice(("d", "e", "x", "0",
                                        str(-rng.randint(1, 40)), "1_2")))
-    return _rebroken(rng, toks)
+    return _rebroken(rng, toks, seps)
 
 
 def _agrees_with_reference(parse, ref, text):
@@ -1124,6 +1130,27 @@ def test_parsers_match_the_token_at_a_time_references():
     assert outcomes["steps"] >= 3 * proofs
 
 
+def test_parsers_match_the_references_across_every_separator():
+    # \v, \f and \r separate tokens and end no line, and a byte 0x1c-0x1f
+    # is refused: each text parser and its reference agree on the steps, on
+    # the message and on the line it names
+    rng = random.Random(59)
+    outcomes = Counter()
+    for _, f, proof in _rat_corpus():
+        cp = backward_check(f, proof)
+        for doc in (write_drat_text(proof), write_lrat(emit_lrat(cp)),
+                    write_er(to_er(f, cp))):
+            text = doc.decode()
+            broken = _rebroken(rng, text.split(), ALL_SEPS)
+            k = rng.randrange(len(broken))
+            variants = [broken, broken[:k] + chr(rng.randint(0x1c, 0x1f)) + broken[k:]]
+            variants += [_token_mutant(rng, text, ALL_SEPS) for _ in range(6)]
+            for variant in variants:
+                for parse, ref in PARSERS:
+                    outcomes[_agrees_with_reference(parse, ref, variant)] += 1
+    assert outcomes["steps"] >= 12 and outcomes["error"] >= 100
+
+
 def _naive_fold_dropping(clauses):
     """What _fold does with a chain over clauses (literal lists, ids 1..n),
     restated over naive_fold: skip each antecedent with no literal
@@ -1162,6 +1189,7 @@ FOLD_KEPT = {
     "taut_in_middle": ("nopivot", 3),
     "no_clash": ("ok", [1, 2, 4], []),
     "double_clash": ("nopivot", 2),
+    "taut_first_all_paired": ("nopivot", 2),
 }
 
 
@@ -1548,6 +1576,28 @@ def _rat_corpus():
     return out
 
 
+def test_drat_detection_alone_reads_every_proof():
+    # a valid text proof holds only digits, signs, 'd' and whitespace, and a
+    # non-empty binary one a NUL byte, so the bytes alone pick the parser:
+    # solver proofs, Cook's, one opening with a text deletion, the empty one
+    proofs = [proof for _, _, proof in _rat_corpus()]
+    rng = random.Random(53)
+    for n in (3, 4, 5):
+        proofs.append(cdcl_solve(gen_php(n), seed=0).proof)
+    while len(proofs) < 27:
+        maxv = rng.randint(3, 7)
+        f = gen_random(maxv, rng.randint(3 * maxv, 5 * maxv), 3,
+                       seed=rng.randrange(10 ** 6))
+        res = cdcl_solve(f, seed=rng.randrange(4))
+        if res.status == "unsat":
+            proofs.append(res.proof)
+    proofs += [[delete_step([5, 6]), add_step([1]), add_step([])], []]
+    assert sum(any(s.kind == "delete" for s in p) for p in proofs) >= 5
+    for steps in proofs:
+        assert (parse_drat(write_drat_binary(steps))
+                == parse_drat(write_drat_text(steps)) == steps)
+
+
 def _drat_mutant(rng, kind, f, proof, cp):
     """proof with one mutation of the given kind, or None when no step takes
     it.  cp is the forward pass over proof: delete_needed deletes, right
@@ -1830,8 +1880,8 @@ FORGE = ([[-1, 2], [2, 3], [2, -3], [-2, 4], [-2, -4]],
 
 def _forge_rup(real):
     # the search checks a non-empty addition's RUP inside Engine.rat
-    def rat(self, c, pivot):
-        out = real(self, c, pivot)
+    def rat(self, c):
+        out = real(self, c)
         if out.rup:  # drop the conflict clause from the chain
             return out._replace(leading=out.leading[:-1])
         return out
@@ -1839,8 +1889,8 @@ def _forge_rup(real):
 
 
 def _forge_rat(real):
-    def rat(self, c, pivot):
-        out = real(self, c, pivot)
+    def rat(self, c):
+        out = real(self, c)
         groups = tuple((cand, chain[:-1]) for cand, chain in out.groups)
         return out._replace(groups=groups)
     return rat

@@ -3,14 +3,19 @@
 import random
 import tracemalloc
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dratkit.checkers import NOT_RAT, check_drat
+from dratkit.checkers import (
+    BAD_HINT,
+    NOT_RAT,
+    UNKNOWN_ID,
+    check_addition,
+    check_drat,
+)
 from dratkit.core import Clause, formula_from_clauses
-from dratkit.formats import parse_dimacs, parse_drat
-from dratkit.propagate import Engine, check_rup_guided, walk
+from dratkit.formats import HintBlock, parse_dimacs, parse_drat
+from dratkit.propagate import Engine, walk
 
 from _oracles import (
     naive_closure,
@@ -177,53 +182,46 @@ def test_check_rup_agrees_with_naive_and_truth_table():
             assert naive_entails(clauses, c)
 
 
-# ----------------------------------------------------------- check_rup_guided
+# ------------------------------------------------------ guided check_addition
+
+def _guided(f, c, chain):
+    """check_addition's (reason, detail, visited, rat) for c as a RUP step
+    with the hint chain, over f's clauses."""
+    return check_addition(f.clauses, f.occurrence, Clause(c),
+                          HintBlock(tuple(chain)), None)
+
 
 def test_guided_replays_chain():
     f = formula_from_clauses([[1], [-1, 2]])
-    out = check_rup_guided(f, [2], [1, 2])
-    assert out.rup
-    assert out.bad_position is None
-    assert out.visited_clauses == 2
+    assert _guided(f, [2], [1, 2]) == (None, None, 2, False)
 
 
 def test_guided_stuck_after_consuming_unit():
     f = formula_from_clauses([[1], [-1, 2]])
-    out = check_rup_guided(f, [2], [2])
-    assert not out.rup
-    assert out.bad_position == 1
+    assert _guided(f, [2], [2]) == (BAD_HINT, 1, 1, False)
 
 
 def test_guided_empty_chain():
     f = formula_from_clauses([[1], [-1, 2]])
-    out = check_rup_guided(f, [2], [])
-    assert not out.rup
-    assert out.bad_position == 0
+    assert _guided(f, [2], []) == (BAD_HINT, 0, 0, False)
 
 
 def test_guided_empty_chain_tautology():
     f = formula_from_clauses([[1], [-1, 2]])
-    out = check_rup_guided(f, [1, -1], [])
-    assert out.rup
-    assert out.visited_clauses == 0
+    assert _guided(f, [1, -1], []) == (None, None, 0, False)
 
 
 def test_guided_satisfied_hint_is_bad():
     # hint clause satisfied by the negated-clause assumptions: not unit,
     # not falsified, so the replay is stuck at position 0
     f = formula_from_clauses([[1, 2], [-1, 2]])
-    out = check_rup_guided(f, [-1], [1])
-    assert not out.rup
-    assert out.bad_position == 0
+    assert _guided(f, [-1], [1]) == (BAD_HINT, 0, 1, False)
 
 
 def test_guided_unknown_hint_is_rejected():
     # an id the formula does not hold ends the walk, as in check_lrat
     f = formula_from_clauses([[1]])
-    out = check_rup_guided(f, [1], [7])
-    assert not out.rup
-    assert out.bad_position == 0
-    assert out.visited_clauses == 0
+    assert _guided(f, [1], [7]) == (UNKNOWN_ID, 7, 0, False)
 
 
 def test_guided_accepts_every_reported_chain():
@@ -233,16 +231,17 @@ def test_guided_accepts_every_reported_chain():
         clauses = _rand_formula(rng, maxv, rng.randint(1, 25))
         c = _rand_clause(rng, maxv)
         f = formula_from_clauses(clauses)
-        unguided = Engine(f).rup(Clause(c))
+        e = Engine(f)
+        unguided = e.rup(Clause(c))
         if not unguided.rup:
             continue
-        guided = check_rup_guided(f, c, unguided.antecedents)
-        assert guided.rup
+        reason, _, visited, _ = _guided(f, c, unguided.antecedents)
+        assert reason is None
         # hints do at most the work of the blind search
-        assert guided.visited_clauses <= unguided.visited_clauses
+        assert visited <= e.visited_total
         verdict, n = naive_guided(clauses, c, unguided.antecedents)
         assert verdict == "rup"
-        assert n == guided.visited_clauses
+        assert n == visited
 
 
 def test_guided_agrees_with_naive_on_arbitrary_chains():
@@ -253,11 +252,11 @@ def test_guided_agrees_with_naive_on_arbitrary_chains():
         c = _rand_clause(rng, maxv)
         ids = list(range(1, len(clauses) + 1))
         chain = [rng.choice(ids) for _ in range(rng.randint(0, 6))]
-        out = check_rup_guided(formula_from_clauses(clauses), c, chain)
+        reason, detail, _, _ = _guided(formula_from_clauses(clauses), c, chain)
         verdict, n = naive_guided(clauses, c, chain)
-        assert out.rup == (verdict == "rup")
-        if not out.rup:
-            assert out.bad_position == n
+        assert (reason is None) == (verdict == "rup")
+        if reason is not None:
+            assert (reason, detail) == (BAD_HINT, n)
 
 
 # ----------------------------------------------------------------- Engine.rat
@@ -265,7 +264,7 @@ def test_guided_agrees_with_naive_on_arbitrary_chains():
 def test_rat_single_candidate_discharged_by_leading_units():
     clauses = [[1, 2], [-1, 2]]
     f = formula_from_clauses(clauses)
-    out = Engine(f).rat(Clause([1]), 1)
+    out = Engine(f).rat(Clause([1]))
     assert out.rat
     assert out.leading == (1,)
     assert out.groups == ((2, ()),)
@@ -279,7 +278,7 @@ def test_rat_single_candidate_discharged_by_leading_units():
 def test_rat_tautological_resolvent_vacuous():
     clauses = [[1, 2], [-1, 2]]
     f = formula_from_clauses(clauses)
-    out = Engine(f).rat(Clause([1, -2]), 1)
+    out = Engine(f).rat(Clause([1, -2]))
     assert out.rat
     assert out.groups == ((2, ()),)
     assert naive_rat_groups(clauses, [1, -2], 1, out.leading,
@@ -288,7 +287,7 @@ def test_rat_tautological_resolvent_vacuous():
 
 def test_rat_no_candidates():
     f = formula_from_clauses([[1, 2]])
-    out = Engine(f).rat(Clause([1]), 1)
+    out = Engine(f).rat(Clause([1]))
     assert out.rat
     assert out.groups == ()
 
@@ -296,7 +295,7 @@ def test_rat_no_candidates():
 def test_rat_propagated_group_chains():
     clauses = [[-1, 2], [2, 3], [2, -3]]
     f = formula_from_clauses(clauses)
-    out = Engine(f).rat(Clause([1]), 1)
+    out = Engine(f).rat(Clause([1]))
     assert out.rat
     assert out.leading == ()
     assert out.groups == ((1, (2, 3)),)
@@ -306,25 +305,19 @@ def test_rat_propagated_group_chains():
 
 def test_rat_failing_candidate_reported():
     f = formula_from_clauses([[1, 2], [-1, -2]])
-    out = Engine(f).rat(Clause([1]), 1)
+    out = Engine(f).rat(Clause([1]))
     assert not out.rat
     assert out.witness_candidate == 2
 
 
 def test_rat_clause_already_rup():
     f = formula_from_clauses([[1]])
-    out = Engine(f).rat(Clause([1]), 1)
+    out = Engine(f).rat(Clause([1]))
     assert out.rat
     assert out.groups == ()
     # the hint block is then the RUP chain alone
     assert out.leading == (1,)
     assert naive_guided([[1]], [1], out.leading)[0] == "rup"
-
-
-def test_rat_pivot_must_be_in_clause():
-    f = formula_from_clauses([[1, 2]])
-    with pytest.raises(ValueError):
-        Engine(f).rat(Clause([1]), 2)
 
 
 def test_rat_agrees_with_naive():
@@ -335,7 +328,7 @@ def test_rat_agrees_with_naive():
         c = Clause(_rand_clause(rng, maxv))
         pivot = c.lits[0]
         f = formula_from_clauses(clauses)
-        out = Engine(f).rat(c, pivot)
+        out = Engine(f).rat(c)
         assert out.rat == naive_rat(clauses, list(c.lits), pivot)
 
 
@@ -361,7 +354,7 @@ def test_rat_group_chains_replay_random():
         c = Clause(_rand_clause(rng, maxv))
         pivot = c.lits[0]
         f = formula_from_clauses(clauses)
-        out = Engine(f).rat(c, pivot)
+        out = Engine(f).rat(c)
         if not out.rat or naive_rup(clauses, list(c.lits)):
             continue
         kinds.update(_assert_groups_certify(f, clauses, c, pivot, out))
@@ -390,7 +383,7 @@ def test_rat_group_chains_replay_structured():
             clauses.append([a, -xs[-1]])
         rng.shuffle(clauses)
         f = formula_from_clauses(clauses)
-        out = Engine(f).rat(Clause([1]), 1)
+        out = Engine(f).rat(Clause([1]))
         assert out.rat
         whys = _assert_groups_certify(f, clauses, Clause([1]), 1, out)
         assert whys and set(whys) == {"refuted"}
@@ -436,7 +429,7 @@ def test_rat_leading_reasons_replay_as_units():
         if c.is_tautology:
             continue
         f = formula_from_clauses(clauses)
-        out = Engine(f).rat(c, c.lits[0])
+        out = Engine(f).rat(c)
         if naive_rup(clauses, list(c.lits)):
             continue
         if out.rat:
@@ -459,7 +452,7 @@ def _run_check(e, op, c):
         return e.rup(c)
     if op == 1:
         return e.toplevel()
-    return e.rat(c, c.lits[0])
+    return e.rat(c)
 
 
 def test_checks_restore_trail_and_watches():
@@ -550,8 +543,8 @@ def test_engine_runs_are_deterministic():
         a = Engine(formula_from_clauses(clauses)).rup(Clause(c))
         b = Engine(formula_from_clauses(clauses)).rup(Clause(c))
         assert a == b
-        ra = Engine(formula_from_clauses(clauses)).rat(Clause(c), Clause(c).lits[0])
-        rb = Engine(formula_from_clauses(clauses)).rat(Clause(c), Clause(c).lits[0])
+        ra = Engine(formula_from_clauses(clauses)).rat(Clause(c))
+        rb = Engine(formula_from_clauses(clauses)).rat(Clause(c))
         assert ra == rb
 
 
@@ -621,7 +614,7 @@ def test_slots_follow_the_variables_seen_not_their_numbers():
     e.rollback(cp)
     cid = f.add_clause([-(big + 7), 2 * big])
     e.attach(cid)
-    assert e.rat(Clause([-(big + 7), 2 * big]), -(big + 7)).rat
+    assert e.rat(Clause([-(big + 7), 2 * big])).rat
     assert e.nvars == 5 and e.cap <= 8
     assert e.toplevel() == {}
     assert e.propagate(assumptions=[big + 7]).result == "fixpoint"
@@ -648,7 +641,7 @@ def test_slots_follow_the_variables_seen_not_their_numbers():
 # that change between checks.  Each example is a formula and a script of
 # operations on one Engine: attach a clause (often on variables above the
 # formula's max_var), detach one, or run rup, rat or toplevel on the engine,
-# or replay hints over the same formula without it: check_rup_guided, or an
+# or replay hints over the same formula without it: check_addition, or an
 # LRAT-style addition (walk the hints over the negated clause).  Every check
 # must agree with its oracle, report exactly what a twin engine fed the same
 # operations reports, restore the trail, the values and the queue head, and
@@ -695,12 +688,12 @@ def _check(e, f, op):
         chain = [ids[k % len(ids)] for k in op[2]] if ids else []
         verdict, n = naive_guided(current, list(c.lits), chain)
         if kind == "guided":
-            out = check_rup_guided(f, c, chain)
-            assert out.rup == (verdict == "rup")
-            if out.rup:
-                assert out.visited_clauses == n
+            out = _guided(f, c, chain)
+            assert (out[0] is None) == (verdict == "rup")
+            if verdict == "rup":
+                assert out[2] == n
             else:
-                assert out.bad_position == n
+                assert out[:2] == (BAD_HINT, n)
         else:
             # the way check_lrat takes an addition
             true = dict.fromkeys(-l for l in c.lits)
@@ -719,7 +712,7 @@ def _check(e, f, op):
                 assert all(l in current[h] for l, h in made)
     elif kind == "rat":
         c = Clause(op[1])
-        out = e.rat(c, c.lits[0])
+        out = e.rat(c)
         assert out.rat == naive_rat(current, list(c.lits), c.lits[0])
     else:
         out = e.toplevel()
