@@ -204,10 +204,12 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     when there is none), and whether it took effect.  Deletions find that
     id with one lookup in a content index local to the search: each
     content maps to its live ids, ascending, filled from working, extended
-    by every addition and shortened by every applied deletion.  The stream
-    ends right after the empty clause's addition.  working may already
-    hold the empty clause: the one-step proof that adds it then yields the
-    addition citing the lowest empty original, like any other RUP step.
+    by every addition and shortened by every applied deletion (a parsed
+    deletion holds the Clause of the addition it repeats, so the lookup
+    matches it by identity).  The stream ends right after the empty
+    clause's addition.  working may already hold the empty clause: the
+    one-step proof that adds it then yields the addition citing the lowest
+    empty original, like any other RUP step.
     An addition that holds by neither rule raises ForwardRejected; a failed
     RAT addition's detail is its failing candidate id.  A proof that runs
     out before the empty clause raises ForwardRejected(<steps read>,
@@ -512,7 +514,7 @@ def check_er(f: Formula, steps) -> CheckReport:
         if pos is not None:
             return report(False, i, NO_PIVOT, detail=pos, checked=i)
         claimed = step.claimed
-        if not acc <= claimed.litset:
+        if not acc.issubset(claimed.lits):
             return report(False, i, NOT_SUBSUMED, checked=i)
         last = sid
         clauses[sid] = claimed

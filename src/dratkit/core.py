@@ -1,8 +1,9 @@
 """Propositional foundations: literals, clauses and formulas.
 
 Literals are nonzero ints in the DIMACS convention: the variable v is the
-positive literal v, its negation is -v.  Clauses keep their literals in
-first-occurrence order for display but compare and hash as literal sets.
+positive literal v, its negation is -v.  A Clause holds a literal tuple, in
+first-occurrence order, and the hash of its literal set; it compares and
+hashes as that set but keeps none, building a set only when asked.
 A Formula is an id-addressed clause store with an occurrence index; clause
 ids are assigned in insertion order and never reused.
 """
@@ -38,12 +39,17 @@ def _check_literals(lits: Iterable[int]) -> tuple[int, ...]:
 class Clause:
     """An immutable set of literals, displayed in first-occurrence order.
 
-    Equality and hashing use the literal set, so {1,2} == {2,1}.  A Clause
-    may hold a complementary pair (input files legitimately contain
-    tautologies); is_tautology reports that.
+    It stores the duplicate-free literal tuple and the hash of its literal
+    set, but no set.  Equality and hashing use the literal set, so
+    {1,2} == {2,1}; litset, is_tautology and the comparison of two objects
+    with equal hashes build sets on demand, and an object equals itself at
+    once.  Being immutable, one Clause may stand for every step that spells
+    its literals (the DRAT parsers share them).  A Clause may hold a
+    complementary pair (input files legitimately contain tautologies);
+    is_tautology reports that.
     """
 
-    __slots__ = ("lits", "_set", "_hash")
+    __slots__ = ("lits", "_hash")
 
     def __init__(self, lits: Iterable[int] = ()):
         lits = tuple(lits)
@@ -53,12 +59,11 @@ class Clause:
         if len(s) < len(lits):
             lits = tuple(dict.fromkeys(lits))
         self.lits = lits
-        self._set = s
         self._hash = hash(s)
 
     @property
     def litset(self) -> frozenset[int]:
-        return self._set
+        return frozenset(self.lits)
 
     @property
     def is_empty(self) -> bool:
@@ -66,11 +71,12 @@ class Clause:
 
     @property
     def is_tautology(self) -> bool:
-        s = self._set
-        return any(-l in s for l in s)
+        # lits holds no literal twice, so a complementary pair is the only
+        # way two of them can share a variable
+        return len(set(map(abs, self.lits))) < len(self.lits)
 
     def __contains__(self, lit: int) -> bool:
-        return lit in self._set
+        return lit in self.lits
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.lits)
@@ -79,8 +85,11 @@ class Clause:
         return len(self.lits)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if isinstance(other, Clause):
-            return self._set == other._set
+            return (self._hash == other._hash
+                    and set(self.lits) == set(other.lits))
         return NotImplemented
 
     def __hash__(self) -> int:

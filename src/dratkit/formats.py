@@ -8,6 +8,9 @@ ParseError.  Text proof parsers are token streams (a clause may span
 lines); DIMACS keeps its line discipline for comments and the header, so a
 comment runs to the next \n.
 Binary DRAT uses the tag-byte ('a'/'d') plus 7-bit varint literal encoding.
+Both DRAT parsers build one Clause per distinct literal sequence and share
+it between the steps that spell it, so a deletion that repeats an
+addition's literals holds that addition's object.
 ER is this toolkit's own format: extension lines introduce a definition
 clause family under consecutive ids, chain lines claim a clause derived by
 folding a resolution chain, deletion lines drop clause ids.  A deletion
@@ -285,11 +288,23 @@ def write_dimacs(f: Formula) -> bytes:
 
 # ------------------------------------------------------------------ DRAT text
 
+def _shared(clauses: dict, lits) -> Clause:
+    """The one Clause of a DRAT parse for this literal sequence: the first
+    step that spells it builds it, and every later one, such as a deletion
+    of an earlier addition, gets the same object."""
+    key = tuple(lits)
+    c = clauses.get(key)
+    if c is None:
+        c = clauses[key] = Clause(key)
+    return c
+
+
 def parse_drat_text(data) -> list:
     """Whitespace-token DRAT: 'd l.. 0' deletes, 'l.. 0' adds."""
     t = _Tokens(data, ("d",))
     nums = t.nums
     steps = []
+    clauses = {}  # literal tuple -> its Clause, for this parse only
     i = 0
     while i < t.n:
         deleting = nums[i] == "d"
@@ -299,8 +314,8 @@ def parse_drat_text(data) -> list:
         if stop < z and nums[stop] == "d":
             raise t.error(stop, "'d' inside a clause")
         t.close(z, stop, t.n - 1, "literal", "step")
-        lits = nums[i:z]
-        steps.append(delete_step(lits) if deleting else add_step(lits))
+        c = _shared(clauses, nums[i:z])
+        steps.append(delete_step(c) if deleting else add_step(c))
         i = z + 1
     return steps
 
@@ -329,6 +344,7 @@ def _u_to_lit(u: int) -> int:
 
 def parse_drat_binary(data: bytes) -> list:
     steps = []
+    clauses = {}  # literal tuple -> its Clause, for this parse only
     i = 0
     n = len(data)
     while i < n:
@@ -359,7 +375,8 @@ def parse_drat_binary(data: bytes) -> list:
             if u < 2:
                 raise ParseError("byte %d: literal payload %d below 2" % (upos, u))
             lits.append(_u_to_lit(u))
-        steps.append(delete_step(lits) if tag == 0x64 else add_step(lits))
+        c = _shared(clauses, lits)
+        steps.append(delete_step(c) if tag == 0x64 else add_step(c))
     return steps
 
 

@@ -185,7 +185,7 @@ def emit_trimmed(cp: CheckedProof):
 
     core = Formula()
     for oid in sorted(cp.core_formula_ids):
-        core.add_clause(Clause(cp.formula.clauses[oid].lits))
+        core.add_clause(cp.formula.clauses[oid])
     return steps, core
 
 
@@ -407,7 +407,7 @@ def to_er(f: Formula, cp: CheckedProof):
 
     def emit_chain(claimed, fold_ids):
         kept, acc = _fold(er_clauses, fold_ids)
-        if not acc <= claimed.litset:
+        if not acc.issubset(claimed.lits):
             raise TranslationInvariantViolation(
                 "chain for %r folds to %r" % (claimed, sorted(acc)))
         sid = lines.last + 1

@@ -24,41 +24,54 @@ class OracleRangeError(ValueError):
     """Truth-table oracle asked to enumerate more than 2**24 assignments."""
 
 
-def _pattern(v, nvars):
-    """The assignments setting variable v true, as bits of a 2**nvars int.
+def _satisfying(c, top):
+    """The assignments to variables 1..top satisfying clause c, whose
+    highest variable is top, as bits of a 2**top-bit int.
 
-    Bit i is assignment i, which sets v true iff bit v-1 of i is set: blocks
-    of 2**(v-1) zeros then 2**(v-1) ones, doubled up to 2**nvars bits.
+    Bit i is assignment i, which sets variable v true iff bit v-1 of i is
+    set.  The assignments falsifying c are built one variable at a time,
+    doubling the block's width: a variable of c keeps the half where its
+    literal is false, any other variable both halves.
     """
-    half = 1 << (v - 1)
-    pat = ((1 << half) - 1) << half
-    width, total = half << 1, 1 << nvars
-    while width < total:
-        pat |= pat << width
+    false_when_true = {}
+    for l in c:
+        if false_when_true.setdefault(abs(l), l < 0) != (l < 0):
+            return (1 << (1 << top)) - 1  # a complementary pair
+    pat = width = 1
+    for v in range(1, top + 1):
+        neg = false_when_true.get(v)
+        if neg is None:
+            pat |= pat << width
+        elif neg:
+            pat <<= width
         width <<= 1
-    return pat
+    return pat ^ ((1 << width) - 1)
 
 
 def _first_model_index(clauses, nvars, too_many):
     """Index of the smallest assignment satisfying every clause, or None.
 
-    Raises OracleRangeError, with too_many formatted by nvars and the cap,
-    beyond ORACLE_VAR_CAP variables.
+    The live assignments grow one variable at a time: adding variable v
+    doubles them, and the clauses whose highest variable is v then filter
+    them, each built on the 2**v assignments to its own variables and
+    dropped after.  So the enumeration holds a few ints of at most
+    2**nvars bits, and it stops at the first variable whose clauses leave
+    no assignment.  Raises OracleRangeError, with too_many formatted by
+    nvars and the cap, beyond ORACLE_VAR_CAP variables.
     """
     if nvars > ORACLE_VAR_CAP:
         raise OracleRangeError(too_many % (nvars, ORACLE_VAR_CAP))
-    if any(not c for c in clauses):
-        return None
-    alive = full = (1 << (1 << nvars)) - 1
-    patterns = {}
+    by_top = [[] for _ in range(nvars + 1)]
     for c in clauses:
-        sat = 0
-        for l in c:
-            pat = patterns.get(abs(l))
-            if pat is None:
-                pat = patterns[abs(l)] = _pattern(abs(l), nvars)
-            sat |= pat if l > 0 else full ^ pat
-        alive &= sat
+        by_top[max(map(abs, c), default=0)].append(c)
+    if by_top[0]:
+        return None  # an empty clause
+    alive = width = 1  # the one assignment to no variable
+    for top in range(1, nvars + 1):
+        alive |= alive << width
+        width <<= 1
+        for c in by_top[top]:
+            alive &= _satisfying(c, top)
         if not alive:
             return None
     return (alive & -alive).bit_length() - 1

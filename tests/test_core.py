@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dratkit import (
     Clause,
@@ -35,6 +37,12 @@ class TestClause:
         assert list(c) == [4, -2]
         assert len(c) == 2
 
+    def test_equal_hashes_do_not_make_equal_clauses(self):
+        # hash(-1) == hash(-2) in CPython, so these sets hash alike
+        assert hash(Clause([-1])) == hash(Clause([-2]))
+        assert Clause([-1]) != Clause([-2])
+        assert Clause([3, -1]) != Clause([-2, 3])
+
     def test_rejects_zero_and_nonint(self):
         with pytest.raises(MalformedLiteralError):
             Clause([1, 0])
@@ -42,6 +50,25 @@ class TestClause:
             Clause([1, "2"])
         with pytest.raises(MalformedLiteralError):
             Clause([True])
+
+
+# few variables, so that duplicates and complementary pairs are common
+_LITS = st.lists(st.integers(-5, 5).filter(bool), max_size=8)
+
+
+@given(_LITS, _LITS, st.data())
+def test_clause_behaves_as_its_frozenset(a, b, data):
+    perm = data.draw(st.permutations(a))
+    ca, cb, cp = Clause(a), Clause(b), Clause(perm)
+    sa, sb = frozenset(a), frozenset(b)
+    assert ca.lits == tuple(dict.fromkeys(a))
+    assert cp.lits == tuple(dict.fromkeys(perm))
+    assert ca.litset == sa and type(ca.litset) is frozenset
+    assert ca.is_tautology == any(-l in sa for l in sa)
+    assert [l in ca for l in range(-6, 7)] == [l in sa for l in range(-6, 7)]
+    assert (ca == cb) == (sa == sb) and (ca != cb) == (sa != sb)
+    assert ca == cp and not ca != cp
+    assert hash(ca) == hash(cp) == hash(sa) and hash(cb) == hash(sb)
 
 
 class TestFormula:

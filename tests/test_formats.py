@@ -1,6 +1,7 @@
 """Format parsing and serialization behavior."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from dratkit.formats import (
 )
 
 from _oracles import naive_check_lrat
+from test_pipeline import _cook_proof
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 REFUTE_FULL2 = b"6 1 0 1 3 0\n7 0 6 2 4 0\n"
@@ -236,6 +238,40 @@ class TestDratAutoDetect:
         data = write_drat_binary(steps)
         assert data == b"d2- \x00a\x00"
         assert parse_drat(data) == steps
+
+
+class TestDratSharedClauses:
+    """Each DRAT parser builds one Clause per literal sequence."""
+
+    @pytest.mark.parametrize("parse, write", [
+        (parse_drat_text, write_drat_text), (parse_drat_binary, write_drat_binary)])
+    def test_a_deletion_repeating_an_addition_holds_its_clause(self, parse, write):
+        steps = [add_step([1, -2, 3]), add_step([4]), delete_step([1, -2, 3]),
+                 delete_step([3, 1, -2]), add_step([1, -2, 3]), add_step([])]
+        parsed = parse(write(steps))
+        assert parsed == steps
+        first = parsed[0].clause
+        assert parsed[2].clause is first and parsed[4].clause is first
+        # a permutation is a different spelling: an equal clause of its own
+        assert parsed[3].clause == first and parsed[3].clause.lits == (3, 1, -2)
+
+    @pytest.mark.parametrize("write", [write_drat_text, write_drat_binary])
+    def test_parsed_steps_hold_under_250_bytes_each(self, write):
+        # 1190 of the 2198 steps of Cook's proof of PHP(7) are deletions,
+        # 986 of them spelling an addition's literals; a second Clause
+        # (tuple and frozenset) per deletion, and a frozenset per clause,
+        # held some 450 bytes a step
+        data = write([(add_step if kind == "a" else delete_step)(lits)
+                      for kind, lits in _cook_proof(7)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            steps = parse_drat(data)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 2198
+        assert held <= 250 * len(steps)
 
 
 class TestLrat:

@@ -1,6 +1,7 @@
 """Truth-table oracle, generators, and the proof-logging CDCL solver."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -43,6 +44,20 @@ class TestBruteForce:
         f24 = formula_from_clauses([[24]])
         assert brute_force(f24)[24] is True
 
+    def test_enumeration_holds_a_few_truth_tables(self):
+        # one 2**20-bit table per variable, kept for the whole enumeration,
+        # would be 20 tables here; a clause's assignments live while it is read
+        f = gen_random(20, 85, 3, 1)
+        tracemalloc.start()
+        try:
+            model = brute_force(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(any(model[abs(l)] is (l > 0) for l in c) for _, c in f.items())
+        table = (1 << 20) // 8  # bytes
+        assert peak <= 8 * table
+
     def test_entails_spec_example(self):
         assert entails(formula_from_clauses([[1], [-1, 2]]), Clause([2]))
 
@@ -61,6 +76,8 @@ class TestBruteForce:
             v = rng.randint(1, 8)
             formulas.append(gen_random(v, rng.randint(1, 24),
                                        rng.randint(1, min(3, v)), rng.random()))
+        formulas.append(formula_from_clauses(  # tautologies filter nothing
+            [[2, -2], [-3, 1, 3], [-1, 4], [-4, -2]]))
         formulas.append(parse_dimacs(b"p cnf 6 2\n1 0\n2 3 0\n")[0])  # 4-6 unused
         formulas.append(formula_from_clauses(  # the unit sets the top bit
             [[20]] + [c.lits for _, c in gen_random(20, 60, 3, 4).items()]))

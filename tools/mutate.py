@@ -1,4 +1,4 @@
-"""Mutation testing of the checkers' and parsers' rules.
+"""Mutation testing of the rules of the checkers, the parsers and Clause.
 
     python3 tools/mutate.py                    # run every mutant, summarize
     python3 tools/mutate.py --list             # list the mutants, run none
@@ -55,12 +55,17 @@ _CHECKER_TESTS = ["tests/test_checkers.py", "tests/test_propagate.py",
     "tests/test_pipeline.py::" + name for name in (
         "test_to_er_fold_edge_cases_match_naive_fold",
         "test_to_er_fold_random_chains_match_naive_fold")]
+# a DRAT deletion finds its target through Clause's __eq__ and __hash__
+_CLAUSE_TESTS = ["tests/test_core.py", "tests/test_formats.py",
+                 "tests/test_checkers.py"]
 
 # module -> (functions in scope, a class standing for all its methods;
 #            the focused tests)
 SCOPE = {
+    "core": (["Clause"], _CLAUSE_TESTS),
     "formats": (["extension_clauses", "_text", "_reject_underscore",
-                 "_int_tok", "_Tokens", "parse_dimacs", "parse_drat_text",
+                 "_int_tok", "_Tokens", "parse_dimacs", "_shared",
+                 "parse_drat_text",
                  "parse_drat_binary", "parse_drat", "parse_lrat", "parse_er"],
                 _PARSER_TESTS),
     "propagate": (["walk"], _CHECKER_TESTS),
@@ -84,6 +89,11 @@ EQUIVALENT = {
     ("parse_er", "doc_max_var and x <= doc_max_var", "x <= doc_max_var"):
         "x > 0 is checked first, so x <= 0 holds for no x when doc_max_var "
         "is 0",
+    ("Clause.__eq__",
+     "self._hash == other._hash and set(self.lits) == set(other.lits)",
+     "set(self.lits) == set(other.lits)"):
+        "equal literal sets have equal hashes, so the hash test only skips "
+        "building the sets of clauses it already tells apart",
     ("_fold_chain", "taut = False", "pass"):
         "the rescan it skips finds no pair: once the accumulator is not "
         "tautological, each step tests the literals it adds",
@@ -226,7 +236,9 @@ def mutated_source(source: str, m: dict) -> str:
     indent = " " * fn.col_offset
     body = "".join(indent + l + "\n" if l else "\n"
                    for l in ast.unparse(fn).split("\n"))
-    return "".join(lines[:fn.lineno - 1]) + body + "".join(lines[fn.end_lineno:])
+    # ast.unparse renders the decorators too, and fn.lineno is the def line
+    start = min([d.lineno for d in fn.decorator_list] + [fn.lineno])
+    return "".join(lines[:start - 1]) + body + "".join(lines[fn.end_lineno:])
 
 
 def _limit_memory() -> None:
