@@ -320,9 +320,17 @@ def parse_drat_text(data) -> list:
     return steps
 
 
+def _check_content_step(s, encoding):
+    """Raise ValueError unless s is a content-addressed add or delete step."""
+    if getattr(s, "kind", None) not in ("add", "delete") or s.clause is None:
+        raise ValueError("%s DRAT holds content add/delete steps only: %r"
+                         % (encoding, s))
+
+
 def write_drat_text(steps) -> bytes:
     out = []
     for s in steps:
+        _check_content_step(s, "text")
         body = " ".join(str(l) for l in s.clause.lits)
         body = body + " 0" if body else "0"
         out.append("d " + body if s.kind == "delete" else body)
@@ -382,20 +390,21 @@ def parse_drat_binary(data: bytes) -> list:
 
 def write_drat_binary(steps) -> bytes:
     out = bytearray()
+    code = {}  # literal -> its varint, encoded once per call
     for s in steps:
-        if getattr(s, "kind", None) not in ("add", "delete") or s.clause is None:
-            raise ValueError("binary DRAT holds content add/delete steps only: %r" % (s,))
+        _check_content_step(s, "binary")
         out.append(0x64 if s.kind == "delete" else 0x61)
         for l in s.clause.lits:
-            u = _lit_to_u(l)
-            while True:
-                b = u & 0x7F
-                u >>= 7
-                if u:
-                    out.append(b | 0x80)
-                else:
-                    out.append(b)
-                    break
+            b = code.get(l)
+            if b is None:
+                u = _lit_to_u(l)
+                b = bytearray()
+                while u > 0x7F:
+                    b.append(u & 0x7F | 0x80)
+                    u >>= 7
+                b.append(u)
+                code[l] = b = bytes(b)
+            out += b
         out.append(0)
     return bytes(out)
 

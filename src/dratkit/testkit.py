@@ -6,12 +6,20 @@ a deliberately small CDCL solver, two watched literals, first-UIP learning,
 saved phases, geometric restarts, and a clause-database reduction pass,
 that logs every learned clause and every database deletion as DRAT steps.
 gen_php and gen_random build benchmark formulas.
+
+The solver's state is flat, as in MiniSat and propagate.Engine: val[l] is
+1, -1 or 0 for literal l, a negative literal indexing from the end of its
+2*nv + 1 slots, and watches[l] lists the ids of the clauses watching l,
+indexed the same way; reason, level and phase are indexed by variable.
+A clause of two or more literals watches c[0] and c[1] and sits in those
+two lists only.  reduce_db takes each clause it deletes out of both lists
+at once and leaves None in its slot, so the watch loop never meets a
+deleted clause.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from typing import NamedTuple
 
 from dratkit.core import Clause, Formula
@@ -157,31 +165,27 @@ _REDUCE_FLOOR = 30
 class _Cdcl:
     def __init__(self, f: Formula, seed):
         rng = random.Random(seed)
-        self.nv = f.max_var
-        self.clauses: list = []
-        self.dead: set = set()
-        self.watches = defaultdict(list)
-        self.value = [0] * (self.nv + 1)
-        self.reason: list = [None] * (self.nv + 1)
-        self.level = [0] * (self.nv + 1)
+        self.nv = nv = f.max_var
+        self.clauses: list = []  # None once reduce_db deletes the clause
+        self.watches = [[] for _ in range(2 * nv + 1)]
+        self.val = [0] * (2 * nv + 1)
+        self.reason: list = [None] * (nv + 1)
+        self.level = [0] * (nv + 1)
         self.trail: list = []
         self.lim: list = []
         self.qhead = 0
-        self.phase = [bool(rng.getrandbits(1)) for _ in range(self.nv + 1)]
-        self.order = list(range(1, self.nv + 1))
+        self.phase = [bool(rng.getrandbits(1)) for _ in range(nv + 1)]
+        self.order = list(range(1, nv + 1))
         rng.shuffle(self.order)
         self.proof: list = []
-        self.learned: list = []
+        self.learned: list = []  # the live learned clauses, in attach order
         self.conflicts = self.decisions = self.propagations = 0
         self.originals = [list(c.lits) for _, c in f.items()]
 
-    def val(self, l):
-        v = self.value[abs(l)]
-        return v if l > 0 else -v
-
     def assign(self, l, why):
         v = abs(l)
-        self.value[v] = 1 if l > 0 else -1
+        self.val[l] = 1
+        self.val[-l] = -1
         self.reason[v] = why
         self.level[v] = len(self.lim)
         self.phase[v] = l > 0
@@ -196,97 +200,115 @@ class _Cdcl:
         return idx
 
     def propagate(self):
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            neg = -lit
-            wl = self.watches[neg]
+        trail, val, watches, clauses = self.trail, self.val, self.watches, self.clauses
+        reason, level, phase = self.reason, self.level, self.phase
+        lvl = len(self.lim)
+        qhead = start = self.qhead
+        confl = None
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            wl = watches[neg]
             i = j = 0
             n = len(wl)
             while i < n:
                 idx = wl[i]
                 i += 1
-                if idx in self.dead:
-                    continue
-                c = self.clauses[idx]
-                if c[0] == neg:
-                    c[0], c[1] = c[1], c[0]
+                c = clauses[idx]
                 w0 = c[0]
-                if self.val(w0) == 1:
+                if w0 == neg:  # keep the false watch in c[1]
+                    w0 = c[0] = c[1]
+                    c[1] = neg
+                v0 = val[w0]
+                if v0 == 1:
                     wl[j] = idx
                     j += 1
                     continue
                 for k in range(2, len(c)):
-                    if self.val(c[k]) != -1:
-                        c[1], c[k] = c[k], c[1]
-                        self.watches[c[1]].append(idx)
+                    l = c[k]
+                    if val[l] != -1:
+                        c[1] = l
+                        c[k] = neg
+                        watches[l].append(idx)
                         break
                 else:
                     wl[j] = idx
                     j += 1
-                    if self.val(w0) == -1:
-                        while i < n:
-                            wl[j] = wl[i]
-                            j += 1
-                            i += 1
-                        del wl[j:]
-                        return idx
-                    self.assign(w0, idx)
-            del wl[j:]
-        return None
+                    if v0 == -1:
+                        confl = idx
+                        break
+                    val[w0] = 1
+                    val[-w0] = -1
+                    v = w0 if w0 > 0 else -w0
+                    reason[v] = idx
+                    level[v] = lvl
+                    phase[v] = w0 > 0
+                    trail.append(w0)
+            del wl[j:i]
+            if confl is not None:
+                break
+        self.propagations += qhead - start
+        self.qhead = qhead
+        return confl
 
     def analyze(self, confl):
+        trail, level, reason, clauses = self.trail, self.level, self.reason, self.clauses
         cur = len(self.lim)
         seen = [False] * (self.nv + 1)
         others = []
         counter = 0
-        idx = len(self.trail) - 1
-        p = 0
-        reason_lits = self.clauses[confl]
+        idx = len(trail) - 1
+        reason_lits = clauses[confl]
         while True:
-            for l in reason_lits:
-                v = abs(l)
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = True
-                    if self.level[v] == cur:
-                        counter += 1
-                    else:
-                        others.append(l)
-            while not seen[abs(self.trail[idx])]:
+            for l in reason_lits:  # the resolved literal p is seen already
+                v = l if l > 0 else -l
+                if not seen[v]:
+                    lv = level[v]
+                    if lv > 0:
+                        seen[v] = True
+                        if lv == cur:
+                            counter += 1
+                        else:
+                            others.append(l)
+            p = trail[idx]
+            while not seen[p if p > 0 else -p]:
                 idx -= 1
-            p = self.trail[idx]
+                p = trail[idx]
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason_lits = [l for l in self.clauses[self.reason[abs(p)]] if l != p]
-        lits = [-p] + sorted(others, key=lambda l: -self.level[abs(l)])
-        blevel = self.level[abs(lits[1])] if len(lits) > 1 else 0
-        return lits, blevel
+            reason_lits = clauses[reason[p if p > 0 else -p]]
+        others.sort(key=lambda l: level[l if l > 0 else -l], reverse=True)
+        blevel = level[abs(others[0])] if others else 0
+        return [-p] + others, blevel
 
     def backtrack(self, blevel):
         if len(self.lim) <= blevel:
             return
         keep = self.lim[blevel]
+        val = self.val
         for l in self.trail[keep:]:
-            self.value[abs(l)] = 0
-            self.reason[abs(l)] = None
+            val[l] = val[-l] = 0
         del self.trail[keep:]
         del self.lim[blevel:]
         self.qhead = len(self.trail)
 
     def reduce_db(self, threshold):
-        live = [i for i in self.learned if i not in self.dead]
+        live = self.learned
         if len(live) < threshold:
             return False
+        clauses, watches = self.clauses, self.watches
         reasons = {self.reason[abs(l)] for l in self.trail}
-        cands = [i for i in live
-                 if len(self.clauses[i]) > 2 and i not in reasons]
-        cands.sort(key=lambda i: (-len(self.clauses[i]), i))
+        cands = [i for i in live if len(clauses[i]) > 2 and i not in reasons]
+        cands.sort(key=lambda i: (-len(clauses[i]), i))
         for i in cands[: len(cands) // 2]:
-            self.dead.add(i)
-            self.proof.append(delete_step(self.clauses[i]))
+            c = clauses[i]
+            watches[c[0]].remove(i)
+            watches[c[1]].remove(i)
+            self.proof.append(delete_step(c))
+            clauses[i] = None
+        self.learned = [i for i in live if clauses[i] is not None]
         return True
 
     def solve(self) -> SolveResult:
@@ -298,10 +320,10 @@ class _Cdcl:
             idx = self.attach(lits)
             if len(lits) == 1:
                 l = lits[0]
-                if self.val(l) == -1:
+                if self.val[l] == -1:
                     self.proof.append(add_step([]))
                     return self._unsat()
-                if self.val(l) == 0:
+                if self.val[l] == 0:
                     self.assign(l, idx)
         restart_lim = _RESTART_FIRST
         reduce_at = _REDUCE_FLOOR
@@ -329,7 +351,7 @@ class _Cdcl:
                 continue
             v = self._pick()
             if v is None:
-                model = {u: self.value[u] > 0 for u in range(1, self.nv + 1)}
+                model = {u: self.val[u] > 0 for u in range(1, self.nv + 1)}
                 return SolveResult("sat", model=model,
                                    conflicts=self.conflicts,
                                    decisions=self.decisions,
@@ -340,7 +362,7 @@ class _Cdcl:
 
     def _pick(self):
         for v in self.order:
-            if self.value[v] == 0:
+            if self.val[v] == 0:
                 return v
         return None
 

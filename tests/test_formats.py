@@ -205,6 +205,14 @@ class TestDratBinary:
         assert steps_t == steps_b
 
 
+@pytest.mark.parametrize("write", [write_drat_text, write_drat_binary])
+@pytest.mark.parametrize("step", [delete_ids_step((1,)), (1, add_step([1])), "1 0"],
+                         ids=["id-deletion", "id-step-pair", "string"])
+def test_drat_writers_reject_a_foreign_step(write, step):
+    with pytest.raises(ValueError, match="content add/delete steps only"):
+        write([add_step([1]), step])
+
+
 class TestDratAutoDetect:
     def test_text_detected(self):
         assert parse_drat(b"1 0\n0\n")[0].clause == Clause([1])

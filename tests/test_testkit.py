@@ -1,14 +1,16 @@
 """Truth-table oracle, generators, and the proof-logging CDCL solver."""
 
+import hashlib
 import random
 import tracemalloc
 
 import pytest
 
 from dratkit.core import Clause, formula_from_clauses
-from dratkit.formats import parse_dimacs
+from dratkit.formats import parse_dimacs, write_drat_binary
 from dratkit.testkit import (
     OracleRangeError,
+    _Cdcl,
     brute_force,
     cdcl_solve,
     entails,
@@ -216,3 +218,70 @@ class TestCdcl:
         assert r.status == "unsat"
         assert r.propagations > 0
         assert r.conflicts >= 1
+
+
+def _pinned_solves():
+    """php(1)-php(6) at seeds 0-3, then 100 random 3-SAT formulas with 30-45
+    variables at the threshold ratio 4.26, 42 of them unsat."""
+    for n in range(1, 7):
+        for seed in range(4):
+            yield gen_php(n), seed
+    rng = random.Random(25)
+    for k in range(100):
+        v = rng.randint(30, 45)
+        yield gen_random(v, round(4.26 * v), 3, k), k
+
+
+# every SolveResult field and every proof byte over _pinned_solves
+SOLVER_DIGEST = "225d62392e344c2d3c8c9950fd600111cb2e3f5ba929209f397599657a95b74c"
+
+
+def test_solver_search_is_pinned():
+    h = hashlib.sha256()
+    deletions = 0
+    for f, seed in _pinned_solves():
+        r = cdcl_solve(f, seed)
+        model = None if r.model is None else sorted(r.model.items())
+        h.update(repr((r.status, model, r.conflicts, r.decisions,
+                       r.propagations)).encode())
+        if r.proof is not None:
+            h.update(write_drat_binary(r.proof))
+            deletions += sum(s.kind == "delete" for s in r.proof)
+    assert deletions > 0  # reduce_db ran
+    assert h.hexdigest() == SOLVER_DIGEST
+
+
+def _assert_watches_hold_the_live_clauses(s):
+    where = {}  # clause id -> the literals whose watch lists hold it
+    for v in range(1, s.nv + 1):
+        for l in (v, -v):
+            for idx in s.watches[l]:
+                where.setdefault(idx, []).append(l)
+    assert not s.watches[0]
+    for idx, c in enumerate(s.clauses):
+        if c is not None and len(c) >= 2:
+            assert sorted(where.pop(idx)) == sorted(c[:2]), idx
+    assert not where  # no deleted clause, unit or stray id
+
+
+def test_reductions_leave_each_live_clause_in_its_two_watch_lists(monkeypatch):
+    reduce_db = _Cdcl.reduce_db
+    reductions = 0
+
+    def checked(self, threshold):
+        nonlocal reductions
+        ran = reduce_db(self, threshold)
+        if ran:
+            reductions += 1
+            _assert_watches_hold_the_live_clauses(self)
+        return ran
+
+    monkeypatch.setattr(_Cdcl, "reduce_db", checked)
+    deleted = 0
+    for f, seed in [(gen_php(5), 0), (gen_php(6), 1),
+                    (gen_random(45, 192, 3, 3), 3)]:
+        s = _Cdcl(f, seed)
+        s.solve()
+        _assert_watches_hold_the_live_clauses(s)
+        deleted += s.clauses.count(None)
+    assert reductions > 0 and deleted > 0

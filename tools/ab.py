@@ -17,10 +17,12 @@ The output has one entry per workload: its seeds, the operations each side
 attempted and failed, each end-to-end metric of BENCHMARK.json as medians
 and quartiles (statistics.quantiles, n=4) over the runs per side, with
 change_wins and change_losses counting the pairs the change reads better
-and worse, and every run's value.  With --claimed METRIC:WORKLOAD the
-claim is tested: the change must win at least nine tenths of the pairs,
-and the medians must differ by more than the parent's quartile distance.
-Only the standard library is used.
+and worse, and every run's value.  A metric reads "worse": true, and is
+named on stderr, when the change's median is worse than the parent's by
+more than the metric's bound in BENCHMARK.json.  With --claimed
+METRIC:WORKLOAD the claim is tested: the change must win at least nine
+tenths of the pairs, and the medians must differ by more than the parent's
+quartile distance.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -84,13 +86,15 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     pm, cm = statistics.median(parent), statistics.median(change)
     pq = quartiles(parent)
+    relative = (cm - pm) / pm if pm else 0.0
     return {"parent_median": round(pm, 4),
             "parent_quartiles": [round(v, 4) for v in pq],
             "change_median": round(cm, 4),
             "change_quartiles": [round(v, 4) for v in quartiles(change)],
             "change_wins": wins, "change_losses": losses,
-            "relative_change": round((cm - pm) / pm, 4) if pm else 0.0,
+            "relative_change": round(relative, 4),
             "bound": bound,
+            "worse": sign * relative > bound,
             "parent_spread": round((pq[1] - pq[0]) / pm, 4) if pm else 0.0}
 
 
@@ -142,8 +146,13 @@ def main(argv=None) -> int:
         for m in metrics:
             values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
                       for side, rs in runs[w].items()}
-            entry["metrics"][m["name"]] = compare(values["parent"], values["change"],
-                                                  m["better"], m["bound"])
+            got = compare(values["parent"], values["change"], m["better"], m["bound"])
+            if got["worse"]:
+                print("worse: %s on %s, median %.4g -> %.4g (%+.1f %%, bound %g %%)"
+                      % (m["name"], w, got["parent_median"], got["change_median"],
+                         100 * got["relative_change"], 100 * m["bound"]),
+                      file=sys.stderr)
+            entry["metrics"][m["name"]] = got
             entry["runs"][m["name"]] = values
         entry["incorrect_runs"] = {side: sum(not r["correct"] for r in rs)
                                    for side, rs in runs[w].items()}
