@@ -300,20 +300,32 @@ def _shared(clauses: dict, lits) -> Clause:
 
 
 def parse_drat_text(data) -> list:
-    """Whitespace-token DRAT: 'd l.. 0' deletes, 'l.. 0' adds."""
+    """Whitespace-token DRAT: 'd l.. 0' deletes, 'l.. 0' adds.
+
+    One walk over the tokens, with j following the first string at or
+    after the walk's position in _Tokens.odd: a step is the numbers up to
+    the next 0, and it is well formed when no string comes before that 0
+    and the 0 is no sentinel.  Otherwise it raises what a token-at-a-time
+    read meets first.
+    """
     t = _Tokens(data, ("d",))
-    nums = t.nums
+    nums, odd, n = t.nums, t.odd, t.n
+    index = nums.index
     steps = []
     clauses = {}  # literal tuple -> its Clause, for this parse only
-    i = 0
-    while i < t.n:
+    i = j = 0  # odd[j] is the first string at or after position i
+    while i < n:
         deleting = nums[i] == "d"
         if deleting:
             i += 1
-        z, stop = t.run(i)
-        if stop < z and nums[stop] == "d":
-            raise t.error(stop, "'d' inside a clause")
-        t.close(z, stop, t.n - 1, "literal", "step")
+            j += 1
+        z = index(0, i)
+        if odd[j] < z:
+            if nums[odd[j]] == "d":
+                raise t.error(odd[j], "'d' inside a clause")
+            raise t.expected(odd[j], "literal")
+        if z == n:
+            raise t.error(n - 1, "unterminated step")
         c = _shared(clauses, nums[i:z])
         steps.append(delete_step(c) if deleting else add_step(c))
         i = z + 1

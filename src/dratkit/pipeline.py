@@ -13,26 +13,30 @@ proof that adds the empty clause: its one record cites the lowest empty
 original and passes the hint walk like any other.  A proof that the search
 rejects, or that runs out before the empty clause, raises ForwardRejected.
 
-emit_trimmed builds the trimmed proof in one pass over those records, as
-StepRecords over the trimmed world's ids (original ids, non-core originals
-removed): it keeps only core steps, mirrors the applied deletions of core
-clauses, and inserts synthetic deletions of added core clauses right after
-their last use.  Each addition takes the next id after the original
-clauses, its hint block renumbered as it goes; each deletion names the id
-of the clause it frees.  Of two live copies of one lemma, that may not be
-the lower id a deletion by content would take, but both hold the same
-clause, so the LRAT and the trimmed DRAT hold equal clause multisets after
-every step.  Read by kind and clause the records are the trimmed DRAT
-proof; read by wid and hints they are its LRAT steps, which emit_trim writes
-after a leading deletion of the non-core originals.  No second DRAT search
-and no replay by content runs.
+_trimmed_order walks those records once and yields the trimmed proof over
+the forward world's ids: only core steps, the applied deletions of core
+clauses mirrored, and synthetic deletions of added core clauses right
+after their last use.  emit_trimmed renumbers that order into StepRecords
+over the trimmed world's ids (original ids, non-core originals removed):
+each addition takes the next id after the original clauses, its hint block
+renumbered as it goes; each deletion names the id of the clause it frees.
+Both numberings rise together, so the renumbering keeps every order by id.
+While no addition has been left out the two agree, and a record is kept
+as it is rather than copied.  Of two live copies of one lemma, a deletion
+may not name the lower id a deletion by content would take, but both hold
+the same clause, so the LRAT and the trimmed DRAT hold equal clause
+multisets after every step.  Read by kind and clause the records are the
+trimmed DRAT proof; read by wid and hints they are its LRAT steps, which
+emit_trim writes after a leading deletion of the non-core originals.  No
+second DRAT search and no replay by content runs.
 
 The LRAT and the ER write deletions by one rule (_Lines): a run of
 consecutive deletions is one line, which carries the highest id the
 document has claimed so far (the original clause count before any
 addition) and claims no id of its own.
 
-to_er translates the same records into an extended-resolution document:
+to_er translates the same records into an extended-resolution document,
+over a live formula built from the core originals under their own ids:
 RUP additions become resolution chains, their hint chains reversed and
 written as they are, and deletions of translated clauses become deletion
 lines by the rule above.  A RUP chain needs no fold here: the search's
@@ -98,6 +102,8 @@ class CheckedProof(NamedTuple):
 
 def _cited_ids(hints: HintBlock):
     """Every clause id a hint block relies on."""
+    if not hints.rat_groups:
+        return hints.rup_chain
     out = list(hints.rup_chain)
     for cand, chain in hints.rat_groups:
         out.append(cand)
@@ -130,33 +136,53 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
 
 # ------------------------------------------------------------------ trimming
 
-def emit_trimmed(cp: CheckedProof):
-    """The trimmed proof as StepRecords over the trimmed world's ids, plus
-    the cited subset of the original formula.
+def _trimmed_order(cp: CheckedProof):
+    """The trimmed proof's records over the forward world's ids.
 
-    Returns (steps, core_cnf); core_cnf is renumbered densely.  Deletions of
-    added core clauses are inserted right after their last citing step,
-    except for clauses the proof itself deletes later and for anything still
-    cited by the final step.  The steps serve wherever DRAT steps do; their
-    wid and hints are the LRAT view the module docstring describes.  The
-    forward pass's chains hold in the trimmed world as they are: they cite
-    only core clauses, a unit chain stays unit whatever else is live, and
-    every RAT candidate is cited, so the trimmed world has the same
-    candidates.
+    Yields the core records in order, each core addition followed by
+    synthetic deletions, in ascending id order, of the added core clauses
+    it is the last core addition to cite, except for clauses the proof
+    itself deletes and for anything still cited by the final step.
     """
     final_k = len(cp.records) - 1  # the empty clause's addition
     last_use = {}
+    added = {}  # id -> clause of each core addition
+    mirrored = set()  # the ids the core deletions free
     for k, r in enumerate(cp.records):
-        if r.core and r.kind == "add":
+        if not r.core:
+            continue
+        if r.kind == "add":
+            added[r.wid] = r.clause
             for wid in _cited_ids(r.hints):
                 last_use[wid] = k
-    mirrored = {r.wid for r in cp.records if r.kind == "delete" and r.core}
-    added = {r.wid: r.clause for r in cp.records if r.kind == "add" and r.core}
+        else:
+            mirrored.add(r.wid)
     synth_at = {}
     for wid, k in last_use.items():
         if wid in added and wid not in mirrored and k != final_k:
             synth_at.setdefault(k, []).append(wid)
+    for k, r in enumerate(cp.records):
+        if r.core:
+            yield r
+            for wid in sorted(synth_at.get(k, ())):
+                yield StepRecord("delete", added[wid], wid, core=True)
 
+
+def emit_trimmed(cp: CheckedProof):
+    """The trimmed proof as StepRecords over the trimmed world's ids, plus
+    the cited subset of the original formula.
+
+    Returns (steps, core_cnf); core_cnf is renumbered densely.  The steps
+    are _trimmed_order's records renumbered: original ids stay, and each
+    core addition takes the next id after the original clauses.  While no
+    addition has been left out, those ids are the forward ones, so a
+    record is its own image and is kept as it is.  The steps serve
+    wherever DRAT steps do; their wid and hints are the LRAT view the
+    module docstring describes.  The forward pass's chains hold in the
+    trimmed world as they are: they cite only core clauses, a unit chain
+    stays unit whatever else is live, and every RAT candidate is cited, so
+    the trimmed world has the same candidates.
+    """
     image = {oid: oid for oid in cp.core_formula_ids}
     next_tid = cp.formula.next_id
 
@@ -168,20 +194,23 @@ def emit_trimmed(cp: CheckedProof):
         return tid
 
     steps = []
-    for k, r in enumerate(cp.records):
-        if not r.core:
-            continue
+    for r in _trimmed_order(cp):
         if r.kind == "delete":
-            steps.append(StepRecord("delete", r.clause, img(r.wid), core=True))
+            tid = img(r.wid)
+            steps.append(r if tid == r.wid else
+                         StepRecord("delete", r.clause, tid, core=True))
             continue
-        hints = HintBlock(tuple(map(img, r.hints.rup_chain)),
-                          tuple((img(cand), tuple(map(img, chain)))
-                                for cand, chain in r.hints.rat_groups))
         image[r.wid] = next_tid
-        steps.append(StepRecord("add", r.clause, next_tid, hints, r.pivot, True))
+        if r.wid == next_tid:
+            # every earlier addition is core, so every id r cites is its own
+            # image
+            steps.append(r)
+        else:
+            hints = HintBlock(tuple(map(img, r.hints.rup_chain)),
+                              tuple((img(cand), tuple(map(img, chain)))
+                                    for cand, chain in r.hints.rat_groups))
+            steps.append(StepRecord("add", r.clause, next_tid, hints, r.pivot, True))
         next_tid += 1
-        for wid in sorted(synth_at.get(k, ())):
-            steps.append(StepRecord("delete", added[wid], image[wid], core=True))
 
     core = Formula()
     for oid in sorted(cp.core_formula_ids):
@@ -367,9 +396,9 @@ def to_er(f: Formula, cp: CheckedProof):
     """
     m = f.next_id - 1
     trimmed, _ = emit_trimmed(cp)
-    live = cp.formula.copy()  # the trimmed world the records' ids live in
-    for oid in set(live.clauses) - cp.core_formula_ids:
-        live.remove_by_id(oid)
+    live = Formula()  # the trimmed world the records' ids live in
+    for oid in sorted(cp.core_formula_ids):
+        live.add_clause(cp.formula.clauses[oid], cid=oid)
 
     last_ref = {}
     for ri, r in enumerate(trimmed):

@@ -41,7 +41,7 @@ from dratkit.formats import (
     write_lrat,
 )
 from dratkit.pipeline import backward_check, emit_lrat, emit_trimmed, to_er
-from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
+from dratkit.testkit import cdcl_solve, gen_php, gen_random
 
 from _oracles import (
     naive_check_drat,
@@ -49,6 +49,7 @@ from _oracles import (
     naive_check_lrat,
     naive_deletion_runs,
 )
+from _truth_table import brute_force
 
 # first literal of every addition is its pivot; both bases need RAT steps
 SPLIT8 = [[1, 2], [-1, 2], [-1, -2, 3], [-2, 3],

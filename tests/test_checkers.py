@@ -40,7 +40,7 @@ from dratkit.formats import (
     write_er,
     write_lrat,
 )
-from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
+from dratkit.testkit import cdcl_solve, gen_php, gen_random
 
 from _oracles import (
     FOLD_EDGES,
@@ -52,6 +52,7 @@ from _oracles import (
     naive_protected,
     naive_satisfiable,
 )
+from _truth_table import brute_force
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 

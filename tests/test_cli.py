@@ -477,8 +477,8 @@ def test_check_commands_load_neither_dataclasses_nor_the_pipeline(tmp_path):
     assert proof.read_bytes().endswith(b"\n0\n")
 
 
-# Run with numpy blocked: every dratkit module imports, the oracles and the
-# solver run, and so do `gen php 3` and `solve`.
+# Run with numpy blocked: every dratkit module imports, the oracles (from
+# the tests' _truth_table) and the solver run, and so do `gen php 3` and `solve`.
 NO_NUMPY_PROBE = """
 import importlib, pkgutil, sys
 sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
@@ -487,7 +487,8 @@ for m in pkgutil.iter_modules(dratkit.__path__):
     importlib.import_module("dratkit." + m.name)
 from dratkit.cli import main
 from dratkit.core import Clause, formula_from_clauses
-from dratkit.testkit import brute_force, cdcl_solve, entails, gen_php
+from dratkit.testkit import cdcl_solve, gen_php
+from _truth_table import brute_force, entails
 f = formula_from_clauses([[1, 2], [-1, 2]])
 assert brute_force(f) == {1: False, 2: True}
 assert entails(f, Clause([2])) and not entails(f, Clause([1]))
@@ -502,7 +503,8 @@ def test_dratkit_runs_with_numpy_blocked(tmp_path):
     php, proof = tmp_path / "php.cnf", tmp_path / "php.drat"
     run = subprocess.run(
         [sys.executable, "-c", NO_NUMPY_PROBE, str(php), str(proof)],
-        env=_src_env(), capture_output=True, text=True, timeout=60)
+        env=_src_env(), capture_output=True, text=True, timeout=60,
+        cwd=os.path.dirname(os.path.abspath(__file__)))  # for _truth_table
     assert run.returncode == 0, run.stderr
     assert run.stdout == "s UNSATISFIABLE\n"
     assert proof.read_bytes().endswith(b"\n0\n")

@@ -46,6 +46,7 @@ from dratkit.formats import (
     delete_ids_step,
     delete_step,
     extension_clauses,
+    parse_dimacs,
     parse_drat,
     parse_drat_text,
     parse_er,
@@ -60,6 +61,7 @@ from dratkit.pipeline import (
     ForwardRejected,
     StepRecord,
     TranslationInvariantViolation,
+    _trimmed_order,
     backward_check,
     emit_lrat,
     emit_trim,
@@ -67,7 +69,7 @@ from dratkit.pipeline import (
     to_er,
 )
 from dratkit.propagate import Engine
-from dratkit.testkit import brute_force, cdcl_solve, gen_php, gen_random
+from dratkit.testkit import cdcl_solve, gen_php, gen_random
 
 from _oracles import (
     FOLD_EDGES,
@@ -84,6 +86,7 @@ from _oracles import (
     ref_parse_er,
     ref_parse_lrat,
 )
+from _truth_table import brute_force
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 FULL2_PROOF = [add_step([1, 2]), add_step([1]), add_step([])]
@@ -411,6 +414,25 @@ def test_operational_trim_and_to_er_keep_deletions_under_a_conflict():
     assert naive_check_er(cnf, write_er(to_er(f, cp)).decode())
 
 
+def test_a_skipped_deletion_leaves_its_clause_to_a_synthetic_deletion():
+    # operational mode skips the proof's deletion of [1] under a top-level
+    # conflict, so the record is not core and trimming deletes [1] right
+    # after [3], its last use, where specified mode mirrors the deletion:
+    # the same documents either way
+    cnf = [[1, 2], [1, -2], [-1, 3, 5], [-1, 3, -5], [-3, 4], [-3, -4]]
+    proof = [add_step([1]), add_step([3]), delete_step([1]), add_step([])]
+    f = formula_from_clauses(cnf)
+    for flavor, applied in ((SPECIFIED, True), (OPERATIONAL, False)):
+        cp = backward_check(f, proof, CheckMode(flavor))
+        assert [(r.applied, r.core) for r in cp.records][2] == (applied, applied)
+        lrat, trimmed, _ = emit_trim(cp)
+        assert write_drat_text(trimmed) == b"1 0\n3 0\nd 1 0\n0\n"
+        assert write_lrat(lrat) == (b"7 1 0 1 2 0\n8 3 0 7 3 4 0\n8 d 7 0\n"
+                                    b"9 0 8 5 6 0\n")
+        assert write_er(to_er(f, cp)) == (b"7 1 0 2 1 0\n8 3 0 4 3 7 0\n"
+                                          b"8 d 7 0\n9 0 6 5 8 0\n")
+
+
 def test_singleton_rat_translates_with_two_clause_family():
     f = formula_from_clauses(K0)
     cp = backward_check(f, K0_PROOF)
@@ -626,6 +648,132 @@ def test_emit_trim_builds_what_emit_lrat_and_emit_trimmed_build(clauses):
     assert lrat == emit_lrat(cp)
     assert trimmed == again
     assert write_dimacs(core) == write_dimacs(core2)
+
+
+def _cook_steps(n):
+    return [add_step(lits) if kind == "a" else delete_step(lits)
+            for kind, lits in _cook_proof(n)]
+
+
+def _trimming_corpus():
+    """(formula, proof): solver proofs, Cook's PHP(3) to PHP(5), hops,
+    ratmix and RAT-rich refutations."""
+    out = _unsat_corpus(random.Random(71), 10)
+    out += [(gen_php(n), _cook_steps(n)) for n in (3, 4, 5)]
+    out += [_golden_inputs(name) for name in ("hops", "ratmix")]
+    rng = random.Random(73)
+    while len(out) < 25:
+        made = _rat_rich_refutation(rng)
+        if made is not None:
+            out.append((formula_from_clauses(made[0]), made[1]))
+    return out
+
+
+@pytest.mark.parametrize("flavor", [SPECIFIED, OPERATIONAL])
+def test_emit_trimmed_renumbers_the_trimmed_order(flavor):
+    # _trimmed_order yields the core records themselves, plus synthetic
+    # deletions; emit_trimmed has the same kind, clause and pivot at every
+    # step, and each wid and hint id is the image of the forward one:
+    # originals keep their ids, core additions take the ids after them
+    checked = synthetic = kept = renumbered = 0
+    for f, proof in _trimming_corpus():
+        try:
+            cp = backward_check(f, proof, CheckMode(flavor))
+        except ForwardRejected:
+            continue
+        checked += 1
+        order = list(_trimmed_order(cp))
+        records = {id(r) for r in cp.records}
+        assert [o for o in order if id(o) in records] == [
+            r for r in cp.records if r.core]
+        assert all(o.kind == "delete" for o in order if id(o) not in records)
+        synthetic += sum(id(o) not in records for o in order)
+        steps, _ = emit_trimmed(cp)
+        assert len(steps) == len(order)
+        image = {oid: oid for oid in cp.core_formula_ids}
+        tid = cp.formula.next_id
+        for o, s in zip(order, steps):
+            assert (s.kind, s.clause, s.pivot, s.core) == (
+                o.kind, o.clause, o.pivot, True)
+            if o.kind == "add":
+                image[o.wid] = tid
+                tid += 1
+                kept += s is o
+                renumbered += s is not o
+            assert s.wid == image[o.wid]
+            assert s.hints == HintBlock(
+                tuple(image[w] for w in o.hints.rup_chain),
+                tuple((image[cand], tuple(image[w] for w in chain))
+                      for cand, chain in o.hints.rat_groups))
+    assert checked >= 20
+    assert min(synthetic, kept, renumbered) > 0
+
+
+def _retrimmed():
+    """(core, checked proof) for trim's own output on Cook's PHP(3) and
+    PHP(4) proofs and on hops: checked again, every addition is core."""
+    out = []
+    for f, proof in [(gen_php(3), _cook_steps(3)), (gen_php(4), _cook_steps(4)),
+                     _golden_inputs("hops")]:
+        trimmed, core = emit_trimmed(backward_check(f, proof))
+        cp = backward_check(core, trimmed)
+        assert all(r.core for r in cp.records if r.kind == "add")
+        out.append((core, cp))
+    return out
+
+
+def _forbid_copies(monkeypatch):
+    """Make building a StepRecord in pipeline, or copying a Formula, raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a renumbered record or a formula copy")
+
+    monkeypatch.setattr(pipeline, "StepRecord", refuse)
+    monkeypatch.setattr(pipeline.Formula, "copy", refuse)
+
+
+def test_a_proof_whose_ids_do_not_move_is_trimmed_and_translated_in_place(
+        monkeypatch):
+    # where no addition is left out, a record's trimmed ids are its forward
+    # ones: emit_trimmed keeps the search's records, and to_er builds no
+    # record and copies no formula
+    for core, cp in _retrimmed():
+        want = write_er(to_er(core, cp))
+        with monkeypatch.context() as m:
+            _forbid_copies(m)
+            steps, _ = emit_trimmed(cp)
+            er = to_er(core, cp)
+        records = {id(r) for r in cp.records}
+        assert all(id(s) in records for s in steps)
+        assert write_er(er) == want
+
+
+def test_to_er_command_translates_a_trimmed_proof_in_place(
+        tmp_path, capsys, monkeypatch):
+    # the same through `dratkit trim` and then `dratkit to-er` on its output
+    f, proof = gen_php(4), _cook_steps(4)
+    paths = [str(tmp_path / k) for k in ("f.cnf", "p.drat", "t.lrat",
+                                         "t.drat", "core.cnf", "t.er")]
+    cnf, drat, lrat, trimmed, core, er = paths
+    with open(cnf, "wb") as fh:
+        fh.write(write_dimacs(f))
+    with open(drat, "wb") as fh:
+        fh.write(write_drat_text(proof))
+    assert cli.main(["trim", cnf, drat, "--out-lrat", lrat, "--out-drat",
+                     trimmed, "--out-core", core]) == 0
+    translate = pipeline.to_er
+
+    def in_place(*args):
+        with monkeypatch.context() as m:
+            _forbid_copies(m)
+            return translate(*args)
+
+    monkeypatch.setattr(pipeline, "to_er", in_place)
+    assert cli.main(["to-er", core, trimmed, "--out", er]) == 0
+    assert capsys.readouterr().out == "s VERIFIED\n" * 2
+    with open(core, "rb") as fh:
+        cnf = [list(c.lits) for _, c in parse_dimacs(fh.read())[0].items()]
+    with open(er, "rb") as fh:
+        assert naive_check_er(cnf, fh.read().decode())
 
 
 def test_emit_lrat_raises_when_its_document_fails_the_recheck(monkeypatch):
@@ -1151,6 +1299,28 @@ def test_parsers_match_the_references_across_every_separator():
     assert outcomes["steps"] >= 12 and outcomes["error"] >= 100
 
 
+# each way out of parse_drat_text's walk: (document, what the reference
+# gives); the lines differ, so that a message naming the wrong line fails
+DRAT_TEXT_EXITS = {
+    "d_last": ("1 2 0\n\nd\n\n", "error"),
+    "d_d": ("1 0\nd\nd 1 0\n", "error"),
+    "d_in_clause": ("1 2 0\n3\nd 4 0\n", "error"),
+    "open_addition": ("1 2 0\n3\n4\n", "error"),
+    "open_deletion": ("1 2 0\nd 1\n2\n", "error"),
+    "word_after_d": ("1 2 0\nd\nx 1 0\n", "error"),
+    "word_first": ("1 2 0\n\nx 1 0\n", "error"),
+    "empty": ("", "steps"),
+    "empty_clauses": ("d 0\n0\n", "steps"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAT_TEXT_EXITS))
+def test_drat_text_exits_match_the_reference(name):
+    text, want = DRAT_TEXT_EXITS[name]
+    assert _agrees_with_reference(parse_drat_text, ref_parse_drat_text,
+                                  text) == want
+
+
 def _naive_fold_dropping(clauses):
     """What _fold does with a chain over clauses (literal lists, ids 1..n),
     restated over naive_fold: skip each antecedent with no literal
@@ -1492,6 +1662,27 @@ def test_to_er_drops_a_core_tautology(flavor):
     lrat = emit_lrat(cp)
     assert check_lrat(f, lrat).verified
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
+
+
+@pytest.mark.parametrize("flavor", [SPECIFIED, OPERATIONAL])
+def test_to_er_drops_a_tautological_original_that_a_later_step_cites(flavor):
+    # gen_php(3) plus the original (-x, -y, 1000, -1000) on the first two
+    # fresh variables of Cook's PHP(3) proof: the tautology is a RAT
+    # candidate of x's first definition clause and again of y's, so at x's
+    # step a later step still cites it and it has an image of its own, but
+    # no chain derives one: the general route drops it, as it drops an
+    # added tautology
+    proof = _cook_steps(3)
+    x = proof[0].clause.lits[0]
+    f = gen_php(3)
+    taut = f.add_clause(Clause([-x, -x - 1, 1000, -1000]))
+    cnf = [list(c.lits) for _, c in f.items()]
+    cp = backward_check(f, proof, CheckMode(flavor))
+    citing = [r.pivot for r in cp.records if taut in _cited(r)]
+    assert citing == [x, x + 1] and taut in cp.core_formula_ids
+    er = to_er(f, cp)
+    assert naive_check_er(cnf, write_er(er).decode())
+    assert not any(1000 in s.claimed for _, s in er if isinstance(s, Chain))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

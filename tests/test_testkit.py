@@ -8,16 +8,9 @@ import pytest
 
 from dratkit.core import Clause, formula_from_clauses
 from dratkit.formats import parse_dimacs, write_drat_binary
-from dratkit.testkit import (
-    OracleRangeError,
-    _Cdcl,
-    brute_force,
-    cdcl_solve,
-    entails,
-    gen_php,
-    gen_random,
-)
+from dratkit.testkit import _Cdcl, cdcl_solve, gen_php, gen_random
 from _oracles import naive_check_drat, naive_entails, naive_lowest_model
+from _truth_table import OracleRangeError, brute_force, entails
 
 
 def _steps_for_oracle(steps):

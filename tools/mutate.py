@@ -1,4 +1,4 @@
-"""Mutation testing of the rules of the checkers, the parsers and Clause.
+"""Mutation testing of the checkers' rules, the parsers, Clause and trimming.
 
     python3 tools/mutate.py                    # run every mutant, summarize
     python3 tools/mutate.py --list             # list the mutants, run none
@@ -55,6 +55,7 @@ _CHECKER_TESTS = ["tests/test_checkers.py", "tests/test_propagate.py",
     "tests/test_pipeline.py::" + name for name in (
         "test_to_er_fold_edge_cases_match_naive_fold",
         "test_to_er_fold_random_chains_match_naive_fold")]
+_PIPELINE_TESTS = ["tests/test_pipeline.py", "tests/test_acceptance.py"]
 # a DRAT deletion finds its target through Clause's __eq__ and __hash__
 _CLAUSE_TESTS = ["tests/test_core.py", "tests/test_formats.py",
                  "tests/test_checkers.py"]
@@ -71,6 +72,7 @@ SCOPE = {
     "propagate": (["walk"], _CHECKER_TESTS),
     "checkers": (["check_addition", "check_lrat", "check_er", "_fold_chain",
                   "_drat_forward"], _CHECKER_TESTS),
+    "pipeline": (["_trimmed_order", "emit_trimmed", "to_er"], _PIPELINE_TESTS),
 }
 
 # (function, original text, mutated text) -> why no input tells them apart
@@ -84,8 +86,6 @@ EQUIVALENT = {
     ("parse_dimacs", "last_ln = 0", "pass"):
         "last_ln is read only when a clause is left open, which takes a "
         "line, and every line binds it",
-    ("parse_drat_text", "stop < z and nums[stop] == 'd'", "nums[stop] == 'd'"):
-        "stop <= z, and nums[z] is 0 (a terminator or the sentinel), never 'd'",
     ("parse_er", "doc_max_var and x <= doc_max_var", "x <= doc_max_var"):
         "x > 0 is checked first, so x <= 0 holds for no x when doc_max_var "
         "is 0",
@@ -94,6 +94,12 @@ EQUIVALENT = {
      "set(self.lits) == set(other.lits)"):
         "equal literal sets have equal hashes, so the hash test only skips "
         "building the sets of clauses it already tells apart",
+    ("to_er",
+     "cl.is_tautology or last_ref.get(tid, -1) <= ri or tid not in id_map",
+     "cl.is_tautology or last_ref.get(tid, -1) <= ri"):
+        "a live clause outside id_map is an added tautology, or one an "
+        "earlier RAT step dropped as a tautology or as cited by no later "
+        "step, which it still is",
     ("_fold_chain", "taut = False", "pass"):
         "the rescan it skips finds no pair: once the accumulator is not "
         "tautological, each step tests the literals it adds",
