@@ -160,9 +160,9 @@ class StepRecord(NamedTuple):
     literal.  A deletion's wid is the id it targets
     (None when no live clause has its content) and applied tells whether it
     took effect.
-    pipeline.backward_check sets core; pipeline.emit_trimmed renumbers the
-    core records over the trimmed proof's ids, keeping each record whose
-    ids do not move.
+    pipeline.backward_check sets core.  The trimmed proof
+    (pipeline.emit_trimmed) and the ER translation keep these ids; only
+    pipeline.emit_trim renumbers them, for the LRAT document.
     """
 
     kind: str

@@ -467,7 +467,7 @@ def parse_lrat(data) -> list:
             if ids and min(ids) < 0:
                 raise t.error(at, "negative deletion id %d"
                               % next(d for d in ids if d < 0))
-            t.close(z, stop, at, "literal", "deletion")
+            t.close(z, stop, at, "deletion id", "deletion")
             steps.append((sid, delete_ids_step(ids)))
             i = z + 1
             continue
@@ -542,9 +542,10 @@ def parse_er(data) -> list:
             raise t.error(at, "step id %d not positive" % sid)
         i += 1
         if nums[i] == "d":
-            ids, i = t.until_zero(i + 1, at, "deletion", "deletion")
+            ids, i = t.until_zero(i + 1, at, "deletion id", "deletion")
             if ids and min(ids) < 0:
-                raise t.error(at, "negative deletion id")
+                raise t.error(at, "negative deletion id %d"
+                              % next(d for d in ids if d < 0))
             steps.append((sid, Delete(tuple(ids))))
             continue
         if sid <= last_claimed:

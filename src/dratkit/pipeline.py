@@ -13,30 +13,27 @@ proof that adds the empty clause: its one record cites the lowest empty
 original and passes the hint walk like any other.  A proof that the search
 rejects, or that runs out before the empty clause, raises ForwardRejected.
 
-_trimmed_order walks those records once and yields the trimmed proof over
+emit_trimmed walks those records once and keeps the trimmed proof over
 the forward world's ids: only core steps, the applied deletions of core
 clauses mirrored, and synthetic deletions of added core clauses right
-after their last use.  emit_trimmed renumbers that order into StepRecords
-over the trimmed world's ids (original ids, non-core originals removed):
-each addition takes the next id after the original clauses, its hint block
-renumbered as it goes; each deletion names the id of the clause it frees.
-Both numberings rise together, so the renumbering keeps every order by id.
-While no addition has been left out the two agree, and a record is kept
-as it is rather than copied.  Of two live copies of one lemma, a deletion
-may not name the lower id a deletion by content would take, but both hold
-the same clause, so the LRAT and the trimmed DRAT hold equal clause
-multisets after every step.  Read by kind and clause the records are the
-trimmed DRAT proof; read by wid and hints they are its LRAT steps, which
-emit_trim writes after a leading deletion of the non-core originals.  No
-second DRAT search and no replay by content runs.
+after their last use.  Read by kind and clause these records are the
+trimmed DRAT proof.  Read by wid and hints they are its LRAT steps, which
+emit_trim writes after a leading deletion of the non-core originals,
+renumbering each addition to the next id after the last one claimed, as
+the LRAT document's rising ids ask.  Of two live copies of one lemma, a
+deletion may not name the lower id a deletion by content would take, but
+both hold the same clause, so the LRAT and the trimmed DRAT hold equal
+clause multisets after every step.  No second DRAT search and no replay by
+content runs.
 
 The LRAT and the ER write deletions by one rule (_Lines): a run of
 consecutive deletions is one line, which carries the highest id the
 document has claimed so far (the original clause count before any
 addition) and claims no id of its own.
 
-to_er translates the same records into an extended-resolution document,
-over a live formula built from the core originals under their own ids:
+to_er translates the same records, under the same forward ids, into an
+extended-resolution document, over a live formula built from the core
+originals under their own ids:
 RUP additions become resolution chains, their hint chains reversed and
 written as they are, and deletions of translated clauses become deletion
 lines by the rule above.  A RUP chain needs no fold here: the search's
@@ -136,13 +133,20 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
 
 # ------------------------------------------------------------------ trimming
 
-def _trimmed_order(cp: CheckedProof):
-    """The trimmed proof's records over the forward world's ids.
+def emit_trimmed(cp: CheckedProof):
+    """The trimmed proof over the forward world's ids, plus the cited subset
+    of the original formula.
 
-    Yields the core records in order, each core addition followed by
-    synthetic deletions, in ascending id order, of the added core clauses
-    it is the last core addition to cite, except for clauses the proof
-    itself deletes and for anything still cited by the final step.
+    Returns (steps, core_cnf); core_cnf is renumbered densely.  The steps
+    are the core records themselves, in order, each core addition followed
+    by synthetic deletions, in ascending id order, of the added core
+    clauses it is the last core addition to cite, except for clauses the
+    proof itself deletes and for anything still cited by the final step.
+    They serve wherever DRAT steps do; their wid and hints are the forward
+    ones, which emit_trim renumbers for the LRAT document.  The forward
+    pass's chains hold in the trimmed world as they are: they cite only
+    core clauses, a unit chain stays unit whatever else is live, and every
+    RAT candidate is cited, so the trimmed world has the same candidates.
     """
     final_k = len(cp.records) - 1  # the empty clause's addition
     last_use = {}
@@ -161,56 +165,12 @@ def _trimmed_order(cp: CheckedProof):
     for wid, k in last_use.items():
         if wid in added and wid not in mirrored and k != final_k:
             synth_at.setdefault(k, []).append(wid)
+    steps = []
     for k, r in enumerate(cp.records):
         if r.core:
-            yield r
-            for wid in sorted(synth_at.get(k, ())):
-                yield StepRecord("delete", added[wid], wid, core=True)
-
-
-def emit_trimmed(cp: CheckedProof):
-    """The trimmed proof as StepRecords over the trimmed world's ids, plus
-    the cited subset of the original formula.
-
-    Returns (steps, core_cnf); core_cnf is renumbered densely.  The steps
-    are _trimmed_order's records renumbered: original ids stay, and each
-    core addition takes the next id after the original clauses.  While no
-    addition has been left out, those ids are the forward ones, so a
-    record is its own image and is kept as it is.  The steps serve
-    wherever DRAT steps do; their wid and hints are the LRAT view the
-    module docstring describes.  The forward pass's chains hold in the
-    trimmed world as they are: they cite only core clauses, a unit chain
-    stays unit whatever else is live, and every RAT candidate is cited, so
-    the trimmed world has the same candidates.
-    """
-    image = {oid: oid for oid in cp.core_formula_ids}
-    next_tid = cp.formula.next_id
-
-    def img(wid):
-        tid = image.get(wid)
-        if tid is None:
-            raise TranslationInvariantViolation(
-                "clause %d cited but has no image in the trimmed proof" % wid)
-        return tid
-
-    steps = []
-    for r in _trimmed_order(cp):
-        if r.kind == "delete":
-            tid = img(r.wid)
-            steps.append(r if tid == r.wid else
-                         StepRecord("delete", r.clause, tid, core=True))
-            continue
-        image[r.wid] = next_tid
-        if r.wid == next_tid:
-            # every earlier addition is core, so every id r cites is its own
-            # image
             steps.append(r)
-        else:
-            hints = HintBlock(tuple(map(img, r.hints.rup_chain)),
-                              tuple((img(cand), tuple(map(img, chain)))
-                                    for cand, chain in r.hints.rat_groups))
-            steps.append(StepRecord("add", r.clause, next_tid, hints, r.pivot, True))
-        next_tid += 1
+            for wid in sorted(synth_at.get(k, ())):
+                steps.append(StepRecord("delete", added[wid], wid, core=True))
 
     core = Formula()
     for oid in sorted(cp.core_formula_ids):
@@ -267,9 +227,9 @@ def emit_lrat(cp: CheckedProof):
     """LRAT document for the trimmed proof, over the original formula's ids.
 
     A leading deletion line removes the non-core originals; addition ids
-    continue from the original clause count; hints are the forward pass's
-    chains, renumbered into the trimmed world.  The finished document is
-    re-checked before being returned.
+    continue densely from the original clause count; hints are the forward
+    pass's chains under those ids (see emit_trim, which renumbers them).
+    The finished document is re-checked before being returned.
     """
     return emit_trim(cp)[0]
 
@@ -277,19 +237,44 @@ def emit_lrat(cp: CheckedProof):
 def emit_trim(cp: CheckedProof):
     """Everything trim writes, built from one trimmed proof: (emit_lrat's
     document, then emit_trimmed's steps and core formula).  The LRAT document
-    is a deletion of the non-core originals, then the trimmed steps read by
-    wid and hints, its deletions in runs (see _Lines); it adds and deletes
-    the trimmed proof's clauses in its order, so its re-check certifies the
-    trimmed proof too, under specified deletions."""
+    is a deletion of the non-core originals, then the trimmed steps, its
+    deletions in runs (see _Lines); it adds and deletes the trimmed proof's
+    clauses in its order, so its re-check certifies the trimmed proof too,
+    under specified deletions.
+
+    This is the one place the forward ids are renumbered: original ids
+    stay, and each addition takes the next id after the last one claimed.
+    Both numberings rise together, so every order by id is kept.  While no
+    addition has been left out, the two agree and a step's hints are
+    written as they are; after that, each id a step cites or deletes is
+    mapped to its image, and one with no image raises
+    TranslationInvariantViolation.
+    """
     trimmed, core = emit_trimmed(cp)
     lines = _Lines(cp.formula.next_id - 1, delete_ids_step)
     for oid in sorted(set(cp.formula.clauses) - cp.core_formula_ids):
         lines.delete(oid)
+    image = {oid: oid for oid in cp.core_formula_ids}
+
+    def img(wid):
+        lid = image.get(wid)
+        if lid is None:
+            raise TranslationInvariantViolation(
+                "clause %d cited but has no image in the LRAT document" % wid)
+        return lid
+
     for r in trimmed:
-        if r.kind == "add":
-            lines.add(r.wid, add_step(r.clause, hints=r.hints))
-        else:
-            lines.delete(r.wid)
+        if r.kind == "delete":
+            lines.delete(img(r.wid))
+            continue
+        sid = image[r.wid] = lines.last + 1
+        hints = r.hints
+        if r.wid != sid:
+            # an addition was left out before r, so the ids it cites moved
+            hints = HintBlock(tuple(map(img, hints.rup_chain)),
+                              tuple((img(cand), tuple(map(img, chain)))
+                                    for cand, chain in hints.rat_groups))
+        lines.add(sid, add_step(r.clause, hints=hints))
     out = lines.done()
     _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out, trimmed, core
@@ -366,8 +351,11 @@ def _definition_run(trimmed, ri, live):
 def to_er(f: Formula, cp: CheckedProof):
     """Extended-resolution document for the checked proof, over f's ids.
 
-    RUP additions write their hint chains reversed, with no fold: check_er
-    folds them when it re-checks the document.  A RAT addition that
+    It translates emit_trimmed's records under their forward ids, which
+    id_map takes to ER ids; both rise together, so the trimmed proof's
+    order by id is the ER's.  RUP additions write their hint chains
+    reversed, with no fold: check_er folds them when it re-checks the
+    document.  A RAT addition that
     starts a definition the proof spells (see _definition_run) becomes
     Extend(y, p, ls) on the next fresh y, with p and ls under the current
     substitution, and x is renamed to y: no live clause mentions x, so no
@@ -396,7 +384,7 @@ def to_er(f: Formula, cp: CheckedProof):
     """
     m = f.next_id - 1
     trimmed, _ = emit_trimmed(cp)
-    live = Formula()  # the trimmed world the records' ids live in
+    live = Formula()  # the trimmed world, under the forward ids
     for oid in sorted(cp.core_formula_ids):
         live.add_clause(cp.formula.clauses[oid], cid=oid)
 

@@ -633,7 +633,7 @@ def ref_parse_lrat(data) -> list:
             while True:
                 if i >= len(toks):
                     raise ParseError("line %d: unterminated deletion" % ln)
-                n = _ref_int_tok(toks[i][0], toks[i][1])
+                n = _ref_int_tok(toks[i][0], toks[i][1], "deletion id")
                 i += 1
                 if n == 0:
                     break
@@ -697,13 +697,13 @@ def ref_parse_er(data) -> list:
     last_claimed = 0
     doc_max_var = 0
 
-    def read_until_zero(ln, what):
+    def read_until_zero(ln, what, token=None):
         nonlocal i
         nums = []
         while True:
             if i >= len(toks):
                 raise ParseError("line %d: unterminated %s" % (ln, what))
-            n = _ref_int_tok(toks[i][0], toks[i][1], what)
+            n = _ref_int_tok(toks[i][0], toks[i][1], token or what)
             i += 1
             if n == 0:
                 return nums
@@ -717,9 +717,10 @@ def ref_parse_er(data) -> list:
         i += 1
         if i < len(toks) and toks[i][0] == "d":
             i += 1
-            ids = read_until_zero(ln, "deletion")
+            ids = read_until_zero(ln, "deletion", "deletion id")
             if any(n < 0 for n in ids):
-                raise ParseError("line %d: negative deletion id" % ln)
+                raise ParseError("line %d: negative deletion id %d"
+                                 % (ln, next(n for n in ids if n < 0)))
             steps.append((sid, Delete(tuple(ids))))
             continue
         if sid <= last_claimed:

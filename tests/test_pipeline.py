@@ -61,7 +61,6 @@ from dratkit.pipeline import (
     ForwardRejected,
     StepRecord,
     TranslationInvariantViolation,
-    _trimmed_order,
     backward_check,
     emit_lrat,
     emit_trim,
@@ -114,34 +113,55 @@ def _cited(rec):
     return out
 
 
-def _assert_lrat_is_the_trimmed_proof(cnf, cp):
-    """emit_trim's LRAT is the leading deletion of the non-core originals,
-    then emit_trimmed's records read by wid and hints, each run of
-    deletions on one line; after every step its live clauses and the
-    trimmed DRAT's (deleting by content) are equal multisets; and
-    naive_check_lrat accepts it."""
-    lrat, trimmed, core = emit_trim(cp)
-    assert trimmed == emit_trimmed(cp)[0]
-    kinds = [step.kind for _, step in lrat]
-    assert ("delete", "delete") not in zip(kinds, kinds[1:])
-    flat = []  # one deleted id per line
+def _flat(lrat):
+    """The LRAT steps with one deleted id per deletion line."""
+    flat = []
     for sid, step in lrat:
         if step.kind == "delete":
             flat += [(sid, delete_ids_step((did,))) for did in step.ids]
         else:
             flat.append((sid, step))
-    m = len(cnf)
-    noncore = sorted(set(range(1, m + 1)) - cp.core_formula_ids)
-    want = [(m, delete_ids_step((did,))) for did in noncore]
+    return flat
+
+
+def _dense_lrat(cp, trimmed):
+    """The LRAT steps of the trimmed proof by the dense rule, one deleted
+    id per line: the non-core originals deleted at the original clause
+    count m, then each trimmed step, an addition at the next id after the
+    last one claimed, and every id a step cites or deletes its image
+    (originals keep their ids)."""
+    m = len(cp.formula.clauses)
+    image = {oid: oid for oid in cp.core_formula_ids}
+    want = [(m, delete_ids_step((oid,)))
+            for oid in sorted(set(cp.formula.clauses) - cp.core_formula_ids)]
     sid = m
     for r in trimmed:
         if r.kind == "add":
-            sid = r.wid
-            want.append((sid, add_step(r.clause, hints=r.hints)))
+            sid += 1
+            image[r.wid] = sid
+            h = r.hints
+            want.append((sid, add_step(r.clause, hints=HintBlock(
+                tuple(image[w] for w in h.rup_chain),
+                tuple((image[cand], tuple(image[w] for w in chain))
+                      for cand, chain in h.rat_groups)))))
         else:
-            want.append((sid, delete_ids_step((r.wid,))))
-    assert flat == want
+            want.append((sid, delete_ids_step((image[r.wid],))))
+    return want
+
+
+def _assert_lrat_is_the_trimmed_proof(cnf, cp):
+    """emit_trim's LRAT is the trimmed proof by the dense rule
+    (_dense_lrat), each run of deletions on one line; after every step its
+    live clauses and the trimmed DRAT's (deleting by content) are equal
+    multisets; and naive_check_lrat accepts it."""
+    lrat, trimmed, core = emit_trim(cp)
+    assert trimmed == emit_trimmed(cp)[0]
+    kinds = [step.kind for _, step in lrat]
+    assert ("delete", "delete") not in zip(kinds, kinds[1:])
+    flat = _flat(lrat)
+    assert flat == _dense_lrat(cp, trimmed)
     live = dict(enumerate(map(Clause, cnf), 1))
+    noncore = sorted(set(live) - cp.core_formula_ids)
     for did in noncore:
         del live[did]
     drat = Counter(c.litset for _, c in core.items())
@@ -670,11 +690,11 @@ def _trimming_corpus():
 
 
 @pytest.mark.parametrize("flavor", [SPECIFIED, OPERATIONAL])
-def test_emit_trimmed_renumbers_the_trimmed_order(flavor):
-    # _trimmed_order yields the core records themselves, plus synthetic
-    # deletions; emit_trimmed has the same kind, clause and pivot at every
-    # step, and each wid and hint id is the image of the forward one:
-    # originals keep their ids, core additions take the ids after them
+def test_only_the_lrat_renumbers_the_trimmed_proof(flavor):
+    # emit_trimmed yields the core records themselves, under their forward
+    # ids, plus synthetic deletions of core additions; emit_trim's LRAT has
+    # the same kind and clause at every step, each addition at the next id
+    # after the last one claimed and each hint the image of the forward id
     checked = synthetic = kept = renumbered = 0
     for f, proof in _trimming_corpus():
         try:
@@ -682,31 +702,40 @@ def test_emit_trimmed_renumbers_the_trimmed_order(flavor):
         except ForwardRejected:
             continue
         checked += 1
-        order = list(_trimmed_order(cp))
+        lrat, steps, _ = emit_trim(cp)
         records = {id(r) for r in cp.records}
-        assert [o for o in order if id(o) in records] == [
+        assert [s for s in steps if id(s) in records] == [
             r for r in cp.records if r.core]
-        assert all(o.kind == "delete" for o in order if id(o) not in records)
-        synthetic += sum(id(o) not in records for o in order)
-        steps, _ = emit_trimmed(cp)
-        assert len(steps) == len(order)
-        image = {oid: oid for oid in cp.core_formula_ids}
-        tid = cp.formula.next_id
-        for o, s in zip(order, steps):
-            assert (s.kind, s.clause, s.pivot, s.core) == (
-                o.kind, o.clause, o.pivot, True)
-            if o.kind == "add":
-                image[o.wid] = tid
-                tid += 1
-                kept += s is o
-                renumbered += s is not o
-            assert s.wid == image[o.wid]
-            assert s.hints == HintBlock(
-                tuple(image[w] for w in o.hints.rup_chain),
-                tuple((image[cand], tuple(image[w] for w in chain))
-                      for cand, chain in o.hints.rat_groups))
+        added = {r.wid for r in cp.records if r.core and r.kind == "add"}
+        made = [s for s in steps if id(s) not in records]
+        assert all(s.kind == "delete" and s.core and s.wid in added
+                   for s in made)
+        synthetic += len(made)
+        flat = _flat(lrat)
+        assert flat == _dense_lrat(cp, steps)
+        noncore = len(cp.formula.clauses) - len(cp.core_formula_ids)
+        for s, (sid, _) in zip(steps, flat[noncore:]):
+            if s.kind == "add":
+                kept += sid == s.wid
+                renumbered += sid != s.wid
     assert checked >= 20
     assert min(synthetic, kept, renumbered) > 0
+
+
+def test_to_er_builds_no_renumbered_copy(monkeypatch):
+    # php(5)'s solver proof leaves additions out of its core, so the ids of
+    # the later ones move in the LRAT; to_er reads the forward ids and
+    # builds no hint block of its own
+    f = gen_php(5)
+    cp = backward_check(f, cdcl_solve(f, seed=0).proof)
+    assert not all(r.core for r in cp.records if r.kind == "add")
+    want = write_er(to_er(f, cp))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a renumbered hint block")
+
+    monkeypatch.setattr(pipeline, "HintBlock", refuse)
+    assert write_er(to_er(f, cp)) == want
 
 
 def _retrimmed():
@@ -1319,6 +1348,29 @@ def test_drat_text_exits_match_the_reference(name):
     text, want = DRAT_TEXT_EXITS[name]
     assert _agrees_with_reference(parse_drat_text, ref_parse_drat_text,
                                   text) == want
+
+
+# an LRAT or ER deletion line holds clause ids: (parser, reference, document,
+# the message both give)
+DELETION_ID_EXITS = {
+    "lrat_word": (parse_lrat, ref_parse_lrat, "5 d 3 x 0\n",
+                  "line 1: expected deletion id, got 'x'"),
+    "lrat_negative": (parse_lrat, ref_parse_lrat, "5 d 3 -2 0\n",
+                      "line 1: negative deletion id -2"),
+    "er_word": (parse_er, ref_parse_er, "5 d 3\nx 0\n",
+                "line 2: expected deletion id, got 'x'"),
+    "er_negative": (parse_er, ref_parse_er, "5 d 3 -2 -4 0\n",
+                    "line 1: negative deletion id -2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELETION_ID_EXITS))
+def test_deletion_id_messages_match_the_reference(name):
+    parse, ref, text, message = DELETION_ID_EXITS[name]
+    assert _agrees_with_reference(parse, ref, text) == "error"
+    with pytest.raises(ParseError) as e:
+        parse(text.encode())
+    assert str(e.value) == message
 
 
 def _naive_fold_dropping(clauses):

@@ -48,6 +48,7 @@ _PARSER_TESTS = ["tests/test_formats.py", "tests/test_checkers.py",
     "tests/test_pipeline.py::" + name for name in (
         "test_parsers_match_the_token_at_a_time_references",
         "test_parsers_match_the_references_across_every_separator",
+        "test_deletion_id_messages_match_the_reference",
         "test_drat_detection_alone_reads_every_proof")]
 _CHECKER_TESTS = ["tests/test_checkers.py", "tests/test_propagate.py",
                   "tests/test_acceptance.py"] + [
@@ -72,7 +73,8 @@ SCOPE = {
     "propagate": (["walk"], _CHECKER_TESTS),
     "checkers": (["check_addition", "check_lrat", "check_er", "_fold_chain",
                   "_drat_forward"], _CHECKER_TESTS),
-    "pipeline": (["_trimmed_order", "emit_trimmed", "to_er"], _PIPELINE_TESTS),
+    "pipeline": (["backward_check", "emit_trimmed", "emit_trim", "to_er"],
+                 _PIPELINE_TESTS),
 }
 
 # (function, original text, mutated text) -> why no input tells them apart
