@@ -395,14 +395,13 @@ def check_lrat(f: Formula, steps) -> CheckReport:
         if type(item) is not tuple or len(item) != 2:
             raise ValueError("step %d: %r is not an LRAT step" % (i, item))
         sid, step = item
-        kind = getattr(step, "kind", None)
-        if kind == "delete" and step.ids is not None:
+        if isinstance(step, Delete):
             for did in step.ids:
                 if did not in clauses:
                     return report(False, i, UNKNOWN_ID, detail=did, checked=i)
                 working.remove_by_id(did)
             continue
-        if kind != "add":
+        if getattr(step, "kind", None) != "add":
             raise ValueError("step %d: %r is not an LRAT step" % (i, step))
         if sid <= last:
             return report(False, i, ID_ORDER, detail=sid, checked=i)

@@ -11,12 +11,16 @@ Binary DRAT uses the tag-byte ('a'/'d') plus 7-bit varint literal encoding.
 Both DRAT parsers build one Clause per distinct literal sequence and share
 it between the steps that spell it, so a deletion that repeats an
 addition's literals holds that addition's object.
+LRAT and ER are id-addressed and share their line grammar: a deletion
+line '<id> d <ids> 0' is one Delete step in both, and an LRAT addition and
+an ER chain are both '<id> <list> 0 <list> 0'.  One reader (_Tokens.step_id,
+_Tokens.deletion) and one writer (_write_lines) serve both for those lines.
 ER is this toolkit's own format: extension lines introduce a definition
 clause family under consecutive ids, chain lines claim a clause derived by
 folding a resolution chain, deletion lines drop clause ids.  A deletion
-line claims no id, as in LRAT: the parsers accept any positive id on it,
-and the documents this toolkit writes put one run of deletions on one line
-at the highest id claimed before it.
+line claims no id: the parsers accept any positive id on it, and the
+documents this toolkit writes put one run of deletions on one line at the
+highest id claimed before it.
 """
 
 from __future__ import annotations
@@ -39,17 +43,16 @@ class HintBlock(NamedTuple):
 
 
 class ProofStep(NamedTuple):
-    """One DRAT or LRAT step.
+    """One DRAT step, or one LRAT addition.
 
     kind 'add' carries clause (and hints in LRAT documents); kind 'delete'
-    carries clause for DRAT (content-addressed) or ids for LRAT
-    (id-addressed).
+    carries the clause a DRAT deletion drops by content.  An LRAT deletion
+    drops clause ids, and is a Delete.
     """
 
     kind: str
     clause: Clause | None = None
     hints: HintBlock | None = None
-    ids: tuple | None = None
 
 
 def add_step(lits, hints=None) -> ProofStep:
@@ -60,10 +63,6 @@ def add_step(lits, hints=None) -> ProofStep:
 def delete_step(lits) -> ProofStep:
     c = lits if isinstance(lits, Clause) else Clause(lits)
     return ProofStep("delete", c)
-
-
-def delete_ids_step(ids) -> ProofStep:
-    return ProofStep("delete", ids=tuple(ids))
 
 
 class Extend(NamedTuple):
@@ -82,9 +81,17 @@ class Chain(NamedTuple):
 
 
 class Delete(NamedTuple):
-    """Drop clause ids (one parsed line may list several)."""
+    """The deletion step of LRAT and ER: drop clause ids (one line may list
+    several), claiming no id.
+
+    Its kind reads 'delete', so that a document's steps can be counted by
+    kind, and its clause None: no content names the ids, so the DRAT search
+    and the DRAT writers refuse it, as they refuse any step without one.
+    """
 
     ids: tuple
+    kind = "delete"
+    clause = None
 
 
 def extension_clauses(x: int, p: int, ls) -> list:
@@ -225,6 +232,28 @@ class _Tokens:
         z, stop = self.run(i)
         self.close(z, stop, at, what, unterminated)
         return self.nums[i:z], z + 1
+
+    def step_id(self, i: int) -> int:
+        """The id that opens an LRAT or ER line at position i."""
+        sid = self.nums[i]
+        if isinstance(sid, str):
+            raise self.expected(i, "step id")
+        if sid <= 0:
+            raise self.error(i, "step id %d not positive" % sid)
+        return sid
+
+    def deletion(self, i: int, at: int):
+        """(the ids of a deletion line from position i on, the position
+        after its 0), raising, named on the line of token at, what a
+        token-at-a-time read meets first: a negative id, a non-number, the
+        end of the document."""
+        z, stop = self.run(i)
+        ids = self.nums[i:stop]
+        if ids and min(ids) < 0:
+            raise self.error(at, "negative deletion id %d"
+                             % next(d for d in ids if d < 0))
+        self.close(z, stop, at, "deletion id", "deletion")
+        return tuple(ids), z + 1
 
 
 # --------------------------------------------------------------------- DIMACS
@@ -438,7 +467,7 @@ def parse_drat(data: bytes) -> list:
 # ----------------------------------------------------------------------- LRAT
 
 def parse_lrat(data) -> list:
-    """LRAT text -> list of (id, ProofStep).
+    """LRAT text -> list of (id, ProofStep | Delete).
 
     Addition hints split at the first negative hint into the unit chain and
     candidate groups.  Hints and candidates must reference ids below the
@@ -453,23 +482,11 @@ def parse_lrat(data) -> list:
     last_add = 0
     while i < t.n:
         at = i
-        sid = nums[i]
-        if isinstance(sid, str):
-            raise t.expected(i, "step id")
-        if sid <= 0:
-            raise t.error(at, "step id %d not positive" % sid)
+        sid = t.step_id(i)
         i += 1
         if nums[i] == "d":
-            # in the order a token-at-a-time read meets them: a negative
-            # id, a non-number, the end of the document
-            z, stop = t.run(i + 1)
-            ids = nums[i + 1:stop]
-            if ids and min(ids) < 0:
-                raise t.error(at, "negative deletion id %d"
-                              % next(d for d in ids if d < 0))
-            t.close(z, stop, at, "deletion id", "deletion")
-            steps.append((sid, delete_ids_step(ids)))
-            i = z + 1
+            ids, i = t.deletion(i + 1, at)
+            steps.append((sid, Delete(ids)))
             continue
         if sid <= last_add:
             raise t.error(at, "addition id %d not above %d" % (sid, last_add))
@@ -497,25 +514,32 @@ def parse_lrat(data) -> list:
     return steps
 
 
-def write_lrat(steps) -> bytes:
+def _write_lines(steps, body) -> bytes:
+    """An LRAT or ER document: each Delete as '<id> d <ids> 0', and each
+    other step as its id and the tokens body(step) gives."""
     out = []
     for sid, s in steps:
-        if s.kind == "delete":
-            out.append("%d d %s 0" % (sid, " ".join(str(i) for i in s.ids))
-                       if s.ids else "%d d 0" % sid)
-            continue
-        h = s.hints or HintBlock()
-        nums = list(h.rup_chain)
-        for cand, chain in h.rat_groups:
-            nums.append(-cand)
-            nums.extend(chain)
-        parts = [str(sid)]
-        parts.extend(str(l) for l in s.clause.lits)
-        parts.append("0")
-        parts.extend(str(n) for n in nums)
-        parts.append("0")
-        out.append(" ".join(parts))
+        toks = ("d", *s.ids, 0) if isinstance(s, Delete) else body(s)
+        out.append(" ".join(map(str, (sid, *toks))))
     return ("\n".join(out) + "\n").encode("ascii") if out else b""
+
+
+def _two_lists(a, b) -> tuple:
+    """The tokens of an LRAT addition or an ER chain: '<a> 0 <b> 0'."""
+    return (*a, 0, *b, 0)
+
+
+def _lrat_body(s) -> tuple:
+    h = s.hints or HintBlock()
+    hints = list(h.rup_chain)
+    for cand, chain in h.rat_groups:
+        hints.append(-cand)
+        hints.extend(chain)
+    return _two_lists(s.clause.lits, hints)
+
+
+def write_lrat(steps) -> bytes:
+    return _write_lines(steps, _lrat_body)
 
 
 # ------------------------------------------------------------------------- ER
@@ -535,18 +559,11 @@ def parse_er(data) -> list:
     doc_max_var = 0
     while i < t.n:
         at = i
-        sid = nums[i]
-        if isinstance(sid, str):
-            raise t.expected(i, "step id")
-        if sid <= 0:
-            raise t.error(at, "step id %d not positive" % sid)
+        sid = t.step_id(i)
         i += 1
         if nums[i] == "d":
-            ids, i = t.until_zero(i + 1, at, "deletion id", "deletion")
-            if ids and min(ids) < 0:
-                raise t.error(at, "negative deletion id %d"
-                              % next(d for d in ids if d < 0))
-            steps.append((sid, Delete(tuple(ids))))
+            ids, i = t.deletion(i + 1, at)
+            steps.append((sid, Delete(ids)))
             continue
         if sid <= last_claimed:
             raise t.error(at, "id %d collides with claimed ids up to %d"
@@ -577,24 +594,13 @@ def parse_er(data) -> list:
     return steps
 
 
+def _er_body(s) -> tuple:
+    if isinstance(s, Chain):
+        return _two_lists(s.claimed.lits, s.antecedents)
+    if isinstance(s, Extend):
+        return ("e", s.fresh, s.p, *s.ls, 0)
+    raise ValueError("not an ER step: %r" % (s,))
+
+
 def write_er(steps) -> bytes:
-    out = []
-    for sid, s in steps:
-        if isinstance(s, Extend):
-            parts = [str(sid), "e", str(s.fresh), str(s.p)]
-            parts.extend(str(l) for l in s.ls)
-            parts.append("0")
-        elif isinstance(s, Chain):
-            parts = [str(sid)]
-            parts.extend(str(l) for l in s.claimed.lits)
-            parts.append("0")
-            parts.extend(str(a) for a in s.antecedents)
-            parts.append("0")
-        elif isinstance(s, Delete):
-            parts = [str(sid), "d"]
-            parts.extend(str(i) for i in s.ids)
-            parts.append("0")
-        else:
-            raise ValueError("not an ER step: %r" % (s,))
-        out.append(" ".join(parts))
-    return ("\n".join(out) + "\n").encode("ascii") if out else b""
+    return _write_lines(steps, _er_body)

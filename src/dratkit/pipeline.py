@@ -26,10 +26,11 @@ both hold the same clause, so the LRAT and the trimmed DRAT hold equal
 clause multisets after every step.  No second DRAT search and no replay by
 content runs.
 
-The LRAT and the ER write deletions by one rule (_Lines): a run of
-consecutive deletions is one line, which carries the highest id the
-document has claimed so far (the original clause count before any
-addition) and claims no id of its own.
+One _Lines numbers the LRAT and the ER alike: each step takes the next id
+after the last one claimed, its image maps the forward ids to the
+document's, and a run of consecutive deletions is one Delete line, which
+carries the highest id the document has claimed so far (the original
+clause count before any addition) and claims no id of its own.
 
 to_er translates the same records, under the same forward ids, into an
 extended-resolution document, over a live formula built from the core
@@ -78,7 +79,6 @@ from dratkit.formats import (
     Extend,
     HintBlock,
     add_step,
-    delete_ids_step,
     extension_clauses,
 )
 from dratkit.propagate import Engine, walk
@@ -188,25 +188,41 @@ def _require_verified(report, what: str) -> None:
 # ----------------------------------------------------- LRAT and ER lines
 
 class _Lines:
-    """An LRAT or ER document's lines, appended in order under the deletion
-    rule the two share: consecutive deletions make one line, which carries
-    the highest id the document has claimed so far (m, the original clause
-    count, before any addition) and claims no id of its own.  A run's ids
-    gather in a list that is frozen into its line once, when the run ends,
-    so a run of n deletions costs O(n)."""
+    """An LRAT or ER document's lines, numbered and appended in order.
 
-    def __init__(self, m: int, delete):
+    Each step takes the next id after the highest one claimed so far (m,
+    the original clause count, before any step).  image maps the forward
+    ids to the document's: the core originals kept to themselves, and a
+    step's clause, where the caller names it, to the id the step claims.
+    Consecutive deletions make one Delete line, which carries the highest
+    id claimed so far and claims no id of its own.  A run's ids gather in a
+    list that is frozen into its line once, when the run ends, so a run of
+    n deletions costs O(n)."""
+
+    def __init__(self, m: int, kept):
         self._out = []
         self.last = m  # the highest id claimed so far
-        self._delete = delete  # a tuple of ids -> the format's deletion step
+        self.image = {oid: oid for oid in kept}  # forward id -> document id
         self._run = []
 
-    def add(self, sid: int, step, last: int | None = None) -> None:
-        """Append step, which claims the ids sid..last (sid alone when last
-        is None)."""
+    def add(self, step, wid: int | None = None, claims: int = 1) -> int:
+        """Append step, which claims the next claims ids, and map wid (when
+        given) to the first of them; returns that id."""
         self._end_run()
+        sid = self.last + 1
         self._out.append((sid, step))
-        self.last = sid if last is None else last
+        self.last = sid + claims - 1
+        if wid is not None:
+            self.image[wid] = sid
+        return sid
+
+    def id_of(self, wid: int) -> int:
+        """The document id of forward id wid, which a step cites."""
+        did = self.image.get(wid)
+        if did is None:
+            raise TranslationInvariantViolation(
+                "clause %d cited but has no image in the document" % wid)
+        return did
 
     def delete(self, did: int) -> None:
         self._run.append(did)
@@ -217,7 +233,7 @@ class _Lines:
 
     def _end_run(self) -> None:
         if self._run:
-            self._out.append((self.last, self._delete(tuple(self._run))))
+            self._out.append((self.last, Delete(tuple(self._run))))
             self._run = []
 
 
@@ -242,39 +258,30 @@ def emit_trim(cp: CheckedProof):
     clauses in its order, so its re-check certifies the trimmed proof too,
     under specified deletions.
 
-    This is the one place the forward ids are renumbered: original ids
-    stay, and each addition takes the next id after the last one claimed.
-    Both numberings rise together, so every order by id is kept.  While no
-    addition has been left out, the two agree and a step's hints are
-    written as they are; after that, each id a step cites or deletes is
-    mapped to its image, and one with no image raises
-    TranslationInvariantViolation.
+    This is the one place the forward ids are renumbered, by _Lines:
+    original ids stay, and each addition takes the next id after the last
+    one claimed.  Both numberings rise together, so every order by id is
+    kept.  While no addition has been left out, the two agree and a step's
+    hints are written as they are; after that, each id a step cites or
+    deletes is mapped to its image (_Lines.id_of, which raises
+    TranslationInvariantViolation for an id with none).
     """
     trimmed, core = emit_trimmed(cp)
-    lines = _Lines(cp.formula.next_id - 1, delete_ids_step)
+    lines = _Lines(cp.formula.next_id - 1, cp.core_formula_ids)
     for oid in sorted(set(cp.formula.clauses) - cp.core_formula_ids):
         lines.delete(oid)
-    image = {oid: oid for oid in cp.core_formula_ids}
-
-    def img(wid):
-        lid = image.get(wid)
-        if lid is None:
-            raise TranslationInvariantViolation(
-                "clause %d cited but has no image in the LRAT document" % wid)
-        return lid
-
+    img = lines.id_of
     for r in trimmed:
         if r.kind == "delete":
             lines.delete(img(r.wid))
             continue
-        sid = image[r.wid] = lines.last + 1
         hints = r.hints
-        if r.wid != sid:
+        if r.wid != lines.last + 1:
             # an addition was left out before r, so the ids it cites moved
             hints = HintBlock(tuple(map(img, hints.rup_chain)),
                               tuple((img(cand), tuple(map(img, chain)))
                                     for cand, chain in hints.rat_groups))
-        lines.add(sid, add_step(r.clause, hints=hints))
+        lines.add(add_step(r.clause, hints=hints), r.wid)
     out = lines.done()
     _require_verified(check_lrat(cp.formula, out), "LRAT")
     return out, trimmed, core
@@ -352,12 +359,12 @@ def to_er(f: Formula, cp: CheckedProof):
     """Extended-resolution document for the checked proof, over f's ids.
 
     It translates emit_trimmed's records under their forward ids, which
-    id_map takes to ER ids; both rise together, so the trimmed proof's
-    order by id is the ER's.  RUP additions write their hint chains
-    reversed, with no fold: check_er folds them when it re-checks the
-    document.  A RAT addition that
-    starts a definition the proof spells (see _definition_run) becomes
-    Extend(y, p, ls) on the next fresh y, with p and ls under the current
+    the document's _Lines maps to ER ids; both rise together, so the
+    trimmed proof's order by id is the ER's.  RUP additions write their
+    hint chains reversed, with no fold: check_er folds them when it
+    re-checks the document.  A RAT addition that starts a definition the
+    proof spells (see _definition_run) becomes Extend(y, p, ls) on the
+    next fresh y, with p and ls under the current
     substitution, and x is renamed to y: no live clause mentions x, so no
     image is needed, and each record of the run maps to its family clause.
     Any other RAT addition on pivot p introduces a fresh variable x defined
@@ -394,21 +401,14 @@ def to_er(f: Formula, cp: CheckedProof):
             last_ref[tid] = ri
 
     er_clauses = {cid: cl for cid, cl in f.clauses.items()}
-    id_map = {tid: tid for tid in live.clauses}
     sub: dict[int, int] = {}
     fresh = f.max_var
     for r in trimmed:
         for l in r.clause.lits:
             if abs(l) > fresh:
                 fresh = abs(l)
-    lines = _Lines(m, Delete)
-
-    def er_id(tid):
-        eid = id_map.get(tid)
-        if eid is None:
-            raise TranslationInvariantViolation(
-                "clause %d cited but has no translated image" % tid)
-        return eid
+    lines = _Lines(m, cp.core_formula_ids)
+    id_map, er_id = lines.image, lines.id_of
 
     def define(p, ls):
         """Emit Extend(x, p, ls) on the next fresh x and register its
@@ -416,21 +416,17 @@ def to_er(f: Formula, cp: CheckedProof):
         nonlocal fresh
         fresh += 1
         family = extension_clauses(fresh, p, ls)
-        ext_sid = lines.last + 1
-        lines.add(ext_sid, Extend(fresh, p, ls), ext_sid + len(family) - 1)
+        ext_sid = lines.add(Extend(fresh, p, ls), claims=len(family))
         for j, clx in enumerate(family):
             er_clauses[ext_sid + j] = clx
         return fresh, range(ext_sid, ext_sid + len(family))
 
-    def emit_chain(claimed, fold_ids):
+    def emit_chain(tid, claimed, fold_ids):
         kept, acc = _fold(er_clauses, fold_ids)
         if not acc.issubset(claimed.lits):
             raise TranslationInvariantViolation(
                 "chain for %r folds to %r" % (claimed, sorted(acc)))
-        sid = lines.last + 1
-        lines.add(sid, Chain(claimed, tuple(kept)))
-        er_clauses[sid] = claimed
-        return sid
+        er_clauses[lines.add(Chain(claimed, tuple(kept)), tid)] = claimed
 
     records = iter(enumerate(trimmed))
     for ri, r in records:
@@ -445,11 +441,8 @@ def to_er(f: Formula, cp: CheckedProof):
                 live.add_clause(clause, cid=cid)
                 continue
             claimed = _apply_clause(sub, clause)
-            sid = lines.last + 1
             ids = tuple(map(er_id, reversed(hints.rup_chain)))
-            lines.add(sid, Chain(claimed, ids))
-            er_clauses[sid] = claimed
-            id_map[cid] = sid
+            er_clauses[lines.add(Chain(claimed, ids), cid)] = claimed
             live.add_clause(clause, cid=cid)
             if clause.is_empty:
                 break
@@ -520,7 +513,7 @@ def to_er(f: Formula, cp: CheckedProof):
             fold_ids.append(er_id(tid))
             images.append((tid, claimed, fold_ids))
         for tid, claimed, fold_ids in images:
-            id_map[tid] = emit_chain(claimed, fold_ids)
+            emit_chain(tid, claimed, fold_ids)
         for tid in dropped:
             id_map.pop(tid, None)
         id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x

@@ -22,7 +22,6 @@ from dratkit.formats import (
     HintBlock,
     ParseError,
     add_step,
-    delete_ids_step,
     delete_step,
 )
 
@@ -609,7 +608,7 @@ def ref_parse_drat_text(data) -> list:
 
 
 def ref_parse_lrat(data) -> list:
-    """LRAT text -> list of (id, ProofStep).
+    """LRAT text -> list of (id, ProofStep | Delete).
 
     Addition hints split at the first negative hint into the unit chain and
     candidate groups.  Hints and candidates must reference ids below the
@@ -640,7 +639,7 @@ def ref_parse_lrat(data) -> list:
                 if n < 0:
                     raise ParseError("line %d: negative deletion id %d" % (ln, n))
                 ids.append(n)
-            steps.append((sid, delete_ids_step(ids)))
+            steps.append((sid, Delete(tuple(ids))))
             continue
         if sid <= last_add:
             raise ParseError("line %d: addition id %d not above %d" % (ln, sid, last_add))
@@ -697,7 +696,9 @@ def ref_parse_er(data) -> list:
     last_claimed = 0
     doc_max_var = 0
 
-    def read_until_zero(ln, what, token=None):
+    def read_until_zero(ln, what, token=None, negative=None):
+        """The numbers up to the next 0; a negative one raises the message
+        negative % (ln, n) as it is read, when negative is given."""
         nonlocal i
         nums = []
         while True:
@@ -707,6 +708,8 @@ def ref_parse_er(data) -> list:
             i += 1
             if n == 0:
                 return nums
+            if n < 0 and negative:
+                raise ParseError(negative % (ln, n))
             nums.append(n)
 
     while i < len(toks):
@@ -717,10 +720,8 @@ def ref_parse_er(data) -> list:
         i += 1
         if i < len(toks) and toks[i][0] == "d":
             i += 1
-            ids = read_until_zero(ln, "deletion", "deletion id")
-            if any(n < 0 for n in ids):
-                raise ParseError("line %d: negative deletion id %d"
-                                 % (ln, next(n for n in ids if n < 0)))
+            ids = read_until_zero(ln, "deletion", "deletion id",
+                                  "line %d: negative deletion id %d")
             steps.append((sid, Delete(tuple(ids))))
             continue
         if sid <= last_claimed:

@@ -27,7 +27,6 @@ from dratkit.formats import (
     Extend,
     HintBlock,
     add_step,
-    delete_ids_step,
     delete_step,
     extension_clauses,
     parse_drat,
@@ -202,7 +201,7 @@ def _flip_drat(rng, steps):
 
 def _flip_lrat(rng, doc):
     idxs = [i for i, (_, st) in enumerate(doc)
-            if st.kind == "add" and len(st.clause) > 0]
+            if not isinstance(st, Delete) and len(st.clause) > 0]
     if not idxs:
         return None
     i = rng.choice(idxs)
@@ -218,7 +217,7 @@ def _flip_lrat(rng, doc):
 def _drop_lrat_hint(rng, doc):
     spots = []
     for i, (_, st) in enumerate(doc):
-        if st.kind != "add" or st.hints is None:
+        if isinstance(st, Delete) or st.hints is None:
             continue
         for p in range(len(st.hints.rup_chain)):
             spots.append((i, -1, p))
@@ -413,8 +412,8 @@ def test_format_round_trips():
         sid = rng.randint(3, 6)
         for _ in range(rng.randint(1, 10)):
             if rng.random() < 0.3:
-                doc.append((sid, delete_ids_step(
-                    sorted(rng.sample(range(1, sid), min(2, sid - 1))))))
+                doc.append((sid, Delete(tuple(
+                    sorted(rng.sample(range(1, sid), min(2, sid - 1)))))))
                 continue
             sid += rng.randint(1, 3)
             rup = tuple(sorted(rng.sample(range(1, sid),

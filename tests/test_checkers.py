@@ -33,7 +33,6 @@ from dratkit.formats import (
     Extend,
     HintBlock,
     add_step,
-    delete_ids_step,
     delete_step,
     parse_er,
     parse_lrat,
@@ -190,10 +189,10 @@ def test_drat_rat_pivot_is_the_first_literal():
 
 def test_drat_rejects_foreign_step_kinds():
     f = formula_from_clauses([[1]])
-    from dratkit.formats import delete_ids_step, ProofStep
+    from dratkit.formats import ProofStep
 
     with pytest.raises(ValueError):
-        check_drat(f, [delete_ids_step([1])])
+        check_drat(f, [Delete((1,))])
     with pytest.raises(ValueError):
         check_drat(f, [ProofStep("extend")])
 
@@ -204,16 +203,15 @@ def test_drat_rejects_foreign_step_kinds():
 _FOREIGN = {
     check_drat: (add_step([2]), [Extend(3, 1, (2,)), Chain(Clause([2]), (1, 2)),
                                  Delete((1,)), (6, add_step([])),
-                                 delete_ids_step((1,))]),
+                                 (6, Delete((1,)))]),
     check_lrat: ((5, parse_lrat(b"5 2 0 1 2 0\n")[0][1]),
                  [(1, Extend(3, 1, (2,))), (1, Chain(Clause([2]), (1, 2))),
-                  (1, Delete((1,))), (1, delete_step([1, 2])),
+                  (1, delete_step([1, 2])),
                   # bare steps and a triple, not (id, step) pairs
-                  add_step([]), delete_ids_step((1,)), Extend(3, 1, (2,)),
+                  add_step([]), Delete((1,)), Extend(3, 1, (2,)),
                   Chain(Clause([2]), (1, 2)), (7, add_step([]), 0)]),
     check_er: ((5, Chain(Clause([2]), (1, 2))),
-               [(1, add_step([])), (1, delete_ids_step((1,))),
-                (1, delete_step([1, 2])),
+               [(1, add_step([])), (1, delete_step([1, 2])),
                 # bare steps and a triple, not (id, step) pairs
                 Extend(3, 1, (2,)), Chain(Clause([2]), (1, 2)),
                 Delete((1,)), add_step([]), (7, Chain(Clause([]), (1, 2)), 0)]),

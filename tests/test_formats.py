@@ -16,7 +16,6 @@ from dratkit.formats import (
     HintBlock,
     ParseError,
     add_step,
-    delete_ids_step,
     delete_step,
     extension_clauses,
     parse_dimacs,
@@ -193,7 +192,7 @@ class TestDratBinary:
                 with pytest.raises(ParseError):
                     parse_drat_binary(data[:cut])
 
-    @pytest.mark.parametrize("step", [delete_ids_step((1,)), Extend(3, 1, (2,)),
+    @pytest.mark.parametrize("step", [Delete((1,)), Extend(3, 1, (2,)),
                                       Chain(Clause([1]), (1, 2))])
     def test_foreign_step_rejected(self, step):
         with pytest.raises(ValueError, match="content add/delete steps only"):
@@ -206,7 +205,7 @@ class TestDratBinary:
 
 
 @pytest.mark.parametrize("write", [write_drat_text, write_drat_binary])
-@pytest.mark.parametrize("step", [delete_ids_step((1,)), (1, add_step([1])), "1 0"],
+@pytest.mark.parametrize("step", [Delete((1,)), (1, add_step([1])), "1 0"],
                          ids=["id-deletion", "id-step-pair", "string"])
 def test_drat_writers_reject_a_foreign_step(write, step):
     with pytest.raises(ValueError, match="content add/delete steps only"):
@@ -291,7 +290,7 @@ class TestLrat:
 
     def test_deletion_line(self):
         (sid, s), = parse_lrat(b"4 d 1 0\n")
-        assert sid == 4 and s.kind == "delete" and s.ids == (1,)
+        assert sid == 4 and s == Delete((1,))
 
     def test_empty_clause_line(self):
         (sid, s), = parse_lrat(b"5 0 3 2 0\n")
@@ -320,6 +319,8 @@ class TestLrat:
         steps = parse_lrat(doc)
         assert steps[0] == (5, add_step([5, -3], hints=HintBlock()))
         assert write_lrat(steps) == doc
+        # an addition built with no hint block writes the same empty list
+        assert write_lrat([(5, add_step([5, -3]))] + steps[1:]) == doc
         assert check_lrat(formula_from_clauses(FULL2), steps).verified
         assert naive_check_lrat(FULL2, doc.decode())
 
@@ -369,8 +370,10 @@ class TestEr:
         assert sid == 7 and s == Chain(Clause([2, 3]), (4, 6))
 
     def test_deletion_line(self):
-        (sid, s), = parse_er(b"5 d 1 2 0\n")
-        assert s == Delete((1, 2))
+        # LRAT's deletion line: both formats read and write it alike
+        text = b"5 d 1 2 0\n"
+        assert parse_er(text) == parse_lrat(text) == [(5, Delete((1, 2)))]
+        assert write_er(parse_er(text)) == write_lrat(parse_er(text)) == text
 
     def test_extension_claims_id_span(self):
         with pytest.raises(ParseError, match="collides"):
@@ -392,8 +395,7 @@ class TestEr:
         text = b"4 e 3 1 2 0\n7 2 3 0 4 6 0\n7 d 1 2 0\n"
         assert write_er(parse_er(text)) == text
 
-    @pytest.mark.parametrize("step", [add_step([1]), delete_ids_step((1,)),
-                                      delete_step([1])])
+    @pytest.mark.parametrize("step", [add_step([1]), delete_step([1])])
     def test_write_rejects_a_foreign_step(self, step):
         with pytest.raises(ValueError, match="not an ER step"):
             write_er([(4, Extend(3, 1, (2,))), (7, step)])
@@ -432,8 +434,8 @@ class TestRoundTripProperties:
             sid = rng.randint(3, 6)
             for _ in range(rng.randint(1, 10)):
                 if rng.random() < 0.3:
-                    steps.append((sid, delete_ids_step(
-                        sorted(rng.sample(range(1, sid), min(2, sid - 1))))))
+                    steps.append((sid, Delete(tuple(
+                        sorted(rng.sample(range(1, sid), min(2, sid - 1)))))))
                     continue
                 sid += rng.randint(1, 3)
                 rup = tuple(sorted(rng.sample(range(1, sid), min(rng.randint(0, 2), sid - 1))))

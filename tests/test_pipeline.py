@@ -43,7 +43,6 @@ from dratkit.formats import (
     HintBlock,
     ParseError,
     add_step,
-    delete_ids_step,
     delete_step,
     extension_clauses,
     parse_dimacs,
@@ -117,8 +116,8 @@ def _flat(lrat):
     """The LRAT steps with one deleted id per deletion line."""
     flat = []
     for sid, step in lrat:
-        if step.kind == "delete":
-            flat += [(sid, delete_ids_step((did,))) for did in step.ids]
+        if isinstance(step, Delete):
+            flat += [(sid, Delete((did,))) for did in step.ids]
         else:
             flat.append((sid, step))
     return flat
@@ -132,7 +131,7 @@ def _dense_lrat(cp, trimmed):
     (originals keep their ids)."""
     m = len(cp.formula.clauses)
     image = {oid: oid for oid in cp.core_formula_ids}
-    want = [(m, delete_ids_step((oid,)))
+    want = [(m, Delete((oid,)))
             for oid in sorted(set(cp.formula.clauses) - cp.core_formula_ids)]
     sid = m
     for r in trimmed:
@@ -145,7 +144,7 @@ def _dense_lrat(cp, trimmed):
                 tuple((image[cand], tuple(image[w] for w in chain))
                       for cand, chain in h.rat_groups)))))
         else:
-            want.append((sid, delete_ids_step((image[r.wid],))))
+            want.append((sid, Delete((image[r.wid],))))
     return want
 
 
@@ -156,8 +155,8 @@ def _assert_lrat_is_the_trimmed_proof(cnf, cp):
     multisets; and naive_check_lrat accepts it."""
     lrat, trimmed, core = emit_trim(cp)
     assert trimmed == emit_trimmed(cp)[0]
-    kinds = [step.kind for _, step in lrat]
-    assert ("delete", "delete") not in zip(kinds, kinds[1:])
+    dels = [isinstance(step, Delete) for _, step in lrat]
+    assert (True, True) not in zip(dels, dels[1:])
     flat = _flat(lrat)
     assert flat == _dense_lrat(cp, trimmed)
     live = dict(enumerate(map(Clause, cnf), 1))
@@ -166,14 +165,14 @@ def _assert_lrat_is_the_trimmed_proof(cnf, cp):
         del live[did]
     drat = Counter(c.litset for _, c in core.items())
     for (sid, step), r in zip(flat[len(noncore):], trimmed):
-        if step.kind == "add":
-            live[sid] = step.clause
-            drat[r.clause.litset] += 1
-        else:
+        if isinstance(step, Delete):
             (did,) = step.ids
             del live[did]
             assert drat[r.clause.litset] > 0
             drat[r.clause.litset] -= 1
+        else:
+            live[sid] = step.clause
+            drat[r.clause.litset] += 1
         assert Counter(c.litset for c in live.values()) == +drat
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
 
@@ -367,14 +366,14 @@ def test_rat_proof_lrat_document():
     assert doc == [
         (9, add_step([1, -2], hints=HintBlock(rup_chain=(4,),
                                               rat_groups=((2, ()), (3, ()))))),
-        (9, delete_ids_step((4,))),
+        (9, Delete((4,))),
         (10, add_step([-2, 3], hints=HintBlock(rup_chain=(3, 9)))),
-        (10, delete_ids_step((9,))),
+        (10, Delete((9,))),
         (11, add_step([3], hints=HintBlock(rup_chain=(10, 1, 2)))),
-        (11, delete_ids_step((10,))),
+        (11, Delete((10,))),
         (12, add_step([-3, 4], hints=HintBlock(rup_chain=(5, 7)))),
         (13, add_step([-3], hints=HintBlock(rup_chain=(12, 6, 8)))),
-        (13, delete_ids_step((12,))),
+        (13, Delete((12,))),
         (14, add_step([], hints=HintBlock(rup_chain=(11, 13)))),
     ]
     assert check_lrat(f, doc).verified
@@ -412,7 +411,7 @@ def test_noncore_original_gets_leading_lrat_deletion():
     assert [list(core.clauses[i].lits) for i in range(1, 9)] == SPLIT8
     assert brute_force(core) is None
     doc = emit_lrat(cp)
-    assert doc[0] == (9, delete_ids_step((9,)))
+    assert doc[0] == (9, Delete((9,)))
     assert doc[1][0] == 10
     assert check_lrat(f, doc).verified
     er = to_er(f, cp)
@@ -508,8 +507,8 @@ def test_citation_of_a_twin_deleted_in_its_copys_place():
     cp = backward_check(f, TWINS_PROOF)
     assert 21 in _cited(cp.records[6])
     lrat, trimmed, core = emit_trim(cp)
-    assert (25, delete_ids_step((22, 23))) in lrat
-    hints = [s.hints for sid, s in lrat if sid == 26 and s.kind == "add"][0]
+    assert (25, Delete((22, 23))) in lrat
+    hints = [s.hints for sid, s in lrat if sid == 26 and not isinstance(s, Delete)][0]
     cited = set(hints.rup_chain).union(*(g[1] for g in hints.rat_groups))
     assert 21 in cited and 22 not in cited
     assert check_drat(core, trimmed).verified
@@ -527,7 +526,7 @@ def test_a_proof_deleting_the_surviving_twin_deletes_its_id():
     proof = TWINS_PROOF[:-1] + [delete_step([-5, -3, -8]), add_step([])]
     cp = backward_check(f, proof)
     lrat, trimmed, core = emit_trim(cp)
-    dels = [s.ids for _, s in lrat if s.kind == "delete"]
+    dels = [s.ids for _, s in lrat if isinstance(s, Delete)]
     assert dels == [(22, 23), (20, 24, 21)]
     assert write_drat_text(trimmed).count(b"d -5 ") == 2
     assert check_drat(core, trimmed).verified
@@ -653,7 +652,7 @@ def test_lrat_of_definitions_verifies_with_groupless_rat_steps():
     lrat = emit_lrat(backward_check(f, _hop_proof(f, [x, y, 1])))
     report = check_lrat(f, lrat)
     assert report.verified
-    grouped = sum(1 for _, s in lrat if s.kind == "add" and s.hints.rat_groups)
+    grouped = sum(1 for _, s in lrat if not isinstance(s, Delete) and s.hints.rat_groups)
     assert report.rat_steps > grouped  # some RAT steps held with no groups
     cnf = [list(c.lits) for _, c in f.items()]
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
@@ -736,6 +735,32 @@ def test_to_er_builds_no_renumbered_copy(monkeypatch):
 
     monkeypatch.setattr(pipeline, "HintBlock", refuse)
     assert write_er(to_er(f, cp)) == want
+
+
+def test_a_cited_id_outside_the_trimmed_world_has_no_image(monkeypatch):
+    # a core record made to cite an addition left out of the core, after
+    # that addition: the LRAT's and the ER's id maps (_Lines) both refuse
+    # it, before either document's re-check runs
+    f = gen_php(5)
+    cp = backward_check(f, cdcl_solve(f, seed=0).proof)
+    records = list(cp.records)
+    out = next(r.wid for r in records if r.kind == "add" and not r.core)
+    k = next(k for k, r in enumerate(records) if r.core and r.kind == "add"
+             and r.pivot is None and r.wid > out)
+    records[k] = records[k]._replace(
+        hints=HintBlock((out,) + records[k].hints.rup_chain))
+    forged = cp._replace(records=tuple(records))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a re-check ran")
+
+    monkeypatch.setattr(pipeline, "check_lrat", refuse)
+    monkeypatch.setattr(pipeline, "check_er", refuse)
+    message = "clause %d cited but has no image" % out
+    with pytest.raises(TranslationInvariantViolation, match=message):
+        emit_trim(forged)
+    with pytest.raises(TranslationInvariantViolation, match=message):
+        to_er(f, forged)
 
 
 def _retrimmed():
@@ -967,7 +992,7 @@ def _lrat_mutant(rng, kind, nclauses, steps):
     inserts a deleted id or the step's own (one above the last id).
     duplicate_deleted_id lists one id of a deletion twice."""
     if kind == "duplicate_deleted_id":
-        dels = [i for i, (_, s) in enumerate(steps) if s.kind == "delete"]
+        dels = [i for i, (_, s) in enumerate(steps) if isinstance(s, Delete)]
         if not dels:
             return None
         i = rng.choice(dels)
@@ -975,8 +1000,8 @@ def _lrat_mutant(rng, kind, nclauses, steps):
         ids = list(step.ids)
         k = rng.randrange(len(ids))
         ids.insert(k + 1, ids[k])
-        return steps[:i] + [(sid, delete_ids_step(ids))] + steps[i + 1:]
-    adds = [i for i, (_, s) in enumerate(steps) if s.kind == "add"]
+        return steps[:i] + [(sid, Delete(tuple(ids)))] + steps[i + 1:]
+    adds = [i for i, (_, s) in enumerate(steps) if not isinstance(s, Delete)]
     rng.shuffle(adds)
     for i in adds:
         sid, step = steps[i]
@@ -985,10 +1010,10 @@ def _lrat_mutant(rng, kind, nclauses, steps):
         groups = list(step.hints.rat_groups)
         live = set(range(1, nclauses + 1))
         for lid, s in steps[:i]:
-            if s.kind == "add":
-                live.add(lid)
-            else:
+            if isinstance(s, Delete):
                 live.difference_update(s.ids)
+            else:
+                live.add(lid)
         live = sorted(live)
         if kind == "drop_hint" and rup:
             del rup[rng.randrange(len(rup))]
@@ -1351,7 +1376,8 @@ def test_drat_text_exits_match_the_reference(name):
 
 
 # an LRAT or ER deletion line holds clause ids: (parser, reference, document,
-# the message both give)
+# the message both give); both formats read it token at a time, so a
+# negative id comes before a word or the document's end after it
 DELETION_ID_EXITS = {
     "lrat_word": (parse_lrat, ref_parse_lrat, "5 d 3 x 0\n",
                   "line 1: expected deletion id, got 'x'"),
@@ -1361,6 +1387,14 @@ DELETION_ID_EXITS = {
                 "line 2: expected deletion id, got 'x'"),
     "er_negative": (parse_er, ref_parse_er, "5 d 3 -2 -4 0\n",
                     "line 1: negative deletion id -2"),
+    "lrat_negative_then_word": (parse_lrat, ref_parse_lrat, "5 d -2 x 0\n",
+                                "line 1: negative deletion id -2"),
+    "er_negative_then_word": (parse_er, ref_parse_er, "5 d -2 x 0\n",
+                              "line 1: negative deletion id -2"),
+    "lrat_negative_unterminated": (parse_lrat, ref_parse_lrat, "5 d 3 -2\n",
+                                   "line 1: negative deletion id -2"),
+    "er_negative_unterminated": (parse_er, ref_parse_er, "5 d 3 -2\n",
+                                 "line 1: negative deletion id -2"),
 }
 
 
@@ -1430,6 +1464,19 @@ def test_to_er_fold_random_chains_match_naive_fold():
         chain = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
         verdicts[_assert_fold_matches_naive(chain)[0]] += 1
     assert min(verdicts.values()) >= 50
+
+
+def test_fold_tells_a_double_clash_from_a_tautology():
+    # a second clash and a tautological step both end the fold, each with
+    # its own message
+    two = {1: Clause([1, 2]), 2: Clause([-1, -2])}
+    with pytest.raises(TranslationInvariantViolation) as e:
+        pipeline._fold(two, [1, 2])
+    assert str(e.value) == "chain antecedent 2 clashes on [1, 2]"
+    taut = {1: Clause([1, 2]), 2: Clause([-1, 3, -3])}
+    with pytest.raises(TranslationInvariantViolation) as e:
+        pipeline._fold(taut, [1, 2])
+    assert str(e.value) == "chain fold through 2 became tautological"
 
 
 def test_padding_is_trimmed_away():
@@ -1749,7 +1796,7 @@ def test_cook_documents_write_each_deletion_run_as_one_line(n):
     lrat, er = emit_lrat(cp), to_er(f, cp)
     _assert_deletion_runs(cnf, lrat, er)
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
-    runs = [len(s.ids) for _, s in lrat if s.kind == "delete"]
+    runs = [len(s.ids) for _, s in lrat if isinstance(s, Delete)]
     assert runs == [len(s.ids) for _, s in er if isinstance(s, Delete)]
     assert len(runs) > n - 2 and min(runs) > 1
 
@@ -1757,13 +1804,13 @@ def test_cook_documents_write_each_deletion_run_as_one_line(n):
 def test_a_run_of_deletions_is_built_in_linear_time():
     # one run of 40000 deletions becomes one line, its ids gathered in a
     # list; growing the line's tuple by one id per deletion costs seconds
-    lines = pipeline._Lines(7, delete_ids_step)
+    lines = pipeline._Lines(7, ())
     t0 = time.process_time()
     for did in range(1, 40001):
         lines.delete(did)
     out = lines.done()
     elapsed = time.process_time() - t0
-    assert out == [(7, delete_ids_step(range(1, 40001)))]
+    assert out == [(7, Delete(tuple(range(1, 40001))))]
     assert elapsed < 0.3
 
 
@@ -1802,6 +1849,36 @@ def test_to_er_takes_the_general_route_for_a_clause_outside_the_family():
     rat, extends = _cook3_first_family(widen)
     assert rat >= 2
     assert len(extends) == 5 + rat
+
+
+def _add(lits, wid, pivot=None):
+    return StepRecord("add", Clause(lits), wid, pivot=pivot)
+
+
+# _definition_run's guards: (live clauses, records from the RAT one on, what
+# it returns: None, or p, ls and each record's family member)
+DEFINITION_RUNS = {
+    # the first clause must be a binary (x, -p)
+    "unit_first": ([[1, 2]], [_add([3], 5, 3), _add([3, -1], 6)], None),
+    # no live clause may mention x, not even as -x
+    "not_x_live": ([[-3, 1]], [_add([3, -1], 5, 3), _add([3, -2], 6)], None),
+    # the second clause must start with x
+    "second_not_x": ([[1, 2]], [_add([3, -1], 5, 3), _add([-3, 1, -1], 6)], None),
+    # a deletion ends the run, even of a clause that starts with x
+    "deletion_ends": ([[1, 2]], [_add([3, -1], 5, 3), _add([3, -2], 6),
+                                 StepRecord("delete", Clause([3, -2]), 6)],
+                      (1, (2,), [0, 1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFINITION_RUNS))
+def test_definition_run_takes_only_a_spelled_definition(name):
+    live, records, want = DEFINITION_RUNS[name]
+    got = pipeline._definition_run(records, 0, formula_from_clauses(live))
+    if want is not None:
+        p, ls, members = got
+        got = (p, ls, [j for _, j in members])
+    assert got == want
 
 
 # ------------------------------------------- RAT-rich DRAT proofs, mutated
@@ -2103,8 +2180,9 @@ def test_outputs_do_not_depend_on_the_variable_numbering():
                 skipped += report.skipped_deletions
                 assert report.verified, (name, flavor)
                 cp, cq = backward_check(f, proof, mode), backward_check(g, relabelled, mode)
-                mapped = [(sid, add_step(map(lit, s.clause.lits), hints=s.hints)
-                           if s.kind == "add" else s) for sid, s in emit_trim(cp)[0]]
+                mapped = [(sid, s if isinstance(s, Delete) else
+                           add_step(map(lit, s.clause.lits), hints=s.hints))
+                          for sid, s in emit_trim(cp)[0]]
                 assert write_lrat(emit_trim(cq)[0]) == write_lrat(mapped), (name, flavor)
                 er = to_er(g, cq)
                 assert _er_shape(er) == _er_shape(to_er(f, cp)), (name, flavor)

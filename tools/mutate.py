@@ -1,4 +1,4 @@
-"""Mutation testing of the checkers' rules, the parsers, Clause and trimming.
+"""Mutation testing of the checkers, the formats, Clause and the pipeline.
 
     python3 tools/mutate.py                    # run every mutant, summarize
     python3 tools/mutate.py --list             # list the mutants, run none
@@ -43,13 +43,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_PARSER_TESTS = ["tests/test_formats.py", "tests/test_checkers.py",
+# the parsers' tests, and the writers' byte pins: the round trips and the
+# GOLDEN digests
+_FORMAT_TESTS = ["tests/test_formats.py", "tests/test_checkers.py",
                  "tests/test_acceptance.py::test_format_round_trips"] + [
     "tests/test_pipeline.py::" + name for name in (
         "test_parsers_match_the_token_at_a_time_references",
         "test_parsers_match_the_references_across_every_separator",
         "test_deletion_id_messages_match_the_reference",
-        "test_drat_detection_alone_reads_every_proof")]
+        "test_drat_detection_alone_reads_every_proof",
+        "test_outputs_match_golden_digests")]
 _CHECKER_TESTS = ["tests/test_checkers.py", "tests/test_propagate.py",
                   "tests/test_acceptance.py"] + [
     # to_er folds its image chains with _fold_chain too
@@ -68,21 +71,20 @@ SCOPE = {
     "formats": (["extension_clauses", "_text", "_reject_underscore",
                  "_int_tok", "_Tokens", "parse_dimacs", "_shared",
                  "parse_drat_text",
-                 "parse_drat_binary", "parse_drat", "parse_lrat", "parse_er"],
-                _PARSER_TESTS),
+                 "parse_drat_binary", "parse_drat", "parse_lrat", "parse_er",
+                 "_write_lines", "_two_lists", "_lrat_body", "write_lrat",
+                 "_er_body", "write_er"],
+                _FORMAT_TESTS),
     "propagate": (["walk"], _CHECKER_TESTS),
     "checkers": (["check_addition", "check_lrat", "check_er", "_fold_chain",
                   "_drat_forward"], _CHECKER_TESTS),
-    "pipeline": (["backward_check", "emit_trimmed", "emit_trim", "to_er"],
+    "pipeline": (["backward_check", "emit_trimmed", "_Lines", "emit_trim",
+                  "_fold", "_definition_run", "to_er"],
                  _PIPELINE_TESTS),
 }
 
 # (function, original text, mutated text) -> why no input tells them apart
 EQUIVALENT = {
-    ("_Tokens.__init__", "toks[k] = '0'", "pass"):
-        "the words then fail the one map(int, ...) and take the token-at-a-"
-        "time fallback, which gives the same nums, and odd the same least "
-        "entry at or after every position (the words' positions twice)",
     ("_Tokens.line", "ln = 0", "pass"):
         "text.split('\\n') is never empty, so the loop always binds ln",
     ("parse_dimacs", "last_ln = 0", "pass"):
