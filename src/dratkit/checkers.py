@@ -260,10 +260,10 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
         if c.is_tautology:
             hints = HintBlock()
         elif c.is_empty:
-            out = engine.rup(c)
-            if not out.rup:
+            chain = engine.rup(c)
+            if chain is None:
                 raise ForwardRejected(i, NOT_RAT)
-            hints = HintBlock(out.antecedents)
+            hints = HintBlock(chain)
         else:
             r = engine.rat(c)
             if not r.rat:

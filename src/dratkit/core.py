@@ -41,8 +41,8 @@ class Clause:
 
     It stores the duplicate-free literal tuple and the hash of its literal
     set, but no set.  Equality and hashing use the literal set, so
-    {1,2} == {2,1}; litset, is_tautology and the comparison of two objects
-    with equal hashes build sets on demand, and an object equals itself at
+    {1,2} == {2,1}; is_tautology and the comparison of two objects with
+    equal hashes build sets on demand, and an object equals itself at
     once.  Being immutable, one Clause may stand for every step that spells
     its literals (the DRAT parsers share them).  A Clause may hold a
     complementary pair (input files legitimately contain tautologies);
@@ -60,10 +60,6 @@ class Clause:
             lits = tuple(dict.fromkeys(lits))
         self.lits = lits
         self._hash = hash(s)
-
-    @property
-    def litset(self) -> frozenset[int]:
-        return frozenset(self.lits)
 
     @property
     def is_empty(self) -> bool:

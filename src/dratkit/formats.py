@@ -289,6 +289,8 @@ def parse_dimacs(data):
                 raise ParseError("line %d: bad header %r" % (ln, stripped))
             declared_vars = _int_tok(parts[2], ln, "variable count")
             declared_clauses = _int_tok(parts[3], ln, "clause count")
+            if declared_vars < 0 or declared_clauses < 0:
+                raise ParseError("line %d: bad header %r" % (ln, stripped))
             continue
         if declared_vars is None:
             raise ParseError("line %d: clause before 'p cnf' header" % ln)

@@ -298,7 +298,7 @@ def _apply_clause(sub: dict, c: Clause) -> Clause:
 def _fold(er_clauses: dict, ids) -> tuple:
     """Left fold of a resolution chain, dropping non-clashing antecedents.
 
-    Returns (kept_ids, accumulated_litset).  Antecedents with no clashing
+    Returns (kept_ids, accumulated literal set).  Antecedents with no clashing
     variable against the accumulator are skipped and omitted from kept_ids,
     so the returned chain replays exactly under the strict fold rule.
     """

@@ -34,8 +34,8 @@ per variable.  Every variable takes the next internal number when the
 engine first sees it, in the order of the clauses at construction and then
 of the calls; _ix maps each literal seen to its internal literal, so a
 translation is one lookup, and _ex maps an internal variable back.
-Literals are translated on the way in (attach, propagate's assumptions,
-lit_value) and out (only toplevel); the trail and the watch records stay
+Literals are translated on the way in (attach and propagate's
+assumptions) and out (only toplevel); the trail and the watch records stay
 internal.  A new variable gets its slot before any access, capacity
 doubling.  Growth inserts the new slots between the positive and the
 negative half, in place, so lists bound to locals stay valid and every
@@ -53,11 +53,15 @@ the engine reports before it accepts the addition.
 
 Clause visits are counted per live-clause inspection (unit queue entries,
 watch list entries, the empty-clause short circuit) into one counter,
-Engine.visited_total; no outcome carries a count of its own.  On a conflict
-the engine reports the dependency-filtered antecedents: the reasons that
+Engine.visited_total.  Engine.propagate answers with a clause id, as
+MiniSat's propagate does: the falsified clause, 0 when an assumption is
+already false, or None at the fixpoint.  Only rup and rat turn a conflict
+into a chain, after propagate returns, so propagate's time is propagation
+alone.  The chain is the dependency-filtered antecedents: the reasons that
 transitively contribute to falsifying the conflict clause, in propagation
 order, with the conflict clause last.  That list is exactly an LRAT hint
-chain, and a RAT check reports exactly an LRAT hint block: the reasons of
+chain, and Engine.rup returns it (None when the clause is not RUP).  A RAT
+check reports exactly an LRAT hint block in a RatOutcome: the reasons of
 the units the negated clause propagates, filtered the same way to those the
 groups use, then one (candidate, chain) pair per clause containing the
 negated pivot.  The pivot is the clause's first literal, as the DRAT format
@@ -80,20 +84,11 @@ from typing import NamedTuple
 from dratkit.core import Clause, Formula
 
 
-class PropagationOutcome(NamedTuple):
-    result: str                     # "fixpoint" | "conflict"
-    antecedents: tuple = ()         # ending in the conflict clause; () for
-                                    # an assumption-level contradiction
-
-
-class RupOutcome(NamedTuple):
-    rup: bool
-    antecedents: tuple = ()
-
-
 class RatOutcome(NamedTuple):
     """A RAT check's verdict; when it holds, (leading, groups) is the step's
-    LRAT hint block.
+    LRAT hint block.  It is the engine's one record: propagate answers with
+    a clause id and rup with a chain, but a RAT check has a verdict, a
+    failing candidate and a hint block of two parts to report.
 
     The check propagates the negated clause once.  When that propagation
     conflicts, the clause is RUP: rup is set, leading is the RUP chain and
@@ -132,11 +127,6 @@ class Engine:
         for cid in sorted(f.clauses):
             self.attach(cid)
 
-    @property
-    def nvars(self) -> int:
-        """Internal variables in use: the variables seen so far."""
-        return len(self._ex) - 1
-
     def _lit(self, l: int) -> int:
         """Internal literal of literal l.  A variable seen for the first time
         takes the next internal number; when that has no slot, capacity
@@ -163,10 +153,6 @@ class Engine:
             return tuple(map(self._ix.__getitem__, lits))
         except KeyError:
             return tuple(map(self._lit, lits))
-
-    def _elit(self, l: int) -> int:
-        """The literal an internal literal stands for."""
-        return self._ex[l] if l > 0 else -self._ex[-l]
 
     # ------------------------------------------------------------- structure
 
@@ -196,11 +182,6 @@ class Engine:
 
     # ----------------------------------------------------------- trail state
 
-    def lit_value(self, l: int) -> int:
-        """1 true, -1 false, 0 unassigned."""
-        l = self._ix.get(l)
-        return 0 if l is None else self.val[l]
-
     def _assign(self, l: int, why) -> None:
         self.val[l] = 1
         self.val[-l] = -1
@@ -223,45 +204,39 @@ class Engine:
 
     # ------------------------------------------------------------ propagation
 
-    def _outcome(self, result, cid, visited, from_index) -> PropagationOutcome:
-        """End a propagate call: count its visits, and for a conflict clause
-        collect the antecedents."""
-        self.visited_total += visited
-        ants = () if cid is None else self.antecedents_of(cid, from_index)
-        return PropagationOutcome(result, ants)
-
-    def propagate(self, assumptions=(), antecedents_from=None) -> PropagationOutcome:
+    def propagate(self, assumptions=()) -> int | None:
         """Assume the given literals, then propagate to fixpoint or conflict.
 
+        Returns the id of the falsified clause, 0 when an assumption is
+        already false (no clause id is 0), or None at the fixpoint.
         assumptions is a sequence, not an iterator: a new variable among
         them makes _lits read it twice.  The trail is left extended; the
-        caller owns rollback.  Antecedents
-        are filtered from trail position antecedents_from (default: the
-        trail length on entry).
+        caller owns rollback.  A conflict leaves qhead behind the trail,
+        since every caller rolls back after one; the fixpoint stores it, and
+        rat's candidate checkpoints read it there.
         """
         trail, val, reason = self.trail, self.val, self.reason
-        if antecedents_from is None:
-            antecedents_from = len(trail)
         visited = 0
         for l in self._lits(assumptions):
             v = val[l]
             if v == -1:
-                return self._outcome("conflict", None, visited, antecedents_from)
+                return 0
             if v == 0:
                 val[l] = 1
                 val[-l] = -1
                 reason[l if l > 0 else -l] = None
                 trail.append(l)
         if self.empty_ids:
-            return self._outcome("conflict", self.empty_ids[0], visited + 1,
-                                 antecedents_from)
+            self.visited_total += 1
+            return self.empty_ids[0]
         watches, wlits = self.watches, self.wlits
         for cid in self.unit_ids:
             visited += 1
             l = wlits[cid][2][0]
             v = val[l]
             if v == -1:
-                return self._outcome("conflict", cid, visited, antecedents_from)
+                self.visited_total += visited
+                return cid
             if v == 0:
                 val[l] = 1
                 val[-l] = -1
@@ -292,7 +267,7 @@ class Engine:
                     j += 1
                     continue
                 for cand in w[2]:
-                    if cand != other and cand != neg and val[cand] != -1:
+                    if cand != other and val[cand] != -1:
                         w[slot] = cand
                         watches[cand].append(cid)
                         break
@@ -301,9 +276,8 @@ class Engine:
                     j += 1
                     if ov == -1:
                         del wl[j:i]
-                        self.qhead = qhead
-                        return self._outcome("conflict", cid, visited + i,
-                                             antecedents_from)
+                        self.visited_total += visited + i
+                        return cid
                     val[other] = 1
                     val[-other] = -1
                     reason[other if other > 0 else -other] = cid
@@ -311,7 +285,8 @@ class Engine:
             del wl[j:]
             visited += n
         self.qhead = qhead
-        return self._outcome("fixpoint", None, visited, antecedents_from)
+        self.visited_total += visited
+        return None
 
     def toplevel(self):
         """The top-level unit-propagation fixpoint as {var: bool}, or None
@@ -324,7 +299,7 @@ class Engine:
         cp = self.checkpoint()
         visited = self.visited_total
         try:
-            if self.propagate().result == "conflict":
+            if self.propagate() is not None:
                 return None
             ex = self._ex
             return {ex[l] if l > 0 else ex[-l]: l > 0 for l in self.trail}
@@ -332,16 +307,15 @@ class Engine:
             self.rollback(cp)
             self.visited_total = visited
 
-    def antecedents_of(self, conflict_cid: int, from_index: int = 0) -> tuple:
-        """Dependency-filtered reason chain for a falsified clause.
-
-        Walks the trail suffix backward collecting reasons whose assigned
-        variable contributes (transitively) to falsifying the clause;
-        returns them in propagation order with the conflict id appended.
-        """
-        out = self._reasons({abs(l) for l in self.wlits[conflict_cid][2]},
-                            from_index)
-        out.append(conflict_cid)
+    def _chain(self, cid: int, from_index: int) -> tuple:
+        """The dependency-filtered reason chain of the falsified clause cid:
+        the reasons on the trail from from_index on whose variables
+        contribute, transitively, to falsifying it, in propagation order,
+        then cid itself; () for 0, an assumption that was already false."""
+        if not cid:
+            return ()
+        out = self._reasons({abs(l) for l in self.wlits[cid][2]}, from_index)
+        out.append(cid)
         return tuple(out)
 
     def _reasons(self, marked: set, from_index: int) -> list:
@@ -365,13 +339,15 @@ class Engine:
 
     # ----------------------------------------------------------------- checks
 
-    def rup(self, c: Clause) -> RupOutcome:
+    def rup(self, c: Clause) -> tuple | None:
+        """The RUP chain of c, or None when c is not RUP; a tautology's
+        chain is ()."""
         cp = self.checkpoint()
         try:
-            out = self.propagate(assumptions=[-l for l in c.lits])
+            cid = self.propagate([-l for l in c.lits])
+            return None if cid is None else self._chain(cid, cp[0])
         finally:
             self.rollback(cp)
-        return RupOutcome(out.result == "conflict", out.antecedents)
 
     def rat(self, c: Clause) -> RatOutcome:
         """Check the non-empty clause c by RUP, else every resolvent of c on
@@ -391,9 +367,10 @@ class Engine:
         cp = self.checkpoint()
         groups = []
         try:
-            lead = self.propagate(assumptions=[-l for l in c.lits])
-            if lead.result == "conflict":
-                return RatOutcome(True, None, (), lead.antecedents, rup=True)
+            cid = self.propagate([-l for l in c.lits])
+            if cid is not None:
+                return RatOutcome(True, None, (), self._chain(cid, cp[0]),
+                                  rup=True)
             candidates = self.f.occurrence(-pivot)
             tlead = len(self.trail)
             val, wlits = self.val, self.wlits
@@ -412,10 +389,10 @@ class Engine:
                         if val[l] == 0:
                             self._assign(-l, None)
                 else:
-                    out = self.propagate(antecedents_from=tlead)
-                    if out.result != "conflict":
+                    cid = self.propagate()
+                    if cid is None:
                         return RatOutcome(False, did, tuple(groups))
-                    chain = out.antecedents
+                    chain = self._chain(cid, tlead)
                     for cid in chain:
                         marked.update(abs(x) for x in wlits[cid][2])
                 self.rollback(cp2)

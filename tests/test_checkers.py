@@ -323,7 +323,7 @@ def _deletion_case(rng):
         if step.kind == "add":
             live.append(list(step.clause.lits))
         else:
-            live.remove(next(c for c in live if set(c) == step.clause.litset))
+            live.remove(next(c for c in live if set(c) == set(step.clause.lits)))
     if rng.random() < 0.8:
         proof.append(add_step([]))
     return cnf, proof

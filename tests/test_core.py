@@ -63,7 +63,7 @@ def test_clause_behaves_as_its_frozenset(a, b, data):
     sa, sb = frozenset(a), frozenset(b)
     assert ca.lits == tuple(dict.fromkeys(a))
     assert cp.lits == tuple(dict.fromkeys(perm))
-    assert ca.litset == sa and type(ca.litset) is frozenset
+    assert frozenset(ca.lits) == sa and hash(ca) == hash(sa)
     assert ca.is_tautology == any(-l in sa for l in sa)
     assert [l in ca for l in range(-6, 7)] == [l in sa for l in range(-6, 7)]
     assert (ca == cb) == (sa == sb) and (ca != cb) == (sa != sb)

@@ -49,7 +49,8 @@ class TestDimacs:
         f, _, _ = parse_dimacs(b"c x\n\n \np cnf 1 1\n\n1 0\n")
         assert dict(f.items()) == {1: Clause([1])}
 
-    @pytest.mark.parametrize("header", [b"p dnf 1 1", b"p cnf 1", b"p cnf 1 1 1"])
+    @pytest.mark.parametrize("header", [b"p dnf 1 1", b"p cnf 1", b"p cnf 1 1 1",
+                                        b"p cnf -1 1", b"p cnf 1 -1"])
     def test_bad_header(self, header):
         with pytest.raises(ParseError, match="line 1: bad header"):
             parse_dimacs(header + b"\n1 0\n")

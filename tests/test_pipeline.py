@@ -163,17 +163,17 @@ def _assert_lrat_is_the_trimmed_proof(cnf, cp):
     noncore = sorted(set(live) - cp.core_formula_ids)
     for did in noncore:
         del live[did]
-    drat = Counter(c.litset for _, c in core.items())
+    drat = Counter(c for _, c in core.items())
     for (sid, step), r in zip(flat[len(noncore):], trimmed):
         if isinstance(step, Delete):
             (did,) = step.ids
             del live[did]
-            assert drat[r.clause.litset] > 0
-            drat[r.clause.litset] -= 1
+            assert drat[r.clause] > 0
+            drat[r.clause] -= 1
         else:
             live[sid] = step.clause
-            drat[r.clause.litset] += 1
-        assert Counter(c.litset for c in live.values()) == +drat
+            drat[r.clause] += 1
+        assert Counter(live.values()) == +drat
     assert naive_check_lrat(cnf, write_lrat(lrat).decode())
 
 
@@ -887,8 +887,8 @@ def test_pipeline_idempotent_on_solver_proofs():
         assert check_drat(core, trimmed, CheckMode(SPECIFIED)).verified
         assert check_drat(core, trimmed, CheckMode(OPERATIONAL)).verified
         assert brute_force(core) is None
-        originals = {c.litset for _, c in f.items()}
-        assert all(c.litset in originals for _, c in core.items())
+        originals = {c for _, c in f.items()}
+        assert all(c in originals for _, c in core.items())
         n_adds = sum(1 for s in trimmed if s.kind == "add")
         assert n_adds <= sum(1 for s in proof if s.kind == "add")
         lrat = emit_lrat(cp)

@@ -36,6 +36,22 @@ def _rand_formula(rng, maxv, nclauses):
     return [_rand_clause(rng, maxv) for _ in range(nclauses)]
 
 
+def _nvars(e):
+    """The variables e has seen, each with an internal number."""
+    return len(e._ex) - 1
+
+
+def _ext(e, l):
+    """The literal that e's internal literal l stands for."""
+    return e._ex[l] if l > 0 else -e._ex[-l]
+
+
+def _value(e, l):
+    """1 true, -1 false, 0 free: literal l's value in e."""
+    il = e._ix.get(l)
+    return 0 if il is None else e.val[il]
+
+
 def _snapshot(e):
     """The propagation state a check restores, in the formula's own literals,
     so engines that numbered their variables differently compare equal: the
@@ -47,13 +63,17 @@ def _snapshot(e):
     assert len(e.val) == len(e.watches) == 2 * e.cap + 1
     assert len(e.reason) == e.cap + 1
     assert e.val[0] == 0 and e.watches[0] == []
-    assert e.nvars <= e.cap
+    nvars = _nvars(e)
+    assert nvars <= e.cap
     # reserved slots above nvars stay untouched
     assert not any(e.val[l] or e.watches[l]
-                   for v in range(e.nvars + 1, e.cap + 1) for l in (v, -v))
-    x = e._elit
-    assert len({abs(x(v)) for v in range(1, e.nvars + 1)}) == e.nvars
-    lits = [l for l in range(-e.nvars, e.nvars + 1) if l]
+                   for v in range(nvars + 1, e.cap + 1) for l in (v, -v))
+
+    def x(l):
+        return _ext(e, l)
+
+    assert len({abs(x(v)) for v in range(1, nvars + 1)}) == nvars
+    lits = [l for l in range(-nvars, nvars + 1) if l]
     return (
         tuple(x(l) for l in e.trail),
         {x(l): e.val[l] for l in lits if e.val[l]},
@@ -86,43 +106,48 @@ def _assert_watches(e):
 # ------------------------------------------------------------------ propagate
 
 def _propagate(f, assumptions=()):
-    """Engine(f).propagate's outcome and the trail, in the formula's own
-    literals."""
+    """Engine(f).propagate's answer, the chain of its conflict from the
+    trail's start, and the trail in the formula's own literals."""
     e = Engine(f)
-    out = e.propagate(assumptions=assumptions)
-    return out, [e._elit(l) for l in e.trail]
+    cid = e.propagate(assumptions)
+    chain = () if cid is None else e._chain(cid, 0)
+    return cid, chain, [_ext(e, l) for l in e.trail]
 
 
 def test_propagate_chains_units():
-    out, trail = _propagate(formula_from_clauses([[1], [-1, 2]]))
-    assert out.result == "fixpoint"
+    cid, _, trail = _propagate(formula_from_clauses([[1], [-1, 2]]))
+    assert cid is None
     assert trail == [1, 2]
 
 
 def test_propagate_contradictory_units():
-    out, _ = _propagate(formula_from_clauses([[1], [-1]]))
-    assert out.result == "conflict"
-    assert out.antecedents == (1, 2)
-    assert out.antecedents  # nonempty on every clause conflict
+    cid, chain, _ = _propagate(formula_from_clauses([[1], [-1]]))
+    assert cid == 2
+    assert chain == (1, 2)
+    assert chain  # nonempty on every clause conflict
 
 
 def test_propagate_nothing_to_do():
-    out, trail = _propagate(formula_from_clauses([[1, 2]]))
-    assert out.result == "fixpoint"
+    cid, chain, trail = _propagate(formula_from_clauses([[1, 2]]))
+    assert cid is None
     assert trail == []
-    assert out.antecedents == ()
+    assert chain == ()
 
 
 def test_propagate_empty_clause_conflicts_immediately():
-    out, _ = _propagate(formula_from_clauses([[1, 2], []]))
-    assert out.result == "conflict"
-    assert out.antecedents == (2,)
+    cid, chain, _ = _propagate(formula_from_clauses([[1, 2], []]))
+    assert cid == 2
+    assert chain == (2,)
+    # the short circuit visits the empty clause and no unit clause
+    e = Engine(formula_from_clauses([[1], []]))
+    assert e.propagate() == 2 and e.visited_total == 1
 
 
 def test_propagate_contradictory_assumptions():
-    out, _ = _propagate(formula_from_clauses([[1, 2]]), assumptions=[1, -1])
-    assert out.result == "conflict"
-    assert out.antecedents == ()
+    cid, chain, _ = _propagate(formula_from_clauses([[1, 2]]),
+                               assumptions=[1, -1])
+    assert cid == 0
+    assert chain == ()
 
 
 def test_propagate_matches_naive_closure():
@@ -133,10 +158,10 @@ def test_propagate_matches_naive_closure():
         avars = rng.sample(range(1, 9), k=min(nassume, 8))
         assumptions = [v * rng.choice((-1, 1)) for v in avars]
         f = formula_from_clauses(clauses)
-        out, trail = _propagate(f, assumptions=assumptions)
+        cid, _, trail = _propagate(f, assumptions=assumptions)
         seed = {abs(l): l > 0 for l in assumptions}
         assign, conflict = naive_closure(clauses, seed)
-        if out.result == "conflict":
+        if cid is not None:
             assert conflict
         else:
             assert not conflict
@@ -147,25 +172,25 @@ def test_propagate_matches_naive_closure():
 # ----------------------------------------------------------------- Engine.rup
 
 def test_check_rup_reports_replayable_chain():
-    out = Engine(formula_from_clauses([[1], [-1, 2]])).rup(Clause([2]))
-    assert out.rup
-    assert out.antecedents == (1, 2)
+    chain = Engine(formula_from_clauses([[1], [-1, 2]])).rup(Clause([2]))
+    assert chain is not None
+    assert chain == (1, 2)
 
 
 def test_check_rup_rejects_underivable_clause():
-    out = Engine(formula_from_clauses([[1, 2], [-1, 2]])).rup(Clause([1]))
-    assert not out.rup
+    chain = Engine(formula_from_clauses([[1, 2], [-1, 2]])).rup(Clause([1]))
+    assert chain is None
 
 
 def test_check_rup_empty_formula_empty_clause():
-    out = Engine(formula_from_clauses([])).rup(Clause([]))
-    assert not out.rup
+    chain = Engine(formula_from_clauses([])).rup(Clause([]))
+    assert chain is None
 
 
 def test_check_rup_tautology_vacuous():
-    out = Engine(formula_from_clauses([[1, 2]])).rup(Clause([1, -1]))
-    assert out.rup
-    assert out.antecedents == ()
+    chain = Engine(formula_from_clauses([[1, 2]])).rup(Clause([1, -1]))
+    assert chain is not None
+    assert chain == ()
 
 
 def test_check_rup_agrees_with_naive_and_truth_table():
@@ -175,9 +200,9 @@ def test_check_rup_agrees_with_naive_and_truth_table():
         clauses = _rand_formula(rng, maxv, rng.randint(1, 25))
         c = _rand_clause(rng, maxv)
         f = formula_from_clauses(clauses)
-        out = Engine(f).rup(Clause(c))
-        assert out.rup == naive_rup(clauses, c)
-        if out.rup:
+        chain = Engine(f).rup(Clause(c))
+        assert (chain is not None) == naive_rup(clauses, c)
+        if chain is not None:
             # soundness: a propagation refutation implies entailment
             assert naive_entails(clauses, c)
 
@@ -233,13 +258,13 @@ def test_guided_accepts_every_reported_chain():
         f = formula_from_clauses(clauses)
         e = Engine(f)
         unguided = e.rup(Clause(c))
-        if not unguided.rup:
+        if unguided is None:
             continue
-        reason, _, visited, _ = _guided(f, c, unguided.antecedents)
+        reason, _, visited, _ = _guided(f, c, unguided)
         assert reason is None
         # hints do at most the work of the blind search
         assert visited <= e.visited_total
-        verdict, n = naive_guided(clauses, c, unguided.antecedents)
+        verdict, n = naive_guided(clauses, c, unguided)
         assert verdict == "rup"
         assert n == visited
 
@@ -272,7 +297,7 @@ def test_rat_single_candidate_discharged_by_leading_units():
     assert naive_rat_groups(clauses, [1], 1, out.leading,
                             out.groups) == ["satisfied"]
     # the obligation itself is a RUP with the one-clause chain
-    assert Engine(f).rup(Clause([1, 2])).antecedents == (1,)
+    assert Engine(f).rup(Clause([1, 2])) == (1,)
 
 
 def test_rat_tautological_resolvent_vacuous():
@@ -565,19 +590,18 @@ def test_fresh_variables_never_alias_existing_slots():
     e = Engine(formula_from_clauses([[1, 2], [-1, 3]]))
     top = e.cap
     cp = e.checkpoint()
-    assert e.propagate(assumptions=[top]).result == "fixpoint"
+    assert e.propagate([top]) is None
     # -(top+1) would index the slot of top if it were not given its own
-    assert e.lit_value(-(top + 1)) == 0 and e.lit_value(top + 1) == 0
-    assert e.propagate(assumptions=[-(top + 1)]).result == "fixpoint"
+    assert _value(e, -(top + 1)) == 0 and _value(e, top + 1) == 0
+    assert e.propagate([-(top + 1)]) is None
     assert e.cap >= top + 1
-    assert (e.lit_value(top), e.lit_value(-top)) == (1, -1)
-    assert (e.lit_value(top + 1), e.lit_value(-(top + 1))) == (-1, 1)
-    out = e.propagate(assumptions=[top + 3, -(top + 2)])
-    assert out.result == "fixpoint"
-    assert [e.lit_value(l) for l in (top, top + 1, top + 2, top + 3)] == [1, -1, -1, 1]
+    assert (_value(e, top), _value(e, -top)) == (1, -1)
+    assert (_value(e, top + 1), _value(e, -(top + 1))) == (-1, 1)
+    assert e.propagate([top + 3, -(top + 2)]) is None
+    assert [_value(e, l) for l in (top, top + 1, top + 2, top + 3)] == [1, -1, -1, 1]
     e.rollback(cp)
     assert not any(e.val)
-    assert e.lit_value(top + 100) == 0 and e.lit_value(-(top + 100)) == 0
+    assert _value(e, top + 100) == 0 and _value(e, -(top + 100)) == 0
 
 
 def test_variables_attached_in_order_take_one_slot_each():
@@ -588,9 +612,14 @@ def test_variables_attached_in_order_take_one_slot_each():
     e = Engine(f)
     for lits in ([4, -1], [5, -4, 2], [-5, 3]):
         e.attach(f.add_clause(lits))
-    assert e.nvars == 5 and e.cap <= 8
+    assert _nvars(e) == 5 and e.cap <= 8
     assert _snapshot(e) == _snapshot(Engine(f))
     _assert_watches(e)
+
+
+def test_capacity_doubles():
+    # five variables seen take the slots of 1, 2, 4, then 8 variables
+    assert Engine(formula_from_clauses([[1, 2, 3, 4, 5]])).cap == 8
 
 
 def test_slots_follow_the_variables_seen_not_their_numbers():
@@ -606,20 +635,20 @@ def test_slots_follow_the_variables_seen_not_their_numbers():
 
     f = formula_from_clauses([[big, 1], [-big, 1], [big, -1], [-big, -2, -1]])
     e = Engine(f)
-    assert e.cap <= 4 and e.lit_value(big) == 0
-    assert e.rup(Clause([1])).rup and not e.rup(Clause([big + 7])).rup
+    assert e.cap <= 4 and _value(e, big) == 0
+    assert e.rup(Clause([1])) is not None and e.rup(Clause([big + 7])) is None
     cp = e.checkpoint()
-    assert e.propagate(assumptions=[-(big + 7)]).result == "fixpoint"
-    assert e.lit_value(big + 7) == -1
+    assert e.propagate([-(big + 7)]) is None
+    assert _value(e, big + 7) == -1
     e.rollback(cp)
     cid = f.add_clause([-(big + 7), 2 * big])
     e.attach(cid)
     assert e.rat(Clause([-(big + 7), 2 * big])).rat
-    assert e.nvars == 5 and e.cap <= 8
+    assert _nvars(e) == 5 and e.cap <= 8
     assert e.toplevel() == {}
-    assert e.propagate(assumptions=[big + 7]).result == "fixpoint"
-    assert {e._elit(l) for l in e.trail} == {big + 7, 2 * big}
-    assert e.lit_value(2 * big) == 1 and e.lit_value(-(2 * big)) == -1
+    assert e.propagate([big + 7]) is None
+    assert {_ext(e, l) for l in e.trail} == {big + 7, 2 * big}
+    assert _value(e, 2 * big) == 1 and _value(e, -(2 * big)) == -1
 
     # the same proofs through the checkers, each in bounded memory
     proofs = (b"%d 0\n0\n" % big, b"-%d 0\n0\n" % big)
@@ -679,10 +708,10 @@ def _check(e, f, op):
     if kind == "rup":
         c = Clause(op[1])
         out = e.rup(c)
-        assert out.rup == naive_rup(current, list(c.lits))
-        if out.rup and out.antecedents:
+        assert (out is not None) == naive_rup(current, list(c.lits))
+        if out:
             # the reported chain replays as hints
-            assert naive_guided(current, list(c.lits), out.antecedents)[0] == "rup"
+            assert naive_guided(current, list(c.lits), out)[0] == "rup"
     elif kind in ("guided", "lrat"):
         c = Clause(op[1])
         chain = [ids[k % len(ids)] for k in op[2]] if ids else []

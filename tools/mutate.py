@@ -1,4 +1,5 @@
-"""Mutation testing of the checkers, the formats, Clause and the pipeline.
+"""Mutation testing of the checkers, the formats, Clause, the propagation
+engine and the pipeline.
 
     python3 tools/mutate.py                    # run every mutant, summarize
     python3 tools/mutate.py --list             # list the mutants, run none
@@ -75,7 +76,9 @@ SCOPE = {
                  "_write_lines", "_two_lists", "_lrat_body", "write_lrat",
                  "_er_body", "write_er"],
                 _FORMAT_TESTS),
-    "propagate": (["walk"], _CHECKER_TESTS),
+    # an engine mutant that changes chains changes bytes, not verdicts
+    "propagate": (["walk", "Engine"], _CHECKER_TESTS + [
+        "tests/test_pipeline.py::test_outputs_match_golden_digests"]),
     "checkers": (["check_addition", "check_lrat", "check_er", "_fold_chain",
                   "_drat_forward"], _CHECKER_TESTS),
     "pipeline": (["backward_check", "emit_trimmed", "_Lines", "emit_trim",
