@@ -18,18 +18,19 @@ holds by neither rule, and (no_bottom) when the proof runs out before the
 empty clause; check_drat counts its report off those records, and
 pipeline.backward_check keeps them.  StepRecord is the only step record
 from the search to the emitted documents: the pipeline marks core on these
-records and rewrites the core ones over the trimmed proof's ids.
+records and keeps their ids, which only the LRAT writer renumbers.
 
 Deletions follow one of two semantics: "specified" applies them literally,
 while "operational" mirrors the behavior of production checkers, which keep
 any clause that currently shapes the top-level trail (exactly one
 non-falsified literal under the top-level closure: a unit, or the reason
 clause of a derived unit).  That closure is the engine's top-level
-propagation fixpoint.  While the top level propagates to a conflict,
-operational mode keeps every clause: the formula stays refuted by
-propagation, so every later addition is RUP, and since deletions only weaken
-a formula and RAT additions preserve satisfiability, the input is then
-unsatisfiable.  The two flavors genuinely diverge on proofs that delete such
+propagation fixpoint, held as the hint walk holds its true literals: a set
+of literals, in which l is falsified when -l is in it.  While the top
+level propagates to a conflict, operational mode keeps every clause: the
+formula stays refuted by propagation, so every later addition is RUP, and
+since deletions only weaken a formula and RAT additions preserve
+satisfiability, the input is then unsatisfiable.  The two flavors genuinely diverge on proofs that delete such
 clauses.
 
 check_lrat replays an id-addressed document with hints and does no search:
@@ -174,18 +175,6 @@ class StepRecord(NamedTuple):
     applied: bool = True
 
 
-def _shapes_trail(clause: Clause, closure: dict) -> bool:
-    """True when exactly one literal is non-falsified under the closure."""
-    nonfalse = 0
-    for l in clause.lits:
-        v = closure.get(abs(l))
-        if v is None or v == (l > 0):
-            nonfalse += 1
-            if nonfalse > 1:
-                return False
-    return nonfalse == 1
-
-
 # -------------------------------------------------------------------- DRAT
 
 _STALE = object()  # _drat_forward's closure cache holds no current value
@@ -216,6 +205,11 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     out before the empty clause raises ForwardRejected(<steps read>,
     no_bottom).
 
+    In operational mode a deletion reads the top-level closure, the set of
+    literals Engine.toplevel makes true, computed again only after an
+    addition: the target shapes the trail when exactly one of its literals
+    l has -l outside the closure.
+
     Every addition the engine accepts passes check_addition, with its
     record's pivot, before its record is yielded; one that fails raises
     EngineFault.  Those walks count no visits.  The caller owns working and
@@ -239,8 +233,9 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             if mode.flavor == OPERATIONAL:
                 if closure is _STALE:
                     closure = engine.toplevel()
-                if closure is None or _shapes_trail(working.clauses[target],
-                                                    closure):
+                # the clause shapes the trail: one literal is not false
+                if closure is None or sum(-l not in closure for l in
+                                          working.clauses[target].lits) == 1:
                     yield StepRecord("delete", step.clause, target, applied=False)
                     continue
             # an applied deletion leaves the closure as it is: operational

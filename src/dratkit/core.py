@@ -5,7 +5,9 @@ positive literal v, its negation is -v.  A Clause holds a literal tuple, in
 first-occurrence order, and the hash of its literal set; it compares and
 hashes as that set but keeps none, building a set only when asked.
 A Formula is an id-addressed clause store with an occurrence index; clause
-ids are assigned in insertion order and never reused.
+ids are assigned in insertion order and never reused.  add_clause takes
+ids only in ascending order, so the store and each occurrence list keep
+their ids ascending in insertion order and no reader sorts them.
 """
 
 from __future__ import annotations
@@ -99,16 +101,19 @@ class Formula:
     """Clause store with stable ids and a literal occurrence index.
 
     Ids are dense from 1 in insertion order for ordinary adds and never
-    reused; add_clause(cid=...) lets id-addressed proof formats claim their
-    own (strictly increasing) ids.  Duplicate additions are distinct ids;
-    the store keeps no content index (the DRAT search keeps its own).
+    reused; add_clause(cid=...) lets id-addressed proof formats, and the
+    pipeline's unsat core, claim their own (strictly increasing) ids.
+    Since no id is added below an earlier one, clauses and every
+    occurrence list are insertion-ordered dicts whose ids ascend.
+    Duplicate additions are distinct ids; the store keeps no content index
+    (the DRAT search keeps its own).
     """
 
     def __init__(self):
         self.clauses: dict[int, Clause] = {}
         self.next_id = 1
         self.max_var = 0
-        self._occ: dict[int, set[int]] = {}
+        self._occ: dict[int, dict[int, None]] = {}  # literal -> its ids
 
     def declare_variables(self, n: int) -> None:
         """Raise max_var to at least n (DIMACS headers may over-declare)."""
@@ -125,7 +130,7 @@ class Formula:
         self.next_id = cid + 1
         self.clauses[cid] = clause
         for l in clause.lits:
-            self._occ.setdefault(l, set()).add(cid)
+            self._occ.setdefault(l, {})[cid] = None
             v = abs(l)
             if v > self.max_var:
                 self.max_var = v
@@ -136,15 +141,12 @@ class Formula:
             raise UnknownClauseError(cid)
         clause = self.clauses.pop(cid)
         for l in clause.lits:
-            self._occ[l].discard(cid)
+            del self._occ[l][cid]
         return clause
 
     def occurrence(self, lit: int) -> list[int]:
         """Live clause ids containing lit, in ascending id order."""
-        ids = self._occ.get(lit)
-        if not ids:
-            return []
-        return sorted(ids)
+        return list(self._occ.get(lit, ()))
 
     @property
     def has_empty(self) -> bool:
@@ -152,14 +154,14 @@ class Formula:
 
     def items(self):
         """(id, clause) pairs in ascending id order."""
-        return sorted(self.clauses.items())
+        return list(self.clauses.items())
 
     def copy(self) -> "Formula":
         f = Formula()
         f.clauses = dict(self.clauses)
         f.next_id = self.next_id
         f.max_var = self.max_var
-        f._occ = {l: set(ids) for l, ids in self._occ.items()}
+        f._occ = {l: dict(ids) for l, ids in self._occ.items()}
         return f
 
     def __len__(self) -> int:

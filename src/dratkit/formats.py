@@ -577,7 +577,7 @@ def parse_er(data) -> list:
             x, p, ls = ext[0], ext[1], ext[2:]
             if x <= 0:
                 raise t.error(at, "extension variable %d not positive" % x)
-            if doc_max_var and x <= doc_max_var:
+            if x <= doc_max_var:
                 raise t.error(at, "extension variable %d not fresh in document" % x)
             steps.append((sid, Extend(x, p, tuple(ls))))
             last_claimed = sid + len(ls) + 1

@@ -3,10 +3,12 @@
 backward_check runs the forward DRAT search, checkers._drat_forward, which
 yields one StepRecord per proof step: each addition with its LRAT hint block
 (a RUP chain, or a RAT step's leading units plus one chain per candidate,
-certified by the hint walk as the search finds it).  It then walks backward
-from the empty clause and sets core on the cited closure's additions and
-on the applied deletions of its clauses; the used subset of the original
-formula becomes core_formula_ids.
+certified by the hint walk as the search finds it).  It then sweeps the
+records once backward from the empty clause, as DRAT-trim marks its core:
+a step cites only clauses made before it, so by the time the sweep reaches
+an addition, every step that cites it has been seen.  It sets core on the
+cited closure's additions and on the applied deletions of its clauses; the
+used subset of the original formula becomes core_formula_ids.
 
 An input that already holds the empty clause is searched with the one-step
 proof that adds the empty clause: its one record cites the lowest empty
@@ -24,7 +26,8 @@ the LRAT document's rising ids ask.  Of two live copies of one lemma, a
 deletion may not name the lower id a deletion by content would take, but
 both hold the same clause, so the LRAT and the trimmed DRAT hold equal
 clause multisets after every step.  No second DRAT search and no replay by
-content runs.
+content runs.  The unsat core emit_trimmed returns keeps the input's ids,
+which are the originals' ids in the forward world too.
 
 One _Lines numbers the LRAT and the ER alike: each step takes the next id
 after the last one claimed, its image maps the forward ids to the
@@ -33,8 +36,8 @@ carries the highest id the document has claimed so far (the original
 clause count before any addition) and claims no id of its own.
 
 to_er translates the same records, under the same forward ids, into an
-extended-resolution document, over a live formula built from the core
-originals under their own ids:
+extended-resolution document, over emit_trimmed's core as the live
+formula, which the translation then updates step by step:
 RUP additions become resolution chains, their hint chains reversed and
 written as they are, and deletions of translated clauses become deletion
 lines by the rule above.  A RUP chain needs no fold here: the search's
@@ -115,15 +118,13 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
     working = f.copy()
     records = list(_drat_forward(working, Engine(working), proof,
                                  mode or CheckMode()))
-    add_at = {r.wid: k for k, r in enumerate(records) if r.kind == "add"}
-    core = set()  # the cited closure of the empty clause, originals included
-    stack = [records[-1].wid]
-    while stack:
-        wid = stack.pop()
-        if wid not in core:
-            core.add(wid)
-            if wid in add_at:
-                stack.extend(_cited_ids(records[add_at[wid]].hints))
+    # the cited closure of the empty clause, originals included: records
+    # are in id order, a step cites only clauses made before it, and a
+    # deletion's hint block is empty
+    core = {records[-1].wid}
+    for r in reversed(records):
+        if r.wid in core:
+            core.update(_cited_ids(r.hints))
     for k, r in enumerate(records):
         if r.wid in core and r.applied:
             records[k] = StepRecord(r.kind, r.clause, r.wid, r.hints, r.pivot, True)
@@ -137,7 +138,9 @@ def emit_trimmed(cp: CheckedProof):
     """The trimmed proof over the forward world's ids, plus the cited subset
     of the original formula.
 
-    Returns (steps, core_cnf); core_cnf is renumbered densely.  The steps
+    Returns (steps, core_cnf); core_cnf holds the cited originals under
+    their input ids, so a step's wid names the same clause in it as in the
+    forward world (write_dimacs writes no ids).  The steps
     are the core records themselves, in order, each core addition followed
     by synthetic deletions, in ascending id order, of the added core
     clauses it is the last core addition to cite, except for clauses the
@@ -174,7 +177,7 @@ def emit_trimmed(cp: CheckedProof):
 
     core = Formula()
     for oid in sorted(cp.core_formula_ids):
-        core.add_clause(cp.formula.clauses[oid])
+        core.add_clause(cp.formula.clauses[oid], cid=oid)
     return steps, core
 
 
@@ -360,8 +363,10 @@ def to_er(f: Formula, cp: CheckedProof):
 
     It translates emit_trimmed's records under their forward ids, which
     the document's _Lines maps to ER ids; both rise together, so the
-    trimmed proof's order by id is the ER's.  RUP additions write their
-    hint chains reversed, with no fold: check_er folds them when it
+    trimmed proof's order by id is the ER's.  Its live formula is
+    emit_trimmed's core, whose clauses keep the input's ids, updated by
+    each record in turn; to_er builds no formula of its own.  RUP
+    additions write their hint chains reversed, with no fold: check_er folds them when it
     re-checks the document.  A RAT addition that starts a definition the
     proof spells (see _definition_run) becomes Extend(y, p, ls) on the
     next fresh y, with p and ls under the current
@@ -390,10 +395,7 @@ def to_er(f: Formula, cp: CheckedProof):
     before being returned.
     """
     m = f.next_id - 1
-    trimmed, _ = emit_trimmed(cp)
-    live = Formula()  # the trimmed world, under the forward ids
-    for oid in sorted(cp.core_formula_ids):
-        live.add_clause(cp.formula.clauses[oid], cid=oid)
+    trimmed, live = emit_trimmed(cp)  # the trimmed world, forward ids
 
     last_ref = {}
     for ri, r in enumerate(trimmed):
@@ -476,7 +478,7 @@ def to_er(f: Formula, cp: CheckedProof):
         dropped = []
         for tid in live.occurrence(pivot) + live.occurrence(-pivot):
             cl = live.clauses[tid]
-            if cl.is_tautology or last_ref.get(tid, -1) <= ri or tid not in id_map:
+            if cl.is_tautology or last_ref.get(tid, -1) <= ri:
                 dropped.append(tid)
                 continue
             if pivot in cl:

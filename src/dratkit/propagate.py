@@ -78,7 +78,6 @@ outstanding; checkers mutate only between checks.
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import NamedTuple
 
 from dratkit.core import Clause, Formula
@@ -108,7 +107,12 @@ class RatOutcome(NamedTuple):
 
 
 class Engine:
-    """Propagation state over a Formula; see the module docstring."""
+    """Propagation state over a Formula; see the module docstring.
+
+    It attaches the formula's clauses in id order, and every later attach
+    must name an id above every id attached before (the formula's add_clause
+    gives each new clause such an id), so the unit and empty queues stay in
+    ascending id order by appending alone."""
 
     def __init__(self, f: Formula):
         self.f = f
@@ -124,7 +128,7 @@ class Engine:
         self.visited_total = 0
         self._ix: dict = {}        # literal -> internal literal, both signs
         self._ex: list = [0]       # internal variable -> variable
-        for cid in sorted(f.clauses):
+        for cid in f.clauses:
             self.attach(cid)
 
     def _lit(self, l: int) -> int:
@@ -160,10 +164,10 @@ class Engine:
         lits = self._lits(self.f.clauses[cid].lits)
         if not lits:
             self.wlits[cid] = [None, None, lits]
-            insort(self.empty_ids, cid)
+            self.empty_ids.append(cid)
         elif len(lits) == 1:
             self.wlits[cid] = [None, None, lits]
-            insort(self.unit_ids, cid)
+            self.unit_ids.append(cid)
         else:
             self.wlits[cid] = [lits[0], lits[1], lits]
             self.watches[lits[0]].append(cid)
@@ -289,8 +293,9 @@ class Engine:
         return None
 
     def toplevel(self):
-        """The top-level unit-propagation fixpoint as {var: bool}, or None
-        when propagation with no assumptions reaches a conflict.
+        """The top-level unit-propagation fixpoint as the set of its true
+        literals, or None when propagation with no assumptions reaches a
+        conflict.
 
         Runs inside a checkpoint and restores visited_total, so the trail
         and the counters are left as they were; the watches it moved stay
@@ -302,7 +307,7 @@ class Engine:
             if self.propagate() is not None:
                 return None
             ex = self._ex
-            return {ex[l] if l > 0 else ex[-l]: l > 0 for l in self.trail}
+            return {ex[l] if l > 0 else -ex[-l] for l in self.trail}
         finally:
             self.rollback(cp)
             self.visited_total = visited

@@ -77,6 +77,10 @@ class TestFormula:
         assert f.add_clause(Clause([1, 2])) == 1
         assert f.add_clause(Clause([-1])) == 2
         assert f.next_id == 3
+        # a literal list becomes a Clause, checked and deduplicated
+        assert f.add_clause([2, 3, 2]) == 3 and f.clauses[3] == Clause([3, 2])
+        with pytest.raises(MalformedLiteralError):
+            f.add_clause([1, 0])
 
     def test_max_var_tracks_additions(self):
         f = Formula()
@@ -86,6 +90,7 @@ class TestFormula:
         assert f.max_var == 9
         f.declare_variables(2)
         assert f.max_var == 9
+        assert f.copy().max_var == 9  # a declared count is copied too
 
     def test_remove_by_id(self):
         f = formula_from_clauses([[1], [2]])
@@ -109,6 +114,20 @@ class TestFormula:
         assert f.occurrence(5) == []
         f.remove_by_id(1)
         assert f.occurrence(2) == [2]
+        # explicit id jumps mixed with removals: ids still ascend
+        g = Formula()
+        for cid, lits in ((3, [1, 2]), (None, [2]), (10, [-1, 2]), (None, [1])):
+            g.add_clause(Clause(lits), cid=cid)
+        g.remove_by_id(4)
+        g.add_clause(Clause([2, 1]), cid=20)
+        g.remove_by_id(3)
+        g.add_clause(Clause([2]), cid=21)
+        assert g.occurrence(2) == [10, 20, 21]
+        assert g.occurrence(1) == [11, 20]
+        assert [i for i, _ in g.items()] == [10, 11, 20, 21]
+        h = g.copy()
+        h.add_clause(Clause([1]))
+        assert h.occurrence(1) == [11, 20, 22] and g.occurrence(1) == [11, 20]
 
     def test_empty_clause_tracking(self):
         f = formula_from_clauses([[1], []])

@@ -219,6 +219,15 @@ def test_backward_marking_drops_redundant_addition():
     assert cp.records[2].hints == HintBlock(rup_chain=(6, 2, 4))
     assert cp.core_formula_ids == frozenset([1, 2, 3, 4])
 
+    # the lemma (4) is RUP from originals 5 and 6, but the empty clause
+    # needs only (2) and originals 1 to 4: neither it nor what it cites is
+    # core
+    f = formula_from_clauses([[1, 2], [-1, 2], [1, -2], [-1, -2], [3, 4], [-3, 4]])
+    cp = backward_check(f, [add_step([4]), add_step([2]), add_step([])])
+    assert [r.hints.rup_chain for r in cp.records] == [(5, 6), (1, 2), (8, 3, 4)]
+    assert [r.core for r in cp.records] == [False, True, True]
+    assert cp.core_formula_ids == frozenset([1, 2, 3, 4])
+
 
 def test_backward_core_closure_on_solver_proofs():
     rng = random.Random(41)
@@ -275,6 +284,40 @@ def test_trimmed_golden_document():
     assert check_drat(core, steps, CheckMode(OPERATIONAL)).verified
     again, _ = emit_trimmed(cp)
     assert again == steps
+
+
+def test_trimmed_core_keeps_the_input_ids():
+    # a random 3-SAT refutation whose core leaves originals out: the core
+    # holds exactly the cited originals, each under its input id, and its
+    # DIMACS bytes are those of the densely renumbered copy
+    f = gen_random(20, 100, 3, seed=1)
+    res = cdcl_solve(f, seed=0)
+    assert res.status == "unsat"
+    cp = backward_check(f, res.proof)
+    assert len(cp.core_formula_ids) < len(f)
+    _, core = emit_trimmed(cp)
+    assert set(core.clauses) == cp.core_formula_ids
+    assert all(core.clauses[oid] is f.clauses[oid] for oid in core.clauses)
+    dense = formula_from_clauses(f.clauses[oid].lits
+                                 for oid in sorted(cp.core_formula_ids))
+    assert write_dimacs(core) == write_dimacs(dense)
+
+
+def test_to_er_builds_one_formula(monkeypatch):
+    # to_er translates over emit_trimmed's core and builds no live formula
+    # of its own
+    f = formula_from_clauses(FULL2)
+    cp = backward_check(f, FULL2_PROOF)
+    built = []
+
+    class Counted(pipeline.Formula):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(pipeline, "Formula", Counted)
+    assert check_er(f, to_er(f, cp)).verified
+    assert len(built) == 1
 
 
 def test_lrat_golden_document():
