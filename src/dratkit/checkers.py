@@ -154,13 +154,13 @@ class StepRecord(NamedTuple):
 
     _drat_forward yields one per step of the input proof, over the forward
     world's ids.  An addition's wid is its clause id and hints its LRAT hint
-    block: the RUP chain (dependency-filtered, ending at the conflict), or
-    for a RAT step the reasons of the leading units its groups use
-    (dependency-filtered, like the RUP chain) and one (candidate, chain)
-    pair per live clause containing the negated pivot, the clause's first
-    literal.  A deletion's wid is the id it targets
-    (None when no live clause has its content) and applied tells whether it
-    took effect.
+    list, as the document writes it: the RUP chain (dependency-filtered,
+    ending at the conflict), or for a RAT step the reasons of the leading
+    units its candidates' chains use (dependency-filtered, like the RUP
+    chain), then for each live clause containing the negated pivot, the
+    clause's first literal, its id negated and its chain.  A deletion's wid
+    is the id it targets (None when no live clause has its content) and
+    applied tells whether it took effect.
     pipeline.backward_check sets core.  The trimmed proof
     (pipeline.emit_trimmed) and the ER translation keep these ids; only
     pipeline.emit_trim renumbers them, for the LRAT document.
@@ -255,15 +255,14 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
         if c.is_tautology:
             hints = HintBlock()
         elif c.is_empty:
-            chain = engine.rup(c)
-            if chain is None:
+            hints = engine.rup(c)
+            if hints is None:
                 raise ForwardRejected(i, NOT_RAT)
-            hints = HintBlock(chain)
         else:
             r = engine.rat(c)
             if not r.rat:
                 raise ForwardRejected(i, NOT_RAT, r.witness_candidate)
-            hints = HintBlock(r.leading, r.groups)  # no groups when RUP
+            hints = r.hints  # no candidate when RUP
             if not r.rup:
                 pivot = c.lits[0]
         # the verdict rests on check_lrat's rules, not on the search
@@ -314,37 +313,38 @@ def check_addition(clauses, occurrence, c: Clause, hints: HintBlock, pivot):
     """check_lrat's rules for one addition of c over the live clauses, with
     no search; occurrence(l) lists the live ids containing l, ascending.
 
-    The unit chain is walked over the negated clause.  When it conflicts the
-    addition holds by RUP, and no group may follow.  Otherwise it holds by
-    RAT on pivot (None admits no RAT): the groups name exactly the live
-    clauses containing the negated pivot (none when there are no groups),
-    and each group's chain refutes its resolvent over the units the unit
-    chain made true, unless the resolvent is tautological or satisfied.
+    The unit chain, hints.rup_chain, is walked over the negated clause.
+    When it conflicts the addition holds by RUP, and no negative hint may
+    follow.  Otherwise it holds by RAT on pivot (None admits no RAT): the
+    groups, hints.rat_groups, name exactly the live clauses containing the
+    negated pivot (none when there are no groups), and each group's chain
+    refutes its resolvent over the units the unit chain made true, unless
+    the resolvent is tautological or satisfied.
 
     Returns (reason, detail, visited, rat): reason is None when the addition
     holds, else the rejection tag and its detail as check_lrat reports them;
     visited counts the walks' clause visits up to the verdict; rat tells
     that the RAT rule accepted the addition.
     """
-    groups = hints.rat_groups
     true = dict.fromkeys(-l for l in c.lits)
     visited = 0
+    chain = hints.rup_chain
     if c.is_tautology:
         status, consumed = "conflict", 0
     else:
-        chain = hints.rup_chain
         status, consumed = walk(clauses, true, chain)
         visited = consumed + (status != "open")
         if status == "open" and consumed < len(chain):
             # the walk reached a hint that is not a live id
             return UNKNOWN_ID, chain[consumed], visited, False
     if status == "conflict":
-        if groups:
+        if len(chain) < len(hints):
             # hints continue past a finished propagation proof
             return BAD_HINT, consumed, visited, False
         return None, None, visited, False
     if status == "stuck" or pivot is None:
         return BAD_HINT, consumed, visited, False
+    groups = hints.rat_groups
     occ = occurrence(-pivot)
     if not groups and occ:
         # a RAT step with no groups holds only when no live clause contains

@@ -13,8 +13,11 @@ it between the steps that spell it, so a deletion that repeats an
 addition's literals holds that addition's object.
 LRAT and ER are id-addressed and share their line grammar: a deletion
 line '<id> d <ids> 0' is one Delete step in both, and an LRAT addition and
-an ER chain are both '<id> <list> 0 <list> 0'.  One reader (_Tokens.step_id,
-_Tokens.deletion) and one writer (_write_lines) serve both for those lines.
+an ER chain are both '<id> <list> 0 <list> 0'.  One reader
+(_Tokens.step_id, _Tokens.deletion) and one writer (_write_lines) serve
+both for those lines.  An LRAT addition's hint list is read and written as
+it stands, as one HintBlock; only the readers that need its unit chain or
+its RAT groups split it, through HintBlock's two properties.
 ER is this toolkit's own format: extension lines introduce a definition
 clause family under consecutive ids, chain lines claim a clause derived by
 folding a resolution chain, deletion lines drop clause ids.  A deletion
@@ -35,11 +38,35 @@ class ParseError(ValueError):
     """Malformed document; message carries line or byte position."""
 
 
-class HintBlock(NamedTuple):
-    """LRAT hints: a unit chain, then per-candidate chains for RAT steps."""
+class HintBlock(tuple):
+    """An LRAT addition's hint list as the document writes it: the unit
+    chain, then for each RAT candidate its id negated and its chain.
 
-    rup_chain: tuple = ()
-    rat_groups: tuple = ()
+    The two properties are the one place the list is split.
+    """
+
+    __slots__ = ()
+
+    @property
+    def rup_chain(self) -> tuple:
+        """The hints before the first negative one."""
+        if not self or min(self) > 0:
+            return self
+        for k, h in enumerate(self):
+            if h < 0:
+                return self[:k]
+
+    @property
+    def rat_groups(self) -> tuple:
+        """A (candidate, chain) pair for each negative hint and the positive
+        hints after it."""
+        out = []
+        end = len(self)
+        for k in range(end - 1, -1, -1):  # backward: a chain ends where the
+            if self[k] < 0:               # next candidate starts
+                out.append((-self[k], self[k + 1:end]))
+                end = k
+        return tuple(reversed(out))
 
 
 class ProofStep(NamedTuple):
@@ -471,11 +498,11 @@ def parse_drat(data: bytes) -> list:
 def parse_lrat(data) -> list:
     """LRAT text -> list of (id, ProofStep | Delete).
 
-    Addition hints split at the first negative hint into the unit chain and
-    candidate groups.  Hints and candidates must reference ids below the
-    step's own id; addition ids must be strictly increasing.  A non-empty
-    clause may carry no hints at all (a RAT step whose negated pivot occurs
-    in no live clause); whether it holds is the checker's decision.
+    An addition's hints are its line's hint list, as one HintBlock.  Hints
+    and candidates must reference ids below the step's own id; addition ids
+    must be strictly increasing.  A non-empty clause may carry no hints at
+    all (a RAT step whose negated pivot occurs in no live clause); whether
+    it holds is the checker's decision.
     """
     t = _Tokens(data, ("d",))
     nums = t.nums
@@ -501,18 +528,7 @@ def parse_lrat(data) -> list:
                           % (next(h for h in hints if abs(h) >= sid), sid))
         t.close(z, stop, at, "hint", "hint block")
         i = z + 1
-        j = 0
-        while j < len(hints) and hints[j] > 0:
-            j += 1
-        rup = tuple(hints[:j])
-        groups = []
-        while j < len(hints):
-            k = j + 1
-            while k < len(hints) and hints[k] > 0:
-                k += 1
-            groups.append((-hints[j], tuple(hints[j + 1:k])))
-            j = k
-        steps.append((sid, add_step(lits, HintBlock(rup, tuple(groups)))))
+        steps.append((sid, add_step(lits, HintBlock(hints))))
     return steps
 
 
@@ -532,12 +548,7 @@ def _two_lists(a, b) -> tuple:
 
 
 def _lrat_body(s) -> tuple:
-    h = s.hints or HintBlock()
-    hints = list(h.rup_chain)
-    for cand, chain in h.rat_groups:
-        hints.append(-cand)
-        hints.extend(chain)
-    return _two_lists(s.clause.lits, hints)
+    return _two_lists(s.clause.lits, s.hints or ())
 
 
 def write_lrat(steps) -> bytes:

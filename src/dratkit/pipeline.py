@@ -1,14 +1,17 @@
 """Proof transformation chain: backward check, trim, LRAT and ER emission.
 
 backward_check runs the forward DRAT search, checkers._drat_forward, which
-yields one StepRecord per proof step: each addition with its LRAT hint block
-(a RUP chain, or a RAT step's leading units plus one chain per candidate,
-certified by the hint walk as the search finds it).  It then sweeps the
-records once backward from the empty clause, as DRAT-trim marks its core:
-a step cites only clauses made before it, so by the time the sweep reaches
-an addition, every step that cites it has been seen.  It sets core on the
-cited closure's additions and on the applied deletions of its clauses; the
-used subset of the original formula becomes core_formula_ids.
+yields one StepRecord per proof step: each addition with its LRAT hint list
+as the document writes it (a RUP chain, or a RAT step's leading units, then
+each candidate's id negated and its chain, certified by the hint walk as
+the search finds it).  The ids a list cites are its hints' absolute values,
+and only the readers that need the list's parts split it (to_er's RAT
+route).  It then sweeps the records once backward from the empty clause,
+as DRAT-trim marks its core: a step cites only clauses made before it, so
+by the time the sweep reaches an addition, every step that cites it has
+been seen.  It sets core on the cited closure's additions and on the
+applied deletions of its clauses; the used subset of the original formula
+becomes core_formula_ids.
 
 An input that already holds the empty clause is searched with the one-step
 proof that adds the empty clause: its one record cites the lowest empty
@@ -100,17 +103,6 @@ class CheckedProof(NamedTuple):
     formula: Formula
 
 
-def _cited_ids(hints: HintBlock):
-    """Every clause id a hint block relies on."""
-    if not hints.rat_groups:
-        return hints.rup_chain
-    out = list(hints.rup_chain)
-    for cand, chain in hints.rat_groups:
-        out.append(cand)
-        out.extend(chain)
-    return out
-
-
 def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedProof:
     if f.has_empty:
         proof = [add_step([])]  # the input refutes itself
@@ -120,11 +112,11 @@ def backward_check(f: Formula, proof, mode: CheckMode | None = None) -> CheckedP
                                  mode or CheckMode()))
     # the cited closure of the empty clause, originals included: records
     # are in id order, a step cites only clauses made before it, and a
-    # deletion's hint block is empty
+    # deletion's hint list is empty
     core = {records[-1].wid}
     for r in reversed(records):
         if r.wid in core:
-            core.update(_cited_ids(r.hints))
+            core.update(map(abs, r.hints))
     for k, r in enumerate(records):
         if r.wid in core and r.applied:
             records[k] = StepRecord(r.kind, r.clause, r.wid, r.hints, r.pivot, True)
@@ -160,7 +152,7 @@ def emit_trimmed(cp: CheckedProof):
             continue
         if r.kind == "add":
             added[r.wid] = r.clause
-            for wid in _cited_ids(r.hints):
+            for wid in map(abs, r.hints):
                 last_use[wid] = k
         else:
             mirrored.add(r.wid)
@@ -176,8 +168,9 @@ def emit_trimmed(cp: CheckedProof):
                 steps.append(StepRecord("delete", added[wid], wid, core=True))
 
     core = Formula()
-    for oid in sorted(cp.core_formula_ids):
-        core.add_clause(cp.formula.clauses[oid], cid=oid)
+    for oid, cl in cp.formula.clauses.items():  # ids ascend
+        if oid in cp.core_formula_ids:
+            core.add_clause(cl, cid=oid)
     return steps, core
 
 
@@ -271,8 +264,9 @@ def emit_trim(cp: CheckedProof):
     """
     trimmed, core = emit_trimmed(cp)
     lines = _Lines(cp.formula.next_id - 1, cp.core_formula_ids)
-    for oid in sorted(set(cp.formula.clauses) - cp.core_formula_ids):
-        lines.delete(oid)
+    for oid in cp.formula.clauses:  # ids ascend
+        if oid not in cp.core_formula_ids:
+            lines.delete(oid)
     img = lines.id_of
     for r in trimmed:
         if r.kind == "delete":
@@ -281,9 +275,7 @@ def emit_trim(cp: CheckedProof):
         hints = r.hints
         if r.wid != lines.last + 1:
             # an addition was left out before r, so the ids it cites moved
-            hints = HintBlock(tuple(map(img, hints.rup_chain)),
-                              tuple((img(cand), tuple(map(img, chain)))
-                                    for cand, chain in hints.rat_groups))
+            hints = HintBlock(img(h) if h > 0 else -img(-h) for h in hints)
         lines.add(add_step(r.clause, hints=hints), r.wid)
     out = lines.done()
     _require_verified(check_lrat(cp.formula, out), "LRAT")
@@ -399,7 +391,7 @@ def to_er(f: Formula, cp: CheckedProof):
 
     last_ref = {}
     for ri, r in enumerate(trimmed):
-        for tid in _cited_ids(r.hints):
+        for tid in map(abs, r.hints):
             last_ref[tid] = ri
 
     er_clauses = {cid: cl for cid, cl in f.clauses.items()}
@@ -443,7 +435,7 @@ def to_er(f: Formula, cp: CheckedProof):
                 live.add_clause(clause, cid=cid)
                 continue
             claimed = _apply_clause(sub, clause)
-            ids = tuple(map(er_id, reversed(hints.rup_chain)))
+            ids = tuple(map(er_id, reversed(hints)))
             er_clauses[lines.add(Chain(claimed, ids), cid)] = claimed
             live.add_clause(clause, cid=cid)
             if clause.is_empty:

@@ -61,16 +61,16 @@ alone.  The chain is the dependency-filtered antecedents: the reasons that
 transitively contribute to falsifying the conflict clause, in propagation
 order, with the conflict clause last.  That list is exactly an LRAT hint
 chain, and Engine.rup returns it (None when the clause is not RUP).  A RAT
-check reports exactly an LRAT hint block in a RatOutcome: the reasons of
-the units the negated clause propagates, filtered the same way to those the
-groups use, then one (candidate, chain) pair per clause containing the
-negated pivot.  The pivot is the clause's first literal, as the DRAT format
-defines it, and Engine.rat reads it off the clause.  A RAT check propagates
-the negated clause once and settles RUP on the way: when that propagation
-conflicts it reports the RUP chain and looks at no candidate.  So the DRAT
-search makes one propagation of each addition's negated clause, through
-Engine.rat; it calls Engine.rup only for the empty clause, which has no
-pivot.
+check reports exactly an LRAT hint list, as the document writes it, in a
+RatOutcome: the reasons of the units the negated clause propagates,
+filtered the same way to those the candidates' chains use, then for each
+clause containing the negated pivot its id negated and its chain.  The
+pivot is the clause's first literal, as the DRAT format defines it, and
+Engine.rat reads it off the clause.  A RAT check propagates the negated
+clause once and settles RUP on the way: when that propagation conflicts it
+reports the RUP chain and looks at no candidate.  So the DRAT search makes
+one propagation of each addition's negated clause, through Engine.rat; it
+calls Engine.rup only for the empty clause, which has no pivot.
 
 Formula mutations (attach/detach) must not happen while a checkpoint is
 outstanding; checkers mutate only between checks.
@@ -81,28 +81,30 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from dratkit.core import Clause, Formula
+from dratkit.formats import HintBlock
 
 
 class RatOutcome(NamedTuple):
-    """A RAT check's verdict; when it holds, (leading, groups) is the step's
-    LRAT hint block.  It is the engine's one record: propagate answers with
-    a clause id and rup with a chain, but a RAT check has a verdict, a
-    failing candidate and a hint block of two parts to report.
+    """A RAT check's verdict; when it holds, hints is the step's LRAT hint
+    list.  It is the engine's one record: propagate answers with a clause
+    id and rup with a chain, but a RAT check has a verdict, a failing
+    candidate and a hint list to report.
 
     The check propagates the negated clause once.  When that propagation
-    conflicts, the clause is RUP: rup is set, leading is the RUP chain and
+    conflicts, the clause is RUP: rup is set, hints is the RUP chain and
     no candidate is looked at, so the caller needs no separate RUP check."""
 
     rat: bool
     witness_candidate: int | None = None   # failing candidate when not rat
-    groups: tuple = ()        # (candidate, chain) per clause containing the
-                              # negated pivot, in id order: the chain refutes
-                              # the resolvent over the leading units; () when
-                              # the resolvent is tautological or one of its
-                              # literals is already true
-    leading: tuple = ()       # reasons of the units derived from the negated
-                              # clause that the groups use, closed under
-                              # reasons, trail order; the RUP chain when rup
+    hints: HintBlock = HintBlock()  # the RUP chain when rup; else the
+                              # reasons of the units derived from the negated
+                              # clause that the chains use, closed under
+                              # reasons, trail order, then per clause
+                              # containing the negated pivot, in id order,
+                              # its id negated and its chain, which refutes
+                              # the resolvent over those units (none when the
+                              # resolvent is tautological or one of its
+                              # literals is already true)
     rup: bool = False         # the negated clause's propagation conflicts
 
 
@@ -312,16 +314,17 @@ class Engine:
             self.rollback(cp)
             self.visited_total = visited
 
-    def _chain(self, cid: int, from_index: int) -> tuple:
-        """The dependency-filtered reason chain of the falsified clause cid:
-        the reasons on the trail from from_index on whose variables
-        contribute, transitively, to falsifying it, in propagation order,
-        then cid itself; () for 0, an assumption that was already false."""
+    def _chain(self, cid: int, from_index: int) -> HintBlock:
+        """The dependency-filtered reason chain of the falsified clause cid,
+        as an LRAT hint list: the reasons on the trail from from_index on
+        whose variables contribute, transitively, to falsifying it, in
+        propagation order, then cid itself; empty for 0, an assumption that
+        was already false."""
         if not cid:
-            return ()
+            return HintBlock()
         out = self._reasons({abs(l) for l in self.wlits[cid][2]}, from_index)
         out.append(cid)
-        return tuple(out)
+        return HintBlock(out)
 
     def _reasons(self, marked: set, from_index: int) -> list:
         """The reasons of the marked variables on the trail from from_index
@@ -344,9 +347,9 @@ class Engine:
 
     # ----------------------------------------------------------------- checks
 
-    def rup(self, c: Clause) -> tuple | None:
+    def rup(self, c: Clause) -> HintBlock | None:
         """The RUP chain of c, or None when c is not RUP; a tautology's
-        chain is ()."""
+        chain is empty."""
         cp = self.checkpoint()
         try:
             cid = self.propagate([-l for l in c.lits])
@@ -364,18 +367,17 @@ class Engine:
         negated pivot; its negation is the negation of c plus the negation
         of D's remaining literals, so the shared trail is extended per
         candidate and rolled back.  The candidates are listed only once the
-        shared trail stands.  The shared trail's reasons and each
-        candidate's chain make up the step's LRAT hint block (see
-        RatOutcome).
+        shared trail stands.  The shared trail's reasons, then each
+        candidate's id negated and its chain, make up the step's LRAT hint
+        list (see RatOutcome).
         """
         pivot = c.lits[0]
         cp = self.checkpoint()
-        groups = []
+        groups = []  # each candidate's id negated, then its chain
         try:
             cid = self.propagate([-l for l in c.lits])
             if cid is not None:
-                return RatOutcome(True, None, (), self._chain(cid, cp[0]),
-                                  rup=True)
+                return RatOutcome(True, None, self._chain(cid, cp[0]), True)
             candidates = self.f.occurrence(-pivot)
             tlead = len(self.trail)
             val, wlits = self.val, self.wlits
@@ -396,14 +398,14 @@ class Engine:
                 else:
                     cid = self.propagate()
                     if cid is None:
-                        return RatOutcome(False, did, tuple(groups))
+                        return RatOutcome(False, did)
                     chain = self._chain(cid, tlead)
                     for cid in chain:
                         marked.update(abs(x) for x in wlits[cid][2])
                 self.rollback(cp2)
-                groups.append((did, chain))
-            leading = tuple(self._reasons(marked, 0))
-            return RatOutcome(True, None, tuple(groups), leading)
+                groups += (-did, *chain)
+            return RatOutcome(True, None,
+                              HintBlock(self._reasons(marked, 0) + groups))
         finally:
             self.rollback(cp)
 

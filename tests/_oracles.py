@@ -3,8 +3,9 @@
 Everything here is deliberately slow and simple: truth tables by exhaustive
 enumeration, unit propagation by rescanning the whole clause list until
 stable, proof checking by direct restatement of the definitions.  Nothing
-imports the package under test, except the reference text parsers at the
-end: they build its step records, so that their results compare equal.
+imports the package under test, except the reference text parsers and
+hint_block at the end: they build its step records, so that their results
+compare equal.
 
 Clause arguments are iterables of nonzero ints; formulas are either plain
 lists of clauses (ids 1..n implied) or dicts mapping id -> clause.
@@ -237,26 +238,36 @@ def naive_guided(formula, clause, chain):
 
 # ------------------------------------------------- LRAT documents (text form)
 
+def _naive_tokens(text, words):
+    """A text proof's tokens as one stream, read a line at a time, so that a
+    step may span lines: the words as they are, every other token as its
+    int."""
+    for line in text.split("\n"):
+        for tok in line.split():
+            yield tok if tok in words else int(tok)
+
+
+def _naive_until_zero(toks):
+    """The ints of the stream toks up to its next 0, without it."""
+    nums = []
+    for n in toks:
+        if n == 0:
+            return nums
+        nums.append(n)
+    raise ValueError("unterminated step")
+
+
 def naive_parse_lrat(text):
     """LRAT text -> list of (id, ('d', ids) | ('a', lits, hints))."""
+    toks = _naive_tokens(text, ("d",))
     out = []
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if not line:
+    for sid in toks:
+        word = next(toks, None)
+        if word == "d":
+            out.append((sid, ("d", _naive_until_zero(toks))))
             continue
-        parts = line.split()
-        sid = int(parts[0])
-        if len(parts) > 1 and parts[1] == "d":
-            nums = [int(t) for t in parts[2:]]
-            assert nums and nums[-1] == 0
-            out.append((sid, ("d", nums[:-1])))
-            continue
-        nums = [int(t) for t in parts[1:]]
-        z = nums.index(0)
-        lits = nums[:z]
-        hints = nums[z + 1:]
-        assert hints and hints[-1] == 0
-        out.append((sid, ("a", lits, hints[:-1])))
+        lits = _naive_until_zero(itertools.chain((word,), toks))
+        out.append((sid, ("a", lits, _naive_until_zero(toks))))
     return out
 
 
@@ -396,27 +407,18 @@ def naive_check_lrat(cnf, text):
 def naive_parse_er(text):
     """ER text -> list of (id, step) with steps ('e', x, p, ls) /
     ('c', lits, antecedents) / ('d', ids)."""
+    toks = _naive_tokens(text, ("d", "e"))
     out = []
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        sid = int(parts[0])
-        if parts[1] == "e":
-            nums = [int(t) for t in parts[2:]]
-            assert nums[-1] == 0
-            x, p = nums[0], nums[1]
-            out.append((sid, ("e", x, p, nums[2:-1])))
-        elif parts[1] == "d":
-            nums = [int(t) for t in parts[2:]]
-            assert nums[-1] == 0
-            out.append((sid, ("d", nums[:-1])))
+    for sid in toks:
+        word = next(toks, None)
+        if word == "e":
+            nums = _naive_until_zero(toks)
+            out.append((sid, ("e", nums[0], nums[1], nums[2:])))
+        elif word == "d":
+            out.append((sid, ("d", _naive_until_zero(toks))))
         else:
-            nums = [int(t) for t in parts[1:]]
-            z = nums.index(0)
-            assert nums[-1] == 0
-            out.append((sid, ("c", nums[:z], nums[z + 1:-1])))
+            lits = _naive_until_zero(itertools.chain((word,), toks))
+            out.append((sid, ("c", lits, _naive_until_zero(toks))))
     return out
 
 
@@ -610,11 +612,11 @@ def ref_parse_drat_text(data) -> list:
 def ref_parse_lrat(data) -> list:
     """LRAT text -> list of (id, ProofStep | Delete).
 
-    Addition hints split at the first negative hint into the unit chain and
-    candidate groups.  Hints and candidates must reference ids below the
-    step's own id; addition ids must be strictly increasing.  A non-empty
-    clause may carry no hints at all (a RAT step whose negated pivot occurs
-    in no live clause); whether it holds is the checker's decision.
+    An addition's hints are its line's hint list, as one HintBlock.  Hints
+    and candidates must reference ids below the step's own id; addition ids
+    must be strictly increasing.  A non-empty clause may carry no hints at
+    all (a RAT step whose negated pivot occurs in no live clause); whether
+    it holds is the checker's decision.
     """
     toks = list(_ref_tokens(data))
     steps = []
@@ -664,22 +666,7 @@ def ref_parse_lrat(data) -> list:
             if abs(n) >= sid:
                 raise ParseError("line %d: hint %d not below step id %d" % (ln, n, sid))
             hints.append(n)
-        rup = []
-        j = 0
-        while j < len(hints) and hints[j] > 0:
-            rup.append(hints[j])
-            j += 1
-        groups = []
-        while j < len(hints):
-            cand = -hints[j]
-            j += 1
-            chain = []
-            while j < len(hints) and hints[j] > 0:
-                chain.append(hints[j])
-                j += 1
-            groups.append((cand, tuple(chain)))
-        block = HintBlock(rup_chain=tuple(rup), rat_groups=tuple(groups))
-        steps.append((sid, add_step(lits, hints=block)))
+        steps.append((sid, add_step(lits, hints=HintBlock(hints))))
     return steps
 
 
@@ -752,3 +739,11 @@ def ref_parse_er(data) -> list:
         last_claimed = sid
         doc_max_var = max([doc_max_var] + [abs(l) for l in lits])
     return steps
+
+
+def hint_block(rup=(), groups=()):
+    """The LRAT hint list of a unit chain and (candidate, chain) groups, as
+    the document writes it: the chain, then each candidate's id negated and
+    its chain."""
+    return HintBlock((*rup, *(h for cand, chain in groups
+                              for h in (-cand, *chain))))

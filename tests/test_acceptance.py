@@ -43,6 +43,7 @@ from dratkit.pipeline import backward_check, emit_lrat, emit_trimmed, to_er
 from dratkit.testkit import cdcl_solve, gen_php, gen_random
 
 from _oracles import (
+    hint_block,
     naive_check_drat,
     naive_check_er,
     naive_check_lrat,
@@ -219,24 +220,13 @@ def _drop_lrat_hint(rng, doc):
     for i, (_, st) in enumerate(doc):
         if isinstance(st, Delete) or st.hints is None:
             continue
-        for p in range(len(st.hints.rup_chain)):
-            spots.append((i, -1, p))
-        for gi, (_, chain) in enumerate(st.hints.rat_groups):
-            for p in range(len(chain)):
-                spots.append((i, gi, p))
+        # any hint in a chain, none of the negated candidate ids
+        spots.extend((i, p) for p, h in enumerate(st.hints) if h > 0)
     if not spots:
         return None
-    i, gi, p = rng.choice(spots)
+    i, p = rng.choice(spots)
     sid, st = doc[i]
-    hb = st.hints
-    if gi < 0:
-        hb = HintBlock(hb.rup_chain[:p] + hb.rup_chain[p + 1:],
-                       hb.rat_groups)
-    else:
-        groups = list(hb.rat_groups)
-        cand, chain = groups[gi]
-        groups[gi] = (cand, chain[:p] + chain[p + 1:])
-        hb = HintBlock(hb.rup_chain, tuple(groups))
+    hb = HintBlock(st.hints[:p] + st.hints[p + 1:])
     out = list(doc)
     out[i] = (sid, add_step(st.clause, hints=hb))
     return out
@@ -429,9 +419,9 @@ def test_format_round_trips():
                 rup = rup or (1,)
             if not lits:
                 groups = []
-            block = HintBlock(rup_chain=rup, rat_groups=tuple(groups))
+            block = hint_block(rup, groups)
             if lits and not rup and not groups:
-                block = HintBlock(rup_chain=(1,))
+                block = HintBlock((1,))
             doc.append((sid, add_step(lits, hints=block)))
         assert parse_lrat(write_lrat(doc)) == doc
 

@@ -523,7 +523,7 @@ def test_lrat_repeated_rat_candidate_rejected():
     # the groups name each live clause holding the negated pivot once: a
     # second group for clause 1, though its chain closes, is one too many
     cnf = [[-1, 2], [2]]
-    steps = [(3, add_step([1], HintBlock((), ((1, (2,)), (1, (2,))))))]
+    steps = [(3, add_step([1], HintBlock((-1, 2, -1, 2))))]
     report = check_lrat(formula_from_clauses(cnf), steps)
     assert (report.step_index, report.reason) == (0, MISSING_RAT_CANDIDATE)
     assert not naive_check_lrat(cnf, write_lrat(steps).decode())
@@ -579,7 +579,7 @@ def test_lrat_unknown_hint_rejected():
     assert not naive_check_lrat(FULL2_IMP, doc.decode())
     # an id above the last one, in a RAT candidate's chain
     cnf = [[-1, 2], [2, 3], [2, -3]]
-    bad = [(4, add_step([1], HintBlock((), ((1, (2, 9)),))))]
+    bad = [(4, add_step([1], HintBlock((-1, 2, 9))))]
     report = check_lrat(formula_from_clauses(cnf), bad)
     assert (report.step_index, report.reason, report.detail) == (0, UNKNOWN_ID, 9)
     assert not naive_check_lrat(cnf, write_lrat(bad).decode())
@@ -612,8 +612,8 @@ def test_lrat_id_order_enforced():
     # bypassing the parser: programmatic steps may violate ordering
     from dratkit.formats import HintBlock
 
-    steps = [(5, add_step([1], hints=HintBlock((1, 3), ()))),
-             (5, add_step([], hints=HintBlock((5, 2, 4), ())))]
+    steps = [(5, add_step([1], hints=HintBlock((1, 3)))),
+             (5, add_step([], hints=HintBlock((5, 2, 4))))]
     report = check_lrat(formula_from_clauses(FULL2), steps)
     assert not report.verified
     assert report.step_index == 1
@@ -657,9 +657,7 @@ def test_lrat_empty_clause_requires_conflict():
 
 
 def _mutate_ints(rng, text):
-    # keep line boundaries intact: the package parsers read token streams,
-    # the naive oracle reads one step per line, so rejoined lines would not
-    # be comparable between the two
+    # one int token changed in place; the lines stay as they were written
     lines = [l.split() for l in text.splitlines()]
     spots = [(r, c) for r, row in enumerate(lines) for c in range(len(row))
              if row[c] not in ("d", "e")]
@@ -667,6 +665,13 @@ def _mutate_ints(rng, text):
     n = int(lines[r][c])
     lines[r][c] = str(rng.choice([n + 1, n - 1, -n, 0, n + 3]))
     return "".join(" ".join(row) + "\n" for row in lines)
+
+
+def test_naive_lrat_reads_a_step_across_lines():
+    # the checkers read tokens, so a step may span lines; the oracle too
+    cnf, doc = [[1], [-1]], b"3 0\n1 2 0\n"
+    assert check_lrat(formula_from_clauses(cnf), parse_lrat(doc)).verified
+    assert naive_check_lrat(cnf, doc.decode())
 
 
 def test_lrat_mutation_agreement_with_naive():
@@ -828,6 +833,14 @@ def test_er_id_collision_rejected():
         report = check_er(f, doc)
         assert (report.step_index, report.reason, report.detail) == (
             1, ID_ORDER, doc[1][0])
+
+
+def test_naive_er_reads_a_step_across_lines():
+    # a chain, then an extension and a chain, each split across lines
+    cnf = [[1], [-1]]
+    for doc in (b"3 0\n1 2 0\n", b"3 e 2\n1 0 5\n0 1 2 0\n"):
+        assert check_er(formula_from_clauses(cnf), parse_er(doc)).verified
+        assert naive_check_er(cnf, doc.decode())
 
 
 def test_er_mutation_agreement_with_naive():

@@ -324,6 +324,7 @@ def test_a_forged_engine_is_caught_on_an_input_holding_the_empty_clause(
     # the record of an input that refutes itself comes from the search and
     # passes the hint walk like any other: an engine that leaves the empty
     # original out of its chain is caught before anything is written
+    from dratkit.formats import HintBlock
     from dratkit.propagate import Engine
 
     real = Engine.rup
@@ -331,7 +332,7 @@ def test_a_forged_engine_is_caught_on_an_input_holding_the_empty_clause(
     def forged(self, c):
         chain = real(self, c)
         empty = {cid for cid, cl in self.f.clauses.items() if cl.is_empty}
-        return tuple(a for a in chain if a not in empty)
+        return HintBlock(a for a in chain if a not in empty)
 
     monkeypatch.setattr(Engine, "rup", forged)
     monkeypatch.chdir(tmp_path)

@@ -31,7 +31,7 @@ from dratkit.formats import (
     write_lrat,
 )
 
-from _oracles import naive_check_lrat
+from _oracles import hint_block, naive_check_lrat
 from test_pipeline import _cook_proof
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
@@ -287,7 +287,7 @@ class TestLrat:
         steps = parse_lrat(b"3 2 0 1 2 0\n")
         (sid, s), = steps
         assert sid == 3 and s.kind == "add" and s.clause == Clause([2])
-        assert s.hints == HintBlock(rup_chain=(1, 2))
+        assert s.hints == HintBlock((1, 2))
 
     def test_deletion_line(self):
         (sid, s), = parse_lrat(b"4 d 1 0\n")
@@ -301,6 +301,29 @@ class TestLrat:
         (_, s), = parse_lrat(b"9 1 5 0 1 -3 4 -6 0\n")
         assert s.hints.rup_chain == (1,)
         assert s.hints.rat_groups == ((3, (4,)), (6, ()))
+
+    def test_hints_are_the_line_hint_list(self):
+        assert parse_lrat(b"5 1 0 3 -2 4 0\n")[0][1].hints == (3, -2, 4)
+
+    def test_hint_block_split_edges(self):
+        empty = HintBlock()
+        assert empty == () and empty.rup_chain == () and empty.rat_groups == ()
+        lead = HintBlock((-2, 5))  # a leading negative hint
+        assert lead.rup_chain == () and lead.rat_groups == ((2, (5,)),)
+        adjacent = HintBlock((-2, -3))
+        assert adjacent.rup_chain == ()
+        assert adjacent.rat_groups == ((2, ()), (3, ()))
+        last = HintBlock((1, 4, -2, 6, -3))  # a group at the end, no chain
+        assert last.rup_chain == (1, 4)
+        assert last.rat_groups == ((2, (6,)), (3, ()))
+
+    @given(st.lists(st.integers(-9, 9).filter(bool)))
+    def test_hint_block_split_joins_back(self, hints):
+        h = HintBlock(hints)
+        assert hint_block(h.rup_chain, h.rat_groups) == h == tuple(hints)
+        assert min(h.rup_chain, default=1) > 0
+        assert all(cand > 0 and min(chain, default=1) > 0
+                   for cand, chain in h.rat_groups)
 
     def test_non_monotone_ids_rejected(self):
         with pytest.raises(ParseError):
@@ -450,9 +473,9 @@ class TestRoundTripProperties:
                     rup = rup or (1,)
                 if not lits:
                     groups = []
-                block = HintBlock(rup_chain=rup, rat_groups=tuple(groups))
+                block = hint_block(rup, groups)
                 if lits and not rup and not groups:
-                    block = HintBlock(rup_chain=(1,))
+                    block = HintBlock((1,))
                 steps.append((sid, add_step(lits, hints=block)))
             assert parse_lrat(write_lrat(steps)) == steps
 

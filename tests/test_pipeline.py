@@ -71,6 +71,7 @@ from dratkit.testkit import cdcl_solve, gen_php, gen_random
 
 from _oracles import (
     FOLD_EDGES,
+    hint_block,
     naive_check_drat,
     naive_check_er,
     naive_check_lrat,
@@ -139,7 +140,7 @@ def _dense_lrat(cp, trimmed):
             sid += 1
             image[r.wid] = sid
             h = r.hints
-            want.append((sid, add_step(r.clause, hints=HintBlock(
+            want.append((sid, add_step(r.clause, hints=hint_block(
                 tuple(image[w] for w in h.rup_chain),
                 tuple((image[cand], tuple(image[w] for w in chain))
                       for cand, chain in h.rat_groups)))))
@@ -215,8 +216,8 @@ def test_backward_marking_drops_redundant_addition():
     assert len(cp.records) == 3
     assert [r.wid for r in cp.records] == [5, 6, 7]
     assert [r.core for r in cp.records] == [False, True, True]
-    assert cp.records[1].hints == HintBlock(rup_chain=(1, 3))
-    assert cp.records[2].hints == HintBlock(rup_chain=(6, 2, 4))
+    assert cp.records[1].hints == HintBlock((1, 3))
+    assert cp.records[2].hints == HintBlock((6, 2, 4))
     assert cp.core_formula_ids == frozenset([1, 2, 3, 4])
 
     # the lemma (4) is RUP from originals 5 and 6, but the empty clause
@@ -370,7 +371,7 @@ def test_rat_proof_forward_records():
     cp = backward_check(f, SPLIT8_PROOF)
     first = cp.records[0]
     assert first.pivot == 1
-    assert first.hints == HintBlock((4,), ((2, ()), (3, ())))
+    assert first.hints == HintBlock((4, -2, -3))
     # {-1, 2} resolves to a tautology; {-1, -2, 3} holds 3, which the
     # leading unit {-2, 3} makes true
     h = first.hints
@@ -407,17 +408,16 @@ def test_rat_proof_lrat_document():
     f = formula_from_clauses(SPLIT8)
     doc = emit_lrat(backward_check(f, SPLIT8_PROOF))
     assert doc == [
-        (9, add_step([1, -2], hints=HintBlock(rup_chain=(4,),
-                                              rat_groups=((2, ()), (3, ()))))),
+        (9, add_step([1, -2], hints=HintBlock((4, -2, -3)))),
         (9, Delete((4,))),
-        (10, add_step([-2, 3], hints=HintBlock(rup_chain=(3, 9)))),
+        (10, add_step([-2, 3], hints=HintBlock((3, 9)))),
         (10, Delete((9,))),
-        (11, add_step([3], hints=HintBlock(rup_chain=(10, 1, 2)))),
+        (11, add_step([3], hints=HintBlock((10, 1, 2)))),
         (11, Delete((10,))),
-        (12, add_step([-3, 4], hints=HintBlock(rup_chain=(5, 7)))),
-        (13, add_step([-3], hints=HintBlock(rup_chain=(12, 6, 8)))),
+        (12, add_step([-3, 4], hints=HintBlock((5, 7)))),
+        (13, add_step([-3], hints=HintBlock((12, 6, 8)))),
         (13, Delete((12,))),
-        (14, add_step([], hints=HintBlock(rup_chain=(11, 13)))),
+        (14, add_step([], hints=HintBlock((11, 13)))),
     ]
     assert check_lrat(f, doc).verified
     assert check_lrat(f, parse_lrat(write_lrat(doc))).verified
@@ -500,7 +500,7 @@ def test_singleton_rat_translates_with_two_clause_family():
     cp = backward_check(f, K0_PROOF)
     first = cp.records[0]
     assert first.pivot == 1
-    assert first.hints == HintBlock((), ((2, (1, 3)),))
+    assert first.hints == HintBlock((-2, 1, 3))
     h = first.hints
     assert naive_rat_groups(K0, [1], 1, h.rup_chain, h.rat_groups) == ["refuted"]
     steps, core = emit_trimmed(cp)
@@ -523,7 +523,7 @@ def test_to_er_refuses_an_empty_chain_that_nothing_discharges():
     # {1, 2} is neither tautological nor satisfied by a leading unit
     f = formula_from_clauses(K0)
     cp = backward_check(f, K0_PROOF)
-    first = cp.records[0]._replace(hints=HintBlock((), ((2, ()),)))
+    first = cp.records[0]._replace(hints=HintBlock((-2,)))
     forged = cp._replace(records=(first,) + cp.records[1:])
     assert naive_rat_groups(K0, [1], 1, (), ((2, ()),)) is None
     with pytest.raises(TranslationInvariantViolation, match="no chain"):
@@ -1086,7 +1086,7 @@ def _lrat_mutant(rng, kind, nclauses, steps):
         else:
             continue
         mutant = list(steps)
-        mutant[i] = (sid, add_step(lits, HintBlock(tuple(rup), tuple(groups))))
+        mutant[i] = (sid, add_step(lits, hint_block(rup, groups)))
         return mutant
     return None
 
@@ -1961,6 +1961,44 @@ def test_drat_detection_alone_reads_every_proof():
                 == parse_drat(write_drat_text(steps)) == steps)
 
 
+def _er_as_drat(f, er):
+    """The ER document er over f rewritten as a DRAT proof: each Extend as
+    its clause family, whose clauses all open with the fresh variable, the
+    RAT pivot; each Chain as its claimed clause; each Delete as deletions
+    by content of the clauses its ids hold."""
+    content = dict(f.clauses)
+    out = []
+    for sid, s in er:
+        if isinstance(s, Extend):
+            for j, c in enumerate(extension_clauses(s.fresh, s.p, s.ls)):
+                content[sid + j] = c
+                out.append(add_step(c))
+        elif isinstance(s, Chain):
+            content[sid] = s.claimed
+            out.append(add_step(s.claimed))
+        else:
+            out += [delete_step(content.pop(did)) for did in s.ids]
+    return out
+
+
+def test_every_emitted_er_is_a_drat_proof():
+    # an extension's clauses are RAT on the fresh variable, and each chain
+    # to_er writes holds by unit propagation over the clauses live before
+    # it, so the ER read as DRAT checks in both deletion modes: on the RAT
+    # corpus and on solver proofs, translated in either mode
+    inputs = [(f, proof) for _, f, proof in _rat_corpus()]
+    inputs += [(gen_php(n), cdcl_solve(gen_php(n), seed=0).proof) for n in (4, 5)]
+    extensions = 0
+    for f, proof in inputs:
+        for flavor in (SPECIFIED, OPERATIONAL):
+            er = to_er(f, backward_check(f, proof, CheckMode(flavor)))
+            extensions += sum(isinstance(s, Extend) for _, s in er)
+            drat = _er_as_drat(f, er)
+            for mode in (SPECIFIED, OPERATIONAL):
+                assert check_drat(f, drat, CheckMode(mode)).verified
+    assert extensions >= 10
+
+
 def _drat_mutant(rng, kind, f, proof, cp):
     """proof with one mutation of the given kind, or None when no step takes
     it.  cp is the forward pass over proof: delete_needed deletes, right
@@ -1994,7 +2032,7 @@ def _drat_mutant(rng, kind, f, proof, cp):
         needy = [k for k, r in enumerate(cp.records)
                  if r.kind == "add" and r.hints != HintBlock()]
         k = rng.choice(needy)
-        cited = pipeline._cited_ids(cp.records[k].hints)
+        cited = [abs(h) for h in cp.records[k].hints]
         proof.insert(k, delete_step(content[rng.choice(cited)]))
     return proof
 
@@ -2247,7 +2285,7 @@ def _forge_rup(real):
     def rat(self, c):
         out = real(self, c)
         if out.rup:  # drop the conflict clause from the chain
-            return out._replace(leading=out.leading[:-1])
+            return out._replace(hints=HintBlock(out.hints[:-1]))
         return out
     return rat
 
@@ -2255,8 +2293,8 @@ def _forge_rup(real):
 def _forge_rat(real):
     def rat(self, c):
         out = real(self, c)
-        groups = tuple((cand, chain[:-1]) for cand, chain in out.groups)
-        return out._replace(groups=groups)
+        groups = tuple((cand, chain[:-1]) for cand, chain in out.hints.rat_groups)
+        return out._replace(hints=hint_block(out.hints.rup_chain, groups))
     return rat
 
 

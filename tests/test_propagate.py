@@ -291,11 +291,11 @@ def test_rat_single_candidate_discharged_by_leading_units():
     f = formula_from_clauses(clauses)
     out = Engine(f).rat(Clause([1]))
     assert out.rat
-    assert out.leading == (1,)
-    assert out.groups == ((2, ()),)
+    assert out.hints.rup_chain == (1,)
+    assert out.hints.rat_groups == ((2, ()),)
     # the leading unit makes 2 true, which satisfies the resolvent
-    assert naive_rat_groups(clauses, [1], 1, out.leading,
-                            out.groups) == ["satisfied"]
+    assert naive_rat_groups(clauses, [1], 1, out.hints.rup_chain,
+                            out.hints.rat_groups) == ["satisfied"]
     # the obligation itself is a RUP with the one-clause chain
     assert Engine(f).rup(Clause([1, 2])) == (1,)
 
@@ -305,16 +305,16 @@ def test_rat_tautological_resolvent_vacuous():
     f = formula_from_clauses(clauses)
     out = Engine(f).rat(Clause([1, -2]))
     assert out.rat
-    assert out.groups == ((2, ()),)
-    assert naive_rat_groups(clauses, [1, -2], 1, out.leading,
-                            out.groups) == ["tautological"]
+    assert out.hints.rat_groups == ((2, ()),)
+    assert naive_rat_groups(clauses, [1, -2], 1, out.hints.rup_chain,
+                            out.hints.rat_groups) == ["tautological"]
 
 
 def test_rat_no_candidates():
     f = formula_from_clauses([[1, 2]])
     out = Engine(f).rat(Clause([1]))
     assert out.rat
-    assert out.groups == ()
+    assert out.hints.rat_groups == ()
 
 
 def test_rat_propagated_group_chains():
@@ -322,10 +322,10 @@ def test_rat_propagated_group_chains():
     f = formula_from_clauses(clauses)
     out = Engine(f).rat(Clause([1]))
     assert out.rat
-    assert out.leading == ()
-    assert out.groups == ((1, (2, 3)),)
-    assert naive_rat_groups(clauses, [1], 1, out.leading,
-                            out.groups) == ["refuted"]
+    assert out.hints.rup_chain == ()
+    assert out.hints.rat_groups == ((1, (2, 3)),)
+    assert naive_rat_groups(clauses, [1], 1, out.hints.rup_chain,
+                            out.hints.rat_groups) == ["refuted"]
 
 
 def test_rat_failing_candidate_reported():
@@ -339,10 +339,10 @@ def test_rat_clause_already_rup():
     f = formula_from_clauses([[1]])
     out = Engine(f).rat(Clause([1]))
     assert out.rat
-    assert out.groups == ()
+    assert out.hints.rat_groups == ()
     # the hint block is then the RUP chain alone
-    assert out.leading == (1,)
-    assert naive_guided([[1]], [1], out.leading)[0] == "rup"
+    assert out.hints.rup_chain == (1,)
+    assert naive_guided([[1]], [1], out.hints.rup_chain)[0] == "rup"
 
 
 def test_rat_agrees_with_naive():
@@ -360,10 +360,10 @@ def test_rat_agrees_with_naive():
 def _assert_groups_certify(f, clauses, c, pivot, out):
     """The reported hint block certifies the RAT step in LRAT form; returns
     why each group holds."""
-    whys = naive_rat_groups(clauses, list(c.lits), pivot, out.leading,
-                            out.groups)
+    whys = naive_rat_groups(clauses, list(c.lits), pivot, out.hints.rup_chain,
+                            out.hints.rat_groups)
     assert whys is not None
-    for (cand, _), why in zip(out.groups, whys):
+    for (cand, _), why in zip(out.hints.rat_groups, whys):
         d = f.clauses[cand]
         resolvent = Clause(list(c.lits) + [l for l in d.lits if l != -pivot])
         assert resolvent.is_tautology == (why == "tautological")
@@ -460,12 +460,12 @@ def test_rat_leading_reasons_replay_as_units():
         if out.rat:
             # the filtered leading chain still certifies every group
             _assert_groups_certify(f, clauses, c, c.lits[0], out)
-        if not out.leading:
+        if not out.hints.rup_chain:
             continue
         # every leading reason is consumable as a unit, in order, and the
         # replay ends open (the leading propagation found no conflict)
-        verdict, n = naive_guided(clauses, list(c.lits), out.leading)
-        assert verdict == "badhint" and n == len(out.leading)
+        verdict, n = naive_guided(clauses, list(c.lits), out.hints.rup_chain)
+        assert verdict == "badhint" and n == len(out.hints.rup_chain)
         seen += 1
     assert seen >= 30
 

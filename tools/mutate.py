@@ -71,7 +71,7 @@ SCOPE = {
     # the occurrence lists' order fixes the engine's chains, so the bytes
     "core": (["Clause", "Formula"], _CLAUSE_TESTS + [
         "tests/test_pipeline.py::test_outputs_match_golden_digests"]),
-    "formats": (["extension_clauses", "_text", "_reject_underscore",
+    "formats": (["HintBlock", "extension_clauses", "_text", "_reject_underscore",
                  "_int_tok", "_Tokens", "parse_dimacs", "_shared",
                  "parse_drat_text",
                  "parse_drat_binary", "parse_drat", "parse_lrat", "parse_er",
