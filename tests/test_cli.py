@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, result lines, artifact files."""
 
+import gc
 import json
 import os
 import random
@@ -21,6 +22,8 @@ from dratkit.formats import (
     write_drat_text,
 )
 from dratkit.testkit import cdcl_solve, gen_php, gen_random
+
+from test_pipeline import _cook_steps
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 FULL2_PROOF = [add_step([1, 2]), add_step([1]), add_step([])]
@@ -540,3 +543,116 @@ def test_cli_round_trip_on_solver_corpus(tmp_path, capsys):
                      ["check", "er", str(cnf), str(er)]):
             rc, out, _ = _run(capsys, argv)
             assert (rc, out) == (0, "s VERIFIED\n")
+
+
+def _cyclic_garbage(capsys, argv):
+    """main(argv)'s exit code, and what gc.collect() finds after main ran
+    with the collector off, as the process entry point runs it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        rc = main(argv)
+        capsys.readouterr()
+        return rc, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# family -> (formula, DRAT steps) of the smaller and the larger input
+GARBAGE_INPUTS = {
+    "php": lambda n: (gen_php(n), cdcl_solve(gen_php(n), seed=0).proof),
+    "cook": lambda n: (gen_php(n), _cook_steps(n)),
+}
+
+
+@pytest.mark.parametrize("family, sizes", [("php", (4, 5)), ("cook", (3, 5))])
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_proof(
+        family, sizes, tmp_path, capsys):
+    # the process entry point runs a command with no cyclic collection and
+    # freezes what is left: that is only safe while the garbage a command
+    # leaves for the collector is the same on a larger proof, accepted,
+    # rejected or malformed
+    found = []
+    for n in sizes:
+        f, proof = GARBAGE_INPUTS[family](n)
+        d = tmp_path / str(n)
+        d.mkdir()
+        cnf, drat = str(d / "f.cnf"), str(d / "p.drat")
+        (d / "f.cnf").write_bytes(write_dimacs(f))
+        (d / "p.drat").write_bytes(write_drat_text(proof))
+        (d / "open.drat").write_bytes(write_drat_text(proof[:-1]))
+        (d / "bad.drat").write_bytes(write_drat_text(proof) + b"1 x 0\n")
+        lrat, er = str(d / "p.lrat"), str(d / "p.er")
+        commands = [
+            (["check", "drat", cnf, drat, "--counters"], 0),
+            (["check", "drat", cnf, drat, "--mode", "operational"], 0),
+            (["trim", cnf, drat, "--out-lrat", lrat, "--out-drat",
+              str(d / "t.drat"), "--out-core", str(d / "core.cnf")], 0),
+            (["to-er", cnf, drat, "--out", er], 0),
+            (["check", "lrat", cnf, lrat], 0),
+            (["check", "er", cnf, er], 0),
+            (["check", "drat", cnf, str(d / "open.drat")], 1),
+            (["check", "drat", cnf, str(d / "bad.drat")], 2),
+        ]
+        runs = [_cyclic_garbage(capsys, argv) for argv, _ in commands]
+        assert [rc for rc, _ in runs] == [rc for _, rc in commands]
+        found.append([garbage for _, garbage in runs])
+    assert found[0] == found[1]
+
+
+def test_the_module_entry_point_runs_a_command_as_main_does(tmp_path, capsys):
+    f = gen_php(3)
+    proof = cdcl_solve(f, seed=0).proof
+    cnf = _cnf_file(tmp_path, [list(c.lits) for _, c in f.items()])
+    drat = _proof_file(tmp_path, proof)
+    open_drat = _proof_file(tmp_path, proof[:-1], name="open.drat")
+    bad = tmp_path / "bad.drat"
+    bad.write_bytes(b"1 x 0\n")
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-m", "dratkit.cli", *argv],
+                              env=_src_env(), capture_output=True, text=True,
+                              timeout=60, cwd=tmp_path)
+
+    run = entry("check", "drat", cnf, drat, "--counters")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == "s VERIFIED" and len(lines) > 1
+    assert all(l.startswith("c ") for l in lines[:-1])
+    assert run.stdout == _run(capsys, ["check", "drat", cnf, drat,
+                                       "--counters"])[1]
+    run = entry("check", "drat", cnf, open_drat)
+    assert (run.returncode, run.stdout) == (1, "s NOT VERIFIED\n")
+    assert run.stderr.startswith("error: step ")
+    assert entry("check", "drat", cnf, str(bad)).returncode == 2
+    outputs = ["--out-lrat", "p.lrat", "--out-drat", "t.drat",
+               "--out-core", "core.cnf"]
+    assert entry("trim", cnf, drat, *outputs).returncode == 0
+    by_process = {name: (tmp_path / name).read_bytes()
+                  for name in ("p.lrat", "t.drat", "core.cnf")}
+    here = tmp_path / "main"
+    here.mkdir()
+    assert main(["trim", cnf, drat] + [o if o.startswith("--") else str(here / o)
+                                       for o in outputs]) == 0
+    capsys.readouterr()
+    assert {name: (here / name).read_bytes() for name in by_process} == by_process
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, tmp_path, capsys):
+    # only the process entry point turns the collector off and freezes the
+    # heap; a caller of main in a long-lived process keeps its collector
+    cnf = _cnf_file(tmp_path, FULL2)
+    proof = _proof_file(tmp_path, FULL2_PROOF)
+    was = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _run(capsys, ["check", "drat", cnf, proof])[0] == 0
+        assert _run(capsys, ["check", "drat", cnf, str(tmp_path / "no")])[0] == 2
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -9,7 +9,11 @@ The parent commit and the working tree (tracked and untracked files that
 directories under a temporary directory, so neither side carries compiled
 bytecode or benchmark output from the checkout.  For each workload and
 seed, perfbench/run.py --trace 0 runs once from each export, one after the
-other; the side that runs first alternates with the seed.  The environment
+other; the side that runs first alternates with the seed.  Each run
+happens from one path, <tmp>/tree: the side's export is renamed there
+before the run and back after, so the two sides differ in their code and
+not in their directory's name (the harness's own RSS, which every child
+inherits, moves with that name).  The environment
 passes through unchanged, and the output's method records whether
 PYTHONDONTWRITEBYTECODE was set.
 
@@ -125,13 +129,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         tmp = Path(tmp)
         sides = {"parent": tmp / "parent", "change": tmp / "change"}
+        tree = tmp / "tree"  # every run's path, whichever side it is
         export(parent_rev, sides["parent"])
         export(working_tree(tmp), sides["change"])
         for w in workloads:
             for k, seed in enumerate(seeds):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run(sides[side], w, seed, args.seconds)
+                    sides[side].rename(tree)
+                    try:
+                        result = run(tree, w, seed, args.seconds)
+                    finally:
+                        tree.rename(sides[side])
                     runs[w][side].append(result)
                     values = result["metrics"]
                     print("%s seed %d %s: %s" % (w, seed, side, " ".join(
@@ -165,7 +174,10 @@ def main(argv=None) -> int:
         "method": "python3 perfbench/run.py --workload W --seed N --seconds %g "
                   "--trace 0, N = %s, parent (%s) and change exported with "
                   "git archive and run alternately, the side running first "
-                  "alternating with the seed (tools/ab.py); environment "
+                  "alternating with the seed, each run from the one path "
+                  "<tmp>/tree, to which the side's export is renamed before "
+                  "the run and from which it is renamed back after "
+                  "(tools/ab.py); environment "
                   "passed through, PYTHONDONTWRITEBYTECODE%s; medians and "
                   "quartiles (statistics.quantiles, n=4) over the runs per "
                   "side; change_wins counts pairs where the change reads "
