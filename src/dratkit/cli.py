@@ -84,7 +84,7 @@ def _cmd_check(args) -> int:
         print("c visited_clauses %d" % report.visited_clauses_total)
         print("c skipped_deletions %d" % report.skipped_deletions)
         print("c missing_deletions %d" % report.missing_deletions)
-        if not report.verified and report.step_index is not None:
+        if report.step_index is not None:
             print("c reject_step %d" % report.step_index)
     if not report.verified:
         # main names it as it names a proof that trim or to-er rejects

@@ -51,11 +51,13 @@ proof already spells, a RAT addition (x, -p) on a variable no live clause
 mentions followed by the rest of x's clause family, becomes one Extend on
 a fresh variable that renames x, with no images.  Any other RAT addition
 becomes a fresh definition variable with its clause family, derived
-images of the live clauses mentioning the pivot, and a variable
-substitution applied to everything after it.  The images' chains come
-from the LRAT hints alone, and checkers._fold_chain folds each one, at
-the cost of its antecedents' width, leaving out of the emitted chain an
-antecedent that does not clash.  Its bookkeeping stays linear in the
+images of the live clauses mentioning the pivot that a later step cites,
+and a variable substitution applied to everything after it.  A live clause
+that needs no image (a tautology, or a clause no later step cites) keeps
+its ER id, so when the proof deletes it, its deletion line is written like
+any other.  The images' chains come from the LRAT hints alone, and
+checkers._fold_chain folds each one, at the cost of its antecedents' width,
+leaving out of the emitted chain an antecedent that does not clash.  Its bookkeeping stays linear in the
 proof: the live clauses mentioning the pivot come from the formula's
 occurrence lists, a table of each clause's last citation decides which of
 them need an image, and the substitution maps each renamed proof literal
@@ -157,14 +159,15 @@ def emit_trimmed(cp: CheckedProof):
         else:
             mirrored.add(r.wid)
     synth_at = {}
-    for wid, k in last_use.items():
-        if wid in added and wid not in mirrored and k != final_k:
+    for wid in added:  # ids ascend
+        k = last_use.get(wid, final_k)  # only the empty clause goes uncited
+        if k != final_k and wid not in mirrored:
             synth_at.setdefault(k, []).append(wid)
     steps = []
     for k, r in enumerate(cp.records):
         if r.core:
             steps.append(r)
-            for wid in sorted(synth_at.get(k, ())):
+            for wid in synth_at.get(k, ()):
                 steps.append(StepRecord("delete", added[wid], wid, core=True))
 
     core = Formula()
@@ -372,7 +375,9 @@ def to_er(f: Formula, cp: CheckedProof):
     step's leading chain and D's own chain; when D's chain is empty the
     resolvent is tautological, and one family clause resolves it, or a
     leading unit satisfies it, and the leading chain up to that unit's
-    reason derives it.
+    reason derives it.  A live clause mentioning p that gets no image (a
+    tautology, or a clause no later step cites) keeps its ER id, so the
+    proof's deletion of it becomes a deletion line like any other.
 
     The live clauses mentioning p come from the live formula's occurrence
     lists, in ascending id order; last_ref[tid], the index of the last
@@ -467,12 +472,10 @@ def to_er(f: Formula, cp: CheckedProof):
         # the recorded chains predate the rename, so every fold cites the
         # ids from before this step: collect the images first, then update
         images = []  # (tid, claimed, fold ids)
-        dropped = []
         for tid in live.occurrence(pivot) + live.occurrence(-pivot):
             cl = live.clauses[tid]
             if cl.is_tautology or last_ref.get(tid, -1) <= ri:
-                dropped.append(tid)
-                continue
+                continue  # no image: it keeps its ER id until deleted
             if pivot in cl:
                 images.append((tid, _apply_clause(sub, cl), [er_id(tid), fam_ids[0]]))
                 continue
@@ -508,8 +511,6 @@ def to_er(f: Formula, cp: CheckedProof):
             images.append((tid, claimed, fold_ids))
         for tid, claimed, fold_ids in images:
             emit_chain(tid, claimed, fold_ids)
-        for tid in dropped:
-            id_map.pop(tid, None)
         id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x
         live.add_clause(clause, cid=cid)
 

@@ -9,6 +9,7 @@ truth-table oracle.
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import random
@@ -86,6 +87,22 @@ from _oracles import (
     ref_parse_lrat,
 )
 from _truth_table import brute_force
+
+
+def _benchmark_cook_proof():
+    """perfbench/cook.py's cook_proof, loaded from its file without putting
+    that directory on sys.path."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "cook.py")
+    spec = importlib.util.spec_from_file_location("perfbench_cook", path)
+    cook = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cook)
+    return cook.cook_proof
+
+
+# Cook's extended-resolution refutation of gen_php(n), as DRAT steps
+# ('a' | 'd', literals): the generator of the benchmark's cook-rat workload
+_cook_proof = _benchmark_cook_proof()
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 FULL2_PROOF = [add_step([1, 2]), add_step([1]), add_step([])]
@@ -1686,41 +1703,6 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert _golden_digests(name, tmp_path) == GOLDEN[name]
 
 
-def _cook_proof(n):
-    """Cook's extended-resolution refutation of gen_php(n) as DRAT steps
-    ('a' | 'd', literals): level m defines q[i][j] <-> p[i][j] or (p[i][m]
-    and p[m+1][j]) by four RAT clauses with the fresh variable first, derives
-    the clauses of PHP(m-1) over the q's, then deletes level m."""
-    cur = [None] + [[None] + [(i - 1) * n + j for j in range(1, n + 1)]
-                    for i in range(1, n + 2)]
-    level = [list(c.lits) for _, c in gen_php(n).items()]
-    fresh = n * (n + 1)
-    steps = []
-    for m in range(n, 1, -1):
-        nxt = [None]
-        scratch = []
-        for i in range(1, m + 1):
-            nxt.append([None])
-            for j in range(1, m):
-                fresh += 1
-                x, p, a, b = fresh, cur[i][j], cur[i][m], cur[m + 1][j]
-                scratch += [[x, -p], [x, -a, -b], [-x, p, a], [-x, p, b]]
-                steps += [("a", c) for c in scratch[-4:]]
-                nxt[i].append(x)
-        new_level = [nxt[i][1:] for i in range(1, m + 1)]
-        steps += [("a", c) for c in new_level]
-        for j in range(1, m):
-            for i in range(1, m + 1):
-                for k in range(i + 1, m + 1):
-                    scratch.append([-nxt[i][j], -nxt[k][j], cur[i][j]])
-                    new_level.append([-nxt[i][j], -nxt[k][j]])
-                    steps += [("a", scratch[-1]), ("a", new_level[-1])]
-        if m > 2:
-            steps += [("d", c) for c in level + scratch]
-        level, cur = new_level, nxt
-    return steps + [("a", [])]
-
-
 def test_to_er_folds_a_satisfied_candidate_from_its_first_true_literal():
     # Cook's PHP(3) proof with shuffled literals, each RAT lemma's pivot
     # (given by step index) moved to the front: some core RAT candidates
@@ -1776,6 +1758,55 @@ def test_to_er_folds_each_definition_into_one_extend(n, defined):
     assert len(extends) == len(pivots) == defined
     assert min(e.fresh for e in extends) > max(
         abs(l) for r in cp.records for l in r.clause.lits)
+
+
+def _cook_reusing_variables(n):
+    """Cook's PHP(n) proof with each new variable renamed, where it first
+    appears, to the lowest variable no live clause then mentions: a level's
+    definitions reuse the variables of the clauses the proof has deleted."""
+    live = Counter(abs(l) for _, c in gen_php(n).items() for l in c.lits)
+    name = {}
+    steps = []
+    for kind, lits in _cook_proof(n):
+        out = []
+        for l in lits:
+            v = abs(l)
+            if v > n * (n + 1) and v not in name:
+                name[v] = next(u for u in range(1, v + 1) if not live[u])
+            out.append(name.get(v, v) * (1 if l > 0 else -1))
+            live[abs(out[-1])] += 1 if kind == "a" else -1
+        steps.append((kind, out))
+    return steps
+
+
+@pytest.mark.parametrize("n, defined", [(4, 18), (5, 38)])
+def test_to_er_folds_the_definition_of_a_variable_the_proof_freed(n, defined):
+    # once the proof deletes every clause of a variable, a definition of it
+    # is the proof's own again: to_er's live formula follows the deletions,
+    # so each definition is still one Extend
+    proof = _cook_reusing_variables(n)
+    assert max(abs(l) for _, lits in proof for l in lits) < max(
+        abs(l) for _, lits in _cook_proof(n) for l in lits)
+    assert len(_cook_er(n, proof)[1]) == defined
+
+
+def test_to_er_deletes_an_unimaged_candidate_where_the_proof_does():
+    # the general RAT route derives no image of a live candidate that is a
+    # tautology or that no later step cites, and that clause keeps its ER id:
+    # on the 32nd of these refutations, the candidate ER 27 and the original
+    # 20 are deleted where the proof deletes them
+    rng = random.Random(5)
+    made = 0
+    while made < 32:
+        refutation = _rat_rich_refutation(rng, nvars=5)
+        made += refutation is not None
+    cnf, proof = refutation
+    f = formula_from_clauses(cnf)
+    text = write_er(to_er(f, backward_check(f, proof))).decode()
+    deletions = [ln for ln in text.splitlines() if " d " in ln]
+    assert deletions == ["34 d 27 0", "35 d 26 29 20 0", "36 d 35 0"]
+    assert check_er(f, parse_er(text)).verified
+    assert naive_check_er(cnf, text)
 
 
 @pytest.mark.parametrize("flavor", [SPECIFIED, OPERATIONAL])

@@ -780,3 +780,15 @@ def test_engine_agrees_with_oracles_under_attach_and_detach(clauses, ops):
             continue
         assert _snapshot(e) == _snapshot(Engine(f))
         _assert_watches(e)
+
+
+def test_a_detached_empty_clause_stops_conflicting():
+    # attach an empty clause, detach it and remove it: nothing conflicts
+    f = formula_from_clauses([[1, 2]])
+    e = Engine(f)
+    cid = f.add_clause([])
+    e.attach(cid)
+    assert e.propagate() == cid
+    e.detach(cid)
+    f.remove_by_id(cid)
+    assert e.propagate() is None
