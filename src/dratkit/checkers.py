@@ -5,17 +5,19 @@ a propagation consequence (RUP) or a resolution-asymmetric addition (RAT) in
 the current formula, and the proof verifies once the empty clause enters the
 formula.  A RAT addition's pivot is its first literal, as the DRAT format
 defines it; a deletion removes the lowest live id holding its content.  Each
-addition makes one propagation of its negated clause (Engine.rat settles
-RUP on the way), and each deletion one lookup in a content index that the
-search keeps beside the live formula.  The
-propagation engine only searches: each addition it accepts comes with an
-LRAT hint block, and the verdict rests on that block passing check_addition,
-the rules check_lrat applies to every addition, over the same live formula.
-An addition the engine accepts and those rules reject is the engine's fault
-and raises EngineFault.  The forward pass, _drat_forward, yields one
-StepRecord per proof step and raises ForwardRejected at an addition that
-holds by neither rule, and (no_bottom) when the proof runs out before the
-empty clause; check_drat counts its report off those records, and
+addition makes one engine call, which propagates its negated clause once:
+Engine.rat, which settles RUP on the way and alone judges a tautology (RUP,
+with an empty chain), or Engine.rup for the empty clause.  Each deletion
+makes one lookup in a content index that the search keeps beside the live
+formula.  The propagation engine only searches: each addition it accepts
+comes with an LRAT hint block, and the verdict rests on that block passing
+check_addition, the rules check_lrat applies to every addition, over the
+same live formula.  An addition the engine accepts and those rules reject
+is the engine's fault and raises EngineFault.  The forward pass,
+_drat_forward, yields one StepRecord per proof step and raises
+ForwardRejected at an addition that holds by neither rule, and (no_bottom)
+when the proof runs out before the empty clause; check_drat counts its
+report off those records and verifies once they end, and
 pipeline.backward_check keeps them.  StepRecord is the only step record
 from the search to the emitted documents: the pipeline marks core on these
 records and keeps their ids, which only the LRAT writer renumbers.
@@ -184,22 +186,24 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
     """Forward DRAT replay over a live formula/engine pair: one StepRecord
     per proof step, in proof order.
 
-    Each addition other than a tautology makes one engine call, which
-    propagates its negated clause once: Engine.rat, which pivots on the
-    first literal and settles RUP on the way, or Engine.rup for the empty
-    clause, which has no pivot.  An accepted addition's record carries its id and its
-    LRAT hint block (empty for a tautology), and its pivot, its first
-    literal, when it holds by RAT and not by RUP.  A deletion's record
-    carries the id it targets, the lowest live id with its content (None
-    when there is none), and whether it took effect.  Deletions find that
-    id with one lookup in a content index local to the search: each
-    content maps to its live ids, ascending, filled from working, extended
-    by every addition and shortened by every applied deletion (a parsed
-    deletion holds the Clause of the addition it repeats, so the lookup
-    matches it by identity).  The stream ends right after the empty
-    clause's addition.  working may already hold the empty clause: the
-    one-step proof that adds it then yields the addition citing the lowest
-    empty original, like any other RUP step.
+    Each addition makes one engine call, which propagates its negated
+    clause once: Engine.rat, which pivots on the first literal and settles
+    RUP on the way, or Engine.rup for the empty clause, which has no pivot.
+    A tautology is RUP to Engine.rat, with an empty chain: its negation
+    holds a complementary pair, so propagate answers 0 before it visits a
+    clause.  An accepted addition's record carries its id and its LRAT
+    hint block, and its pivot, its first literal, when it holds by RAT and
+    not by RUP.  A deletion's record carries the id it targets, the lowest
+    live id with its content (None when there is none), and whether it
+    took effect.  Deletions find that id with one lookup in a content
+    index local to the search: each content maps to its live ids,
+    ascending, filled from working, extended by every addition and
+    shortened by every applied deletion (a parsed deletion holds the
+    Clause of the addition it repeats, so the lookup matches it by
+    identity).  The stream ends right after the empty clause's addition.
+    working may already hold the empty clause: the one-step proof that
+    adds it then yields the addition citing the lowest empty original,
+    like any other RUP step.
     An addition that holds by neither rule raises ForwardRejected; a failed
     RAT addition's detail is its failing candidate id.  A proof that runs
     out before the empty clause raises ForwardRejected(<steps read>,
@@ -252,9 +256,7 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
             raise ValueError("step %d: %r is not a DRAT step" % (i, step))
         c = step.clause
         pivot = None
-        if c.is_tautology:
-            hints = HintBlock()
-        elif c.is_empty:
+        if c.is_empty:
             hints = engine.rup(c)
             if hints is None:
                 raise ForwardRejected(i, NOT_RAT)
@@ -281,6 +283,11 @@ def _drat_forward(working: Formula, engine: Engine, proof, mode: CheckMode):
 
 
 def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
+    """Replay proof forward over a copy of f (see _drat_forward), in mode
+    (specified deletions when None).  The records end only right after the
+    empty clause's addition, so the report is verified once they end, and
+    a ForwardRejected is its rejection.  A formula that already holds the
+    empty clause is verified with no step read."""
     mode = mode or CheckMode()
     working = f.copy()
     engine = Engine(working)
@@ -292,7 +299,7 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
 
     if working.has_empty:
         return report(True)  # no step read
-    try:
+    try:  # the stream ends at the empty clause or raises, so n is bound
         for n, r in enumerate(_drat_forward(working, engine, proof, mode), 1):
             if r.kind == "delete":
                 if r.wid is None:
@@ -301,10 +308,9 @@ def check_drat(f: Formula, proof, mode: CheckMode | None = None) -> CheckReport:
                     skipped += 1
             elif r.pivot is not None:
                 rat_steps += 1
-            elif r.clause.is_empty:
-                return report(True, checked=n)
     except ForwardRejected as e:
         return report(False, e.step, e.reason, e.detail, checked=e.step)
+    return report(True, checked=n)
 
 
 # -------------------------------------------------------------------- LRAT
@@ -379,7 +385,6 @@ def check_lrat(f: Formula, steps) -> CheckReport:
     clauses = working.clauses
     rat_steps = 0
     visited = 0
-    last = working.next_id - 1
 
     def report(verified, i=None, reason=None, detail=None, checked=0):
         return CheckReport(verified, i, reason, detail, checked, rat_steps,
@@ -398,17 +403,16 @@ def check_lrat(f: Formula, steps) -> CheckReport:
             continue
         if getattr(step, "kind", None) != "add":
             raise ValueError("step %d: %r is not an LRAT step" % (i, step))
-        if sid <= last:
+        if sid < working.next_id:
             return report(False, i, ID_ORDER, detail=sid, checked=i)
         c = step.clause
         reason, detail, seen, rat = check_addition(
-            clauses, working.occurrence, c, step.hints or HintBlock(),
+            clauses, working.occurrence, c, step.hints,
             c.lits[0] if c.lits else None)
         visited += seen
         if reason is not None:
             return report(False, i, reason, detail, checked=i)
         rat_steps += rat
-        last = sid
         working.add_clause(c, cid=sid)
         if c.is_empty:
             return report(True, checked=i + 1)

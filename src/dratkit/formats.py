@@ -7,7 +7,8 @@ bytes 0x1c-0x1f, which str.split() would also take for separators, are a
 ParseError.  Text proof parsers are token streams (a clause may span
 lines); DIMACS keeps its line discipline for comments and the header, so a
 comment runs to the next \n.
-Binary DRAT uses the tag-byte ('a'/'d') plus 7-bit varint literal encoding.
+Binary DRAT uses the tag-byte ('a'/'d') plus 7-bit varint literal encoding,
+and accepts the literals text DRAT's int() reads, no wider.
 Both DRAT parsers build one Clause per distinct literal sequence and share
 it between the steps that spell it, so a deletion that repeats an
 addition's literals holds that addition's object.
@@ -28,6 +29,7 @@ highest id claimed before it.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from typing import NamedTuple
 
@@ -72,17 +74,21 @@ class HintBlock(tuple):
 class ProofStep(NamedTuple):
     """One DRAT step, or one LRAT addition.
 
-    kind 'add' carries clause (and hints in LRAT documents); kind 'delete'
-    carries the clause a DRAT deletion drops by content.  An LRAT deletion
-    drops clause ids, and is a Delete.
+    kind 'add' carries clause and hints, its LRAT hint list: the empty
+    HintBlock, the one form of an empty list, unless an LRAT document or
+    the pipeline gives one.  kind 'delete' carries the clause a DRAT
+    deletion drops by content.  An LRAT deletion drops clause ids, and is
+    a Delete.
     """
 
     kind: str
     clause: Clause | None = None
-    hints: HintBlock | None = None
+    hints: HintBlock = HintBlock()
 
 
-def add_step(lits, hints=None) -> ProofStep:
+def add_step(lits, hints=HintBlock()) -> ProofStep:
+    """The addition of lits (a Clause, or literals), with hints, the empty
+    HintBlock when not given."""
     c = lits if isinstance(lits, Clause) else Clause(lits)
     return ProofStep("add", c, hints)
 
@@ -339,8 +345,7 @@ def parse_dimacs(data):
 def write_dimacs(f: Formula) -> bytes:
     out = ["p cnf %d %d" % (f.max_var, len(f))]
     for _, c in f.items():
-        body = " ".join(str(l) for l in c.lits)
-        out.append(body + " 0" if body else "0")
+        out.append(" ".join(map(str, (*c.lits, 0))))
     return ("\n".join(out) + "\n").encode("ascii")
 
 
@@ -401,8 +406,7 @@ def write_drat_text(steps) -> bytes:
     out = []
     for s in steps:
         _check_content_step(s, "text")
-        body = " ".join(str(l) for l in s.clause.lits)
-        body = body + " 0" if body else "0"
+        body = " ".join(map(str, (*s.clause.lits, 0)))
         out.append("d " + body if s.kind == "delete" else body)
     if not out:
         return b""
@@ -421,6 +425,19 @@ def _u_to_lit(u: int) -> int:
 
 
 def parse_drat_binary(data: bytes) -> list:
+    """Binary DRAT: a tag byte ('a' adds, 'd' deletes), then each literal l
+    as the 7-bit varint of 2*|l| + (l < 0), low group first, then a 0 byte.
+
+    A literal takes no more decimal digits than text DRAT's int() reads,
+    sys.get_int_max_str_digits() (no bound when that is 0 or Python has no
+    such limit), so both encodings accept the same literals.  A wider one
+    is a ParseError at its varint's first byte, raised as soon as the
+    groups read so far exceed the bound, so a varint's decoding time grows
+    with its length, not with its square.
+    """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # the least payload whose literal has more than digits digits
+    bound = 2 * 10 ** digits if digits else float("inf")
     steps = []
     clauses = {}  # literal tuple -> its Clause, for this parse only
     i = 0
@@ -447,6 +464,9 @@ def parse_drat_binary(data: bytes) -> list:
                 b = data[i]
                 i += 1
                 u |= (b & 0x7F) << shift
+                if u >= bound:
+                    raise ParseError("byte %d: literal of more than %d digits"
+                                     % (upos, digits))
                 shift += 7
                 if not b & 0x80:
                     break
@@ -548,7 +568,7 @@ def _two_lists(a, b) -> tuple:
 
 
 def _lrat_body(s) -> tuple:
-    return _two_lists(s.clause.lits, s.hints or ())
+    return _two_lists(s.clause.lits, s.hints)
 
 
 def write_lrat(steps) -> bytes:

@@ -420,13 +420,6 @@ def to_er(f: Formula, cp: CheckedProof):
             er_clauses[ext_sid + j] = clx
         return fresh, range(ext_sid, ext_sid + len(family))
 
-    def emit_chain(tid, claimed, fold_ids):
-        kept, acc = _fold(er_clauses, fold_ids)
-        if not acc.issubset(claimed.lits):
-            raise TranslationInvariantViolation(
-                "chain for %r folds to %r" % (claimed, sorted(acc)))
-        er_clauses[lines.add(Chain(claimed, tuple(kept)), tid)] = claimed
-
     records = iter(enumerate(trimmed))
     for ri, r in records:
         cid, clause, hints, pivot = r.wid, r.clause, r.hints, r.pivot
@@ -510,7 +503,11 @@ def to_er(f: Formula, cp: CheckedProof):
             fold_ids.append(er_id(tid))
             images.append((tid, claimed, fold_ids))
         for tid, claimed, fold_ids in images:
-            emit_chain(tid, claimed, fold_ids)
+            kept, acc = _fold(er_clauses, fold_ids)
+            if not acc.issubset(claimed.lits):
+                raise TranslationInvariantViolation(
+                    "chain for %r folds to %r" % (claimed, sorted(acc)))
+            er_clauses[lines.add(Chain(claimed, tuple(kept)), tid)] = claimed
         id_map[cid] = fam_ids[1]  # the family clause that is C with p -> x
         live.add_clause(clause, cid=cid)
 

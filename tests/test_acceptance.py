@@ -218,7 +218,7 @@ def _flip_lrat(rng, doc):
 def _drop_lrat_hint(rng, doc):
     spots = []
     for i, (_, st) in enumerate(doc):
-        if isinstance(st, Delete) or st.hints is None:
+        if isinstance(st, Delete):
             continue
         # any hint in a chain, none of the negated candidate ids
         spots.extend((i, p) for p, h in enumerate(st.hints) if h > 0)

@@ -609,15 +609,19 @@ def test_lrat_unknown_delete_id():
 
 
 def test_lrat_id_order_enforced():
-    # bypassing the parser: programmatic steps may violate ordering
-    from dratkit.formats import HintBlock
-
-    steps = [(5, add_step([1], hints=HintBlock((1, 3)))),
-             (5, add_step([], hints=HintBlock((5, 2, 4))))]
-    report = check_lrat(formula_from_clauses(FULL2), steps)
-    assert not report.verified
-    assert report.step_index == 1
-    assert report.reason == ID_ORDER
+    # bypassing the parser: programmatic steps may violate ordering.  FULL2's
+    # originals hold ids 1 to 4, so an addition may take none of them, not
+    # even 4 after a deletion line removed clause 4: ids are never reused
+    f = formula_from_clauses(FULL2)
+    unit = add_step([1], hints=HintBlock((1, 3)))
+    for doc in ([(5, unit), (5, add_step([], hints=HintBlock((5, 2, 4))))],
+                [(2, unit)], [(4, Delete((4,))), (4, unit)]):
+        report = check_lrat(f, doc)
+        assert (report.verified, report.step_index, report.reason,
+                report.detail) == (False, len(doc) - 1, ID_ORDER, doc[-1][0])
+    # 5 is the first free id
+    report = check_lrat(f, [(4, Delete((4,))), (5, unit)])
+    assert (report.reason, report.steps_checked) == (NO_BOTTOM, 2)
 
 
 def test_lrat_tautological_addition_needs_no_hints():

@@ -428,6 +428,31 @@ def test_digit_separator_in_the_cnf_exits_two(tmp_path, capsys):
     assert err == "error: line 2: underscore in token '1_0'\n"
 
 
+@pytest.mark.parametrize("command", ["check", "trim", "to-er"])
+def test_a_binary_literal_wider_than_text_allows_exits_two(
+        command, tmp_path, capsys, digit_limit):
+    # Cook's PHP(3) proof in binary DRAT with each fresh variable v renamed
+    # to 10**5000 + v: the first step's first literal is one, and its
+    # varint starts at byte 1.  int() reads no such literal in text DRAT,
+    # so the binary parser refuses it too, before any search runs
+    digit_limit(4300)
+    f = gen_php(3)
+    wide = 10 ** 5000
+    steps = [(add_step if s.kind == "add" else delete_step)(
+                [l if abs(l) <= f.max_var else l + wide if l > 0 else l - wide
+                 for l in s.clause.lits]) for s in _cook_steps(3)]
+    cnf = _cnf_file(tmp_path, [c.lits for _, c in f.items()])
+    proof = _proof_file(tmp_path, steps, binary=True)
+    out = str(tmp_path / "out")
+    argv = {"check": ["check", "drat", cnf, proof],
+            "trim": ["trim", cnf, proof, "--out-lrat", out],
+            "to-er": ["to-er", cnf, proof, "--out", out]}[command]
+    rc, stdout, err = _run(capsys, argv)
+    assert (rc, stdout) == (2, "")
+    assert err == "error: byte 1: literal of more than 4300 digits\n"
+    assert not os.path.exists(out)
+
+
 # Run in a fresh interpreter: which modules `import dratkit.cli`, a check
 # command, trim, and then solve and gen load.  The facts are printed as one
 # JSON object.

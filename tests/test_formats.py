@@ -1,6 +1,7 @@
 """Format parsing and serialization behavior."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -94,6 +95,11 @@ class TestDimacs:
     def test_clause_spanning_lines(self):
         f, _, _ = parse_dimacs(b"p cnf 3 1\n1\n2 3 0\n")
         assert f.clauses[1] == Clause([1, 2, 3])
+
+    def test_write_golden(self):
+        # the empty clause is its terminator alone, as in every writer
+        f = formula_from_clauses([[1, -2], []])
+        assert write_dimacs(f) == b"p cnf 2 2\n1 -2 0\n0\n"
 
     def test_roundtrip(self):
         f, _, _ = parse_dimacs(b"p cnf 3 3\n1 2 0\n-3 0\n0\n")
@@ -203,6 +209,65 @@ class TestDratBinary:
         steps_t = parse_drat_text(b"1 -2 0\nd 300 0\n0\n")
         steps_b = parse_drat_binary(write_drat_binary(steps_t))
         assert steps_t == steps_b
+
+
+class TestDratLiteralBound:
+    """Text and binary DRAT accept the same literals: those of at most
+    sys.get_int_max_str_digits() decimal digits, int()'s own bound."""
+
+    @pytest.mark.parametrize("digits", [640, 4300])
+    def test_both_encodings_take_a_literal_at_the_limit(self, digit_limit, digits):
+        digit_limit(digits)
+        top = 10 ** digits - 1
+        steps = [add_step([top, -top, 1]), delete_step([-top]), add_step([])]
+        for data in (write_drat_text(steps), write_drat_binary(steps)):
+            assert parse_drat(data) == steps
+
+    @pytest.mark.parametrize("digits", [640, 4300])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_both_encodings_refuse_a_wider_literal(self, digit_limit, digits, sign):
+        digit_limit(digits)
+        steps = [add_step([1, sign * 10 ** digits]), add_step([])]
+        # the wide literal's varint starts after the tag byte and 1's byte
+        with pytest.raises(ParseError, match="^byte 2: literal of more than "
+                                             "%d digits$" % digits):
+            parse_drat_binary(write_drat_binary(steps))
+        digit_limit(0)
+        text = write_drat_text(steps)
+        digit_limit(digits)
+        with pytest.raises(ParseError, match="^line 1: expected literal"):
+            parse_drat_text(text)
+
+    def test_a_wide_varint_stops_at_the_bound(self, digit_limit):
+        # 80000 continuation bytes and no last one: the decoder stops at
+        # the bound, before it could find the varint truncated
+        digit_limit(640)
+        with pytest.raises(ParseError, match="^byte 1: literal of more than"):
+            parse_drat_binary(b"a" + b"\xff" * 80000)
+
+    def test_zero_groups_past_the_bound_still_read_a_small_literal(self, digit_limit):
+        # the bound is on the literal, not on the varint's byte count
+        digit_limit(640)
+        data = b"a\x82" + b"\x80" * 400 + b"\x00\x00"
+        assert parse_drat_binary(data) == [add_step([1])]
+
+    def test_no_bound_without_a_limit(self, digit_limit, monkeypatch):
+        digit_limit(0)
+        wide = [add_step([10 ** 5000]), add_step([])]
+        assert parse_drat_binary(write_drat_binary(wide)) == wide
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert parse_drat_binary(write_drat_binary(wide)) == wide
+
+
+def test_an_addition_has_one_empty_hint_list():
+    # built, or parsed from either DRAT encoding, an addition without hints
+    # holds the empty HintBlock, as every reader and writer expects
+    assert add_step([1]).hints == HintBlock()
+    assert type(add_step([1]).hints) is HintBlock
+    steps = [add_step([1, -2]), delete_step([1, -2]), add_step([])]
+    for data in (write_drat_text(steps), write_drat_binary(steps)):
+        assert [s.hints for s in parse_drat(data)] == [(), (), ()]
+    assert write_lrat([(5, add_step([1, -1]))]) == b"5 1 -1 0 0\n"
 
 
 @pytest.mark.parametrize("write", [write_drat_text, write_drat_binary])

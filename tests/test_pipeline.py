@@ -1809,17 +1809,24 @@ def test_to_er_deletes_an_unimaged_candidate_where_the_proof_does():
     assert naive_check_er(cnf, text)
 
 
-@pytest.mark.parametrize("flavor", [SPECIFIED, OPERATIONAL])
-def test_to_er_drops_a_core_tautology(flavor):
-    # Cook's PHP(3) proof with (-x, 1000, -1000) just before x's first
-    # definition clause: the tautology is that clause's one RAT candidate,
-    # cited with an empty chain, so it is core.  to_er adds it to the live
-    # formula without emitting it; since it mentions x, the definition is
-    # not folded, and the general route defines a fresh variable over x
-    # and drops the tautology from the images
+def _core_tautology_proof():
+    """Cook's PHP(3) proof, as (kind, literals) pairs, with (-x, 1000,
+    -1000) just before x's first definition clause: the tautology is that
+    clause's one RAT candidate, cited with an empty chain."""
     proof = _cook_proof(3)
     x = proof[0][1][0]
     proof.insert(0, ("a", [-x, 1000, -1000]))
+    return proof
+
+
+@pytest.mark.parametrize("flavor", [SPECIFIED, OPERATIONAL])
+def test_to_er_drops_a_core_tautology(flavor):
+    # the tautology of _core_tautology_proof is core.  to_er adds it to the
+    # live formula without emitting it; since it mentions x, the definition
+    # is not folded, and the general route defines a fresh variable over x
+    # and drops the tautology from the images
+    proof = _core_tautology_proof()
+    x = proof[1][1][0]
     f = gen_php(3)
     cnf = [list(c.lits) for _, c in f.items()]
     cp = backward_check(f, [add_step(lits) if kind == "a" else delete_step(lits)
@@ -2125,24 +2132,33 @@ def test_rat_rich_drat_mutants_get_the_oracles_verdict():
 
 def test_each_addition_propagates_its_negated_clause_once(monkeypatch):
     # Engine.propagate calls per forward record, over the RAT-rich corpus
-    # (Cook's PHP(3) among it) and mutants of it: a RUP addition makes one,
-    # the propagation of its negated clause inside Engine.rat, and a RAT
-    # addition that one plus one per candidate whose group chain is not
-    # empty (a tautological or satisfied resolvent propagates nothing); the
-    # empty clause makes one, through Engine.rup, a tautology none, and a
-    # deletion at most operational mode's Engine.toplevel.  Verdicts match
-    # naive_check_drat in both deletion modes
+    # (Cook's PHP(3) among it), _core_tautology_proof with a second
+    # tautology that no step cites, and mutants of them: a RUP addition
+    # makes one, the propagation of its negated clause inside Engine.rat,
+    # and a RAT addition that one plus one per candidate whose group chain
+    # is not empty (a tautological or satisfied resolvent propagates
+    # nothing); the empty clause makes one, through Engine.rup, a tautology
+    # one, through Engine.rat, which answers 0 at the complementary
+    # assumption before it visits a clause, and a deletion at most
+    # operational mode's Engine.toplevel.  Verdicts match naive_check_drat
+    # in both deletion modes
     calls = []
     propagate = Engine.propagate
 
     def counted(engine, *args, **kwargs):
-        calls.append(engine)
-        return propagate(engine, *args, **kwargs)
+        cid = propagate(engine, *args, **kwargs)
+        calls.append(cid)
+        return cid
 
     monkeypatch.setattr(Engine, "propagate", counted)
     rng = random.Random(19)
     seen = Counter()
-    for name, f, proof in _rat_corpus():
+    taut = _core_tautology_proof()
+    taut.insert(len(taut) // 2, ("a", [5, 2000, -5]))
+    corpus = _rat_corpus() + [("tautologies", gen_php(3), [
+        add_step(lits) if kind == "a" else delete_step(lits)
+        for kind, lits in taut])]
+    for name, f, proof in corpus:
         cnf = [list(c.lits) for _, c in f.items()]
         cp = backward_check(f, proof)
         proofs = [proof] + [_drat_mutant(rng, kind, f, proof, cp)
@@ -2153,15 +2169,18 @@ def test_each_addition_propagates_its_negated_clause_once(monkeypatch):
                 working = f.copy()
                 engine = Engine(working)
                 calls.clear()
+                visited = 0
                 try:
                     for r in checkers._drat_forward(working, engine, p,
                                                     CheckMode(flavor)):
                         n = len(calls)
-                        calls.clear()
                         if r.kind == "delete":
                             assert n <= (flavor == OPERATIONAL), (name, r)
                         elif r.clause.is_tautology:
-                            assert n == 0, (name, r)
+                            assert calls == [0], (name, r)
+                            assert engine.visited_total == visited, (name, r)
+                            assert (r.hints, r.pivot) == ((), None), (name, r)
+                            seen["tautology"] += 1
                         elif r.pivot is None:
                             assert n == 1, (name, r)
                             seen["rup"] += 1
@@ -2171,6 +2190,8 @@ def test_each_addition_propagates_its_negated_clause_once(monkeypatch):
                             seen["rat"] += 1
                             seen["chains"] += sum(chains)
                             seen["chainless"] += chains.count(False)
+                        calls.clear()
+                        visited = engine.visited_total
                 except ForwardRejected:
                     pass
                 report = check_drat(f, p, CheckMode(flavor))
@@ -2184,6 +2205,7 @@ def test_each_addition_propagates_its_negated_clause_once(monkeypatch):
                 assert got == naive_check_drat(cnf, steps, flavor), (name, flavor)
                 seen[report.verified] += 1
     assert seen["rup"] >= 100 and seen["rat"] >= 100
+    assert seen["tautology"] >= 8
     assert seen["chains"] >= 40 and seen["chainless"] >= 100
     assert seen[True] >= 20 and seen[False] >= 8
 

@@ -75,18 +75,18 @@ SCOPE = {
     # the occurrence lists' order fixes the engine's chains, so the bytes
     "core": (["Clause", "Formula"], _CLAUSE_TESTS + [
         "tests/test_pipeline.py::test_outputs_match_golden_digests"]),
-    "formats": (["HintBlock", "extension_clauses", "_text", "_reject_underscore",
-                 "_int_tok", "_Tokens", "parse_dimacs", "_shared",
-                 "parse_drat_text",
-                 "parse_drat_binary", "parse_drat", "parse_lrat", "parse_er",
+    "formats": (["HintBlock", "add_step", "extension_clauses", "_text",
+                 "_reject_underscore", "_int_tok", "_Tokens", "parse_dimacs",
+                 "write_dimacs", "_shared", "parse_drat_text",
+                 "write_drat_text", "parse_drat_binary", "parse_drat", "parse_lrat", "parse_er",
                  "_write_lines", "_two_lists", "_lrat_body", "write_lrat",
                  "_er_body", "write_er"],
                 _FORMAT_TESTS),
     # an engine mutant that changes chains changes bytes, not verdicts
     "propagate": (["walk", "Engine"], _CHECKER_TESTS + [
         "tests/test_pipeline.py::test_outputs_match_golden_digests"]),
-    "checkers": (["check_addition", "check_lrat", "check_er", "_fold_chain",
-                  "_drat_forward"], _CHECKER_TESTS),
+    "checkers": (["check_addition", "check_drat", "check_lrat", "check_er",
+                  "_fold_chain", "_drat_forward"], _CHECKER_TESTS),
     "pipeline": (["backward_check", "emit_trimmed", "_Lines", "emit_trim",
                   "_fold", "_definition_run", "to_er"],
                  _PIPELINE_TESTS),
