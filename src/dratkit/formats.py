@@ -229,7 +229,6 @@ class _Tokens:
 
     def line(self, k: int) -> int:
         """1-based line of token k."""
-        ln = 0
         for ln, line in enumerate(self.text.split("\n"), start=1):
             n = len(line.split())
             if k < n:
@@ -303,12 +302,10 @@ def parse_dimacs(data):
     declared_vars = declared_clauses = None
     f = Formula()
     lits: list = []
-    last_ln = 0
     lines = data.split("\n")
     if not lines[-1]:
         del lines[-1]  # the final \n ends a line and starts none
     for ln, line in enumerate(lines, start=1):
-        last_ln = ln
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
@@ -337,7 +334,7 @@ def parse_dimacs(data):
     if declared_vars is None:
         raise ParseError("missing 'p cnf' header")
     if lits:
-        raise ParseError("line %d: unterminated clause %s" % (last_ln, lits))
+        raise ParseError("line %d: unterminated clause %s" % (len(lines), lits))
     f.declare_variables(declared_vars)
     return f, declared_vars, declared_clauses
 
@@ -424,18 +421,23 @@ def _u_to_lit(u: int) -> int:
     return -v if u & 1 else v
 
 
+def int_digit_limit() -> int:
+    """Python's int-to-decimal digit limit, sys.get_int_max_str_digits(), or
+    0 for no limit, as on a Python that has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def parse_drat_binary(data: bytes) -> list:
     """Binary DRAT: a tag byte ('a' adds, 'd' deletes), then each literal l
     as the 7-bit varint of 2*|l| + (l < 0), low group first, then a 0 byte.
 
     A literal takes no more decimal digits than text DRAT's int() reads,
-    sys.get_int_max_str_digits() (no bound when that is 0 or Python has no
-    such limit), so both encodings accept the same literals.  A wider one
-    is a ParseError at its varint's first byte, raised as soon as the
-    groups read so far exceed the bound, so a varint's decoding time grows
-    with its length, not with its square.
+    int_digit_limit() (no bound when that is 0), so both encodings accept
+    the same literals.  A wider one is a ParseError at its varint's first
+    byte, raised as soon as the groups read so far exceed the bound, so a
+    varint's decoding time grows with its length, not with its square.
     """
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = int_digit_limit()
     # the least payload whose literal has more than digits digits
     bound = 2 * 10 ** digits if digits else float("inf")
     steps = []

@@ -88,6 +88,7 @@ from dratkit.formats import (
     HintBlock,
     add_step,
     extension_clauses,
+    int_digit_limit,
 )
 from dratkit.propagate import Engine, walk
 
@@ -300,8 +301,6 @@ def _fold(er_clauses: dict, ids) -> tuple:
     variable against the accumulator are skipped and omitted from kept_ids,
     so the returned chain replays exactly under the strict fold rule.
     """
-    if not ids:
-        raise TranslationInvariantViolation("empty resolution chain")
     dropped = []
     acc, pos, clash = _fold_chain(er_clauses, ids, dropped)
     if pos is not None:
@@ -408,12 +407,18 @@ def to_er(f: Formula, cp: CheckedProof):
                 fresh = abs(l)
     lines = _Lines(m, cp.core_formula_ids)
     id_map, er_id = lines.image, lines.id_of
+    digits = int_digit_limit()
+    top = 10 ** digits if digits else float("inf")
 
     def define(p, ls):
         """Emit Extend(x, p, ls) on the next fresh x and register its
-        family; returns x and its family's ids."""
+        family; returns x and its family's ids.  A fresh variable the
+        document could not write in decimal is a ValueError."""
         nonlocal fresh
         fresh += 1
+        if fresh >= top:
+            raise ValueError("a fresh ER variable would have more than %d "
+                             "digits, Python's int digit limit" % digits)
         family = extension_clauses(fresh, p, ls)
         ext_sid = lines.add(Extend(fresh, p, ls), claims=len(family))
         for j, clx in enumerate(family):

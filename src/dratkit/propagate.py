@@ -13,33 +13,32 @@ and dedicated queues for unit and empty clauses (which cannot hold two
 watches).  Every check runs inside a checkpoint and restores the trail, the
 values and the queue head; the watches it moved stay where they went.
 
-Layout.  The state is flat and indexed by literal, as in DRAT-trim, so the
-watch loop reads lists and makes no method call per literal:
+Layout.  The state is flat and indexed by literal, as in MiniSat, so the
+watch loop reads lists and makes no method call per literal.  Internal
+variable v owns internal literals 2v (positive) and 2v+1 (negative):
+negation is l ^ 1 and the variable is l >> 1.
 
-  val[l]       1 true, -1 false, 0 free.  Literals run over -cap..cap and a
-               negative literal uses Python's negative indexing, so val has
-               2*cap + 1 slots: 1..cap positive, the top cap negative, 0 unused.
+  val[l]       1 true, -1 false, 0 free; two slots per variable.
   watches[l]   ids of the clauses watching l, indexed the same way.
   reason[v]    the clause that set variable v, None for an assumption.  It
                is read only for variables on the trail, so rollback leaves
-               it alone and zeroes just val[l] and val[-l].
+               it alone and zeroes just val[l] and val[l ^ 1].
   wlits[cid]   [w0, w1, lits] for every attached clause: the two watches
                (None for unit and empty clauses) and the literal tuple, so
                no loop looks the clause up in the formula.
 
-Variables and capacity.  The lists hold internal literals, and the slots
-follow the variables the engine has seen, not their numbers: neither an
-over-declared header nor a lemma on variable 10**9 costs more than one slot
-per variable.  Every variable takes the next internal number when the
+Variables.  The lists hold internal literals, and the slots follow the
+variables the engine has seen, not their numbers: neither an over-declared
+header nor a lemma on variable 10**9 costs more than two literal slots and
+one reason slot.  Every variable takes the next internal number when the
 engine first sees it, in the order of the clauses at construction and then
 of the calls; _ix maps each literal seen to its internal literal, so a
 translation is one lookup, and _ex maps an internal variable back.
 Literals are translated on the way in (attach and propagate's
 assumptions) and out (only toplevel); the trail and the watch records stay
-internal.  A new variable gets its slot before any access, capacity
-doubling.  Growth inserts the new slots between the positive and the
-negative half, in place, so lists bound to locals stay valid and every
-existing literal keeps its slot.
+internal.  A new variable appends its slots in place, before any access,
+so lists bound to locals stay valid and every existing literal keeps its
+slot.
 
 Watches.  Rollback only unassigns, as in MiniSat and DRAT-trim: a moved
 watch went to a literal non-false under the longer trail, so it stays
@@ -118,10 +117,9 @@ class Engine:
 
     def __init__(self, f: Formula):
         self.f = f
-        self.cap = 0               # internal variables with a slot, at least nvars
-        self.val: list = [0]       # literal -> 1 true | -1 false | 0 free
-        self.reason: list = [None]  # var -> clause id | None for assumptions
-        self.watches: list = [[]]  # literal -> clause ids watching it
+        self.val: list = []        # literal -> 1 true | -1 false | 0 free
+        self.reason: list = []     # var -> clause id | None for assumptions
+        self.watches: list = []    # literal -> clause ids watching it
         self.wlits: dict = {}      # clause id -> [w0, w1, literal tuple]
         self.trail: list = []
         self.qhead = 0
@@ -129,27 +127,21 @@ class Engine:
         self.empty_ids: list = []
         self.visited_total = 0
         self._ix: dict = {}        # literal -> internal literal, both signs
-        self._ex: list = [0]       # internal variable -> variable
+        self._ex: list = []        # internal variable -> variable
         for cid in f.clauses:
             self.attach(cid)
 
     def _lit(self, l: int) -> int:
         """Internal literal of literal l.  A variable seen for the first time
-        takes the next internal number; when that has no slot, capacity
-        doubles in place: the new literals go between the positive half and
-        the negative half."""
+        takes the next internal number and appends its slots in place."""
         il = self._ix.get(l)
         if il is None:
-            iv = len(self._ex)
-            if iv > self.cap:
-                d = self.cap or 1
-                self.val[iv:iv] = [0] * (2 * d)
-                self.watches[iv:iv] = [[] for _ in range(2 * d)]
-                self.reason.extend([None] * d)
-                self.cap += d
-            self._ex.append(l if l > 0 else -l)
-            il = iv if l > 0 else -iv
-            self._ix[l], self._ix[-l] = il, -il
+            il = 2 * len(self._ex) + (l < 0)
+            self._ex.append(abs(l))
+            self.val += (0, 0)
+            self.watches += ([], [])
+            self.reason.append(None)
+            self._ix[l], self._ix[-l] = il, il ^ 1
         return il
 
     def _lits(self, lits) -> tuple:
@@ -190,8 +182,8 @@ class Engine:
 
     def _assign(self, l: int, why) -> None:
         self.val[l] = 1
-        self.val[-l] = -1
-        self.reason[l if l > 0 else -l] = why
+        self.val[l ^ 1] = -1
+        self.reason[l >> 1] = why
         self.trail.append(l)
 
     def checkpoint(self):
@@ -204,7 +196,7 @@ class Engine:
             val = self.val
             for l in trail[tlen:]:
                 val[l] = 0
-                val[-l] = 0
+                val[l ^ 1] = 0
             del trail[tlen:]
         self.qhead = qhead
 
@@ -229,8 +221,8 @@ class Engine:
                 return 0
             if v == 0:
                 val[l] = 1
-                val[-l] = -1
-                reason[l if l > 0 else -l] = None
+                val[l ^ 1] = -1
+                reason[l >> 1] = None
                 trail.append(l)
         if self.empty_ids:
             self.visited_total += 1
@@ -245,12 +237,12 @@ class Engine:
                 return cid
             if v == 0:
                 val[l] = 1
-                val[-l] = -1
-                reason[l if l > 0 else -l] = cid
+                val[l ^ 1] = -1
+                reason[l >> 1] = cid
                 trail.append(l)
         qhead = self.qhead
         while qhead < len(trail):
-            neg = -trail[qhead]
+            neg = trail[qhead] ^ 1
             qhead += 1
             wl = watches[neg]
             if not wl:
@@ -285,8 +277,8 @@ class Engine:
                         self.visited_total += visited + i
                         return cid
                     val[other] = 1
-                    val[-other] = -1
-                    reason[other if other > 0 else -other] = cid
+                    val[other ^ 1] = -1
+                    reason[other >> 1] = cid
                     trail.append(other)
             del wl[j:]
             visited += n
@@ -309,7 +301,7 @@ class Engine:
             if self.propagate() is not None:
                 return None
             ex = self._ex
-            return {ex[l] if l > 0 else -ex[-l] for l in self.trail}
+            return {-ex[l >> 1] if l & 1 else ex[l >> 1] for l in self.trail}
         finally:
             self.rollback(cp)
             self.visited_total = visited
@@ -322,7 +314,7 @@ class Engine:
         was already false."""
         if not cid:
             return HintBlock()
-        out = self._reasons({abs(l) for l in self.wlits[cid][2]}, from_index)
+        out = self._reasons({l >> 1 for l in self.wlits[cid][2]}, from_index)
         out.append(cid)
         return HintBlock(out)
 
@@ -334,13 +326,13 @@ class Engine:
         out = []
         i = len(trail) - 1
         while i >= from_index:
-            v = abs(trail[i])
+            v = trail[i] >> 1
             if v in marked:
                 r = reason[v]
                 if r is not None:
                     out.append(r)
                     for x in wlits[r][2]:
-                        marked.add(abs(x))
+                        marked.add(x >> 1)
             i -= 1
         out.reverse()
         return out
@@ -381,7 +373,7 @@ class Engine:
             candidates = self.f.occurrence(-pivot)
             tlead = len(self.trail)
             val, wlits = self.val, self.wlits
-            neg_pivot = -self._lit(pivot)  # internal, like wlits
+            neg_pivot = self._lit(pivot) ^ 1  # internal, like wlits
             marked = set()  # variables whose leading reasons a group uses
             for did in candidates:
                 cp2 = self.checkpoint()
@@ -391,17 +383,17 @@ class Engine:
                         if val[l] == 1:
                             # the resolvent is tautological or satisfied; a
                             # leading unit that made l true is needed
-                            marked.add(abs(l))
+                            marked.add(l >> 1)
                             break
                         if val[l] == 0:
-                            self._assign(-l, None)
+                            self._assign(l ^ 1, None)
                 else:
                     cid = self.propagate()
                     if cid is None:
                         return RatOutcome(False, did)
                     chain = self._chain(cid, tlead)
                     for cid in chain:
-                        marked.update(abs(x) for x in wlits[cid][2])
+                        marked.update(x >> 1 for x in wlits[cid][2])
                 self.rollback(cp2)
                 groups += (-did, *chain)
             return RatOutcome(True, None,

@@ -6,10 +6,11 @@ reduction pass, that logs every learned clause and every database deletion
 as DRAT steps.
 gen_php and gen_random build benchmark formulas.
 
-The solver's state is flat, as in MiniSat and propagate.Engine: val[l] is
-1, -1 or 0 for literal l, a negative literal indexing from the end of its
-2*nv + 1 slots, and watches[l] lists the ids of the clauses watching l,
-indexed the same way; reason, level and phase are indexed by variable.
+The solver's state is flat, as in DRAT-trim: val[l] is 1, -1 or 0 for
+literal l, a negative literal indexing from the end of its 2*nv + 1 slots,
+and watches[l] lists the ids of the clauses watching l, indexed the same
+way; reason, level and phase are indexed by variable.  (propagate.Engine
+numbers its internal literals as MiniSat does instead, 2v and 2v + 1.)
 A clause of two or more literals watches c[0] and c[1] and sits in those
 two lists only.  reduce_db takes each clause it deletes out of both lists
 at once and leaves None in its slot, so the watch loop never meets a

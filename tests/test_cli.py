@@ -23,7 +23,7 @@ from dratkit.formats import (
 )
 from dratkit.testkit import cdcl_solve, gen_php, gen_random
 
-from test_pipeline import _cook_steps
+from test_pipeline import _cook_steps, _cook_steps_ending_at
 
 FULL2 = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
 FULL2_PROOF = [add_step([1, 2]), add_step([1]), add_step([])]
@@ -451,6 +451,30 @@ def test_a_binary_literal_wider_than_text_allows_exits_two(
     assert (rc, stdout) == (2, "")
     assert err == "error: byte 1: literal of more than 4300 digits\n"
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["check", "trim", "to-er"])
+def test_to_er_exits_two_on_a_fresh_variable_past_the_digit_limit(
+        command, tmp_path, capsys, digit_limit):
+    # Cook's PHP(3) proof in text DRAT with its fresh variables renamed to
+    # end at 10**640 - 1: at a 640-digit limit the proof verifies and trims,
+    # but to-er's first fresh variable would be 10**640, so it writes
+    # nothing and exits 2 with one line naming the limit
+    digit_limit(640)
+    cnf = _cnf_file(tmp_path, [c.lits for _, c in gen_php(3).items()])
+    proof = _proof_file(tmp_path, _cook_steps_ending_at(3, 10 ** 640 - 1))
+    out = str(tmp_path / "out")
+    argv = {"check": ["check", "drat", cnf, proof],
+            "trim": ["trim", cnf, proof, "--out-lrat", out],
+            "to-er": ["to-er", cnf, proof, "--out", out]}[command]
+    rc, stdout, err = _run(capsys, argv)
+    if command == "to-er":
+        assert (rc, stdout) == (2, "")
+        assert err == ("error: a fresh ER variable would have more than 640 "
+                       "digits, Python's int digit limit\n")
+        assert not os.path.exists(out)
+    else:
+        assert (rc, stdout, err) == (0, "s VERIFIED\n", "")
 
 
 # Run in a fresh interpreter: which modules `import dratkit.cli`, a check

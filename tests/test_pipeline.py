@@ -734,6 +734,17 @@ def _cook_steps(n):
             for kind, lits in _cook_proof(n)]
 
 
+def _cook_steps_ending_at(n, top):
+    """Cook's proof of gen_php(n) as steps, its fresh variables shifted so
+    that the largest is top."""
+    steps = _cook_steps(n)
+    base = n * (n + 1)  # gen_php(n)'s variables
+    shift = top - max(abs(l) for s in steps for l in s.clause.lits)
+    return [(add_step if s.kind == "add" else delete_step)(
+                [l if abs(l) <= base else l + shift if l > 0 else l - shift
+                 for l in s.clause.lits]) for s in steps]
+
+
 def _trimming_corpus():
     """(formula, proof): solver proofs, Cook's PHP(3) to PHP(5), hops,
     ratmix and RAT-rich refutations."""
@@ -1788,6 +1799,30 @@ def test_to_er_folds_the_definition_of_a_variable_the_proof_freed(n, defined):
     assert max(abs(l) for _, lits in proof for l in lits) < max(
         abs(l) for _, lits in _cook_proof(n) for l in lits)
     assert len(_cook_er(n, proof)[1]) == defined
+
+
+@pytest.mark.parametrize("room, ok", [(6, True), (5, False)])
+def test_to_er_refuses_a_fresh_variable_past_the_digit_limit(
+        digit_limit, room, ok):
+    # Cook's PHP(3) proof, whose six definitions take six fresh variables,
+    # with its own largest variable room below 10**640: text DRAT reads
+    # every literal at a 640-digit limit and the proof verifies, but with
+    # room 5 the sixth fresh variable would be 10**640, which no document
+    # could write in decimal
+    digit_limit(640)
+    f = gen_php(3)
+    proof = parse_drat(write_drat_text(
+        _cook_steps_ending_at(3, 10 ** 640 - 1 - room)))
+    assert check_drat(f, proof).verified
+    cp = backward_check(f, proof)
+    if ok:
+        assert max(e.fresh for _, e in to_er(f, cp)
+                   if isinstance(e, Extend)) == 10 ** 640 - 1
+        return
+    with pytest.raises(ValueError) as e:
+        to_er(f, cp)
+    assert str(e.value) == ("a fresh ER variable would have more than 640 "
+                            "digits, Python's int digit limit")
 
 
 def test_to_er_deletes_an_unimaged_candidate_where_the_proof_does():

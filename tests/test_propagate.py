@@ -38,12 +38,12 @@ def _rand_formula(rng, maxv, nclauses):
 
 def _nvars(e):
     """The variables e has seen, each with an internal number."""
-    return len(e._ex) - 1
+    return len(e._ex)
 
 
 def _ext(e, l):
     """The literal that e's internal literal l stands for."""
-    return e._ex[l] if l > 0 else -e._ex[-l]
+    return -e._ex[l >> 1] if l & 1 else e._ex[l >> 1]
 
 
 def _value(e, l):
@@ -60,24 +60,20 @@ def _snapshot(e):
     head, every attached clause's literals and the unit and empty queues.
     Where the watches sit is left out: a check leaves the watches it moved
     where they went, and _assert_watches checks them."""
-    assert len(e.val) == len(e.watches) == 2 * e.cap + 1
-    assert len(e.reason) == e.cap + 1
-    assert e.val[0] == 0 and e.watches[0] == []
     nvars = _nvars(e)
-    assert nvars <= e.cap
-    # reserved slots above nvars stay untouched
-    assert not any(e.val[l] or e.watches[l]
-                   for v in range(nvars + 1, e.cap + 1) for l in (v, -v))
+    # exactly two literal slots and one reason per variable seen
+    assert len(e.val) == len(e.watches) == 2 * nvars
+    assert len(e.reason) == nvars
 
     def x(l):
         return _ext(e, l)
 
-    assert len({abs(x(v)) for v in range(1, nvars + 1)}) == nvars
-    lits = [l for l in range(-nvars, nvars + 1) if l]
+    assert len({x(2 * v) for v in range(nvars)}) == nvars
+    lits = range(2 * nvars)
     return (
         tuple(x(l) for l in e.trail),
         {x(l): e.val[l] for l in lits if e.val[l]},
-        {abs(x(l)): e.reason[abs(l)] for l in e.trail},
+        {abs(x(l)): e.reason[l >> 1] for l in e.trail},
         e.qhead,
         {cid: tuple(map(x, w[2])) for cid, w in e.wlits.items()},
         tuple(e.unit_ids),
@@ -91,8 +87,8 @@ def _assert_watches(e):
     exactly those two literals, once in each; unit and empty clauses watch
     nothing."""
     where = {}
-    for l in range(-e.cap, e.cap + 1):
-        for cid in e.watches[l]:
+    for l, wl in enumerate(e.watches):
+        for cid in wl:
             where.setdefault(cid, []).append(l)
     for cid, (w0, w1, lits) in e.wlits.items():
         if len(lits) > 1:
@@ -588,13 +584,13 @@ def test_visited_counts_accumulate_on_engine():
 
 def test_fresh_variables_never_alias_existing_slots():
     e = Engine(formula_from_clauses([[1, 2], [-1, 3]]))
-    top = e.cap
+    top = _nvars(e)
     cp = e.checkpoint()
     assert e.propagate([top]) is None
-    # -(top+1) would index the slot of top if it were not given its own
+    # a new variable appends its own two slots and shares none of top's
     assert _value(e, -(top + 1)) == 0 and _value(e, top + 1) == 0
     assert e.propagate([-(top + 1)]) is None
-    assert e.cap >= top + 1
+    assert len(e.val) == len(e.watches) == 2 * (top + 1)
     assert (_value(e, top), _value(e, -top)) == (1, -1)
     assert (_value(e, top + 1), _value(e, -(top + 1))) == (-1, 1)
     assert e.propagate([top + 3, -(top + 2)]) is None
@@ -612,30 +608,25 @@ def test_variables_attached_in_order_take_one_slot_each():
     e = Engine(f)
     for lits in ([4, -1], [5, -4, 2], [-5, 3]):
         e.attach(f.add_clause(lits))
-    assert _nvars(e) == 5 and e.cap <= 8
+    assert _nvars(e) == 5 and len(e.val) == 10
     assert _snapshot(e) == _snapshot(Engine(f))
     _assert_watches(e)
 
 
-def test_capacity_doubles():
-    # five variables seen take the slots of 1, 2, 4, then 8 variables
-    assert Engine(formula_from_clauses([[1, 2, 3, 4, 5]])).cap == 8
-
-
 def test_slots_follow_the_variables_seen_not_their_numbers():
-    # an over-declared header costs nothing, and a sparse numbering costs one
-    # slot per variable: lemmas, assumptions and attached clauses
+    # an over-declared header costs nothing, and a sparse numbering costs two
+    # literal slots per variable: lemmas, assumptions and attached clauses
     # on huge variables all work in a few slots.  (big stays modest, so an
     # engine that sizes itself by the numbers fails here in bounded memory.)
     big = 10 ** 6
     f, _, _ = parse_dimacs(b"p cnf %d 2\n1 0\n-1 0\n" % big)
     assert f.max_var == big
-    assert Engine(f).cap == 1
+    assert len(Engine(f).val) == 2
     assert check_drat(f, parse_drat(b"0\n")).verified
 
     f = formula_from_clauses([[big, 1], [-big, 1], [big, -1], [-big, -2, -1]])
     e = Engine(f)
-    assert e.cap <= 4 and _value(e, big) == 0
+    assert len(e.val) == 6 and _value(e, big) == 0
     assert e.rup(Clause([1])) is not None and e.rup(Clause([big + 7])) is None
     cp = e.checkpoint()
     assert e.propagate([-(big + 7)]) is None
@@ -644,7 +635,7 @@ def test_slots_follow_the_variables_seen_not_their_numbers():
     cid = f.add_clause([-(big + 7), 2 * big])
     e.attach(cid)
     assert e.rat(Clause([-(big + 7), 2 * big])).rat
-    assert _nvars(e) == 5 and e.cap <= 8
+    assert _nvars(e) == 5 and len(e.val) == 10
     assert e.toplevel() == set()
     assert e.propagate([big + 7]) is None
     assert {_ext(e, l) for l in e.trail} == {big + 7, 2 * big}

@@ -98,11 +98,6 @@ SCOPE = {
 
 # (function, original text, mutated text) -> why no input tells them apart
 EQUIVALENT = {
-    ("_Tokens.line", "ln = 0", "pass"):
-        "text.split('\\n') is never empty, so the loop always binds ln",
-    ("parse_dimacs", "last_ln = 0", "pass"):
-        "last_ln is read only when a clause is left open, which takes a "
-        "line, and every line binds it",
     ("Clause.__eq__",
      "self._hash == other._hash and set(self.lits) == set(other.lits)",
      "set(self.lits) == set(other.lits)"):
